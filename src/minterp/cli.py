@@ -19,6 +19,7 @@ from ._version import VERSION
 from .errors import MinterpError
 from .experiments import (
     ExperimentConfig,
+    check_resnet_widths,
     run_bound_audit,
     run_scale_study,
     run_verify_lemma,
@@ -135,6 +136,7 @@ def _cmd_fit(args) -> int:
             "resamples_used": fit.resamples_used,
         }
     else:
+        check_resnet_widths(config.m1, config.L_cap)
         teacher = teacher_from_dict(load_json(args.teacher))
         part1 = approximate_teacher(
             teacher, config.m1, data.X, derive_seed(config.seed, 3),

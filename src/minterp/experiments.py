@@ -91,6 +91,18 @@ _RAD_BASE = 5 << 20
 _BOOT_BASE = 6 << 20
 
 
+def check_resnet_widths(m1: int, L_cap: int) -> None:
+    """Reject a resnet fit whose cap leaves no layers after the m1-layer teacher.
+
+    The embedded teacher takes m1 layers and the residual fit gets
+    m2 = min(width, L_cap - m1), which must be positive.
+    """
+    if L_cap <= m1:
+        raise ValueError(
+            f"resnet needs L_cap > m1 (teacher layers), got L_cap={L_cap}, m1={m1}"
+        )
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything that defines an experiment; the master seed is part of it.
@@ -165,6 +177,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"lambda_target must be positive or None, got {self.lambda_target}"
             )
+        if self.model == "resnet" and self.kind in ("scale-study", "bound-audit"):
+            check_resnet_widths(self.m1, self.L_cap)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":

@@ -68,10 +68,15 @@ class FeatureFamily:
             raise ValueError(
                 f"incompatible shapes: params {W.shape} vs inputs {X.shape}"
             )
-        pre = W[:, :-1] @ X + W[:, -1][:, None]
+        return self._activations(W, X).T
+
+    def _activations(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """phi(x_j; w_i) laid out (m, n), built in one buffer without temporaries."""
+        block = W[:, :-1] @ X
+        block += W[:, -1][:, None]
         if self.tag == RELU_L1SPHERE:
-            return np.maximum(pre, 0.0).T
-        return np.cos(pre).T
+            return np.maximum(block, 0.0, out=block)
+        return np.cos(block, out=block)
 
 
 @dataclass(frozen=True)
@@ -112,12 +117,14 @@ class RandomFeatureModel:
     def predict(self, X: np.ndarray, chunk_size: int = 1024) -> np.ndarray:
         """Evaluate at every column of X, chunked so n_test * m never materializes."""
         X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[0] != self.d:
+            raise ValueError(f"expected inputs of shape ({self.d}, n), got {X.shape}")
         n = X.shape[1]
         out = np.empty(n)
         for start in range(0, n, chunk_size):
             stop = min(start + chunk_size, n)
-            Phi = self.family.features(self.params, X[:, start:stop])
-            out[start:stop] = Phi @ self.coefficients / self.m
+            block = self.family._activations(self.params, X[:, start:stop])
+            out[start:stop] = self.coefficients @ block / self.m
         return out
 
 
@@ -132,11 +139,6 @@ class ConcentrationCheck:
     observed_frobenius: float
     lambda_min_exact: float
     lambda_min_empirical: float
-
-
-def feature_matrix(family: FeatureFamily, W: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Phi[i, j] = phi(x_i; w_j) for inputs X (d, n) and parameters W (m, d+1)."""
-    return family.features(W, X)
 
 
 def kernel_exact(

@@ -70,6 +70,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
 
+    @pytest.mark.parametrize("kind", ["scale-study", "bound-audit"])
+    def test_infeasible_resnet_widths_rejected(self, kind):
+        for m1, L_cap in ((512, 256), (256, 256)):
+            with pytest.raises(ValueError, match="L_cap > m1"):
+                ExperimentConfig(kind=kind, model="resnet", m1=m1, L_cap=L_cap)
+        ExperimentConfig(kind=kind, model="resnet", m1=256, L_cap=257)
+        ExperimentConfig(kind=kind, model="two-layer", m1=512, L_cap=256)
+
     def test_default_m_grid_is_powers_of_two(self):
         assert DEFAULT_M_GRID[0] == 64 and DEFAULT_M_GRID[-1] == 16384
 
@@ -343,6 +351,19 @@ class TestCli:
         rc = main(["fit", "two-layer", str(tmp_path / "dataset.json"), *out])
         assert rc == 2
         assert "needs a teacher" in capsys.readouterr().err
+
+    def test_fit_resnet_rejects_infeasible_widths(self, workdir, capsys):
+        tmp_path, cfg = workdir
+        out = ["--config", cfg, "--out", str(tmp_path)]
+        assert main(["gen-teacher", *out]) == 0
+        assert main(["gen-data", str(tmp_path / "teacher.json"), *out]) == 0
+        config = json.loads((tmp_path / "config.json").read_text())
+        (tmp_path / "config.json").write_text(json.dumps(dict(config, L_cap=16)))
+        rc = main(["fit", "resnet", str(tmp_path / "dataset.json"),
+                   str(tmp_path / "teacher.json"), *out])
+        assert rc == 2
+        assert "L_cap > m1" in capsys.readouterr().err
+        assert not (tmp_path / "model_resnet.json").exists()
 
     def test_norms_rejects_dataset_file(self, workdir, capsys):
         tmp_path, cfg = workdir

@@ -3,8 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from minterp import (
+    RELU_L1SPHERE,
+    FeatureFamily,
     SingularSystemError,
-    eigenvalues,
+    min_l2_interpolant,
     min_norm_solve,
     smallest_eigenvalue,
     smallest_singular_value,
@@ -62,6 +64,66 @@ class TestMinNormSolve:
         with pytest.raises(ValueError):
             min_norm_solve(np.ones((5, 2)), np.ones(5))
 
+    def test_empty_system_raises_singular(self):
+        with pytest.raises(SingularSystemError):
+            min_norm_solve(np.zeros((0, 3)), np.zeros(0))
+
+    @pytest.mark.parametrize("extra", [0, 1, 2, 4, 64, 448])
+    def test_width_sweep_through_interpolation_threshold(self, extra):
+        # cond(A A^T) peaks near m = n (the double-descent threshold); the
+        # Gram route's relative error is about eps * cond(A A^T).
+        n = 64
+        A = np.random.default_rng(100 + extra).standard_normal((n, n + extra))
+        b = np.random.default_rng(99).standard_normal(n)
+        s = np.linalg.svd(A, compute_uv=False)
+        tol = 10 * np.finfo(float).eps * (s[0] / s[-1]) ** 2
+        x = min_norm_solve(A, b)
+        ref, *_ = np.linalg.lstsq(A, b, rcond=None)
+        assert np.linalg.norm(x - ref) <= tol * np.linalg.norm(ref)
+        assert np.abs(A @ x - b).max() <= tol * np.abs(b).max()
+
+    def test_ill_conditioned_gram_falls_back_to_svd(self):
+        # singular values 1 .. 1e-7 give cond(A A^T) = 1e14, past the Gram
+        # route's limit; only the SVD keeps the solution accurate here.
+        n, p = 32, 96
+        rng = np.random.default_rng(60)
+        U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        V = np.linalg.qr(rng.standard_normal((p, n)))[0]
+        A = (U * np.logspace(0, -7, n)) @ V.T
+        b = rng.standard_normal(n)
+        x = min_norm_solve(A, b, rcond=1e-12)
+        ref, *_ = np.linalg.lstsq(A, b, rcond=None)
+        assert_allclose(x, ref, rtol=1e-8, atol=1e-8 * np.abs(ref).max())
+        assert_allclose(A @ x, b, atol=1e-8)
+        assert smallest_singular_value(A) == pytest.approx(1e-7, rel=1e-6)
+
+    def test_rcond_enforced_on_gram_route(self):
+        # cond(A) = 1e4 keeps cond(A A^T) = 1e8 on the Gram route
+        n, p = 16, 40
+        rng = np.random.default_rng(61)
+        U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        V = np.linalg.qr(rng.standard_normal((p, n)))[0]
+        A = (U * np.logspace(0, -4, n)) @ V.T
+        b = rng.standard_normal(n)
+        with pytest.raises(SingularSystemError) as err:
+            min_norm_solve(A, b, rcond=1e-3)
+        assert err.value.smallest <= err.value.cutoff
+        assert_allclose(A @ min_norm_solve(A, b, rcond=1e-5), b, atol=1e-8)
+
+    def test_norm_identity_against_lstsq(self):
+        # ||a||^2 / m = y^T (K^m)^{-1} y with K^m = Phi Phi^T / m, both sides
+        # computed independently of the solver under test
+        d, n, m = 3, 20, 640
+        family = FeatureFamily(tag=RELU_L1SPHERE)
+        X = np.random.default_rng(62).uniform(-1, 1, (d, n))
+        y = np.random.default_rng(63).uniform(-1, 1, n)
+        Phi = family.features(family.sample_params(d, m, 64), X)
+        a = min_l2_interpolant(Phi, y)
+        ref, *_ = np.linalg.lstsq(Phi / m, y, rcond=None)
+        assert_allclose(a, ref, rtol=1e-8, atol=1e-10 * np.abs(ref).max())
+        quad = y @ np.linalg.solve(Phi @ Phi.T / m, y)
+        assert np.linalg.norm(a) ** 2 / m == pytest.approx(quad, rel=1e-8)
+
 
 class TestSpectralHelpers:
     def test_smallest_eigenvalue(self):
@@ -69,12 +131,6 @@ class TestSpectralHelpers:
         M = rng.standard_normal((8, 8))
         K = M @ M.T
         assert smallest_eigenvalue(K) == pytest.approx(np.linalg.eigvalsh(K)[0])
-
-    def test_eigenvalues_sorted(self):
-        rng = np.random.default_rng(6)
-        M = rng.standard_normal((6, 6))
-        vals = eigenvalues((M + M.T) / 2)
-        assert np.all(np.diff(vals) >= 0)
 
     def test_spectral_norm(self):
         rng = np.random.default_rng(7)

@@ -159,6 +159,24 @@ class TestMinNormInterpolant:
             fit.model.predict(Xt, chunk_size=64), fit.model.predict(Xt, chunk_size=10_000)
         )
 
+    @pytest.mark.parametrize("tag", [RELU_L1SPHERE, RANDOM_FOURIER])
+    def test_predict_equals_feature_matrix_route(self, tag):
+        family = FeatureFamily(tag=tag, gamma=1.5)
+        W = family.sample_params(3, 300, seed=37)
+        a = np.random.default_rng(38).standard_normal(300)
+        Xt = np.random.default_rng(39).uniform(-1, 1, (3, 250))
+        model = RandomFeatureModel(family=family, params=W, coefficients=a)
+        expected = np.concatenate(
+            [family.features(W, Xt[:, s:s + 100]) @ a / 300 for s in range(0, 250, 100)]
+        )
+        assert np.array_equal(model.predict(Xt, chunk_size=100), expected)
+
+    def test_predict_rejects_wrong_input_dimension(self):
+        W = RELU.sample_params(3, 16, seed=40)
+        model = RandomFeatureModel(family=RELU, params=W, coefficients=np.ones(16))
+        with pytest.raises(ValueError):
+            model.predict(np.zeros((2, 5)))
+
 
 class TestRidgeless:
     def test_reproduces_labels(self):
