@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -18,16 +20,16 @@ import numpy as np
 from ._version import VERSION
 from .errors import MinterpError
 from .experiments import (
+    MODELS,
+    VERIFY_SELECTORS,
     ExperimentConfig,
-    check_resnet_widths,
+    fit_model,
     run_bound_audit,
     run_scale_study,
     run_verify_lemma,
     write_study,
-    VERIFY_SELECTORS,
 )
-from .random_features import FeatureFamily, fit_random_features
-from .resnet import embed_two_layer, interpolate_resnet, resnet_eval_batch, weighted_path_norm
+from .resnet import resnet_eval_batch, weighted_path_norm
 from .sampling import make_teacher, rescale_teacher, sample_dataset, teacher_eval_batch
 from .sampling import barron_norm_upper
 from .seeding import derive_seed, rng_from
@@ -48,7 +50,7 @@ from .serialize import (
     write_csv,
     write_json_report,
 )
-from .two_layer import approximate_teacher, interpolate_two_layer, path_norm, two_layer_eval_batch
+from .two_layer import path_norm, two_layer_eval_batch
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -98,69 +100,48 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+# Per family: model serializer, model file name, and the report keys with
+# the attribute of the family's fit each one reads.
+_FIT_OUTPUTS = {
+    "rf": (rf_model_to_dict, "model_rf.json", {
+        "m": "model.m", "coeff_norm": "coeff_norm", "norm_radius": "norm_radius",
+        "interp_error": "interp_error",
+    }),
+    "two-layer": (two_layer_to_dict, "model_two_layer.json", {
+        "m1": "m1", "m2": "m2", "path_norm": "path_norm",
+        "teacher_norm_upper": "teacher_norm_upper", "norm_ratio": "norm_ratio",
+        "interp_error": "interp_error", "lambda_target": "lambda_target",
+        "lambda_emp": "lambda_emp", "resamples_used": "resamples_used",
+    }),
+    "resnet": (resnet_to_dict, "model_resnet.json", {
+        "L": "net.L", "D": "net.D", "m": "net.m", "weighted_path_norm": "weighted_norm",
+        "surrogate_norm": "surrogate_norm", "embedded_norm": "embedded_norm",
+        "interp_error": "interp_error", "lambda_target": "lambda_target",
+        "lambda_emp": "lambda_emp", "resamples_used": "resamples_used",
+        "certificate": "certificate",
+    }),
+}
+
+
 def _cmd_fit(args) -> int:
     config = _load_config(args)
     data = dataset_from_dict(load_json(args.data))
     out = _out_dir(config)
-    if args.model != "rf" and args.teacher is None:
-        raise ValueError(f"fit {args.model} needs a teacher file")
-    if args.model == "rf":
-        family = FeatureFamily(tag=config.family, gamma=config.gamma)
-        fit = fit_random_features(
-            data.X, data.y, family, config.m2, derive_seed(config.seed, 2),
-            rcond=config.rcond,
-        )
-        model_path = out / "model_rf.json"
-        save_json(rf_model_to_dict(fit.model), model_path)
-        report = {
-            "kind": "rf", "m": config.m2, "coeff_norm": fit.coeff_norm,
-            "norm_radius": fit.norm_radius, "interp_error": fit.interp_error,
-        }
-    elif args.model == "two-layer":
+    teacher = None
+    if args.model != "rf":
+        if args.teacher is None:
+            raise ValueError(f"fit {args.model} needs a teacher file")
         teacher = teacher_from_dict(load_json(args.teacher))
-        fit = interpolate_two_layer(
-            data, teacher, config.m1, config.m2, derive_seed(config.seed, 2),
-            lambda_target=config.lambda_target,
-            max_resamples=config.max_resamples,
-            n_retry_draws=config.n_retry_draws,
-            rcond=config.rcond,
-            lambda_quadrature=config.quadrature,
-        )
-        model_path = out / "model_two_layer.json"
-        save_json(two_layer_to_dict(fit.net), model_path)
-        report = {
-            "kind": "two-layer", "m1": fit.m1, "m2": fit.m2,
-            "path_norm": fit.path_norm, "teacher_norm_upper": fit.teacher_norm_upper,
-            "norm_ratio": fit.norm_ratio, "interp_error": fit.interp_error,
-            "lambda_target": fit.lambda_target, "lambda_emp": fit.lambda_emp,
-            "resamples_used": fit.resamples_used,
-        }
-    else:
-        check_resnet_widths(config.m1, config.L_cap)
-        teacher = teacher_from_dict(load_json(args.teacher))
-        part1 = approximate_teacher(
-            teacher, config.m1, data.X, derive_seed(config.seed, 3),
-            n_retry_draws=config.n_retry_draws,
-        )
-        teacher_net = embed_two_layer(part1.net)
-        m2 = min(config.m2, config.L_cap - teacher_net.L)
-        fit = interpolate_resnet(
-            data, teacher_net, teacher_net.L, m2, derive_seed(config.seed, 2),
-            lambda_target=config.lambda_target,
-            max_resamples=config.max_resamples,
-            rcond=config.rcond,
-            lambda_quadrature=config.quadrature,
-        )
-        model_path = out / "model_resnet.json"
-        save_json(resnet_to_dict(fit.net), model_path)
-        report = {
-            "kind": "resnet", "L": fit.net.L, "D": fit.net.D, "m": fit.net.m,
-            "weighted_path_norm": fit.weighted_norm,
-            "surrogate_norm": fit.surrogate_norm, "embedded_norm": fit.embedded_norm,
-            "interp_error": fit.interp_error, "lambda_target": fit.lambda_target,
-            "lambda_emp": fit.lambda_emp, "resamples_used": fit.resamples_used,
-            "certificate": fit.certificate,
-        }
+    # The fitted family comes from the command line; the echo keeps the file's config.
+    fit = fit_model(
+        replace(config, model=args.model), data, teacher, config.m2,
+        derive_seed(config.seed, 2), derive_seed(config.seed, 3),
+    )
+    to_dict, filename, keys = _FIT_OUTPUTS[args.model]
+    model_path = out / filename
+    save_json(to_dict(fit.model), model_path)
+    report = {"kind": args.model}
+    report.update((key, attrgetter(attr)(fit.fit)) for key, attr in keys.items())
     report_path = out / "fit_report.json"
     write_json_report(
         report_path, {"version": VERSION, "config": config.echo(), "report": report}
@@ -212,59 +193,37 @@ def _cmd_bound_audit(args) -> int:
     return 0
 
 
+# Per model-file kind: loader, shape columns, norm column, norm of the
+# loaded object, and its batch evaluator on a (d, n) input matrix.
+_NORMS = {
+    "resnet": (resnet_from_dict, ("L", "D", "m"), "weighted_path_norm",
+               weighted_path_norm, resnet_eval_batch),
+    "two-layer": (two_layer_from_dict, ("m", "d"), "path_norm",
+                  path_norm, two_layer_eval_batch),
+    "rf": (rf_model_from_dict, ("m", "d"), "norm_radius",
+           attrgetter("norm_radius"), lambda model, X: model.predict(X)),
+    "teacher": (teacher_from_dict, ("n_atoms", "d"), "barron_norm_upper",
+                barron_norm_upper, teacher_eval_batch),
+}
+
+
 def _cmd_norms(args) -> int:
     config = _load_config(args)
     obj = load_json(args.model_file)
     kind = detect_model_kind(obj)
-    net_id = Path(args.model_file).stem
-
-    def checksum(eval_batch, d: int) -> float:
-        X = rng_from(derive_seed(config.seed, 0)).uniform(-1.0, 1.0, size=(d, 128))
-        return float(np.sum(eval_batch(X)))
-
-    if kind == "resnet":
-        net = resnet_from_dict(obj)
-        columns = ["net_id", "L", "D", "m", "weighted_path_norm", "eval_checksum"]
-        row = {
-            "net_id": net_id, "L": net.L, "D": net.D, "m": net.m,
-            "weighted_path_norm": weighted_path_norm(net),
-            "eval_checksum": checksum(lambda X: resnet_eval_batch(net, X), net.d),
-        }
-        norm_line = f"weighted_path_norm={row['weighted_path_norm']!r}"
-    elif kind == "two-layer":
-        net = two_layer_from_dict(obj)
-        columns = ["net_id", "m", "d", "path_norm", "eval_checksum"]
-        row = {
-            "net_id": net_id, "m": net.m, "d": net.d,
-            "path_norm": path_norm(net),
-            "eval_checksum": checksum(lambda X: two_layer_eval_batch(net, X), net.d),
-        }
-        norm_line = f"path_norm={row['path_norm']!r}"
-    elif kind == "rf":
-        model = rf_model_from_dict(obj)
-        columns = ["net_id", "m", "d", "norm_radius", "eval_checksum"]
-        row = {
-            "net_id": net_id, "m": model.m, "d": model.d,
-            "norm_radius": model.norm_radius,
-            "eval_checksum": checksum(model.predict, model.d),
-        }
-        norm_line = f"norm_radius={row['norm_radius']!r}"
-    elif kind == "teacher":
-        teacher = teacher_from_dict(obj)
-        columns = ["net_id", "n_atoms", "d", "barron_norm_upper", "eval_checksum"]
-        row = {
-            "net_id": net_id, "n_atoms": teacher.n_atoms, "d": teacher.d,
-            "barron_norm_upper": barron_norm_upper(teacher),
-            "eval_checksum": checksum(lambda X: teacher_eval_batch(teacher, X), teacher.d),
-        }
-        norm_line = f"barron_norm_upper={row['barron_norm_upper']!r}"
-    else:
+    if kind not in _NORMS:
         raise ValueError(f"norms expects a model file, got a {kind} file")
+    load, shape, norm_name, norm, evaluate = _NORMS[kind]
+    net = load(obj)
+    net_id = Path(args.model_file).stem
+    X = rng_from(derive_seed(config.seed, 0)).uniform(-1.0, 1.0, size=(net.d, 128))
+    row = {"net_id": net_id, **{key: getattr(net, key) for key in shape},
+           norm_name: norm(net), "eval_checksum": float(np.sum(evaluate(net, X)))}
 
     path = _out_dir(config) / "norms.csv"
-    write_csv(path, columns, [row], config.echo(), VERSION)
+    write_csv(path, ["net_id", *shape, norm_name, "eval_checksum"], [row], config.echo(), VERSION)
     print(f"wrote {path}")
-    print(f"norms {net_id}: {norm_line} eval_checksum={row['eval_checksum']!r}")
+    print(f"norms {net_id}: {norm_name}={row[norm_name]!r} eval_checksum={row['eval_checksum']!r}")
     return 0
 
 
@@ -286,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("fit", help="fit an interpolating model to a dataset")
-    p.add_argument("model", choices=["rf", "two-layer", "resnet"])
+    p.add_argument("model", choices=list(MODELS))
     p.add_argument("data", help="dataset JSON file")
     p.add_argument("teacher", nargs="?", default=None,
                    help="teacher JSON file (two-layer and resnet)")

@@ -6,6 +6,9 @@ thread pool, and rows are merged in trial order, so output bytes are
 identical across runs and across thread counts.  A failed trial records
 its error in the row instead of aborting the run; summaries use only the
 successful rows and report the failure count.
+
+Each model family has one fit path, `fit_model`, shared by the scale
+study, the bound audit and `minterp fit`.
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -28,16 +33,15 @@ from .complexity import (
 )
 from .linalg import smallest_singular_value
 from .random_features import (
-    RANDOM_FOURIER,
     RELU_L1SPHERE,
     FeatureFamily,
-    RandomFeatureModel,
     concentration_check,
     concentration_width,
     eigen_min,
+    fit_random_features,
     kernel_empirical,
     kernel_exact,
-    min_l2_interpolant,
+    reference_lambda_min,
     ridgeless_coefficients,
     rkhs_norm_bound,
 )
@@ -49,15 +53,11 @@ from .resnet import (
     resnet_eval_batch,
     weighted_path_norm,
 )
-from .sampling import (
-    Dataset,
-    make_teacher,
-    rescale_teacher,
-    sample_dataset,
-    teacher_eval_batch,
-)
+from .sampling import Dataset, TeacherFunction, make_teacher, rescale_teacher, sample_dataset
 from .seeding import derive_seed, rng_from
+from .serialize import write_csv, write_json_report
 from .two_layer import (
+    TwoLayerNet,
     approximate_teacher,
     fit_residual_net,
     interpolate_two_layer,
@@ -66,29 +66,21 @@ from .two_layer import (
 )
 
 KINDS = ("verify-lemma", "scale-study", "bound-audit")
-MODELS = ("rf", "two-layer", "resnet")
-VERIFY_SELECTORS = (
-    "kernel-approx",
-    "krr-bound",
-    "min-norm-rf",
-    "fit-rand-label",
-    "two-layer-composite",
-    "resnet-add",
-    "embedding",
-)
 
 DEFAULT_M_GRID = tuple(2 ** k for k in range(6, 15))
 
 _GRID_KEYS = ("n_grid", "m_grid", "L_grid", "d_grid")
 
-# Disjoint seed-index bases for the scale-study engine; grid_index * trials
-# + trial stays far below the 2^20 stride at desk scale.
-_TEACHER_BASE = 1 << 20
-_DATA_BASE = 2 << 20
-_FIT_BASE = 3 << 20
-_TEST_BASE = 4 << 20
-_RAD_BASE = 5 << 20
-_BOOT_BASE = 6 << 20
+# Disjoint seed-index bases for the scale-study engine.  A trial adds
+# grid_index * trials + trial to a base, so the streams stay disjoint while
+# len(n_grid) * trials < _SEED_STRIDE, which ExperimentConfig enforces.
+_SEED_STRIDE = 1 << 20
+_TEACHER_BASE = 1 * _SEED_STRIDE
+_DATA_BASE = 2 * _SEED_STRIDE
+_FIT_BASE = 3 * _SEED_STRIDE
+_TEST_BASE = 4 * _SEED_STRIDE
+_RAD_BASE = 5 * _SEED_STRIDE
+_BOOT_BASE = 6 * _SEED_STRIDE
 
 
 def check_resnet_widths(m1: int, L_cap: int) -> None:
@@ -125,7 +117,6 @@ class ExperimentConfig:
     seed: int = 0
     out: str | None = None
     rcond: float | None = None
-    C_universal: float = 1.0
     family: str = RELU_L1SPHERE
     gamma: float = 1.0
     n_atoms: int = 64
@@ -169,16 +160,20 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not self.width_factor > 0:
             raise ValueError(f"width_factor must be positive, got {self.width_factor}")
-        if not self.C_universal > 0:
-            raise ValueError(f"C_universal must be positive, got {self.C_universal}")
         if self.rcond is not None and not self.rcond > 0:
             raise ValueError(f"rcond must be positive or None, got {self.rcond}")
         if self.lambda_target is not None and not self.lambda_target > 0:
             raise ValueError(
                 f"lambda_target must be positive or None, got {self.lambda_target}"
             )
-        if self.model == "resnet" and self.kind in ("scale-study", "bound-audit"):
-            check_resnet_widths(self.m1, self.L_cap)
+        if self.kind in ("scale-study", "bound-audit"):
+            if len(self.n_grid) * self.trials >= _SEED_STRIDE:
+                raise ValueError(
+                    f"len(n_grid) * trials must stay below {_SEED_STRIDE} to keep trial "
+                    f"seed streams disjoint, got {len(self.n_grid)} * {self.trials}"
+                )
+            if self.model == "resnet":
+                check_resnet_widths(self.m1, self.L_cap)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -216,17 +211,9 @@ class StudyResult:
     def pass_fraction(self) -> float | None:
         return self.summary.get("pass_fraction")
 
-    @property
-    def slope(self) -> float | None:
-        return self.summary.get("slope")
-
 
 def _family(config: ExperimentConfig) -> FeatureFamily:
     return FeatureFamily(tag=config.family, gamma=config.gamma)
-
-
-def _errmsg(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}".replace("\n", " ").replace(",", ";")
 
 
 def _run_trials(worker, count: int, threads: int) -> list:
@@ -234,6 +221,23 @@ def _run_trials(worker, count: int, threads: int) -> list:
         return [worker(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(worker, range(count)))
+
+
+def _run_rows(heads: list, body, threads: int) -> list:
+    """One row per head: its columns plus body(index)'s, or the error body raised.
+
+    The error cell reads "<ExceptionType>: <message>" with newlines and
+    commas replaced, so it stays one CSV cell.
+    """
+    def worker(i):
+        row = dict(heads[i], error="")
+        try:
+            row.update(body(i))
+        except Exception as exc:
+            row["error"] = f"{type(exc).__name__}: {exc}".replace("\n", " ").replace(",", ";")
+        return row
+
+    return _run_trials(worker, len(heads), threads)
 
 
 def _base_summary(rows: list, with_pass: bool = True) -> dict:
@@ -246,6 +250,14 @@ def _base_summary(rows: list, with_pass: bool = True) -> dict:
     return summary
 
 
+def _teacher_data(config: ExperimentConfig, n: int, teacher_index: int, data_index: int):
+    """A rescaled teacher drawn at seed index teacher_index and n samples labelled by it."""
+    teacher = rescale_teacher(make_teacher(
+        config.d_grid[0], config.n_atoms, 1.0, derive_seed(config.seed, teacher_index)
+    ))
+    return teacher, sample_dataset(teacher, n, derive_seed(config.seed, data_index))
+
+
 def _verify_kernel_approx(config: ExperimentConfig, threads: int):
     d, n = config.d_grid[0], config.n_grid[0]
     m_grid = config.m_grid or DEFAULT_M_GRID
@@ -255,28 +267,23 @@ def _verify_kernel_approx(config: ExperimentConfig, threads: int):
         family, X, quadrature_size=config.quadrature, seed=derive_seed(config.seed, 1)
     )
     lam_exact = eigen_min(K)
-    jobs = [(mi, m, t) for mi, m in enumerate(m_grid) for t in range(config.trials)]
+    heads = [{"trial": t, "n": n, "m": m, "delta": config.delta}
+             for m in m_grid for t in range(config.trials)]
 
-    def worker(j):
-        mi, m, t = jobs[j]
-        row = {"trial": t, "n": n, "m": m, "delta": config.delta, "error": ""}
-        try:
-            seed = derive_seed(config.seed, 2 + mi * config.trials + t)
-            W = family.sample_params(d, m, seed)
-            check = concentration_check(K, kernel_empirical(family.features(W, X)), m, config.delta)
-            row.update(
-                bound=check.bound,
-                observed_spectral=check.observed,
-                observed_frobenius=check.observed_frobenius,
-                lambda_min_K=check.lambda_min_exact,
-                lambda_min_Km=check.lambda_min_empirical,
-                holds=check.holds,
-            )
-        except Exception as exc:
-            row["error"] = _errmsg(exc)
-        return row
+    def body(j):
+        m = heads[j]["m"]
+        W = family.sample_params(d, m, derive_seed(config.seed, 2 + j))
+        check = concentration_check(K, kernel_empirical(family.features(W, X)), m, config.delta)
+        return dict(
+            bound=check.bound,
+            observed_spectral=check.observed,
+            observed_frobenius=check.observed_frobenius,
+            lambda_min_K=check.lambda_min_exact,
+            lambda_min_Km=check.lambda_min_empirical,
+            holds=check.holds,
+        )
 
-    rows = _run_trials(worker, len(jobs), threads)
+    rows = _run_rows(heads, body, threads)
     columns = ("trial", "n", "m", "delta", "bound", "observed_spectral",
                "observed_frobenius", "lambda_min_K", "lambda_min_Km", "holds", "error")
     summary = _base_summary(rows)
@@ -305,79 +312,65 @@ def _verify_krr_bound(config: ExperimentConfig, threads: int):
     d, n = config.d_grid[0], config.n_grid[0]
     family = _family(config)
 
-    def worker(t):
-        row = {"trial": t, "n": n, "d": d, "quadrature": config.quadrature, "error": ""}
-        try:
-            teacher = rescale_teacher(
-                make_teacher(d, config.n_atoms, 1.0, derive_seed(config.seed, 3 * t))
-            )
-            data = sample_dataset(teacher, n, derive_seed(config.seed, 3 * t + 1))
-            K = kernel_exact(
-                family, data.X,
-                quadrature_size=config.quadrature,
-                seed=derive_seed(config.seed, 3 * t + 2),
-            )
-            beta = ridgeless_coefficients(K, data.y, rcond=config.rcond)
-            surrogate = rkhs_norm_bound(K, data.y, rcond=config.rcond)
-            denom = max(float(np.abs(data.y).max()), 1e-300)
-            reproduce = float(np.abs(K @ beta - data.y).max()) / denom
-            row.update(
-                surrogate_norm=surrogate,
-                lambda_min_K=eigen_min(K),
-                reproduce_error=reproduce,
-                holds=surrogate >= 0.0 and reproduce <= 1e-8,
-            )
-        except Exception as exc:
-            row["error"] = _errmsg(exc)
-        return row
+    def body(t):
+        _, data = _teacher_data(config, n, 3 * t, 3 * t + 1)
+        K = kernel_exact(
+            family, data.X,
+            quadrature_size=config.quadrature,
+            seed=derive_seed(config.seed, 3 * t + 2),
+        )
+        beta = ridgeless_coefficients(K, data.y, rcond=config.rcond)
+        surrogate = rkhs_norm_bound(K, data.y, rcond=config.rcond)
+        denom = max(float(np.abs(data.y).max()), 1e-300)
+        reproduce = float(np.abs(K @ beta - data.y).max()) / denom
+        return dict(
+            surrogate_norm=surrogate,
+            lambda_min_K=eigen_min(K),
+            reproduce_error=reproduce,
+            holds=surrogate >= 0.0 and reproduce <= 1e-8,
+        )
 
-    rows = _run_trials(worker, config.trials, threads)
+    heads = [{"trial": t, "n": n, "d": d, "quadrature": config.quadrature}
+             for t in range(config.trials)]
+    rows = _run_rows(heads, body, threads)
     columns = ("trial", "n", "d", "quadrature", "surrogate_norm", "lambda_min_K",
                "reproduce_error", "holds", "error")
     return columns, rows, _base_summary(rows)
 
 
 def _verify_min_norm_rf(config: ExperimentConfig, threads: int):
-    d, n = config.d_grid[0], config.n_grid[0]
+    n = config.n_grid[0]
     family = _family(config)
 
-    def worker(t):
-        row = {"trial": t, "n": n, "delta": config.delta, "error": ""}
-        try:
-            teacher = rescale_teacher(
-                make_teacher(d, config.n_atoms, 1.0, derive_seed(config.seed, 4 * t))
-            )
-            data = sample_dataset(teacher, n, derive_seed(config.seed, 4 * t + 1))
-            K = kernel_exact(
-                family, data.X,
-                quadrature_size=config.quadrature,
-                seed=derive_seed(config.seed, 4 * t + 2),
-            )
-            lam = eigen_min(K)
-            surrogate = rkhs_norm_bound(K, data.y, rcond=config.rcond)
-            s = math.sqrt(max(surrogate, 0.0))
-            threshold = math.ceil(
-                concentration_width(n, config.delta, lam, factor=config.width_factor)
-            )
-            m = min(threshold, config.m_cap)
-            W = family.sample_params(d, m, derive_seed(config.seed, 4 * t + 3))
-            Phi = family.features(W, data.X)
-            a = min_l2_interpolant(Phi, data.y, rcond=config.rcond)
-            radius = float(np.linalg.norm(a)) / math.sqrt(m)
-            row.update(
-                m=m,
-                lambda_min_K=lam,
-                threshold_m=threshold,
-                threshold_met=threshold <= config.m_cap,
-                norm_radius=radius,
-                surrogate_norm=surrogate,
-                holds=radius <= 2.0 * s,
-            )
-        except Exception as exc:
-            row["error"] = _errmsg(exc)
-        return row
+    def body(t):
+        _, data = _teacher_data(config, n, 4 * t, 4 * t + 1)
+        K = kernel_exact(
+            family, data.X,
+            quadrature_size=config.quadrature,
+            seed=derive_seed(config.seed, 4 * t + 2),
+        )
+        lam = eigen_min(K)
+        surrogate = rkhs_norm_bound(K, data.y, rcond=config.rcond)
+        s = math.sqrt(max(surrogate, 0.0))
+        threshold = math.ceil(
+            concentration_width(n, config.delta, lam, factor=config.width_factor)
+        )
+        m = min(threshold, config.m_cap)
+        radius = fit_random_features(
+            data.X, data.y, family, m, derive_seed(config.seed, 4 * t + 3), rcond=config.rcond
+        ).norm_radius
+        return dict(
+            m=m,
+            lambda_min_K=lam,
+            threshold_m=threshold,
+            threshold_met=threshold <= config.m_cap,
+            norm_radius=radius,
+            surrogate_norm=surrogate,
+            holds=radius <= 2.0 * s,
+        )
 
-    rows = _run_trials(worker, config.trials, threads)
+    heads = [{"trial": t, "n": n, "delta": config.delta} for t in range(config.trials)]
+    rows = _run_rows(heads, body, threads)
     columns = ("trial", "n", "m", "delta", "lambda_min_K", "threshold_m",
                "threshold_met", "norm_radius", "surrogate_norm", "holds", "error")
     summary = _base_summary(rows)
@@ -387,165 +380,132 @@ def _verify_min_norm_rf(config: ExperimentConfig, threads: int):
     return columns, rows, summary
 
 
+_RESIDUAL_COLUMNS = ("trial", "n", "m1", "m2", "lambda_ref", "lambda_emp", "resamples_used",
+                     "path_norm", "teacher_norm", "interp_error", "holds", "error")
+
+
 def _verify_fit_rand_label(config: ExperimentConfig, threads: int):
     d, n = config.d_grid[0], config.n_grid[0]
-    relu = FeatureFamily(tag=RELU_L1SPHERE)
 
-    def worker(t):
-        row = {"trial": t, "n": n, "m1": 0, "m2": config.m2, "error": ""}
-        try:
-            X = rng_from(derive_seed(config.seed, 5 * t)).uniform(-1.0, 1.0, size=(d, n))
-            r = rng_from(derive_seed(config.seed, 5 * t + 1)).standard_normal(n)
-            r /= np.linalg.norm(r)
-            lam_ref = config.lambda_target
-            if lam_ref is None:
-                lam_ref = eigen_min(kernel_exact(
-                    relu, X,
-                    quadrature_size=config.quadrature,
-                    seed=derive_seed(config.seed, 5 * t + 2),
-                ))
-            fit = fit_residual_net(
-                X, r, config.m2, lam_ref,
-                max_resamples=config.max_resamples,
-                seed=derive_seed(config.seed, 5 * t + 3),
-                rcond=config.rcond,
-            )
-            norm_bound = math.sqrt(2.0 / (lam_ref / 2.0)) * fit.residual_norm
-            row.update(
-                lambda_ref=lam_ref,
-                lambda_emp=fit.lambda_emp,
-                resamples_used=fit.resamples_used,
-                path_norm=fit.path_norm,
-                teacher_norm=fit.residual_norm,
-                interp_error=fit.interp_error,
-                holds=fit.interp_error <= 1e-8 and fit.path_norm <= norm_bound,
-            )
-        except Exception as exc:
-            row["error"] = _errmsg(exc)
-        return row
+    def body(t):
+        X = rng_from(derive_seed(config.seed, 5 * t)).uniform(-1.0, 1.0, size=(d, n))
+        r = rng_from(derive_seed(config.seed, 5 * t + 1)).standard_normal(n)
+        r /= np.linalg.norm(r)
+        lam_ref = config.lambda_target
+        if lam_ref is None:
+            ref_seed = derive_seed(config.seed, 5 * t + 2)
+            lam_ref = reference_lambda_min(X, config.quadrature, ref_seed)
+        fit = fit_residual_net(
+            X, r, config.m2, lam_ref,
+            max_resamples=config.max_resamples,
+            seed=derive_seed(config.seed, 5 * t + 3),
+            rcond=config.rcond,
+        )
+        norm_bound = math.sqrt(2.0 / (lam_ref / 2.0)) * fit.residual_norm
+        return dict(
+            lambda_ref=lam_ref,
+            lambda_emp=fit.lambda_emp,
+            resamples_used=fit.resamples_used,
+            path_norm=fit.path_norm,
+            teacher_norm=fit.residual_norm,
+            interp_error=fit.interp_error,
+            holds=fit.interp_error <= 1e-8 and fit.path_norm <= norm_bound,
+        )
 
-    rows = _run_trials(worker, config.trials, threads)
-    columns = ("trial", "n", "m1", "m2", "lambda_ref", "lambda_emp",
-               "resamples_used", "path_norm", "teacher_norm", "interp_error",
-               "holds", "error")
-    return columns, rows, _base_summary(rows)
+    heads = [{"trial": t, "n": n, "m1": 0, "m2": config.m2} for t in range(config.trials)]
+    rows = _run_rows(heads, body, threads)
+    return _RESIDUAL_COLUMNS, rows, _base_summary(rows)
 
 
 def _verify_two_layer_composite(config: ExperimentConfig, threads: int):
-    d, n = config.d_grid[0], config.n_grid[0]
+    n = config.n_grid[0]
 
-    def worker(t):
-        row = {"trial": t, "n": n, "m1": config.m1, "m2": config.m2, "error": ""}
-        try:
-            teacher = rescale_teacher(
-                make_teacher(d, config.n_atoms, 1.0, derive_seed(config.seed, 3 * t))
-            )
-            data = sample_dataset(teacher, n, derive_seed(config.seed, 3 * t + 1))
-            fit = interpolate_two_layer(
-                data, teacher, config.m1, config.m2,
-                derive_seed(config.seed, 3 * t + 2),
-                lambda_target=config.lambda_target,
-                max_resamples=config.max_resamples,
-                n_retry_draws=config.n_retry_draws,
-                rcond=config.rcond,
-                lambda_quadrature=config.quadrature,
-            )
-            row.update(
-                lambda_ref=fit.lambda_target,
-                lambda_emp=fit.lambda_emp,
-                resamples_used=fit.resamples_used,
-                path_norm=fit.path_norm,
-                teacher_norm=fit.teacher_norm_upper,
-                interp_error=fit.interp_error,
-                holds=fit.path_norm <= 3.0 * fit.teacher_norm_upper,
-            )
-        except Exception as exc:
-            row["error"] = _errmsg(exc)
-        return row
+    def body(t):
+        teacher, data = _teacher_data(config, n, 3 * t, 3 * t + 1)
+        fit = interpolate_two_layer(
+            data, teacher, config.m1, config.m2, derive_seed(config.seed, 3 * t + 2),
+            n_retry_draws=config.n_retry_draws, **_residual_options(config),
+        )
+        return dict(
+            lambda_ref=fit.lambda_target,
+            lambda_emp=fit.lambda_emp,
+            resamples_used=fit.resamples_used,
+            path_norm=fit.path_norm,
+            teacher_norm=fit.teacher_norm_upper,
+            interp_error=fit.interp_error,
+            holds=fit.path_norm <= 3.0 * fit.teacher_norm_upper,
+        )
 
-    rows = _run_trials(worker, config.trials, threads)
-    columns = ("trial", "n", "m1", "m2", "lambda_ref", "lambda_emp",
-               "resamples_used", "path_norm", "teacher_norm", "interp_error",
-               "holds", "error")
-    return columns, rows, _base_summary(rows)
+    heads = [{"trial": t, "n": n, "m1": config.m1, "m2": config.m2}
+             for t in range(config.trials)]
+    rows = _run_rows(heads, body, threads)
+    return _RESIDUAL_COLUMNS, rows, _base_summary(rows)
 
 
 def _verify_resnet_add(config: ExperimentConfig, threads: int):
     d = config.d_grid[0]
     L_max = config.L_grid[0]
 
-    def worker(t):
-        row = {"trial": t, "error": ""}
-        try:
-            rng = rng_from(derive_seed(config.seed, 3 * t + 2))
-            L1, L2 = (int(v) for v in rng.integers(1, L_max + 1, size=2))
-            D1, D2 = (int(v) for v in rng.integers(d + 1, d + 5, size=2))
-            m1, m2 = (int(v) for v in rng.integers(1, 7, size=2))
-            net1 = random_resnet(d, L1, D1, m1, seed=derive_seed(config.seed, 3 * t))
-            net2 = random_resnet(d, L2, D2, m2, seed=derive_seed(config.seed, 3 * t + 1))
-            total = resnet_add(net1, net2)
-            X = rng.uniform(-1.0, 1.0, size=(d, config.probe_points))
-            want = resnet_eval_batch(net1, X) + resnet_eval_batch(net2, X)
-            got = resnet_eval_batch(total, X)
-            value_dev = float(np.abs(want - got).max()) / max(1.0, float(np.abs(want).max()))
-            norm_sum = weighted_path_norm(net1) + weighted_path_norm(net2)
-            norm_total = weighted_path_norm(total)
-            norm_dev = abs(norm_total - norm_sum) / max(1.0, norm_sum)
-            row.update(
-                L=total.L, D=total.D, m=total.m,
-                weighted_path_norm=norm_total,
-                value_dev=value_dev,
-                norm_dev=norm_dev,
-                holds=value_dev <= 1e-12 and norm_dev <= 1e-12,
-            )
-        except Exception as exc:
-            row["error"] = _errmsg(exc)
-        return row
+    def body(t):
+        rng = rng_from(derive_seed(config.seed, 3 * t + 2))
+        L1, L2 = (int(v) for v in rng.integers(1, L_max + 1, size=2))
+        D1, D2 = (int(v) for v in rng.integers(d + 1, d + 5, size=2))
+        m1, m2 = (int(v) for v in rng.integers(1, 7, size=2))
+        net1 = random_resnet(d, L1, D1, m1, seed=derive_seed(config.seed, 3 * t))
+        net2 = random_resnet(d, L2, D2, m2, seed=derive_seed(config.seed, 3 * t + 1))
+        total = resnet_add(net1, net2)
+        X = rng.uniform(-1.0, 1.0, size=(d, config.probe_points))
+        want = resnet_eval_batch(net1, X) + resnet_eval_batch(net2, X)
+        got = resnet_eval_batch(total, X)
+        value_dev = float(np.abs(want - got).max()) / max(1.0, float(np.abs(want).max()))
+        norm_sum = weighted_path_norm(net1) + weighted_path_norm(net2)
+        norm_total = weighted_path_norm(total)
+        norm_dev = abs(norm_total - norm_sum) / max(1.0, norm_sum)
+        return dict(
+            L=total.L, D=total.D, m=total.m,
+            weighted_path_norm=norm_total,
+            value_dev=value_dev,
+            norm_dev=norm_dev,
+            holds=value_dev <= 1e-12 and norm_dev <= 1e-12,
+        )
 
-    rows = _run_trials(worker, config.trials, threads)
+    rows = _run_rows([{"trial": t} for t in range(config.trials)], body, threads)
     columns = ("trial", "L", "D", "m", "weighted_path_norm", "value_dev",
                "norm_dev", "holds", "error")
     return columns, rows, _base_summary(rows)
 
 
 def _verify_embedding(config: ExperimentConfig, threads: int):
-    from .two_layer import TwoLayerNet
-
     d = config.d_grid[0]
 
-    def worker(t):
-        row = {"trial": t, "d": d, "error": ""}
-        try:
-            rng = rng_from(derive_seed(config.seed, 2 * t))
-            m = int(rng.integers(1, 17))
-            theta = TwoLayerNet(
-                a=rng.standard_normal(m),
-                B=rng.standard_normal((m, d)),
-                c=rng.standard_normal(m),
-            )
-            embedded = embed_two_layer(theta)
-            X = rng_from(derive_seed(config.seed, 2 * t + 1)).uniform(
-                -1.0, 1.0, size=(d, config.probe_points)
-            )
-            want = two_layer_eval_batch(theta, X)
-            got = resnet_eval_batch(embedded, X)
-            value_dev = float(np.abs(want - got).max()) / max(1.0, float(np.abs(want).max()))
-            pn = path_norm(theta)
-            wpn = weighted_path_norm(embedded)
-            ratio_dev = abs(wpn - 3.0 * pn) / max(1e-300, 3.0 * pn)
-            row.update(
-                m=m,
-                path_norm=pn,
-                weighted_path_norm=wpn,
-                norm_ratio=wpn / pn if pn > 0 else math.inf,
-                value_dev=value_dev,
-                holds=value_dev <= 1e-12 and ratio_dev <= 1e-12,
-            )
-        except Exception as exc:
-            row["error"] = _errmsg(exc)
-        return row
+    def body(t):
+        rng = rng_from(derive_seed(config.seed, 2 * t))
+        m = int(rng.integers(1, 17))
+        theta = TwoLayerNet(
+            a=rng.standard_normal(m),
+            B=rng.standard_normal((m, d)),
+            c=rng.standard_normal(m),
+        )
+        embedded = embed_two_layer(theta)
+        X = rng_from(derive_seed(config.seed, 2 * t + 1)).uniform(
+            -1.0, 1.0, size=(d, config.probe_points)
+        )
+        want = two_layer_eval_batch(theta, X)
+        got = resnet_eval_batch(embedded, X)
+        value_dev = float(np.abs(want - got).max()) / max(1.0, float(np.abs(want).max()))
+        pn = path_norm(theta)
+        wpn = weighted_path_norm(embedded)
+        ratio_dev = abs(wpn - 3.0 * pn) / max(1e-300, 3.0 * pn)
+        return dict(
+            m=m,
+            path_norm=pn,
+            weighted_path_norm=wpn,
+            norm_ratio=wpn / pn if pn > 0 else math.inf,
+            value_dev=value_dev,
+            holds=value_dev <= 1e-12 and ratio_dev <= 1e-12,
+        )
 
-    rows = _run_trials(worker, config.trials, threads)
+    rows = _run_rows([{"trial": t, "d": d} for t in range(config.trials)], body, threads)
     columns = ("trial", "d", "m", "path_norm", "weighted_path_norm",
                "norm_ratio", "value_dev", "holds", "error")
     return columns, rows, _base_summary(rows)
@@ -560,6 +520,7 @@ _SELECTOR_TABLE = {
     "resnet-add": _verify_resnet_add,
     "embedding": _verify_embedding,
 }
+VERIFY_SELECTORS = tuple(_SELECTOR_TABLE)
 
 
 def run_verify_lemma(config: ExperimentConfig, threads: int = 1) -> StudyResult:
@@ -573,6 +534,102 @@ def run_verify_lemma(config: ExperimentConfig, threads: int = 1) -> StudyResult:
     columns, rows, summary = _SELECTOR_TABLE[config.lemma](config, threads)
     summary["lemma"] = config.lemma
     return StudyResult(columns=tuple(columns), rows=tuple(rows), summary=summary, config=config)
+
+
+@dataclass(frozen=True)
+class ModelFit:
+    """One family's interpolant and everything the studies and `minterp fit` read.
+
+    fit is the family's own report and model the fitted model or net;
+    m_or_L is the effective width (resnet: teacher depth plus added depth).
+    rad_bounds(seed) returns the audit's (rad_lower, rad_upper), so only a
+    bound audit pays for the Rademacher estimate.
+    """
+
+    fit: object
+    model: object
+    predict: Callable
+    train_preds: np.ndarray
+    norm_radius: float
+    m_or_L: int
+    lambda_ref: float
+    threshold_met: bool
+    rad_bounds: Callable
+
+
+def _residual_options(config: ExperimentConfig) -> dict:
+    """Options of the certified residual fit inside the two-layer and resnet fits."""
+    return dict(lambda_target=config.lambda_target, max_resamples=config.max_resamples,
+                rcond=config.rcond, lambda_quadrature=config.quadrature)
+
+
+def _fit_rf(config, data, teacher, width, fit_seed, approx_seed) -> ModelFit:
+    fit = fit_random_features(data.X, data.y, _family(config), width, fit_seed, rcond=config.rcond)
+    Phi, radius = fit.features, fit.norm_radius
+    lam_ref = smallest_singular_value(Phi) ** 2 / width
+    threshold = concentration_width(data.n, config.delta, lam_ref, config.width_factor)
+    return ModelFit(
+        fit=fit, model=fit.model, predict=fit.model.predict, train_preds=fit.fitted,
+        norm_radius=radius, m_or_L=width, lambda_ref=lam_ref, threshold_met=width >= threshold,
+        rad_bounds=lambda seed: (
+            rad_rf_ball(Phi, radius, n_draws=config.rad_draws, seed=seed).mean,
+            rf_ball_upper(radius, data.n).mean,
+        ),
+    )
+
+
+def _fit_two_layer(config, data, teacher, width, fit_seed, approx_seed) -> ModelFit:
+    fit = interpolate_two_layer(data, teacher, config.m1, width, fit_seed,
+                                n_retry_draws=config.n_retry_draws, **_residual_options(config))
+    predict = partial(two_layer_eval_batch, fit.net)
+
+    def rad_bounds(seed):
+        ball = rad_path_ball(data.X, fit.path_norm, n_draws=config.rad_draws, seed=seed)
+        return ball.estimate.mean, ball.upper
+
+    threshold = concentration_width(data.n, config.delta, fit.lambda_target)
+    return ModelFit(
+        fit=fit, model=fit.net, predict=predict, train_preds=predict(data.X),
+        norm_radius=fit.path_norm, m_or_L=width, lambda_ref=fit.lambda_target,
+        threshold_met=width >= threshold, rad_bounds=rad_bounds,
+    )
+
+
+def _fit_resnet(config, data, teacher, width, fit_seed, approx_seed) -> ModelFit:
+    check_resnet_widths(config.m1, config.L_cap)
+    part1 = approximate_teacher(teacher, config.m1, data.X, approx_seed,
+                                n_retry_draws=config.n_retry_draws)
+    teacher_net = embed_two_layer(part1.net)
+    m2 = min(width, config.L_cap - teacher_net.L)
+    fit = interpolate_resnet(data, teacher_net, teacher_net.L, m2, fit_seed,
+                             **_residual_options(config))
+    predict = partial(resnet_eval_batch, fit.net)
+    threshold = concentration_width(data.n, config.delta, fit.lambda_target)
+    return ModelFit(
+        fit=fit, model=fit.net, predict=predict, train_preds=predict(data.X),
+        norm_radius=fit.weighted_norm, m_or_L=teacher_net.L + m2, lambda_ref=fit.lambda_target,
+        threshold_met=m2 >= width and m2 >= threshold,
+        rad_bounds=lambda seed: (
+            0.0, rad_weighted_path_upper(fit.weighted_norm, data.d, data.n).mean,
+        ),
+    )
+
+
+_FITTERS = {"rf": _fit_rf, "two-layer": _fit_two_layer, "resnet": _fit_resnet}
+MODELS = tuple(_FITTERS)
+
+
+def fit_model(
+    config: ExperimentConfig, data: Dataset, teacher: TeacherFunction | None,
+    width: int, fit_seed: int, approx_seed: int,
+) -> ModelFit:
+    """Minimum-norm interpolant of config.model on data; rf needs no teacher.
+
+    width is m for rf, the residual width m2 for two-layer and the added
+    depth for resnet (capped at L_cap - m1); approx_seed draws the resnet's
+    teacher discretization.
+    """
+    return _FITTERS[config.model](config, data, teacher, width, fit_seed, approx_seed)
 
 
 def _grid_widths(config: ExperimentConfig) -> list:
@@ -604,112 +661,47 @@ def _bootstrap_slope_ci(risks_per_n: list, ns: list, seed: int, n_boot: int = 20
 
 
 def _scale_engine(config: ExperimentConfig, threads: int, audit: bool) -> StudyResult:
-    d = config.d_grid[0]
     widths = _grid_widths(config)
-    family = _family(config)
-    relu = FeatureFamily(tag=RELU_L1SPHERE)
-    jobs = [
-        (gi, n, widths[gi], t)
+    heads = [
+        {"trial": t, "model_kind": config.model, "n": n, "m_or_L": widths[gi]}
         for gi, n in enumerate(config.n_grid)
         for t in range(config.trials)
     ]
 
-    def worker(j):
-        gi, n, width, t = jobs[j]
-        offset = gi * config.trials + t
-        row = {"trial": t, "model_kind": config.model, "n": n, "m_or_L": width, "error": ""}
-        try:
-            teacher = rescale_teacher(
-                make_teacher(d, config.n_atoms, 1.0, derive_seed(config.seed, _TEACHER_BASE + t))
-            )
-            data = sample_dataset(teacher, n, derive_seed(config.seed, _DATA_BASE + offset))
-            fit_seed = derive_seed(config.seed, _FIT_BASE + offset)
-            if config.model == "rf":
-                W = family.sample_params(d, width, fit_seed)
-                Phi = family.features(W, data.X)
-                a = min_l2_interpolant(Phi, data.y, rcond=config.rcond)
-                model = RandomFeatureModel(family=family, params=W, coefficients=a)
-                predict = model.predict
-                preds = Phi @ a / width
-                radius = model.norm_radius
-                lam_ref = smallest_singular_value(Phi) ** 2 / width
-                threshold = concentration_width(n, config.delta, lam_ref, config.width_factor)
-                threshold_met = width >= threshold
-            elif config.model == "two-layer":
-                fit = interpolate_two_layer(
-                    data, teacher, config.m1, width, fit_seed,
-                    lambda_target=config.lambda_target,
-                    max_resamples=config.max_resamples,
-                    n_retry_draws=config.n_retry_draws,
-                    rcond=config.rcond,
-                    lambda_quadrature=config.quadrature,
-                )
-                predict = lambda Xt: two_layer_eval_batch(fit.net, Xt)
-                preds = predict(data.X)
-                radius = fit.path_norm
-                threshold = concentration_width(n, config.delta, fit.lambda_target, 2.0)
-                threshold_met = width >= threshold
-            else:
-                part1 = approximate_teacher(
-                    teacher, config.m1, data.X, derive_seed(config.seed, _TEACHER_BASE + offset),
-                    n_retry_draws=config.n_retry_draws,
-                )
-                teacher_net = embed_two_layer(part1.net)
-                m2 = min(width, config.L_cap - teacher_net.L)
-                row["m_or_L"] = teacher_net.L + m2
-                fit = interpolate_resnet(
-                    data, teacher_net, teacher_net.L, m2, fit_seed,
-                    lambda_target=config.lambda_target,
-                    max_resamples=config.max_resamples,
-                    rcond=config.rcond,
-                    lambda_quadrature=config.quadrature,
-                )
-                predict = lambda Xt: resnet_eval_batch(fit.net, Xt)
-                preds = predict(data.X)
-                radius = fit.weighted_norm
-                threshold = concentration_width(n, config.delta, fit.lambda_target, 2.0)
-                threshold_met = m2 >= width and m2 >= threshold
-            emp_risk = 0.5 * float(np.mean((preds - data.y) ** 2))
-            test = population_risk(
-                predict, teacher, N_test=config.n_test,
-                seed=derive_seed(config.seed, _TEST_BASE + offset),
-            )
+    def body(j):
+        # j = grid_index * trials + trial, the trial's offset from each seed base
+        n, t = heads[j]["n"], heads[j]["trial"]
+        teacher, data = _teacher_data(config, n, _TEACHER_BASE + t, _DATA_BASE + j)
+        fit = fit_model(
+            config, data, teacher, heads[j]["m_or_L"],
+            derive_seed(config.seed, _FIT_BASE + j),
+            derive_seed(config.seed, _TEACHER_BASE + j),
+        )
+        emp_risk = 0.5 * float(np.mean((fit.train_preds - data.y) ** 2))
+        test = population_risk(
+            fit.predict, teacher, N_test=config.n_test,
+            seed=derive_seed(config.seed, _TEST_BASE + j),
+        )
+        row = dict(
+            m_or_L=fit.m_or_L,
+            norm_radius=fit.norm_radius,
+            empirical_risk=emp_risk,
+            test_risk=test.risk,
+            threshold_met=fit.threshold_met,
+        )
+        if audit:
+            lower, upper = fit.rad_bounds(derive_seed(config.seed, _RAD_BASE + j))
+            Q = fit.norm_radius + 1.0
+            bound = generalization_bound(emp_risk, Q, Q ** 2 / 2.0, upper, config.delta, n)
             row.update(
-                norm_radius=radius,
-                empirical_risk=emp_risk,
-                test_risk=test.risk,
-                threshold_met=bool(threshold_met),
+                rad_lower=lower,
+                rad_upper=upper,
+                bound=bound,
+                bound_holds=test.risk <= bound,
             )
-            if audit:
-                if config.model == "rf":
-                    lower = rad_rf_ball(
-                        Phi, radius, n_draws=config.rad_draws,
-                        seed=derive_seed(config.seed, _RAD_BASE + offset),
-                    ).mean
-                    upper = rf_ball_upper(radius, n).mean
-                elif config.model == "two-layer":
-                    lower = rad_path_ball(
-                        data.X, radius, n_draws=config.rad_draws,
-                        seed=derive_seed(config.seed, _RAD_BASE + offset),
-                    ).estimate.mean
-                    upper = 2.0 * radius * math.sqrt(2.0 * math.log(2.0 * d) / n)
-                else:
-                    lower = 0.0
-                    upper = rad_weighted_path_upper(radius, d, n).mean
-                Q = radius + 1.0
-                C_loss = (radius + 1.0) ** 2 / 2.0
-                bound = generalization_bound(emp_risk, Q, C_loss, upper, config.delta, n)
-                row.update(
-                    rad_lower=lower,
-                    rad_upper=upper,
-                    bound=bound,
-                    bound_holds=test.risk <= bound,
-                )
-        except Exception as exc:
-            row["error"] = _errmsg(exc)
         return row
 
-    rows = _run_trials(worker, len(jobs), threads)
+    rows = _run_rows(heads, body, threads)
     columns = ("trial", "model_kind", "n", "m_or_L", "norm_radius", "rad_lower",
                "rad_upper", "empirical_risk", "bound", "test_risk", "bound_holds",
                "threshold_met", "error")
@@ -771,14 +763,6 @@ def run_bound_audit(config: ExperimentConfig, threads: int = 1) -> StudyResult:
     return _scale_engine(config, threads, audit=True)
 
 
-def run(config: ExperimentConfig, threads: int = 1) -> StudyResult:
-    if config.kind == "verify-lemma":
-        return run_verify_lemma(config, threads)
-    if config.kind == "scale-study":
-        return run_scale_study(config, threads)
-    return run_bound_audit(config, threads)
-
-
 def result_basename(result: StudyResult) -> str:
     if result.config.kind == "verify-lemma":
         return "verify_" + result.config.lemma.replace("-", "_")
@@ -787,8 +771,6 @@ def result_basename(result: StudyResult) -> str:
 
 def write_study(result: StudyResult, out_dir: str | Path) -> list:
     """Write <name>.csv and <name>_summary.json into out_dir; returns the paths."""
-    from .serialize import write_csv, write_json_report
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     name = result_basename(result)

@@ -119,13 +119,20 @@ class RandomFeatureModel:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[0] != self.d:
             raise ValueError(f"expected inputs of shape ({self.d}, n), got {X.shape}")
-        n = X.shape[1]
-        out = np.empty(n)
-        for start in range(0, n, chunk_size):
-            stop = min(start + chunk_size, n)
-            block = self.family._activations(self.params, X[:, start:stop])
-            out[start:stop] = self.coefficients @ block / self.m
-        return out
+        return _map_column_chunks(
+            lambda block: self.coefficients @ self.family._activations(self.params, block) / self.m,
+            X, chunk_size,
+        )
+
+
+def _map_column_chunks(fn, X: np.ndarray, chunk_size: int = 1024) -> np.ndarray:
+    """fn applied to column blocks of X of at most chunk_size columns, concatenated."""
+    n = X.shape[1]
+    out = np.empty(n)
+    for start in range(0, n, chunk_size):
+        stop = min(start + chunk_size, n)
+        out[start:stop] = fn(X[:, start:stop])
+    return out
 
 
 @dataclass(frozen=True)
@@ -135,7 +142,6 @@ class ConcentrationCheck:
     bound: float
     observed: float
     holds: bool
-    eigen_margin: float
     observed_frobenius: float
     lambda_min_exact: float
     lambda_min_empirical: float
@@ -169,6 +175,12 @@ def kernel_exact(
         done += c
     K /= quadrature_size
     return (K + K.T) / 2.0
+
+
+def reference_lambda_min(X: np.ndarray, quadrature_size: int, seed: int) -> float:
+    """lambda_min of the ReLU reference kernel on X, by kernel_exact quadrature."""
+    relu = FeatureFamily(tag=RELU_L1SPHERE)
+    return eigen_min(kernel_exact(relu, X, quadrature_size=quadrature_size, seed=seed))
 
 
 def kernel_empirical(Phi: np.ndarray) -> np.ndarray:
@@ -216,8 +228,10 @@ def eigen_min(K: np.ndarray) -> float:
     return smallest_eigenvalue(_check_symmetric(K))
 
 
-def _inverse_apply(K: np.ndarray, y: np.ndarray, rcond: float | None) -> np.ndarray:
-    """K^-1 y through the symmetric eigendecomposition, guarding near-singularity."""
+def ridgeless_coefficients(
+    K: np.ndarray, y: np.ndarray, rcond: float | None = None
+) -> np.ndarray:
+    """Coefficients beta = K^-1 y of the kernel ridgeless interpolant, by symmetric eigensolve."""
     K = _check_symmetric(K)
     y = np.asarray(y, dtype=float)
     if y.shape != (K.shape[0],):
@@ -235,13 +249,6 @@ def _inverse_apply(K: np.ndarray, y: np.ndarray, rcond: float | None) -> np.ndar
     return V @ ((V.T @ y) / lam)
 
 
-def ridgeless_coefficients(
-    K: np.ndarray, y: np.ndarray, rcond: float | None = None
-) -> np.ndarray:
-    """Coefficients beta = K^-1 y of the kernel ridgeless interpolant."""
-    return _inverse_apply(K, y, rcond)
-
-
 def rkhs_norm_bound(K: np.ndarray, y: np.ndarray, rcond: float | None = None) -> float:
     """y^T K^-1 y, the squared kernel-space norm of the ridgeless interpolant.
 
@@ -250,7 +257,7 @@ def rkhs_norm_bound(K: np.ndarray, y: np.ndarray, rcond: float | None = None) ->
     unknown norm of the target.
     """
     y = np.asarray(y, dtype=float)
-    return float(y @ _inverse_apply(K, y, rcond))
+    return float(y @ ridgeless_coefficients(K, y, rcond))
 
 
 def concentration_width(n: int, delta: float, lam: float, factor: float = 2.0) -> float:
@@ -272,8 +279,8 @@ def concentration_check(
 ) -> ConcentrationCheck:
     """Compare ||K - K^m|| against the Hoeffding bound sqrt(n^2 ln(2n^2/delta) / 2m).
 
-    Also records the eigenvalue margin lambda_min(K^m) - lambda_min(K)/2,
-    which is nonnegative on the concentration event by Weyl's inequality.
+    Also records both smallest eigenvalues; by Weyl's inequality
+    lambda_min(K^m) >= lambda_min(K)/2 on the concentration event.
     """
     K = _check_symmetric(K)
     Km = _check_symmetric(Km)
@@ -294,7 +301,6 @@ def concentration_check(
         bound=bound,
         observed=observed,
         holds=observed <= bound,
-        eigen_margin=lam_emp - lam_exact / 2.0,
         observed_frobenius=frob,
         lambda_min_exact=lam_exact,
         lambda_min_empirical=lam_emp,
@@ -313,12 +319,17 @@ def fourier_kernel_closed_form(X: np.ndarray, gamma: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RandomFeatureFit:
-    """A fitted minimum-norm random feature interpolant plus its audit numbers."""
+    """A fitted minimum-norm random feature interpolant plus its audit numbers.
+
+    features is the (n, m) matrix Phi solved on, fitted the values (1/m) Phi a.
+    """
 
     model: RandomFeatureModel
     coeff_norm: float
     norm_radius: float
     interp_error: float
+    features: np.ndarray
+    fitted: np.ndarray
 
 
 def fit_random_features(
@@ -336,10 +347,12 @@ def fit_random_features(
     Phi = family.features(W, X)
     a = min_l2_interpolant(Phi, y, rcond=rcond)
     model = RandomFeatureModel(family=family, params=W, coefficients=a)
-    resid = Phi @ a / m - y
+    fitted = Phi @ a / m
     return RandomFeatureFit(
         model=model,
         coeff_norm=float(np.linalg.norm(a)),
         norm_radius=model.norm_radius,
-        interp_error=float(np.abs(resid).max()),
+        interp_error=float(np.abs(fitted - y).max()),
+        features=Phi,
+        fitted=fitted,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .random_features import FeatureFamily, RELU_L1SPHERE, eigen_min, kernel_exact
+from .random_features import reference_lambda_min
 from .sampling import Dataset
 from .seeding import derive_seed, rng_from
 from .two_layer import TwoLayerNet, fit_residual_net, path_norm
@@ -269,13 +269,7 @@ def interpolate_resnet(
             f"teacher input dimension {teacher_net.d} does not match data {data.d}"
         )
     if lambda_target is None:
-        ref = kernel_exact(
-            FeatureFamily(tag=RELU_L1SPHERE),
-            X,
-            quadrature_size=lambda_quadrature,
-            seed=derive_seed(seed, 0),
-        )
-        lambda_target = eigen_min(ref)
+        lambda_target = reference_lambda_min(X, lambda_quadrature, derive_seed(seed, 0))
     part1 = zero_tail_layers(teacher_net, L_keep)
     r = y - resnet_eval_batch(part1, X)
     fit2 = fit_residual_net(

@@ -119,24 +119,6 @@ def rf_model_from_dict(obj: dict) -> RandomFeatureModel:
     )
 
 
-def kernel_to_dict(K: np.ndarray, m: int, family: str, seed: int) -> dict:
-    K = np.asarray(K, dtype=float)
-    return {
-        "n": K.shape[0],
-        "m": m,
-        "family": family,
-        "seed": seed,
-        "entries": [list(map(float, row)) for row in K],
-    }
-
-
-def kernel_from_dict(obj: dict) -> np.ndarray:
-    K = np.asarray(obj["entries"], dtype=float)
-    if K.shape != (obj["n"], obj["n"]):
-        raise ValueError(f"kernel shape {K.shape} does not match n={obj['n']}")
-    return K
-
-
 def save_json(obj: dict, path: str | Path) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
@@ -157,8 +139,6 @@ def detect_model_kind(obj: dict) -> str:
         return "rf"
     if "X" in obj and "y" in obj:
         return "dataset"
-    if "entries" in obj:
-        return "kernel"
     raise ValueError(f"unrecognized model file with keys {sorted(obj)}")
 
 

@@ -19,9 +19,10 @@ from .linalg import DEFAULT_RCOND, min_norm_solve, smallest_singular_value
 from .random_features import (
     FeatureFamily,
     RELU_L1SPHERE,
+    _map_column_chunks,
     eigen_min,
     kernel_empirical,
-    kernel_exact,
+    reference_lambda_min,
 )
 from .sampling import (
     Dataset,
@@ -72,12 +73,16 @@ def two_layer_eval(theta: TwoLayerNet, x: np.ndarray) -> float:
 
 
 def two_layer_eval_batch(theta: TwoLayerNet, X: np.ndarray) -> np.ndarray:
-    """Evaluate at every column of X (shape (d, n))."""
+    """Evaluate at every column of X (shape (d, n)), chunked like RandomFeatureModel.predict."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != theta.d:
         raise ValueError(f"expected X of shape ({theta.d}, n), got {X.shape}")
-    pre = theta.B @ X + theta.c[:, None]
-    return theta.a @ np.maximum(pre, 0.0) / theta.m
+
+    def block(Xc: np.ndarray) -> np.ndarray:
+        pre = theta.B @ Xc + theta.c[:, None]
+        return theta.a @ np.maximum(pre, 0.0, out=pre) / theta.m
+
+    return _map_column_chunks(block, X)
 
 
 def path_norm(theta: TwoLayerNet) -> float:
@@ -260,17 +265,17 @@ def approximate_teacher(
     if draw == "stratified":
         if m1 % K != 0:
             raise ValueError(f"stratified draw needs m1 divisible by {K}, got {m1}")
-        net = build(np.repeat(np.arange(K), m1 // K))
-        risk = 0.5 * float(np.mean((two_layer_eval_batch(net, X) - targets) ** 2))
-        return TeacherFit(net=net, empirical_risk=risk, path_norm=path_norm(net), draw_index=0)
-    if draw != "iid":
+        draws = [np.repeat(np.arange(K), m1 // K)]
+    elif draw == "iid":
+        if n_retry_draws < 1:
+            raise ValueError(f"n_retry_draws must be >= 1, got {n_retry_draws}")
+        draws = (rng_from(derive_seed(seed, t)).integers(0, K, size=m1)
+                 for t in range(n_retry_draws))
+    else:
         raise ValueError(f"draw must be 'iid' or 'stratified', got {draw!r}")
-    if n_retry_draws < 1:
-        raise ValueError(f"n_retry_draws must be >= 1, got {n_retry_draws}")
 
     best = None
-    for t in range(n_retry_draws):
-        idx = rng_from(derive_seed(seed, t)).integers(0, K, size=m1)
+    for t, idx in enumerate(draws):
         net = build(idx)
         risk = 0.5 * float(np.mean((two_layer_eval_batch(net, X) - targets) ** 2))
         if best is None or risk < best[0]:
@@ -306,7 +311,6 @@ def interpolate_two_layer(
     lambda_target: float | None = None,
     max_resamples: int = 16,
     n_retry_draws: int = 32,
-    draw: str = "iid",
     rcond: float | None = None,
     lambda_quadrature: int = 1_000_000,
 ) -> CompositeFit:
@@ -321,16 +325,8 @@ def interpolate_two_layer(
     """
     X, y = data.X, data.y
     if lambda_target is None:
-        ref = kernel_exact(
-            FeatureFamily(tag=RELU_L1SPHERE),
-            X,
-            quadrature_size=lambda_quadrature,
-            seed=derive_seed(seed, 0),
-        )
-        lambda_target = eigen_min(ref)
-    fit1 = approximate_teacher(
-        f, m1, X, derive_seed(seed, 1), n_retry_draws=n_retry_draws, draw=draw
-    )
+        lambda_target = reference_lambda_min(X, lambda_quadrature, derive_seed(seed, 0))
+    fit1 = approximate_teacher(f, m1, X, derive_seed(seed, 1), n_retry_draws=n_retry_draws)
     r = y - two_layer_eval_batch(fit1.net, X)
     fit2 = fit_residual_net(
         X, r, m2, lambda_target, max_resamples=max_resamples,

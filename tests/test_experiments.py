@@ -1,16 +1,22 @@
 import json
 
 import pytest
+from numpy.testing import assert_allclose
 
 from minterp import (
     ExperimentConfig,
+    derive_seed,
+    make_teacher,
+    rescale_teacher,
     run_bound_audit,
     run_scale_study,
     run_verify_lemma,
+    sample_dataset,
     write_study,
 )
 from minterp.cli import main
-from minterp.experiments import DEFAULT_M_GRID, result_basename
+from minterp.experiments import DEFAULT_M_GRID, MODELS, fit_model, result_basename
+from minterp.serialize import dataset_from_dict, load_json
 
 
 def make_config(**kwargs):
@@ -77,6 +83,17 @@ class TestExperimentConfig:
                 ExperimentConfig(kind=kind, model="resnet", m1=m1, L_cap=L_cap)
         ExperimentConfig(kind=kind, model="resnet", m1=256, L_cap=257)
         ExperimentConfig(kind=kind, model="two-layer", m1=512, L_cap=256)
+
+    @pytest.mark.parametrize("kind", ["scale-study", "bound-audit"])
+    def test_grid_times_trials_stays_below_seed_stride(self, kind):
+        # builds configs only: trial seeds are disjoint while
+        # len(n_grid) * trials < 2**20
+        ExperimentConfig(kind=kind, n_grid=(8,), trials=2**20 - 1)
+        ExperimentConfig(kind=kind, n_grid=(8, 16), trials=2**19 - 1)
+        for n_grid, trials in (((8,), 2**20), ((8, 16), 2**19)):
+            with pytest.raises(ValueError, match="seed streams"):
+                ExperimentConfig(kind=kind, n_grid=n_grid, trials=trials)
+        ExperimentConfig(kind="verify-lemma", n_grid=(8,), trials=2**20)
 
     def test_default_m_grid_is_powers_of_two(self):
         assert DEFAULT_M_GRID[0] == 64 and DEFAULT_M_GRID[-1] == 16384
@@ -240,6 +257,38 @@ class TestScaleEngine:
         )
         result = run_scale_study(cfg)
         assert [r["m_or_L"] for r in result.rows] == [32, 48]
+
+
+class TestFitModel:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_each_family_interpolates_and_brackets_rad(self, model):
+        cfg = ExperimentConfig(
+            model=model, d_grid=(2,), n_grid=(8,), n_atoms=8, m1=16, L_cap=272,
+            quadrature=20_000, rad_draws=4,
+        )
+        teacher = rescale_teacher(make_teacher(2, 8, 1.0, seed=1))
+        data = sample_dataset(teacher, 8, seed=2)
+        fit = fit_model(cfg, data, teacher, 256, fit_seed=3, approx_seed=4)
+        assert fit.m_or_L == (16 + 256 if model == "resnet" else 256)
+        assert_allclose(fit.train_preds, data.y, atol=1e-8)
+        assert_allclose(fit.predict(data.X), fit.train_preds, atol=1e-12)
+        assert fit.norm_radius > 0 and fit.lambda_ref > 0
+        assert isinstance(fit.threshold_met, bool)
+        lower, upper = fit.rad_bounds(5)
+        assert 0.0 <= lower <= upper * (1 + 1e-9)
+
+    def test_cli_fit_uses_the_shared_fit(self, workdir, capsys):
+        tmp_path, cfg = workdir
+        out = ["--config", cfg, "--out", str(tmp_path)]
+        assert main(["gen-teacher", *out]) == 0
+        assert main(["gen-data", str(tmp_path / "teacher.json"), *out]) == 0
+        assert main(["fit", "rf", str(tmp_path / "dataset.json"), *out]) == 0
+        capsys.readouterr()
+        config = ExperimentConfig.from_dict(load_json(tmp_path / "config.json"))
+        data = dataset_from_dict(load_json(tmp_path / "dataset.json"))
+        fit = fit_model(config, data, None, config.m2, derive_seed(config.seed, 2), 0)
+        saved = load_json(tmp_path / "model_rf.json")
+        assert saved["coefficients"] == [float(v) for v in fit.model.coefficients]
 
 
 class TestWriteStudy:

@@ -21,6 +21,7 @@ from minterp import (
     ridgeless_coefficients,
     rkhs_norm_bound,
 )
+from minterp.random_features import reference_lambda_min
 
 RELU = FeatureFamily(tag=RELU_L1SPHERE)
 
@@ -93,6 +94,11 @@ class TestKernels:
         A = kernel_exact(RELU, X, quadrature_size=30_000, seed=13)
         B = kernel_exact(RELU, X, quadrature_size=30_000, seed=13)
         np.testing.assert_array_equal(A, B)
+
+    def test_reference_lambda_min_is_relu_quadrature_eigenvalue(self):
+        X = np.random.default_rng(18).uniform(-1, 1, (2, 6))
+        want = eigen_min(kernel_exact(RELU, X, quadrature_size=20_000, seed=19))
+        assert reference_lambda_min(X, 20_000, 19) == want
 
     def test_kernel_empirical_is_gram(self):
         Phi = np.random.default_rng(14).standard_normal((5, 64))

@@ -16,8 +16,6 @@ from minterp.serialize import (
     dataset_to_dict,
     detect_model_kind,
     format_cell,
-    kernel_from_dict,
-    kernel_to_dict,
     load_json,
     resnet_from_dict,
     resnet_to_dict,
@@ -104,15 +102,6 @@ class TestRoundTrips:
         assert_array_equal(back.params, model.params)
         assert_array_equal(back.coefficients, model.coefficients)
 
-    def test_kernel(self):
-        K = np.array([[2.0, 0.5], [0.5, 1.0]])
-        obj = kernel_to_dict(K, m=100, family=RELU_L1SPHERE, seed=3)
-        assert obj["n"] == 2 and obj["m"] == 100
-        assert_array_equal(kernel_from_dict(obj), K)
-        obj["n"] = 3
-        with pytest.raises(ValueError, match="does not match"):
-            kernel_from_dict(obj)
-
     def test_json_file_round_trip(self, tmp_path, teacher):
         path = tmp_path / "teacher.json"
         save_json(teacher_to_dict(teacher), path)
@@ -136,7 +125,6 @@ class TestDetectModelKind:
             "two-layer": two_layer_to_dict(net2),
             "resnet": resnet_to_dict(resnet),
             "rf": rf_model_to_dict(model),
-            "kernel": kernel_to_dict(np.eye(2), 10, RELU_L1SPHERE, 0),
         }
         for kind, obj in cases.items():
             assert detect_model_kind(obj) == kind

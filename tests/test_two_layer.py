@@ -49,6 +49,14 @@ class TestEvalAndNorm:
         point = np.array([two_layer_eval(net, X[:, i]) for i in range(30)])
         assert_allclose(batch, point, rtol=1e-12)
 
+    def test_batch_chunks_match_pointwise(self):
+        # m above and n not a multiple of the 1024-column evaluation chunk
+        net = random_net(1536, 3, seed=4)
+        X = np.random.default_rng(5).uniform(-1, 1, (3, 2500))
+        batch = two_layer_eval_batch(net, X)
+        point = np.array([two_layer_eval(net, X[:, i]) for i in range(X.shape[1])])
+        assert_allclose(batch, point, rtol=1e-12, atol=1e-14)
+
     def test_path_norm_hand_example(self):
         net = TwoLayerNet(
             a=np.array([2.0, -3.0]),
