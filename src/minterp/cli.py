@@ -42,7 +42,6 @@ from .serialize import (
     resnet_to_dict,
     rf_model_from_dict,
     rf_model_to_dict,
-    save_json,
     teacher_from_dict,
     teacher_to_dict,
     two_layer_from_dict,
@@ -85,7 +84,7 @@ def _cmd_gen_teacher(args) -> int:
         make_teacher(config.d_grid[0], config.n_atoms, 1.0, derive_seed(config.seed, 0))
     )
     path = _out_dir(config) / "teacher.json"
-    save_json(teacher_to_dict(teacher), path)
+    write_json_report(path, teacher_to_dict(teacher))
     print(f"wrote {path}")
     return 0
 
@@ -95,7 +94,7 @@ def _cmd_gen_data(args) -> int:
     teacher = teacher_from_dict(load_json(args.teacher))
     data = sample_dataset(teacher, config.n_grid[0], derive_seed(config.seed, 1))
     path = _out_dir(config) / "dataset.json"
-    save_json(dataset_to_dict(data), path)
+    write_json_report(path, dataset_to_dict(data))
     print(f"wrote {path}")
     return 0
 
@@ -139,7 +138,7 @@ def _cmd_fit(args) -> int:
     )
     to_dict, filename, keys = _FIT_OUTPUTS[args.model]
     model_path = out / filename
-    save_json(to_dict(fit.model), model_path)
+    write_json_report(model_path, to_dict(fit.model))
     report = {"kind": args.model}
     report.update((key, attrgetter(attr)(fit.fit)) for key, attr in keys.items())
     report_path = out / "fit_report.json"

@@ -21,6 +21,9 @@ RF_L2_BALL_EXACT_SUP = "rf_l2_ball_exact_sup"
 PATH_BALL_HEURISTIC_SUP = "path_ball_heuristic_sup"
 THEORETICAL_UPPER = "theoretical_upper"
 
+# Largest working block, in array elements, of the sign-draw loops below.
+_BLOCK_ELEMENTS = 1 << 22
+
 
 @dataclass(frozen=True)
 class RadEstimate:
@@ -75,7 +78,7 @@ def rad_rf_ball(
     n, m = Phi.shape
     rng = rng_from(seed)
     vals = np.empty(n_draws)
-    chunk = max(1, min(n_draws, (1 << 22) // max(m, 1)))
+    chunk = max(1, min(n_draws, _BLOCK_ELEMENTS // max(m, 1)))
     done = 0
     while done < n_draws:
         c = min(chunk, n_draws - done)
@@ -103,30 +106,43 @@ def _augment(X: np.ndarray) -> np.ndarray:
 
 
 def _refine_sphere_max(A: np.ndarray, xi_over_n: np.ndarray, w0: np.ndarray,
-                       n_steps: int = 60) -> float:
+                       n_steps: int = 60) -> np.ndarray:
     """Projected subgradient ascent of |xi . relu(w A) / n| over the l1 sphere.
 
-    ReLU is positively homogeneous, so renormalizing w to the sphere after
-    each step just rescales the objective; tracking the best normalized
-    value keeps the iteration a valid lower-bound search.
+    All starts of all sign draws climb together: w0 holds k starts per
+    draw, shape (T, k, d+1), and xi_over_n one sign vector per draw,
+    shape (T, n).  Returns the best |value| per draw, the max over its
+    starts and steps.  ReLU is positively homogeneous, so renormalizing w
+    to the sphere after each step just rescales the objective; tracking
+    the best normalized value keeps the iteration a valid lower-bound
+    search.  A start whose subgradient vanishes is frozen where it is.
     """
-    w = w0.copy()
-    g0 = float(xi_over_n @ np.maximum(w @ A, 0.0))
-    best = abs(g0)
-    sense = 1.0 if g0 >= 0 else -1.0
-    for k in range(n_steps):
-        active = (w @ A) > 0.0
-        grad = sense * (A @ (xi_over_n * active))
-        gnorm = float(np.abs(grad).max())
-        if gnorm == 0.0:
+    T, k, D = w0.shape
+    # One column per (draw, start); xi repeats each draw's signs for its k starts.
+    w = w0.reshape(T * k, D).T.copy()
+    xi = np.repeat(xi_over_n.T, k, axis=1)
+
+    def subgradient(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Euler's identity for the homogeneous objective gives the value
+        # from the subgradient: xi . relu(w A) = w . (A (xi [w A > 0])).
+        grad = A @ ((A.T @ w > 0.0) * xi)
+        return grad, (w * grad).sum(axis=0)
+
+    grad, val = subgradient(w)
+    best = np.abs(val)
+    live = np.ones(T * k, dtype=bool)
+    for step in range(n_steps):
+        grad *= np.where(val >= 0, 1.0, -1.0)
+        gnorm = np.abs(grad).max(axis=0)
+        live &= gnorm > 0.0
+        if not live.any():
             break
-        w = w + (0.5 / (k + 2.0)) * grad / gnorm
-        w = w / np.abs(w).sum()
-        val = float(xi_over_n @ np.maximum(w @ A, 0.0))
-        if abs(val) > best:
-            best = abs(val)
-        sense = 1.0 if val >= 0 else -1.0
-    return best
+        moved = w + (0.5 / (step + 2.0)) * grad / np.where(live, gnorm, 1.0)
+        moved /= np.abs(moved).sum(axis=0)
+        w = np.where(live, moved, w)
+        grad, val = subgradient(w)
+        np.maximum(best, np.abs(val), out=best)
+    return best.reshape(T, k).max(axis=1)
 
 
 def rad_path_ball(
@@ -141,9 +157,11 @@ def rad_path_ball(
     Per sign draw the supremum of |(1/n) sum_i xi_i relu(w . (x_i, 1))|
     over the l1 sphere is approached from below by multi-start local
     search: all signed coordinate vertices plus n_starts random sphere
-    points, each refined by projected subgradient ascent.  The returned
-    estimate is a certified lower value; the closed-form upper value
-    2 C sqrt(2 ln(2d) / n) is attached for sandwiching.
+    points, each refined by projected subgradient ascent.  The ascent
+    runs on blocks of whole draws of at most _BLOCK_ELEMENTS (start,
+    sample) entries.  The returned estimate is a certified lower value;
+    the closed-form upper value 2 C sqrt(2 ln(2d) / n) is attached for
+    sandwiching.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -160,23 +178,26 @@ def rad_path_ball(
         return PathBallResult(estimate=est, upper=upper)
 
     A = _augment(X)
-    vertices = np.vstack([np.eye(d + 1), -np.eye(d + 1)])
+    D = d + 1
+    k = 2 * D + n_starts
     rng = rng_from(derive_seed(seed, 0))
     sign_rng = rng_from(derive_seed(seed, 1))
     vals = np.empty(n_draws)
-    for t in range(n_draws):
-        xi = sign_rng.integers(0, 2, size=n) * 2.0 - 1.0
-        xi_over_n = xi / n
-        starts = [vertices]
-        if n_starts > 0:
-            g = rng.exponential(size=(n_starts, d + 1))
-            s = g / g.sum(axis=1, keepdims=True)
-            starts.append(s * (rng.integers(0, 2, size=(n_starts, d + 1)) * 2 - 1))
-        cands = np.vstack(starts)
-        best = 0.0
-        for w0 in cands:
-            best = max(best, _refine_sphere_max(A, xi_over_n, w0))
-        vals[t] = C * best
+    chunk = max(1, min(n_draws, _BLOCK_ELEMENTS // (k * n)))
+    for done in range(0, n_draws, chunk):
+        c = min(chunk, n_draws - done)
+        xi = np.empty((c, n))
+        w0 = np.empty((c, k, D))
+        w0[:, :D] = np.eye(D)
+        w0[:, D : 2 * D] = -np.eye(D)
+        # Draw by draw, so both streams match a one-draw-at-a-time search.
+        for t in range(c):
+            xi[t] = sign_rng.integers(0, 2, size=n) * 2.0 - 1.0
+            if n_starts > 0:
+                g = rng.exponential(size=(n_starts, D))
+                s = g / g.sum(axis=1, keepdims=True)
+                w0[t, 2 * D :] = s * (rng.integers(0, 2, size=(n_starts, D)) * 2 - 1)
+        vals[done : done + c] = C * _refine_sphere_max(A, xi / n, w0)
     mean, se = _mean_se(vals)
     est = RadEstimate(mean=mean, std_error=se, n_sign_draws=n_draws,
                       kind=PATH_BALL_HEURISTIC_SUP)

@@ -81,18 +81,6 @@ def canonical_injection(d: int, D: int) -> np.ndarray:
     return V
 
 
-def resnet_eval(theta: ResNet, x: np.ndarray) -> float:
-    """Layer-by-layer forward pass at a single point."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (theta.d,):
-        raise ValueError(f"expected x of shape ({theta.d},), got {x.shape}")
-    z = theta.V @ np.append(x, 1.0)
-    L = theta.L
-    for U, W in theta.layers:
-        z = z + U @ np.maximum(W @ z, 0.0) / L
-    return float(theta.alpha @ z)
-
-
 def resnet_eval_batch(theta: ResNet, X: np.ndarray) -> np.ndarray:
     """Forward pass at every column of X (shape (d, n))."""
     X = np.asarray(X, dtype=float)

@@ -148,15 +148,6 @@ def rescale_teacher(f: TeacherFunction, target: float = 1.0) -> TeacherFunction:
     )
 
 
-def teacher_eval(f: TeacherFunction, x: np.ndarray) -> float:
-    """Evaluate the teacher at a single point x of length d."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (f.d,):
-        raise ValueError(f"expected x of shape ({f.d},), got {x.shape}")
-    pre = f.directions[:, :-1] @ x + f.directions[:, -1]
-    return float(f.coefficients @ np.maximum(pre, 0.0) / f.n_atoms)
-
-
 def teacher_eval_batch(f: TeacherFunction, X: np.ndarray) -> np.ndarray:
     """Evaluate the teacher at every column of X (shape (d, n))."""
     X = np.asarray(X, dtype=float)

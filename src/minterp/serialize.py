@@ -119,10 +119,6 @@ def rf_model_from_dict(obj: dict) -> RandomFeatureModel:
     )
 
 
-def save_json(obj: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
-
-
 def load_json(path: str | Path) -> dict:
     return json.loads(Path(path).read_text())
 
@@ -178,4 +174,5 @@ def write_csv(
 
 
 def write_json_report(path: str | Path, obj: dict) -> None:
+    """Write obj as sorted-key JSON: model, dataset and report files alike."""
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")

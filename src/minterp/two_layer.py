@@ -63,15 +63,6 @@ class TwoLayerNet:
         return self.B.shape[1]
 
 
-def two_layer_eval(theta: TwoLayerNet, x: np.ndarray) -> float:
-    """Evaluate at a single point."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (theta.d,):
-        raise ValueError(f"expected x of shape ({theta.d},), got {x.shape}")
-    pre = theta.B @ x + theta.c
-    return float(theta.a @ np.maximum(pre, 0.0) / theta.m)
-
-
 def two_layer_eval_batch(theta: TwoLayerNet, X: np.ndarray) -> np.ndarray:
     """Evaluate at every column of X (shape (d, n)), chunked like RandomFeatureModel.predict."""
     X = np.asarray(X, dtype=float)

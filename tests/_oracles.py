@@ -1,0 +1,91 @@
+"""Loop-form reference implementations that the package's vectorized code must match.
+
+Each oracle computes one quantity the slow, obvious way: one point, one
+start or one sign draw at a time.  Only tests import this module.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from minterp.complexity import _mean_se
+from minterp.seeding import derive_seed, rng_from
+
+
+def teacher_eval(f, x: np.ndarray) -> float:
+    """Evaluate the teacher at a single point x of length d."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (f.d,):
+        raise ValueError(f"expected x of shape ({f.d},), got {x.shape}")
+    pre = f.directions[:, :-1] @ x + f.directions[:, -1]
+    return float(f.coefficients @ np.maximum(pre, 0.0) / f.n_atoms)
+
+
+def two_layer_eval(theta, x: np.ndarray) -> float:
+    """Evaluate a two-layer net at a single point."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (theta.d,):
+        raise ValueError(f"expected x of shape ({theta.d},), got {x.shape}")
+    pre = theta.B @ x + theta.c
+    return float(theta.a @ np.maximum(pre, 0.0) / theta.m)
+
+
+def resnet_eval(theta, x: np.ndarray) -> float:
+    """Layer-by-layer forward pass of a residual net at a single point."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (theta.d,):
+        raise ValueError(f"expected x of shape ({theta.d},), got {x.shape}")
+    z = theta.V @ np.append(x, 1.0)
+    L = theta.L
+    for U, W in theta.layers:
+        z = z + U @ np.maximum(W @ z, 0.0) / L
+    return float(theta.alpha @ z)
+
+
+def refine_sphere_max(A: np.ndarray, xi_over_n: np.ndarray, w0: np.ndarray,
+                      n_steps: int = 60) -> float:
+    """Projected subgradient ascent from one start, stopping at a zero subgradient."""
+    w = w0.copy()
+    g0 = float(xi_over_n @ np.maximum(w @ A, 0.0))
+    best = abs(g0)
+    sense = 1.0 if g0 >= 0 else -1.0
+    for k in range(n_steps):
+        active = (w @ A) > 0.0
+        grad = sense * (A @ (xi_over_n * active))
+        gnorm = float(np.abs(grad).max())
+        if gnorm == 0.0:
+            break
+        w = w + (0.5 / (k + 2.0)) * grad / gnorm
+        w = w / np.abs(w).sum()
+        val = float(xi_over_n @ np.maximum(w @ A, 0.0))
+        if abs(val) > best:
+            best = abs(val)
+        sense = 1.0 if val >= 0 else -1.0
+    return best
+
+
+def rad_path_ball_values(X: np.ndarray, C: float, n_draws: int, n_starts: int,
+                         seed: int) -> np.ndarray:
+    """Per-draw path-ball suprema of rad_path_ball, one draw and one start at a time."""
+    d, n = X.shape
+    A = np.vstack([X, np.ones((1, n))])
+    vertices = np.vstack([np.eye(d + 1), -np.eye(d + 1)])
+    rng = rng_from(derive_seed(seed, 0))
+    sign_rng = rng_from(derive_seed(seed, 1))
+    vals = np.empty(n_draws)
+    for t in range(n_draws):
+        xi = sign_rng.integers(0, 2, size=n) * 2.0 - 1.0
+        starts = [vertices]
+        if n_starts > 0:
+            g = rng.exponential(size=(n_starts, d + 1))
+            s = g / g.sum(axis=1, keepdims=True)
+            starts.append(s * (rng.integers(0, 2, size=(n_starts, d + 1)) * 2 - 1))
+        best = 0.0
+        for w0 in np.vstack(starts):
+            best = max(best, refine_sphere_max(A, xi / n, w0))
+        vals[t] = C * best
+    return vals
+
+
+def rad_path_ball_mean_se(X, C, n_draws, n_starts, seed) -> tuple[float, float]:
+    return _mean_se(rad_path_ball_values(X, C, n_draws, n_starts, seed))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from minterp import (
@@ -17,7 +19,10 @@ from minterp import (
     derive_seed,
     teacher_eval_batch,
 )
+from minterp import complexity
 from minterp.complexity import RadEstimate
+
+from _oracles import rad_path_ball_mean_se
 
 
 class TestRadRfBall:
@@ -106,6 +111,54 @@ class TestRadPathBall:
         res = rad_path_ball(np.ones((2, 5)), C=0.0, n_draws=4, seed=1)
         assert res.estimate.mean == 0.0
         assert res.estimate.std_error == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        n=st.integers(4, 40),
+        n_starts=st.sampled_from([0, 4, 8]),
+        C=st.floats(0.01, 10.0),
+        n_draws=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batched_ascent_matches_per_start_loop(self, d, n, n_starts, C, n_draws, seed):
+        X = rng_from(seed).uniform(-1.0, 1.0, (d, n))
+        est = rad_path_ball(X, C, n_draws=n_draws, n_starts=n_starts, seed=seed).estimate
+        mean, se = rad_path_ball_mean_se(X, C, n_draws, n_starts, seed)
+        assert est.mean == pytest.approx(mean, rel=1e-12)
+        # each draw's value carries ~1 ulp, so se is exact only to ~eps * mean
+        assert est.std_error == pytest.approx(se, rel=1e-12, abs=1e-15 * mean)
+
+    def test_blocks_of_draws_match_one_block(self, monkeypatch):
+        X = rng_from(21).uniform(-1.0, 1.0, (3, 10))
+        whole = rad_path_ball(X, 1.2, n_draws=7, n_starts=4, seed=22).estimate
+        # k = 2 (d+1) + n_starts = 12 starts of n = 10 samples: two draws per block
+        monkeypatch.setattr(complexity, "_BLOCK_ELEMENTS", 2 * 12 * 10)
+        blocks = rad_path_ball(X, 1.2, n_draws=7, n_starts=4, seed=22).estimate
+        mean, se = rad_path_ball_mean_se(X, 1.2, 7, 4, 22)
+        assert blocks.mean == pytest.approx(whole.mean, rel=1e-12)
+        assert blocks.mean == pytest.approx(mean, rel=1e-12)
+        assert blocks.std_error == pytest.approx(se, rel=1e-12)
+
+    def test_zero_inputs_freeze_every_start(self):
+        # With X = 0 every start but the bias vertex has a zero subgradient
+        # from the first step, and the bias vertex too when the signs cancel;
+        # the per-draw supremum is |sum xi| / n, exact for n = 4.
+        n, n_draws = 4, 16
+        X = np.zeros((2, n))
+        res = rad_path_ball(X, C=1.0, n_draws=n_draws, n_starts=0, seed=3)
+        stream = rng_from(derive_seed(3, 1))
+        sums = [abs((stream.integers(0, 2, size=n) * 2.0 - 1.0).sum()) / n for _ in range(n_draws)]
+        assert res.estimate.mean == float(np.mean(sums))
+        assert (res.estimate.mean, res.estimate.std_error) == rad_path_ball_mean_se(
+            X, 1.0, n_draws, 0, 3
+        )
+        # a lone draw whose signs cancel freezes all of its starts at once
+        cancel = next(
+            s for s in range(100)
+            if (rng_from(derive_seed(s, 1)).integers(0, 2, size=n) * 2 - 1).sum() == 0
+        )
+        assert rad_path_ball(X, C=1.0, n_draws=1, n_starts=0, seed=cancel).estimate.mean == 0.0
 
     def test_weighted_upper_formula(self):
         est = rad_weighted_path_upper(1.5, d=4, n=9)

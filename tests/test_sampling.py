@@ -12,9 +12,10 @@ from minterp import (
     sample_dataset,
     sample_l1_sphere,
     sup_norm_upper,
-    teacher_eval,
     teacher_eval_batch,
 )
+
+from _oracles import teacher_eval
 
 
 class TestL1Sphere:

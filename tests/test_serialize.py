@@ -21,12 +21,12 @@ from minterp.serialize import (
     resnet_to_dict,
     rf_model_from_dict,
     rf_model_to_dict,
-    save_json,
     teacher_from_dict,
     teacher_to_dict,
     two_layer_from_dict,
     two_layer_to_dict,
     write_csv,
+    write_json_report,
 )
 from minterp.two_layer import TwoLayerNet
 
@@ -104,7 +104,7 @@ class TestRoundTrips:
 
     def test_json_file_round_trip(self, tmp_path, teacher):
         path = tmp_path / "teacher.json"
-        save_json(teacher_to_dict(teacher), path)
+        write_json_report(path, teacher_to_dict(teacher))
         back = teacher_from_dict(load_json(path))
         assert_allclose(back.coefficients, teacher.coefficients)
 

@@ -19,9 +19,10 @@ from minterp import (
     scale_outer,
     sum_networks,
     teacher_eval_batch,
-    two_layer_eval,
     two_layer_eval_batch,
 )
+
+from _oracles import two_layer_eval
 
 
 def random_net(m, d, seed):
