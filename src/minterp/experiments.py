@@ -116,7 +116,6 @@ class ExperimentConfig:
     delta: float = 0.1
     seed: int = 0
     out: str | None = None
-    rcond: float | None = None
     family: str = RELU_L1SPHERE
     gamma: float = 1.0
     n_atoms: int = 64
@@ -160,8 +159,7 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not self.width_factor > 0:
             raise ValueError(f"width_factor must be positive, got {self.width_factor}")
-        if self.rcond is not None and not self.rcond > 0:
-            raise ValueError(f"rcond must be positive or None, got {self.rcond}")
+        _family(self)  # rejects an unknown family tag and gamma <= 0
         if self.lambda_target is not None and not self.lambda_target > 0:
             raise ValueError(
                 f"lambda_target must be positive or None, got {self.lambda_target}"
@@ -319,8 +317,8 @@ def _verify_krr_bound(config: ExperimentConfig, threads: int):
             quadrature_size=config.quadrature,
             seed=derive_seed(config.seed, 3 * t + 2),
         )
-        beta = ridgeless_coefficients(K, data.y, rcond=config.rcond)
-        surrogate = rkhs_norm_bound(K, data.y, rcond=config.rcond)
+        beta = ridgeless_coefficients(K, data.y)
+        surrogate = rkhs_norm_bound(K, data.y)
         denom = max(float(np.abs(data.y).max()), 1e-300)
         reproduce = float(np.abs(K @ beta - data.y).max()) / denom
         return dict(
@@ -350,14 +348,14 @@ def _verify_min_norm_rf(config: ExperimentConfig, threads: int):
             seed=derive_seed(config.seed, 4 * t + 2),
         )
         lam = eigen_min(K)
-        surrogate = rkhs_norm_bound(K, data.y, rcond=config.rcond)
+        surrogate = rkhs_norm_bound(K, data.y)
         s = math.sqrt(max(surrogate, 0.0))
         threshold = math.ceil(
             concentration_width(n, config.delta, lam, factor=config.width_factor)
         )
         m = min(threshold, config.m_cap)
         radius = fit_random_features(
-            data.X, data.y, family, m, derive_seed(config.seed, 4 * t + 3), rcond=config.rcond
+            data.X, data.y, family, m, derive_seed(config.seed, 4 * t + 3)
         ).norm_radius
         return dict(
             m=m,
@@ -399,7 +397,6 @@ def _verify_fit_rand_label(config: ExperimentConfig, threads: int):
             X, r, config.m2, lam_ref,
             max_resamples=config.max_resamples,
             seed=derive_seed(config.seed, 5 * t + 3),
-            rcond=config.rcond,
         )
         norm_bound = math.sqrt(2.0 / (lam_ref / 2.0)) * fit.residual_norm
         return dict(
@@ -560,11 +557,11 @@ class ModelFit:
 def _residual_options(config: ExperimentConfig) -> dict:
     """Options of the certified residual fit inside the two-layer and resnet fits."""
     return dict(lambda_target=config.lambda_target, max_resamples=config.max_resamples,
-                rcond=config.rcond, lambda_quadrature=config.quadrature)
+                lambda_quadrature=config.quadrature)
 
 
 def _fit_rf(config, data, teacher, width, fit_seed, approx_seed) -> ModelFit:
-    fit = fit_random_features(data.X, data.y, _family(config), width, fit_seed, rcond=config.rcond)
+    fit = fit_random_features(data.X, data.y, _family(config), width, fit_seed)
     Phi, radius = fit.features, fit.norm_radius
     lam_ref = smallest_singular_value(Phi) ** 2 / width
     threshold = concentration_width(data.n, config.delta, lam_ref, config.width_factor)
@@ -589,7 +586,7 @@ def _fit_two_layer(config, data, teacher, width, fit_seed, approx_seed) -> Model
 
     threshold = concentration_width(data.n, config.delta, fit.lambda_target)
     return ModelFit(
-        fit=fit, model=fit.net, predict=predict, train_preds=predict(data.X),
+        fit=fit, model=fit.net, predict=predict, train_preds=fit.fitted,
         norm_radius=fit.path_norm, m_or_L=width, lambda_ref=fit.lambda_target,
         threshold_met=width >= threshold, rad_bounds=rad_bounds,
     )
@@ -601,12 +598,11 @@ def _fit_resnet(config, data, teacher, width, fit_seed, approx_seed) -> ModelFit
                                 n_retry_draws=config.n_retry_draws)
     teacher_net = embed_two_layer(part1.net)
     m2 = min(width, config.L_cap - teacher_net.L)
-    fit = interpolate_resnet(data, teacher_net, teacher_net.L, m2, fit_seed,
-                             **_residual_options(config))
+    fit = interpolate_resnet(data, teacher_net, m2, fit_seed, **_residual_options(config))
     predict = partial(resnet_eval_batch, fit.net)
     threshold = concentration_width(data.n, config.delta, fit.lambda_target)
     return ModelFit(
-        fit=fit, model=fit.net, predict=predict, train_preds=predict(data.X),
+        fit=fit, model=fit.net, predict=predict, train_preds=fit.fitted,
         norm_radius=fit.weighted_norm, m_or_L=teacher_net.L + m2, lambda_ref=fit.lambda_target,
         threshold_met=m2 >= width and m2 >= threshold,
         rad_bounds=lambda seed: (

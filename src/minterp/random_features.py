@@ -28,6 +28,9 @@ RELU_L1SPHERE = "relu_l1sphere"
 RANDOM_FOURIER = "random_fourier"
 
 _SYM_TOL = 1e-10
+# Quadrature parameters drawn per block in kernel_exact; each block has its
+# own derived seed, so this value fixes the reference kernels.
+_QUADRATURE_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -152,7 +155,6 @@ def kernel_exact(
     X: np.ndarray,
     quadrature_size: int = 1_000_000,
     seed: int = 0,
-    chunk_size: int = 65536,
 ) -> np.ndarray:
     """Monte Carlo quadrature estimate of K[i, j] = E_w[phi(x_i;w) phi(x_j;w)].
 
@@ -168,7 +170,7 @@ def kernel_exact(
     K = np.zeros((n, n))
     done = 0
     while done < quadrature_size:
-        c = min(chunk_size, quadrature_size - done)
+        c = min(_QUADRATURE_CHUNK, quadrature_size - done)
         W = family.sample_params(d, c, derive_seed(seed, done))
         F = family.features(W, X)
         K += F @ F.T
@@ -192,13 +194,11 @@ def kernel_empirical(Phi: np.ndarray) -> np.ndarray:
     return (K + K.T) / 2.0
 
 
-def min_l2_interpolant(
-    Phi: np.ndarray, y: np.ndarray, rcond: float | None = None
-) -> np.ndarray:
+def min_l2_interpolant(Phi: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Coefficients of minimum Euclidean norm with (1/m) Phi a = y.
 
-    Closed form m Phi^T (Phi Phi^T)^-1 y, computed through the SVD of Phi
-    with relative cutoff rcond (default 1e-10 * max(n, m)).
+    Closed form m Phi^T (Phi Phi^T)^-1 y, computed by min_norm_solve at
+    its cutoff DEFAULT_RCOND * max(n, m).
     """
     Phi = np.asarray(Phi, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -207,9 +207,7 @@ def min_l2_interpolant(
     n, m = Phi.shape
     if m < n:
         raise UnderParametrizedError(m, n)
-    if rcond is None:
-        rcond = DEFAULT_RCOND * max(n, m)
-    return min_norm_solve(Phi, m * y, rcond=rcond)
+    return min_norm_solve(Phi, m * y)
 
 
 def _check_symmetric(K: np.ndarray) -> np.ndarray:
@@ -228,18 +226,17 @@ def eigen_min(K: np.ndarray) -> float:
     return smallest_eigenvalue(_check_symmetric(K))
 
 
-def ridgeless_coefficients(
-    K: np.ndarray, y: np.ndarray, rcond: float | None = None
-) -> np.ndarray:
-    """Coefficients beta = K^-1 y of the kernel ridgeless interpolant, by symmetric eigensolve."""
+def ridgeless_coefficients(K: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients beta = K^-1 y of the kernel ridgeless interpolant, by symmetric eigensolve.
+
+    Raises SingularSystemError when lambda_min(K) <= DEFAULT_RCOND * lambda_max(K).
+    """
     K = _check_symmetric(K)
     y = np.asarray(y, dtype=float)
     if y.shape != (K.shape[0],):
         raise ValueError(f"expected y of shape ({K.shape[0]},), got {y.shape}")
-    if rcond is None:
-        rcond = DEFAULT_RCOND
     lam, V = np.linalg.eigh(K)
-    cutoff = rcond * lam[-1]
+    cutoff = DEFAULT_RCOND * lam[-1]
     if lam[0] <= cutoff:
         raise SingularSystemError(
             f"smallest eigenvalue {lam[0]:.3e} is at or below cutoff {cutoff:.3e}",
@@ -249,7 +246,7 @@ def ridgeless_coefficients(
     return V @ ((V.T @ y) / lam)
 
 
-def rkhs_norm_bound(K: np.ndarray, y: np.ndarray, rcond: float | None = None) -> float:
+def rkhs_norm_bound(K: np.ndarray, y: np.ndarray) -> float:
     """y^T K^-1 y, the squared kernel-space norm of the ridgeless interpolant.
 
     This is a computable lower bound on the squared kernel-space norm of
@@ -257,7 +254,7 @@ def rkhs_norm_bound(K: np.ndarray, y: np.ndarray, rcond: float | None = None) ->
     unknown norm of the target.
     """
     y = np.asarray(y, dtype=float)
-    return float(y @ ridgeless_coefficients(K, y, rcond))
+    return float(y @ ridgeless_coefficients(K, y))
 
 
 def concentration_width(n: int, delta: float, lam: float, factor: float = 2.0) -> float:
@@ -338,14 +335,13 @@ def fit_random_features(
     family: FeatureFamily,
     m: int,
     seed: int,
-    rcond: float | None = None,
 ) -> RandomFeatureFit:
     """Sample m features, solve the minimum-norm interpolation, report the fit."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     W = family.sample_params(X.shape[0], m, seed)
     Phi = family.features(W, X)
-    a = min_l2_interpolant(Phi, y, rcond=rcond)
+    a = min_l2_interpolant(Phi, y)
     model = RandomFeatureModel(family=family, params=W, coefficients=a)
     fitted = Phi @ a / m
     return RandomFeatureFit(

@@ -183,22 +183,6 @@ def embed_two_layer(theta: TwoLayerNet) -> ResNet:
     return ResNet(V=canonical_injection(d, D), layers=tuple(layers), alpha=alpha)
 
 
-def zero_tail_layers(theta: ResNet, L_keep: int) -> ResNet:
-    """Copy with the layers after the first L_keep zeroed out (U = 0).
-
-    Depth and prefactor are unchanged, so this is the simplest controlled
-    perturbation of a network: the surviving layers contribute exactly as
-    before.
-    """
-    if not 0 <= L_keep <= theta.L:
-        raise ValueError(f"L_keep must lie in [0, {theta.L}], got {L_keep}")
-    layers = [
-        (U, W) if i < L_keep else (np.zeros_like(U), W)
-        for i, (U, W) in enumerate(theta.layers)
-    ]
-    return ResNet(V=theta.V, layers=tuple(layers), alpha=theta.alpha)
-
-
 def random_resnet(
     d: int, L: int, D: int, m: int, scale: float = 0.5, seed: int = 0
 ) -> ResNet:
@@ -216,7 +200,11 @@ def random_resnet(
 
 @dataclass(frozen=True)
 class ResNetFit:
-    """interpolate_resnet output: the interpolant and its norm decomposition."""
+    """interpolate_resnet output: the interpolant and its norm decomposition.
+
+    surrogate_norm is the teacher net's weighted path norm; fitted holds
+    the interpolant's values at the training inputs.
+    """
 
     net: ResNet
     weighted_norm: float
@@ -225,6 +213,7 @@ class ResNetFit:
     residual_path_norm: float
     residual_norm: float
     interp_error: float
+    fitted: np.ndarray
     lambda_target: float
     lambda_emp: float
     resamples_used: int
@@ -234,22 +223,20 @@ class ResNetFit:
 def interpolate_resnet(
     data: Dataset,
     teacher_net: ResNet,
-    L_keep: int,
     m2: int,
     seed: int,
     lambda_target: float | None = None,
     max_resamples: int = 16,
-    rcond: float | None = None,
     lambda_quadrature: int = 1_000_000,
 ) -> ResNetFit:
-    """Interpolate the dataset by a truncated teacher plus an embedded residual fit.
+    """Interpolate the dataset by a teacher network plus an embedded residual fit.
 
-    The approximation half is the teacher with its tail layers zeroed
-    (a controlled surrogate); the constructive half fits the residual with
-    a certified two-layer network, embeds it at exactly 3x its path norm,
-    and adds the two networks with exactly additive norm.  The report
-    carries the decomposition weighted_norm = surrogate_norm + embedded_norm
-    and the certificate 3 * ||r|| / sigma_min for the embedded part.
+    The approximation half is teacher_net as given; the constructive half
+    fits the residual with a certified two-layer network, embeds it at
+    exactly 3x its path norm, and adds the two networks with exactly
+    additive norm.  The report carries the decomposition
+    weighted_norm = surrogate_norm + embedded_norm and the certificate
+    3 * ||r|| / sigma_min for the embedded part.
     """
     X, y = data.X, data.y
     if teacher_net.d != data.d:
@@ -258,23 +245,22 @@ def interpolate_resnet(
         )
     if lambda_target is None:
         lambda_target = reference_lambda_min(X, lambda_quadrature, derive_seed(seed, 0))
-    part1 = zero_tail_layers(teacher_net, L_keep)
-    r = y - resnet_eval_batch(part1, X)
+    r = y - resnet_eval_batch(teacher_net, X)
     fit2 = fit_residual_net(
-        X, r, m2, lambda_target, max_resamples=max_resamples,
-        seed=derive_seed(seed, 2), rcond=rcond,
+        X, r, m2, lambda_target, max_resamples=max_resamples, seed=derive_seed(seed, 2)
     )
     embedded = embed_two_layer(fit2.net)
-    net = resnet_add(part1, embedded)
-    interp = float(np.abs(resnet_eval_batch(net, X) - y).max())
+    net = resnet_add(teacher_net, embedded)
+    fitted = resnet_eval_batch(net, X)
     return ResNetFit(
         net=net,
         weighted_norm=weighted_path_norm(net),
-        surrogate_norm=weighted_path_norm(part1),
+        surrogate_norm=weighted_path_norm(teacher_net),
         embedded_norm=weighted_path_norm(embedded),
         residual_path_norm=path_norm(fit2.net),
         residual_norm=fit2.residual_norm,
-        interp_error=interp,
+        interp_error=float(np.abs(fitted - y).max()),
+        fitted=fitted,
         lambda_target=float(lambda_target),
         lambda_emp=fit2.lambda_emp,
         resamples_used=fit2.resamples_used,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConcentrationFailureError, UnderParametrizedError
-from .linalg import DEFAULT_RCOND, min_norm_solve, smallest_singular_value
+from .linalg import min_norm_solve, smallest_singular_value
 from .random_features import (
     FeatureFamily,
     RELU_L1SPHERE,
@@ -143,7 +143,6 @@ def fit_residual_net(
     lambda_target: float,
     max_resamples: int = 16,
     seed: int = 0,
-    rcond: float | None = None,
 ) -> ResidualFit:
     """Fit r at the columns of X with random inner weights and min-norm outer weights.
 
@@ -189,10 +188,8 @@ def fit_residual_net(
         raise ConcentrationFailureError(lambda_target, best_lam, attempts)
     W, Psi, lam_emp = chosen
 
-    if rcond is None:
-        rcond = DEFAULT_RCOND * max(n, m)
     sqm = math.sqrt(m)
-    a_hat = min_norm_solve(Psi, sqm * r, rcond=rcond)
+    a_hat = min_norm_solve(Psi, sqm * r)
     net = TwoLayerNet(a=sqm * a_hat, B=W[:, :-1], c=W[:, -1])
 
     sigma_scaled = smallest_singular_value(Psi) / sqm
@@ -228,46 +225,26 @@ def approximate_teacher(
     X: np.ndarray,
     seed: int,
     n_retry_draws: int = 32,
-    draw: str = "iid",
 ) -> TeacherFit:
     """Width-m1 network built by resampling the teacher's atoms.
 
-    draw="iid" samples atoms with replacement (coefficients carried over),
-    repeats for n_retry_draws seeds, and keeps the draw with the smallest
-    empirical risk on X; the risk decays like 1/m1.  draw="stratified"
-    requires m1 to be a multiple of the atom count and repeats every atom
-    equally often, reproducing the teacher exactly.
+    Samples m1 atoms with replacement (coefficients carried over), repeats
+    for n_retry_draws seeds, and keeps the draw with the smallest empirical
+    risk on X; the risk decays like 1/m1.
     """
     X = np.asarray(X, dtype=float)
     if m1 < 1:
         raise ValueError(f"m1 must be >= 1, got {m1}")
     if X.ndim != 2 or X.shape[0] != f.d:
         raise ValueError(f"expected X of shape ({f.d}, n), got {X.shape}")
+    if n_retry_draws < 1:
+        raise ValueError(f"n_retry_draws must be >= 1, got {n_retry_draws}")
     targets = teacher_eval_batch(f, X)
-    K = f.n_atoms
-
-    def build(idx: np.ndarray) -> TwoLayerNet:
-        return TwoLayerNet(
-            a=f.coefficients[idx],
-            B=f.directions[idx, :-1],
-            c=f.directions[idx, -1],
-        )
-
-    if draw == "stratified":
-        if m1 % K != 0:
-            raise ValueError(f"stratified draw needs m1 divisible by {K}, got {m1}")
-        draws = [np.repeat(np.arange(K), m1 // K)]
-    elif draw == "iid":
-        if n_retry_draws < 1:
-            raise ValueError(f"n_retry_draws must be >= 1, got {n_retry_draws}")
-        draws = (rng_from(derive_seed(seed, t)).integers(0, K, size=m1)
-                 for t in range(n_retry_draws))
-    else:
-        raise ValueError(f"draw must be 'iid' or 'stratified', got {draw!r}")
 
     best = None
-    for t, idx in enumerate(draws):
-        net = build(idx)
+    for t in range(n_retry_draws):
+        idx = rng_from(derive_seed(seed, t)).integers(0, f.n_atoms, size=m1)
+        net = TwoLayerNet(a=f.coefficients[idx], B=f.directions[idx, :-1], c=f.directions[idx, -1])
         risk = 0.5 * float(np.mean((two_layer_eval_batch(net, X) - targets) ** 2))
         if best is None or risk < best[0]:
             best = (risk, net, t)
@@ -277,13 +254,17 @@ def approximate_teacher(
 
 @dataclass(frozen=True)
 class CompositeFit:
-    """interpolate_two_layer output: the interpolant plus the norm audit."""
+    """interpolate_two_layer output: the interpolant plus the norm audit.
+
+    fitted holds the interpolant's values at the training inputs.
+    """
 
     net: TwoLayerNet
     path_norm: float
     teacher_norm_upper: float
     norm_ratio: float
     interp_error: float
+    fitted: np.ndarray
     lambda_target: float
     lambda_emp: float
     resamples_used: int
@@ -302,7 +283,6 @@ def interpolate_two_layer(
     lambda_target: float | None = None,
     max_resamples: int = 16,
     n_retry_draws: int = 32,
-    rcond: float | None = None,
     lambda_quadrature: int = 1_000_000,
 ) -> CompositeFit:
     """Interpolate the dataset with a width-(m1+m2) two-layer network.
@@ -320,19 +300,19 @@ def interpolate_two_layer(
     fit1 = approximate_teacher(f, m1, X, derive_seed(seed, 1), n_retry_draws=n_retry_draws)
     r = y - two_layer_eval_batch(fit1.net, X)
     fit2 = fit_residual_net(
-        X, r, m2, lambda_target, max_resamples=max_resamples,
-        seed=derive_seed(seed, 2), rcond=rcond,
+        X, r, m2, lambda_target, max_resamples=max_resamples, seed=derive_seed(seed, 2)
     )
     net = sum_networks(fit1.net, fit2.net)
     teacher_upper = barron_norm_upper(f)
     total = path_norm(net)
-    interp = float(np.abs(two_layer_eval_batch(net, X) - y).max())
+    fitted = two_layer_eval_batch(net, X)
     return CompositeFit(
         net=net,
         path_norm=total,
         teacher_norm_upper=teacher_upper,
         norm_ratio=total / teacher_upper if teacher_upper > 0 else math.inf,
-        interp_error=interp,
+        interp_error=float(np.abs(fitted - y).max()),
+        fitted=fitted,
         lambda_target=float(lambda_target),
         lambda_emp=fit2.lambda_emp,
         resamples_used=fit2.resamples_used,

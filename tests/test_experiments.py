@@ -1,8 +1,12 @@
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from numpy.testing import assert_allclose
 
+import minterp
 from minterp import (
     ExperimentConfig,
     derive_seed,
@@ -69,12 +73,23 @@ class TestExperimentConfig:
             {"width_factor": 0.0},
             {"m_cap": 0},
             {"lambda_target": -1.0},
-            {"rcond": 0.0},
+            {"family": "bogus"},
+            {"gamma": 0.0},
         ],
     )
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
+
+    def test_every_field_is_read(self):
+        # a field that is validated and echoed but never read as config.<name>
+        # anywhere in the package is a knob that changes nothing
+        src = Path(minterp.__file__).parent
+        read = set()
+        for path in src.glob("*.py"):
+            read.update(re.findall(r"\bconfig\.([A-Za-z_]\w*)", path.read_text()))
+        unread = sorted(f.name for f in fields(ExperimentConfig) if f.name not in read)
+        assert unread == []
 
     @pytest.mark.parametrize("kind", ["scale-study", "bound-audit"])
     def test_infeasible_resnet_widths_rejected(self, kind):

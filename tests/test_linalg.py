@@ -12,6 +12,7 @@ from minterp import (
     smallest_singular_value,
     spectral_norm,
 )
+from minterp.linalg import DEFAULT_RCOND
 
 
 class TestMinNormSolve:
@@ -109,6 +110,22 @@ class TestMinNormSolve:
             min_norm_solve(A, b, rcond=1e-3)
         assert err.value.smallest <= err.value.cutoff
         assert_allclose(A @ min_norm_solve(A, b, rcond=1e-5), b, atol=1e-8)
+
+    def test_default_cutoff_scales_with_width(self):
+        # sigma_min / sigma_max = 1e-8 lies between DEFAULT_RCOND = 1e-10 and
+        # DEFAULT_RCOND * p = 2e-7: the default cutoff rejects, the unscaled one solves
+        n, p = 4, 2000
+        rng = np.random.default_rng(62)
+        U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        V = np.linalg.qr(rng.standard_normal((p, n)))[0]
+        A = (U * np.logspace(0, -8, n)) @ V.T
+        b = rng.standard_normal(n)
+        with pytest.raises(SingularSystemError) as err:
+            min_norm_solve(A, b)
+        assert err.value.cutoff == pytest.approx(DEFAULT_RCOND * p, rel=1e-12)
+        x = min_norm_solve(A, b, rcond=DEFAULT_RCOND)
+        ref, *_ = np.linalg.lstsq(A, b, rcond=None)
+        assert_allclose(x, ref, rtol=1e-6, atol=1e-6 * np.abs(ref).max())
 
     def test_norm_identity_against_lstsq(self):
         # ||a||^2 / m = y^T (K^m)^{-1} y with K^m = Phi Phi^T / m, both sides

@@ -20,7 +20,6 @@ from minterp import (
     sample_dataset,
     two_layer_eval_batch,
     weighted_path_norm,
-    zero_tail_layers,
 )
 from minterp.two_layer import TwoLayerNet
 
@@ -130,41 +129,15 @@ class TestEmbedTwoLayer:
         )
 
 
-class TestZeroTail:
-    def test_keep_all_is_identity(self):
-        net = random_resnet(2, L=4, D=4, m=3, seed=11)
-        same = zero_tail_layers(net, 4)
-        X = np.random.default_rng(12).uniform(-1, 1, (2, 30))
-        assert_allclose(resnet_eval_batch(same, X), resnet_eval_batch(net, X), rtol=1e-12)
-
-    def test_keep_none_is_linear_readout(self):
-        net = random_resnet(2, L=3, D=4, m=2, seed=13)
-        bare = zero_tail_layers(net, 0)
-        X = np.random.default_rng(14).uniform(-1, 1, (2, 30))
-        Xt = np.vstack([X, np.ones(30)])
-        assert_allclose(resnet_eval_batch(bare, X), net.alpha @ net.V @ Xt, rtol=1e-12)
-
-    def test_norm_never_grows(self):
-        net = random_resnet(3, L=6, D=5, m=3, seed=15)
-        norms = [weighted_path_norm(zero_tail_layers(net, k)) for k in range(7)]
-        assert all(norms[k] <= norms[k + 1] + 1e-12 for k in range(6))
-
-    def test_bad_keep_rejected(self):
-        net = random_resnet(2, L=2, D=3, m=2, seed=16)
-        with pytest.raises(ValueError):
-            zero_tail_layers(net, 3)
-
-
 class TestInterpolateResnet:
     def test_interpolates_with_norm_decomposition(self):
         f = rescale_teacher(make_teacher(2, 8, 1.0, seed=17))
         data = sample_dataset(f, 10, seed=18)
-        # teacher half: a small random resnet truncated to its first layer
+        # teacher half: a small random resnet
         teacher_net = random_resnet(2, L=4, D=4, m=3, scale=0.3, seed=19)
-        fit = interpolate_resnet(
-            data, teacher_net, L_keep=1, m2=512, seed=20, lambda_quadrature=50_000
-        )
+        fit = interpolate_resnet(data, teacher_net, m2=512, seed=20, lambda_quadrature=50_000)
         assert fit.interp_error <= 1e-8
+        assert fit.surrogate_norm == weighted_path_norm(teacher_net)
         assert fit.weighted_norm == pytest.approx(
             fit.surrogate_norm + fit.embedded_norm, rel=1e-12
         )
@@ -172,6 +145,7 @@ class TestInterpolateResnet:
         assert fit.embedded_norm <= fit.certificate + 1e-12
         assert fit.lambda_emp >= fit.lambda_target / 2
         assert_allclose(resnet_eval_batch(fit.net, data.X), data.y, atol=1e-8)
+        assert np.array_equal(fit.fitted, resnet_eval_batch(fit.net, data.X))
 
 
 class TestDepthRequirement:
