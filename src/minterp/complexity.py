@@ -105,6 +105,16 @@ def _augment(X: np.ndarray) -> np.ndarray:
     return np.vstack([X, np.ones((1, X.shape[1]))])
 
 
+def _is_tie(val, scale, n: int):
+    """Whether val = xi . relu(w A) is a rounded zero: |val| <= n eps sum_i |xi_i| relu_i.
+
+    n eps sum_i |xi_i| relu_i bounds the rounding error of the n-term sum,
+    so values inside it have no reliable sign.  The ascent counts them as
+    0 and climbs with sense +1, whichever route computed them.
+    """
+    return np.abs(val) <= n * np.finfo(float).eps * scale
+
+
 def _refine_sphere_max(A: np.ndarray, xi_over_n: np.ndarray, w0: np.ndarray,
                        n_steps: int = 60) -> np.ndarray:
     """Projected subgradient ascent of |xi . relu(w A) / n| over the l1 sphere.
@@ -115,18 +125,25 @@ def _refine_sphere_max(A: np.ndarray, xi_over_n: np.ndarray, w0: np.ndarray,
     starts and steps.  ReLU is positively homogeneous, so renormalizing w
     to the sphere after each step just rescales the objective; tracking
     the best normalized value keeps the iteration a valid lower-bound
-    search.  A start whose subgradient vanishes is frozen where it is.
+    search.  A start whose subgradient vanishes is frozen where it is, and
+    a rounded zero value (_is_tie) counts as 0 and climbs with sense +1.
     """
     T, k, D = w0.shape
     # One column per (draw, start); xi repeats each draw's signs for its k starts.
     w = w0.reshape(T * k, D).T.copy()
     xi = np.repeat(xi_over_n.T, k, axis=1)
+    abs_xi = np.abs(xi)
 
     def subgradient(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Euler's identity for the homogeneous objective gives the value
         # from the subgradient: xi . relu(w A) = w . (A (xi [w A > 0])).
-        grad = A @ ((A.T @ w > 0.0) * xi)
-        return grad, (w * grad).sum(axis=0)
+        # The tie scale sum_i |xi_i| relu_i reuses the buffer of w A.
+        pre = A.T @ w
+        grad = A @ ((pre > 0.0) * xi)
+        val = (w * grad).sum(axis=0)
+        np.maximum(pre, 0.0, out=pre)
+        pre *= abs_xi
+        return grad, np.where(_is_tie(val, pre.sum(axis=0), A.shape[1]), 0.0, val)
 
     grad, val = subgradient(w)
     best = np.abs(val)

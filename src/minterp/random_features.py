@@ -31,6 +31,9 @@ _SYM_TOL = 1e-10
 # Quadrature parameters drawn per block in kernel_exact; each block has its
 # own derived seed, so this value fixes the reference kernels.
 _QUADRATURE_CHUNK = 65536
+# Rows of each feature block kernel_exact multiplies out; (4096, n) blocks
+# stay in cache where one (n, 65536) block does not.
+_QUADRATURE_SUB_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -158,10 +161,13 @@ def kernel_exact(
 ) -> np.ndarray:
     """Monte Carlo quadrature estimate of K[i, j] = E_w[phi(x_i;w) phi(x_j;w)].
 
-    Accumulates Gram blocks over quadrature chunks, so the result is
-    positive semidefinite by construction and the full quadrature sample
-    never lives in memory.  Fix the seed per experiment and treat the
-    result as the reference kernel.
+    The quadrature_size parameters are drawn in blocks of _QUADRATURE_CHUNK,
+    block b from derive_seed(seed, b * _QUADRATURE_CHUNK), so the sample
+    stream does not depend on how the sum is evaluated.  Each block is
+    consumed in _QUADRATURE_SUB_BLOCK-row feature blocks F, accumulating
+    F^T F; no (n, _QUADRATURE_CHUNK) feature array is formed.  The result
+    is symmetric exactly and positive semidefinite up to rounding.  Fix
+    the seed per experiment and treat the result as the reference kernel.
     """
     X = np.asarray(X, dtype=float)
     if quadrature_size < 1:
@@ -172,8 +178,9 @@ def kernel_exact(
     while done < quadrature_size:
         c = min(_QUADRATURE_CHUNK, quadrature_size - done)
         W = family.sample_params(d, c, derive_seed(seed, done))
-        F = family.features(W, X)
-        K += F @ F.T
+        for start in range(0, c, _QUADRATURE_SUB_BLOCK):
+            F = family._activations(W[start : start + _QUADRATURE_SUB_BLOCK], X)
+            K += F.T @ F
         done += c
     K /= quadrature_size
     return (K + K.T) / 2.0

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .random_features import reference_lambda_min
+from .random_features import _map_column_chunks, reference_lambda_min
 from .sampling import Dataset
 from .seeding import derive_seed, rng_from
-from .two_layer import TwoLayerNet, fit_residual_net, path_norm
+from .two_layer import TwoLayerNet, _relu_sum, fit_residual_net, path_norm
 
 
 @dataclass(frozen=True)
@@ -81,17 +81,52 @@ def canonical_injection(d: int, D: int) -> np.ndarray:
     return V
 
 
+def _two_layer_form(theta: ResNet):
+    """(lin, a, B, c) with f(x) = lin . x~ + a . relu(B x + c), or None.
+
+    When no coordinate that some U_l writes is read by any W_l, every
+    layer sees W_l z_l = W_l z_0 with z_0 = V x~, x~ = (x, 1), so the net
+    is one two-layer evaluation:
+    f(x) = alpha V x~ + sum_l (alpha^T U_l / L) relu(W_l V x~).
+    Every net interpolate_resnet builds has this structure.  Neurons whose
+    outer weight is exactly 0 (identity-padding layers) are dropped.
+    """
+    U = np.concatenate([U for U, _ in theta.layers], axis=1)
+    W = np.concatenate([W for _, W in theta.layers], axis=0)
+    if np.any(U.any(axis=1) & W.any(axis=0)):
+        return None
+    outer = theta.alpha @ U / theta.L
+    keep = outer != 0.0
+    inner = W[keep] @ theta.V
+    return theta.alpha @ theta.V, outer[keep], inner[:, :-1], inner[:, -1]
+
+
 def resnet_eval_batch(theta: ResNet, X: np.ndarray) -> np.ndarray:
-    """Forward pass at every column of X (shape (d, n))."""
+    """Forward pass at every column of X (shape (d, n)), 1024 columns at a time.
+
+    Nets with disjoint U writes and W reads (see _two_layer_form) are
+    evaluated in one pass; any other net runs the layer loop.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != theta.d:
         raise ValueError(f"expected X of shape ({theta.d}, n), got {X.shape}")
-    Xt = np.vstack([X, np.ones((1, X.shape[1]))])
-    Z = theta.V @ Xt
-    L = theta.L
-    for U, W in theta.layers:
-        Z = Z + U @ np.maximum(W @ Z, 0.0) / L
-    return theta.alpha @ Z
+    form = _two_layer_form(theta)
+    if form is not None:
+        lin, a, B, c = form
+
+        def block(Xc: np.ndarray) -> np.ndarray:
+            return lin[:-1] @ Xc + lin[-1] + _relu_sum(a, B, c, Xc)
+
+    else:
+        L = theta.L
+
+        def block(Xc: np.ndarray) -> np.ndarray:
+            Z = theta.V @ np.vstack([Xc, np.ones((1, Xc.shape[1]))])
+            for U, W in theta.layers:
+                Z = Z + U @ np.maximum(W @ Z, 0.0) / L
+            return theta.alpha @ Z
+
+    return _map_column_chunks(block, X)
 
 
 def weighted_path_norm(theta: ResNet) -> float:

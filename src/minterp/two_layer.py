@@ -63,17 +63,21 @@ class TwoLayerNet:
         return self.B.shape[1]
 
 
+def _relu_sum(a: np.ndarray, B: np.ndarray, c: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """a . relu(B x + c) at every column x of X, without the 1/m prefactor."""
+    pre = B @ X
+    pre += c[:, None]
+    return a @ np.maximum(pre, 0.0, out=pre)
+
+
 def two_layer_eval_batch(theta: TwoLayerNet, X: np.ndarray) -> np.ndarray:
     """Evaluate at every column of X (shape (d, n)), chunked like RandomFeatureModel.predict."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != theta.d:
         raise ValueError(f"expected X of shape ({theta.d}, n), got {X.shape}")
-
-    def block(Xc: np.ndarray) -> np.ndarray:
-        pre = theta.B @ Xc + theta.c[:, None]
-        return theta.a @ np.maximum(pre, 0.0, out=pre) / theta.m
-
-    return _map_column_chunks(block, X)
+    return _map_column_chunks(
+        lambda Xc: _relu_sum(theta.a, theta.B, theta.c, Xc) / theta.m, X
+    )
 
 
 def path_norm(theta: TwoLayerNet) -> float:

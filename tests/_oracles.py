@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from minterp.complexity import _mean_se
+from minterp.complexity import _is_tie, _mean_se
+from minterp.random_features import _QUADRATURE_CHUNK
 from minterp.seeding import derive_seed, rng_from
 
 
@@ -30,6 +31,15 @@ def two_layer_eval(theta, x: np.ndarray) -> float:
     return float(theta.a @ np.maximum(pre, 0.0) / theta.m)
 
 
+def resnet_eval_layers(theta, X: np.ndarray) -> np.ndarray:
+    """Layer-by-layer forward pass at every column of X at once, unchunked."""
+    Z = theta.V @ np.vstack([X, np.ones((1, X.shape[1]))])
+    L = theta.L
+    for U, W in theta.layers:
+        Z = Z + U @ np.maximum(W @ Z, 0.0) / L
+    return theta.alpha @ Z
+
+
 def resnet_eval(theta, x: np.ndarray) -> float:
     """Layer-by-layer forward pass of a residual net at a single point."""
     x = np.asarray(x, dtype=float)
@@ -42,11 +52,33 @@ def resnet_eval(theta, x: np.ndarray) -> float:
     return float(theta.alpha @ z)
 
 
+def sphere_value(A: np.ndarray, xi_over_n: np.ndarray, w: np.ndarray) -> float:
+    """xi . relu(w A), computed directly; a rounded zero (complexity._is_tie) is 0."""
+    relu = np.maximum(w @ A, 0.0)
+    val = float(xi_over_n @ relu)
+    tie = _is_tie(val, float(np.abs(xi_over_n) @ relu), A.shape[1])
+    return 0.0 if tie else val
+
+
+def kernel_exact_blocks(family, X: np.ndarray, quadrature_size: int, seed: int) -> np.ndarray:
+    """kernel_exact with one (n, c) feature array F per seed block, accumulating F F^T."""
+    d, n = X.shape
+    K = np.zeros((n, n))
+    done = 0
+    while done < quadrature_size:
+        c = min(_QUADRATURE_CHUNK, quadrature_size - done)
+        F = family.features(family.sample_params(d, c, derive_seed(seed, done)), X)
+        K += F @ F.T
+        done += c
+    K /= quadrature_size
+    return (K + K.T) / 2.0
+
+
 def refine_sphere_max(A: np.ndarray, xi_over_n: np.ndarray, w0: np.ndarray,
                       n_steps: int = 60) -> float:
     """Projected subgradient ascent from one start, stopping at a zero subgradient."""
     w = w0.copy()
-    g0 = float(xi_over_n @ np.maximum(w @ A, 0.0))
+    g0 = sphere_value(A, xi_over_n, w)
     best = abs(g0)
     sense = 1.0 if g0 >= 0 else -1.0
     for k in range(n_steps):
@@ -57,7 +89,7 @@ def refine_sphere_max(A: np.ndarray, xi_over_n: np.ndarray, w0: np.ndarray,
             break
         w = w + (0.5 / (k + 2.0)) * grad / gnorm
         w = w / np.abs(w).sum()
-        val = float(xi_over_n @ np.maximum(w @ A, 0.0))
+        val = sphere_value(A, xi_over_n, w)
         if abs(val) > best:
             best = abs(val)
         sense = 1.0 if val >= 0 else -1.0

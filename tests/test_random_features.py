@@ -23,6 +23,8 @@ from minterp import (
 )
 from minterp.random_features import reference_lambda_min
 
+from _oracles import kernel_exact_blocks
+
 RELU = FeatureFamily(tag=RELU_L1SPHERE)
 
 
@@ -88,6 +90,15 @@ class TestKernels:
         K = kernel_exact(RELU, X, quadrature_size=50_000, seed=11)
         np.testing.assert_array_equal(K, K.T)
         assert eigen_min(K) >= -1e-12
+
+    def test_kernel_exact_matches_per_block_oracle(self):
+        # 70,001 draws: a full seed block, then a short one whose sub-blocks
+        # do not divide it evenly
+        X = np.random.default_rng(20).uniform(-1, 1, (3, 130))
+        for fam in (RELU, FeatureFamily(tag=RANDOM_FOURIER, gamma=1.5)):
+            K = kernel_exact(fam, X, quadrature_size=70_001, seed=21)
+            want = kernel_exact_blocks(fam, X, 70_001, 21)
+            assert np.abs(K - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_kernel_exact_deterministic(self):
         X = np.random.default_rng(12).uniform(-1, 1, (2, 6))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from minterp import (
@@ -17,13 +19,15 @@ from minterp import (
     rescale_teacher,
     resnet_add,
     resnet_eval_batch,
+    rng_from,
     sample_dataset,
     two_layer_eval_batch,
     weighted_path_norm,
 )
+from minterp import resnet
 from minterp.two_layer import TwoLayerNet
 
-from _oracles import resnet_eval
+from _oracles import resnet_eval, resnet_eval_layers
 
 
 def norm_by_matrix_product(theta):
@@ -126,6 +130,121 @@ class TestEmbedTwoLayer:
         x = np.array([0.4, -0.8])
         assert resnet_eval(embedded, x) == pytest.approx(
             2.0 * max(0.5 * 0.4 + 0.5 * 0.8 + 0.25, 0.0), rel=1e-12
+        )
+
+
+def random_two_layer(m, d, seed):
+    rng = rng_from(seed)
+    return TwoLayerNet(
+        a=rng.standard_normal(m), B=rng.uniform(-1, 1, (m, d)), c=rng.uniform(-1, 1, m)
+    )
+
+
+def assert_same_values(got, want):
+    # equal up to rounding, relative to the largest value: the routes
+    # compared here sum the same terms in different orders
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+dims = st.integers(1, 3)
+depths = st.integers(1, 7)
+widths = st.integers(1, 40)
+extra_dims = st.integers(0, 3)
+seeds = st.integers(0, 2**32 - 2)
+
+
+class TestResnetLaws:
+    """Properties of the exact constructions the one-pass evaluation relies on."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(d=dims, L=depths, pad=extra_dims, m=st.integers(1, 4),
+           n=st.integers(1, 2100), seed=seeds)
+    @example(d=3, L=5, pad=2, m=4, n=20, seed=0)
+    @example(d=1, L=1, pad=0, m=1, n=1025, seed=2)
+    @example(d=2, L=1, pad=1, m=4, n=454, seed=64)
+    @example(d=2, L=1, pad=1, m=2, n=270, seed=593685)
+    def test_random_nets_take_layer_loop(self, d, L, pad, m, n, seed):
+        # random nets read what they write, so they cannot be flattened.
+        # Matrix and per-point products round differently, so an output
+        # near 0 (the pinned cases: ~1e-4, 4e-16 apart) needs the atol.
+        net = random_resnet(d, L, d + 1 + pad, m, seed=seed)
+        assert resnet._two_layer_form(net) is None
+        X = rng_from(seed).uniform(-1, 1, (d, n))
+        want = np.array([resnet_eval(net, X[:, i]) for i in range(n)])
+        assert_allclose(resnet_eval_batch(net, X), want, rtol=1e-12, atol=1e-15)
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=dims, ma=widths, mb=widths, n=st.integers(1, 2100), seed=seeds)
+    @example(d=2, ma=1, mb=40, n=1024, seed=0)
+    @example(d=3, ma=17, mb=3, n=2049, seed=1)
+    def test_one_pass_matches_layer_loop(self, d, ma, mb, n, seed):
+        # unequal widths give unequal depths, so one half is identity-padded
+        net = resnet_add(embed_two_layer(random_two_layer(ma, d, seed)),
+                         embed_two_layer(random_two_layer(mb, d, seed + 1)))
+        assert resnet._two_layer_form(net) is not None
+        X = rng_from(seed).uniform(-1, 1, (d, n))
+        assert_same_values(resnet_eval_batch(net, X), resnet_eval_layers(net, X))
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=dims, L=depths, extra=st.integers(0, 9), embedded=st.booleans(), seed=seeds)
+    @example(d=2, L=3, extra=6, embedded=False, seed=2)
+    @example(d=2, L=3, extra=6, embedded=True, seed=2)
+    def test_padding_keeps_value_and_norm(self, d, L, extra, embedded, seed):
+        if embedded:
+            net = embed_two_layer(random_two_layer(L, d, seed))
+        else:
+            net = random_resnet(d, L, d + 2, 2, seed=seed)
+        padded = pad_identity_layers(net, L + extra)
+        assert padded.L == L + extra
+        X = rng_from(seed).uniform(-1, 1, (d, 64))
+        assert_allclose(
+            resnet_eval_batch(padded, X), resnet_eval_batch(net, X), rtol=1e-12, atol=1e-15
+        )
+        assert weighted_path_norm(padded) == pytest.approx(weighted_path_norm(net), rel=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=dims, L1=depths, L2=depths, pad1=extra_dims, pad2=extra_dims,
+           m1=st.integers(1, 4), m2=st.integers(1, 4), seed=seeds)
+    @example(d=2, L1=3, L2=7, pad1=1, pad2=3, m1=2, m2=4, seed=5)
+    def test_add_is_additive(self, d, L1, L2, pad1, pad2, m1, m2, seed):
+        net1 = random_resnet(d, L1, d + 1 + pad1, m1, seed=seed)
+        net2 = random_resnet(d, L2, d + 1 + pad2, m2, seed=seed + 1)
+        total = resnet_add(net1, net2)
+        assert total.L == max(L1, L2)
+        assert total.D == net1.D + net2.D
+        X = rng_from(seed).uniform(-1, 1, (d, 64))
+        assert_same_values(
+            resnet_eval_batch(total, X), resnet_eval_batch(net1, X) + resnet_eval_batch(net2, X)
+        )
+        assert weighted_path_norm(total) == pytest.approx(
+            weighted_path_norm(net1) + weighted_path_norm(net2), rel=1e-12
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=dims, ma=widths, mb=widths, seed=seeds)
+    def test_sum_of_embeddings_adds_two_layer_values_and_norms(self, d, ma, mb, seed):
+        a, b = random_two_layer(ma, d, seed), random_two_layer(mb, d, seed + 1)
+        total = resnet_add(embed_two_layer(a), embed_two_layer(b))
+        X = rng_from(seed).uniform(-1, 1, (d, 64))
+        assert_same_values(
+            resnet_eval_batch(total, X), two_layer_eval_batch(a, X) + two_layer_eval_batch(b, X)
+        )
+        assert weighted_path_norm(total) == pytest.approx(
+            3.0 * (path_norm(a) + path_norm(b)), rel=1e-12
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(1, 4), m=widths, seed=seeds)
+    @example(d=3, m=9, seed=10)
+    def test_embedding_keeps_value_and_triples_norm(self, d, m, seed):
+        theta = random_two_layer(m, d, seed)
+        embedded = embed_two_layer(theta)
+        assert embedded.L == m
+        assert embedded.D == d + 2
+        X = rng_from(seed).uniform(-1, 1, (d, 200))
+        assert_same_values(resnet_eval_batch(embedded, X), two_layer_eval_batch(theta, X))
+        assert weighted_path_norm(embedded) == pytest.approx(
+            3.0 * path_norm(theta), rel=1e-12
         )
 
 
