@@ -73,11 +73,6 @@ def smallest_eigenvalue(K: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(K)[0])
 
 
-def spectral_norm(M: np.ndarray) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(np.asarray(M, dtype=float), ord=2))
-
-
 def smallest_singular_value(M: np.ndarray) -> float:
     """Smallest singular value of a rectangular matrix.
 

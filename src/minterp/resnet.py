@@ -9,7 +9,6 @@ two-layer network costs exactly a factor 3 in norm.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,38 +21,33 @@ from .two_layer import TwoLayerNet, _relu_sum, fit_residual_net, path_norm
 
 @dataclass(frozen=True)
 class ResNet:
-    """Residual network with injection V (D, d+1), layers (U_l, W_l), readout alpha."""
+    """Residual network: injection V (D, d+1), readout alpha (D,), and the
+    layer weights stacked as U (L, D, m) and W (L, m, D)."""
 
     V: np.ndarray
-    layers: tuple
+    U: np.ndarray
+    W: np.ndarray
     alpha: np.ndarray
 
     def __post_init__(self):
         V = np.asarray(self.V, dtype=float)
+        U = np.asarray(self.U, dtype=float)
+        W = np.asarray(self.W, dtype=float)
         alpha = np.asarray(self.alpha, dtype=float)
         if V.ndim != 2 or V.shape[0] < V.shape[1]:
             raise ValueError(f"expected V of shape (D, d+1) with D >= d+1, got {V.shape}")
         D = V.shape[0]
         if alpha.shape != (D,):
             raise ValueError(f"expected alpha of shape ({D},), got {alpha.shape}")
-        layers = []
-        m = None
-        for i, (U, W) in enumerate(self.layers):
-            U = np.asarray(U, dtype=float)
-            W = np.asarray(W, dtype=float)
-            if m is None:
-                m = U.shape[1]
-            if U.shape != (D, m) or W.shape != (m, D):
-                raise ValueError(
-                    f"layer {i}: expected U ({D}, {m}) and W ({m}, {D}), "
-                    f"got {U.shape} and {W.shape}"
-                )
-            layers.append((U, W))
-        if not layers:
-            raise ValueError("a residual network needs at least one layer")
+        if U.ndim != 3 or U.shape[0] < 1 or U.shape[1] != D:
+            raise ValueError(f"expected U of shape (L, {D}, m) with L >= 1, got {U.shape}")
+        L, _, m = U.shape
+        if W.shape != (L, m, D):
+            raise ValueError(f"expected W of shape ({L}, {m}, {D}), got {W.shape}")
         object.__setattr__(self, "V", V)
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "W", W)
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "layers", tuple(layers))
 
     @property
     def d(self) -> int:
@@ -61,7 +55,7 @@ class ResNet:
 
     @property
     def L(self) -> int:
-        return len(self.layers)
+        return self.U.shape[0]
 
     @property
     def D(self) -> int:
@@ -69,7 +63,7 @@ class ResNet:
 
     @property
     def m(self) -> int:
-        return self.layers[0][0].shape[1]
+        return self.U.shape[2]
 
 
 def canonical_injection(d: int, D: int) -> np.ndarray:
@@ -91,8 +85,8 @@ def _two_layer_form(theta: ResNet):
     Every net interpolate_resnet builds has this structure.  Neurons whose
     outer weight is exactly 0 (identity-padding layers) are dropped.
     """
-    U = np.concatenate([U for U, _ in theta.layers], axis=1)
-    W = np.concatenate([W for _, W in theta.layers], axis=0)
+    U = theta.U.transpose(1, 0, 2).reshape(theta.D, -1)
+    W = theta.W.reshape(-1, theta.D)
     if np.any(U.any(axis=1) & W.any(axis=0)):
         return None
     outer = theta.alpha @ U / theta.L
@@ -122,7 +116,7 @@ def resnet_eval_batch(theta: ResNet, X: np.ndarray) -> np.ndarray:
 
         def block(Xc: np.ndarray) -> np.ndarray:
             Z = theta.V @ np.vstack([Xc, np.ones((1, Xc.shape[1]))])
-            for U, W in theta.layers:
+            for U, W in zip(theta.U, theta.W):
                 Z = Z + U @ np.maximum(W @ Z, 0.0) / L
             return theta.alpha @ Z
 
@@ -137,8 +131,8 @@ def weighted_path_norm(theta: ResNet) -> float:
     """
     u = np.abs(theta.alpha)
     L = theta.L
-    for U, W in theta.layers:
-        u = u + (3.0 / L) * (np.abs(W).T @ (np.abs(U).T @ u))
+    for U, W in zip(np.abs(theta.U), np.abs(theta.W)):
+        u = u + (3.0 / L) * (W.T @ (U.T @ u))
     return float(u @ (np.abs(theta.V) @ np.ones(theta.d + 1)))
 
 
@@ -154,11 +148,10 @@ def pad_identity_layers(theta: ResNet, L_new: int) -> ResNet:
         raise ValueError(f"L_new must be >= {theta.L}, got {L_new}")
     if L_new == theta.L:
         return theta
-    scale = L_new / theta.L
-    D, m = theta.D, theta.m
-    layers = [(U * scale, W) for U, W in theta.layers]
-    layers += [(np.zeros((D, m)), np.zeros((m, D)))] * (L_new - theta.L)
-    return ResNet(V=theta.V, layers=tuple(layers), alpha=theta.alpha)
+    pad = L_new - theta.L
+    U = np.concatenate([theta.U * (L_new / theta.L), np.zeros((pad, theta.D, theta.m))])
+    W = np.concatenate([theta.W, np.zeros((pad, theta.m, theta.D))])
+    return ResNet(V=theta.V, U=U, W=W, alpha=theta.alpha)
 
 
 def resnet_add(theta1: ResNet, theta2: ResNet) -> ResNet:
@@ -176,18 +169,16 @@ def resnet_add(theta1: ResNet, theta2: ResNet) -> ResNet:
     t2 = pad_identity_layers(theta2, L)
     D1, m1 = t1.D, t1.m
     D2, m2 = t2.D, t2.m
-    layers = []
-    for (U1, W1), (U2, W2) in zip(t1.layers, t2.layers):
-        U = np.zeros((D1 + D2, m1 + m2))
-        U[:D1, :m1] = U1
-        U[D1:, m1:] = U2
-        W = np.zeros((m1 + m2, D1 + D2))
-        W[:m1, :D1] = W1
-        W[m1:, D1:] = W2
-        layers.append((U, W))
+    U = np.zeros((L, D1 + D2, m1 + m2))
+    U[:, :D1, :m1] = t1.U
+    U[:, D1:, m1:] = t2.U
+    W = np.zeros((L, m1 + m2, D1 + D2))
+    W[:, :m1, :D1] = t1.W
+    W[:, m1:, D1:] = t2.W
     return ResNet(
         V=np.vstack([t1.V, t2.V]),
-        layers=tuple(layers),
+        U=U,
+        W=W,
         alpha=np.concatenate([t1.alpha, t2.alpha]),
     )
 
@@ -205,17 +196,14 @@ def embed_two_layer(theta: TwoLayerNet) -> ResNet:
     """
     d, m = theta.d, theta.m
     D = d + 2
-    layers = []
-    for j in range(m):
-        U = np.zeros((D, 1))
-        U[D - 1, 0] = theta.a[j]
-        W = np.zeros((1, D))
-        W[0, :d] = theta.B[j]
-        W[0, d] = theta.c[j]
-        layers.append((U, W))
+    U = np.zeros((m, D, 1))
+    U[:, D - 1, 0] = theta.a
+    W = np.zeros((m, 1, D))
+    W[:, 0, :d] = theta.B
+    W[:, 0, d] = theta.c
     alpha = np.zeros(D)
     alpha[D - 1] = 1.0
-    return ResNet(V=canonical_injection(d, D), layers=tuple(layers), alpha=alpha)
+    return ResNet(V=canonical_injection(d, D), U=U, W=W, alpha=alpha)
 
 
 def random_resnet(
@@ -225,12 +213,12 @@ def random_resnet(
     if D < d + 1:
         raise ValueError(f"need D >= d+1, got D={D}, d={d}")
     rng = rng_from(seed)
-    layers = tuple(
-        (rng.normal(0.0, scale, size=(D, m)), rng.normal(0.0, scale, size=(m, D)))
-        for _ in range(L)
-    )
+    U, W = np.empty((L, D, m)), np.empty((L, m, D))
+    for l in range(L):  # U_l then W_l, layer by layer: this order fixes the seed stream
+        U[l] = rng.normal(0.0, scale, size=(D, m))
+        W[l] = rng.normal(0.0, scale, size=(m, D))
     alpha = rng.normal(0.0, 1.0, size=D)
-    return ResNet(V=canonical_injection(d, D), layers=layers, alpha=alpha)
+    return ResNet(V=canonical_injection(d, D), U=U, W=W, alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -301,32 +289,3 @@ def interpolate_resnet(
         resamples_used=fit2.resamples_used,
         certificate=3.0 * fit2.certificate,
     )
-
-
-def depth_requirement(
-    n: int,
-    m: int,
-    D: int,
-    lam_n: float,
-    c0: float,
-    barron_d1: float,
-    C_universal: float = 1.0,
-) -> float:
-    """Depth threshold C * max of the four over-parametrization terms.
-
-    The four terms are (m^4 D^6 c0^2 B^2)^6, (96 n m^2 / lam)^(3/2),
-    n (1 + D) / lam, and n^2 ln(2n) / lam^2, with B the norm bound of the
-    target in its flow-induced space; the universal constant has no stated
-    value and is exposed as an input.
-    """
-    if min(n, m, D) < 1:
-        raise ValueError(f"n, m, D must be positive, got {(n, m, D)}")
-    if not lam_n > 0:
-        raise ValueError(f"lam_n must be positive, got {lam_n}")
-    if not (c0 > 0 and barron_d1 > 0 and C_universal > 0):
-        raise ValueError("c0, barron_d1, and C_universal must be positive")
-    t1 = (m ** 4 * D ** 6 * c0 ** 2 * barron_d1 ** 2) ** 6
-    t2 = (96.0 * n * m ** 2 / lam_n) ** 1.5
-    t3 = n * (1.0 + D) / lam_n
-    t4 = n ** 2 * math.log(2.0 * n) / lam_n ** 2
-    return C_universal * max(t1, t2, t3, t4)

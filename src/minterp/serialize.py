@@ -78,7 +78,7 @@ def resnet_to_dict(theta: ResNet) -> dict:
                 "U": [list(map(float, row)) for row in U],
                 "W": [list(map(float, row)) for row in W],
             }
-            for U, W in theta.layers
+            for U, W in zip(theta.U, theta.W)
         ],
     }
     canonical = canonical_injection(theta.d, theta.D)
@@ -88,15 +88,14 @@ def resnet_to_dict(theta: ResNet) -> dict:
 
 
 def resnet_from_dict(obj: dict) -> ResNet:
-    layers = tuple(
-        (np.asarray(layer["U"], dtype=float), np.asarray(layer["W"], dtype=float))
-        for layer in obj["layers"]
-    )
+    """Rebuild the stacks from per-layer U/W lists; ragged or no layers raise ValueError."""
+    U = np.asarray([layer["U"] for layer in obj["layers"]], dtype=float)
+    W = np.asarray([layer["W"] for layer in obj["layers"]], dtype=float)
     if "V" in obj:
         V = np.asarray(obj["V"], dtype=float)
     else:
         V = canonical_injection(int(obj["d"]), int(obj["D"]))
-    return ResNet(V=V, layers=layers, alpha=np.asarray(obj["alpha"], dtype=float))
+    return ResNet(V=V, U=U, W=W, alpha=np.asarray(obj["alpha"], dtype=float))
 
 
 def rf_model_to_dict(model: RandomFeatureModel) -> dict:

@@ -35,7 +35,7 @@ def resnet_eval_layers(theta, X: np.ndarray) -> np.ndarray:
     """Layer-by-layer forward pass at every column of X at once, unchunked."""
     Z = theta.V @ np.vstack([X, np.ones((1, X.shape[1]))])
     L = theta.L
-    for U, W in theta.layers:
+    for U, W in zip(theta.U, theta.W):
         Z = Z + U @ np.maximum(W @ Z, 0.0) / L
     return theta.alpha @ Z
 
@@ -47,9 +47,48 @@ def resnet_eval(theta, x: np.ndarray) -> float:
         raise ValueError(f"expected x of shape ({theta.d},), got {x.shape}")
     z = theta.V @ np.append(x, 1.0)
     L = theta.L
-    for U, W in theta.layers:
+    for U, W in zip(theta.U, theta.W):
         z = z + U @ np.maximum(W @ z, 0.0) / L
     return float(theta.alpha @ z)
+
+
+def embed_two_layer_stacks(theta) -> tuple[np.ndarray, np.ndarray]:
+    """embed_two_layer's U and W, built one single-neuron layer at a time."""
+    d = theta.d
+    D = d + 2
+    Us, Ws = [], []
+    for j in range(theta.m):
+        U = np.zeros((D, 1))
+        U[D - 1, 0] = theta.a[j]
+        W = np.zeros((1, D))
+        W[0, :d] = theta.B[j]
+        W[0, d] = theta.c[j]
+        Us.append(U)
+        Ws.append(W)
+    return np.stack(Us), np.stack(Ws)
+
+
+def resnet_add_stacks(theta1, theta2) -> tuple[np.ndarray, np.ndarray]:
+    """resnet_add's U and W, built one block-diagonal layer at a time.
+
+    Layer l of a net of depth L_i < L is its U_l scaled by L / L_i, or zero
+    past its depth: the identity padding resnet_add applies first.
+    """
+    L = max(theta1.L, theta2.L)
+    D1, m1, D2, m2 = theta1.D, theta1.m, theta2.D, theta2.m
+    Us, Ws = [], []
+    for l in range(L):
+        U = np.zeros((D1 + D2, m1 + m2))
+        W = np.zeros((m1 + m2, D1 + D2))
+        if l < theta1.L:
+            U[:D1, :m1] = theta1.U[l] * (L / theta1.L)
+            W[:m1, :D1] = theta1.W[l]
+        if l < theta2.L:
+            U[D1:, m1:] = theta2.U[l] * (L / theta2.L)
+            W[m1:, D1:] = theta2.W[l]
+        Us.append(U)
+        Ws.append(W)
+    return np.stack(Us), np.stack(Ws)
 
 
 def sphere_value(A: np.ndarray, xi_over_n: np.ndarray, w: np.ndarray) -> float:

@@ -1,0 +1,25 @@
+"""Every demo script runs to completion against the current public API."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert DEMOS, "no demo scripts found"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[path.stem for path in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    # TMPDIR keeps the scratch directories a demo makes inside tmp_path
+    env = dict(os.environ, PYTHONPATH=path, TMPDIR=str(tmp_path))
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -10,7 +10,6 @@ from minterp import (
     min_norm_solve,
     smallest_eigenvalue,
     smallest_singular_value,
-    spectral_norm,
 )
 from minterp.linalg import DEFAULT_RCOND
 
@@ -148,11 +147,6 @@ class TestSpectralHelpers:
         M = rng.standard_normal((8, 8))
         K = M @ M.T
         assert smallest_eigenvalue(K) == pytest.approx(np.linalg.eigvalsh(K)[0])
-
-    def test_spectral_norm(self):
-        rng = np.random.default_rng(7)
-        M = rng.standard_normal((5, 9))
-        assert spectral_norm(M) == pytest.approx(np.linalg.svd(M, compute_uv=False)[0])
 
     def test_smallest_singular_value(self):
         rng = np.random.default_rng(8)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from minterp import (
@@ -9,6 +11,7 @@ from minterp import (
     RELU_L1SPHERE,
     FeatureFamily,
     RandomFeatureModel,
+    SingularSystemError,
     UnderParametrizedError,
     concentration_check,
     concentration_width,
@@ -153,6 +156,25 @@ class TestMinNormInterpolant:
         lhs = np.linalg.norm(a) ** 2 / 512
         rhs = rkhs_norm_bound(kernel_empirical(Phi), y)
         assert lhs == pytest.approx(rhs, rel=1e-8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 3), n=st.integers(1, 20), extra=st.integers(0, 60),
+           tag=st.sampled_from([RELU_L1SPHERE, RANDOM_FOURIER]), seed=st.integers(0, 2**32 - 2))
+    def test_orthogonal_to_null_space(self, d, n, extra, tag, seed):
+        # the minimum-norm solution lies in the row space of Phi.  Rounding
+        # leaves a null-space part of at most m eps cond(Phi) ||a|| (m >= n)
+        # (3000 seeded draws peaked at a third of that)
+        m = n + extra
+        rng = np.random.default_rng(seed)
+        fam = FeatureFamily(tag=tag)
+        Phi = fam.features(fam.sample_params(d, m, seed), rng.uniform(-1, 1, (d, n)))
+        try:
+            a = min_l2_interpolant(Phi, rng.uniform(-1, 1, n))
+        except SingularSystemError:
+            reject()  # a rank-deficient draw has no interpolant to test
+        _, s, Vt = np.linalg.svd(Phi)
+        null_part = np.linalg.norm(Vt[n:] @ a)
+        assert null_part <= m * np.finfo(float).eps * (s[0] / s[-1]) * np.linalg.norm(a)
 
     def test_underparametrized_rejected(self):
         Phi = np.ones((10, 5))

@@ -1,15 +1,12 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from minterp import (
     ResNet,
     canonical_injection,
-    depth_requirement,
     embed_two_layer,
     interpolate_resnet,
     make_teacher,
@@ -27,14 +24,14 @@ from minterp import (
 from minterp import resnet
 from minterp.two_layer import TwoLayerNet
 
-from _oracles import resnet_eval, resnet_eval_layers
+from _oracles import embed_two_layer_stacks, resnet_add_stacks, resnet_eval, resnet_eval_layers
 
 
 def norm_by_matrix_product(theta):
     # explicit product formula, the dual route to the vector recursion
     D = theta.D
     P = np.eye(D)
-    for U, W in theta.layers:
+    for U, W in zip(theta.U, theta.W):
         P = P @ (np.eye(D) + 3.0 / theta.L * np.abs(U) @ np.abs(W))
     return float(np.abs(theta.alpha) @ P @ np.abs(theta.V) @ np.ones(theta.d + 1))
 
@@ -53,6 +50,15 @@ class TestEvalAndNorm:
                 norm_by_matrix_product(net), rel=1e-12
             )
 
+    def test_random_resnet_draws_layer_by_layer(self):
+        # U_0, W_0, U_1, W_1, ..., then alpha: the seed stream of the verify suites
+        net = random_resnet(2, L=3, D=4, m=2, scale=0.5, seed=7)
+        rng = rng_from(7)
+        for l in range(3):
+            assert_array_equal(net.U[l], rng.normal(0.0, 0.5, size=(4, 2)))
+            assert_array_equal(net.W[l], rng.normal(0.0, 0.5, size=(2, 4)))
+        assert_array_equal(net.alpha, rng.normal(0.0, 1.0, size=4))
+
     def test_canonical_injection(self):
         V = canonical_injection(3, 6)
         assert V.shape == (6, 4)
@@ -61,8 +67,21 @@ class TestEvalAndNorm:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            ResNet(V=np.ones((2, 4)), layers=((np.ones((2, 3)), np.ones((3, 2))),),
+            ResNet(V=np.ones((2, 4)), U=np.ones((1, 2, 3)), W=np.ones((1, 3, 2)),
                    alpha=np.ones(2))  # D=2 < d+1=4
+
+    @pytest.mark.parametrize("U_shape, W_shape", [
+        ((3, 4, 2), (2, 2, 4)),  # W stacks fewer layers than U
+        ((3, 4, 2), (3, 1, 4)),  # W's width differs from U's
+        ((3, 4, 2), (3, 2, 5)),  # W reads a wider state than U writes
+        ((3, 5, 2), (3, 2, 5)),  # U writes a wider state than V injects
+        ((0, 4, 2), (0, 2, 4)),  # no layers
+        ((4, 2), (2, 4)),  # one layer, not stacked
+    ])
+    def test_mismatched_stacks_rejected(self, U_shape, W_shape):
+        with pytest.raises(ValueError):
+            ResNet(V=canonical_injection(2, 4), U=np.ones(U_shape), W=np.ones(W_shape),
+                   alpha=np.ones(4))
 
 
 class TestPadIdentityLayers:
@@ -98,6 +117,17 @@ class TestResnetAdd:
         norm_sum = weighted_path_norm(net1) + weighted_path_norm(net2)
         assert weighted_path_norm(total) == pytest.approx(norm_sum, rel=1e-12)
 
+    @pytest.mark.parametrize("L1, L2", [(3, 3), (3, 7), (5, 2)])
+    def test_stacks_match_per_layer_construction(self, L1, L2):
+        net1 = random_resnet(2, L=L1, D=4, m=2, seed=11)
+        net2 = embed_two_layer(random_two_layer(L2, 2, seed=12))
+        total = resnet_add(net1, net2)
+        U, W = resnet_add_stacks(net1, net2)
+        assert_array_equal(total.U, U)
+        assert_array_equal(total.W, W)
+        assert_array_equal(total.V, np.vstack([net1.V, net2.V]))
+        assert_array_equal(total.alpha, np.concatenate([net1.alpha, net2.alpha]))
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             resnet_add(random_resnet(2, 2, 4, 2, seed=8), random_resnet(3, 2, 5, 2, seed=9))
@@ -121,6 +151,19 @@ class TestEmbedTwoLayer:
         assert weighted_path_norm(embedded) == pytest.approx(
             3.0 * path_norm(theta), rel=1e-12
         )
+
+    def test_stacks_match_per_layer_construction(self):
+        theta = TwoLayerNet(
+            a=np.array([2.0, -1.5, 0.0]),
+            B=np.array([[0.5, -0.5], [1.0, 2.0], [-3.0, 0.25]]),
+            c=np.array([0.25, -1.0, 4.0]),
+        )
+        embedded = embed_two_layer(theta)
+        U, W = embed_two_layer_stacks(theta)
+        assert_array_equal(embedded.U, U)
+        assert_array_equal(embedded.W, W)
+        assert_array_equal(embedded.U[:, :, 0], [[0, 0, 0, 2.0], [0, 0, 0, -1.5], [0, 0, 0, 0]])
+        assert_array_equal(embedded.W[1, 0], [1.0, 2.0, -1.0, 0.0])
 
     def test_single_neuron(self):
         theta = TwoLayerNet(
@@ -265,30 +308,3 @@ class TestInterpolateResnet:
         assert fit.lambda_emp >= fit.lambda_target / 2
         assert_allclose(resnet_eval_batch(fit.net, data.X), data.y, atol=1e-8)
         assert np.array_equal(fit.fitted, resnet_eval_batch(fit.net, data.X))
-
-
-class TestDepthRequirement:
-    def test_all_ones_case(self):
-        # max(1, 96^{3/2}, 2, ln 2) = 96^{3/2}
-        want = 96.0 ** 1.5
-        assert depth_requirement(1, 1, 1, 1.0, 1.0, 1.0) == pytest.approx(want)
-
-    def test_scales_with_constant(self):
-        base = depth_requirement(4, 8, 3, 0.5, 1.0, 2.0)
-        assert depth_requirement(4, 8, 3, 0.5, 1.0, 2.0, C_universal=3.0) == pytest.approx(
-            3.0 * base
-        )
-
-    def test_monotone_in_n(self):
-        # with m = D = 1 the n-independent term is 1, so the eigenvalue
-        # terms take over and the requirement grows strictly with n
-        lo = depth_requirement(4, 1, 1, 1e-3, 1.0, 1.0)
-        hi = depth_requirement(64, 1, 1, 1e-3, 1.0, 1.0)
-        assert hi > lo
-        assert lo == pytest.approx((96.0 * 4 / 1e-3) ** 1.5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            depth_requirement(0, 1, 1, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            depth_requirement(1, 1, 1, 0.0, 1.0, 1.0)

@@ -1,11 +1,19 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from minterp import (
+    RANDOM_FOURIER,
     RELU_L1SPHERE,
     FeatureFamily,
     RandomFeatureModel,
+    ResNet,
+    canonical_injection,
     make_teacher,
     random_resnet,
     rescale_teacher,
@@ -75,21 +83,37 @@ class TestRoundTrips:
         back = resnet_from_dict(obj)
         assert_array_equal(back.V, net.V)
         assert back.L == net.L and back.D == net.D and back.m == net.m
-        for (U1, W1), (U2, W2) in zip(back.layers, net.layers):
-            assert_array_equal(U1, U2)
-            assert_array_equal(W1, W2)
+        assert_array_equal(back.U, net.U)
+        assert_array_equal(back.W, net.W)
 
     def test_resnet_explicit_injection_preserved(self):
-        from minterp import ResNet
-
         base = random_resnet(d=2, L=2, D=4, m=2, scale=0.4, seed=25)
         V = base.V.copy()
         V[0, 1] = 0.5
-        net = ResNet(V=V, layers=base.layers, alpha=base.alpha)
+        net = ResNet(V=V, U=base.U, W=base.W, alpha=base.alpha)
         obj = resnet_to_dict(net)
         assert "V" in obj
         back = resnet_from_dict(obj)
         assert_array_equal(back.V, V)
+
+    def test_resnet_layers_are_per_layer_lists(self):
+        net = random_resnet(d=2, L=3, D=4, m=2, scale=0.4, seed=26)
+        layers = resnet_to_dict(net)["layers"]
+        assert len(layers) == 3
+        assert layers[1] == {"U": net.U[1].tolist(), "W": net.W[1].tolist()}
+
+    def test_resnet_empty_or_ragged_layers_rejected(self):
+        obj = resnet_to_dict(random_resnet(d=2, L=3, D=4, m=2, scale=0.4, seed=27))
+        with pytest.raises(ValueError):
+            resnet_from_dict(dict(obj, layers=[]))
+        ragged = [dict(layer) for layer in obj["layers"]]
+        ragged[1]["U"] = [row[:1] for row in ragged[1]["U"]]  # width 1 in one layer
+        with pytest.raises(ValueError):
+            resnet_from_dict(dict(obj, layers=ragged))
+        short = [dict(layer) for layer in obj["layers"]]
+        short[2]["W"] = short[2]["W"][:1]  # one layer's W drops a neuron
+        with pytest.raises(ValueError):
+            resnet_from_dict(dict(obj, layers=short))
 
     def test_rf_model(self):
         fam = FeatureFamily(tag=RELU_L1SPHERE)
@@ -107,6 +131,77 @@ class TestRoundTrips:
         write_json_report(path, teacher_to_dict(teacher))
         back = teacher_from_dict(load_json(path))
         assert_allclose(back.coefficients, teacher.coefficients)
+
+
+def through_json(to_dict, from_dict, obj):
+    return from_dict(json.loads(json.dumps(to_dict(obj), sort_keys=True)))
+
+
+# every finite double, subnormals and signed zeros included
+finite = st.floats(allow_nan=False, allow_infinity=False)
+EDGE = np.array([5e-324, -0.0, 1.7976931348623157e308, 0.1, -2.2250738585072014e-308])
+
+
+def float_arrays(shape):
+    return hnp.arrays(np.float64, shape, elements=finite)
+
+
+@st.composite
+def resnets(draw):
+    d, L, m = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    D = d + 1 + draw(st.integers(0, 2))
+    V = canonical_injection(d, D) if draw(st.booleans()) else draw(float_arrays((D, d + 1)))
+    return ResNet(V=V, U=draw(float_arrays((L, D, m))), W=draw(float_arrays((L, m, D))),
+                  alpha=draw(float_arrays((D,))))
+
+
+@st.composite
+def two_layer_nets(draw):
+    d, m = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    return TwoLayerNet(a=draw(float_arrays((m,))), B=draw(float_arrays((m, d))),
+                       c=draw(float_arrays((m,))))
+
+
+@st.composite
+def rf_models(draw):
+    d, m = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    family = FeatureFamily(
+        tag=draw(st.sampled_from([RELU_L1SPHERE, RANDOM_FOURIER])),
+        gamma=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+    )
+    return RandomFeatureModel(family=family, params=draw(float_arrays((m, d + 1))),
+                              coefficients=draw(float_arrays((m,))))
+
+
+class TestJsonRoundTripsAreExact:
+    """to_dict -> json.dumps -> json.loads -> from_dict returns the same arrays."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(net=resnets())
+    @example(net=ResNet(V=np.outer(EDGE, [1.0, -1.0]), U=EDGE.reshape(1, 5, 1),
+                        W=EDGE[::-1].reshape(1, 1, 5), alpha=EDGE))
+    def test_resnet(self, net):
+        back = through_json(resnet_to_dict, resnet_from_dict, net)
+        for name in ("V", "U", "W", "alpha"):
+            assert_array_equal(getattr(back, name), getattr(net, name))
+
+    @settings(max_examples=40, deadline=None)
+    @given(net=two_layer_nets())
+    @example(net=TwoLayerNet(a=EDGE, B=np.outer(EDGE, [1.0, 0.5]), c=EDGE[::-1]))
+    def test_two_layer(self, net):
+        back = through_json(two_layer_to_dict, two_layer_from_dict, net)
+        for name in ("a", "B", "c"):
+            assert_array_equal(getattr(back, name), getattr(net, name))
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=rf_models())
+    @example(model=RandomFeatureModel(family=FeatureFamily(tag=RANDOM_FOURIER, gamma=5e-324),
+                                      params=np.outer(EDGE, [1.0, -1.0]), coefficients=EDGE))
+    def test_rf_model(self, model):
+        back = through_json(rf_model_to_dict, rf_model_from_dict, model)
+        assert back.family == model.family
+        assert_array_equal(back.params, model.params)
+        assert_array_equal(back.coefficients, model.coefficients)
 
 
 class TestDetectModelKind:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from minterp import (
@@ -87,6 +89,21 @@ class TestSumNetworks:
     def test_path_norm_is_exactly_additive(self):
         n1, n2 = random_net(7, 3, seed=7), random_net(2, 3, seed=8)
         total = sum_networks(n1, n2)
+        assert path_norm(total) == pytest.approx(path_norm(n1) + path_norm(n2), rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 4), m1=st.integers(1, 40), m2=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 2))
+    def test_value_and_path_norm_add(self, d, m1, m2, seed):
+        n1, n2 = random_net(m1, d, seed), random_net(m2, d, seed + 1)
+        total = sum_networks(n1, n2)
+        assert total.m == m1 + m2
+        X = np.random.default_rng(seed).uniform(-1, 1, (d, 64))
+        want = two_layer_eval_batch(n1, X) + two_layer_eval_batch(n2, X)
+        # the rescaled terms are summed in another order: equal up to
+        # rounding, relative to the largest value
+        err = np.abs(two_layer_eval_batch(total, X) - want).max()
+        assert err <= 1e-12 * max(1.0, np.abs(want).max())
         assert path_norm(total) == pytest.approx(path_norm(n1) + path_norm(n2), rel=1e-12)
 
     def test_concat_averages(self):
