@@ -17,7 +17,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-work = Path(tempfile.mkdtemp(prefix="minterp_demo_"))
 config = {
     "model": "rf",
     "d_grid": [3],
@@ -28,8 +27,6 @@ config = {
     "n_test": 2000,
     "seed": 7,
 }
-cfg_path = work / "config.json"
-cfg_path.write_text(json.dumps(config))
 
 
 def cli(*args):
@@ -39,16 +36,21 @@ def cli(*args):
         print(f"  {line}")
 
 
-print("scale study, twice with different thread counts:")
-cli("scale-study", "--config", str(cfg_path), "--out", str(work / "a"), "--threads", "1")
-cli("scale-study", "--config", str(cfg_path), "--out", str(work / "b"), "--threads", "4")
+with tempfile.TemporaryDirectory(prefix="minterp_demo_") as tmp:
+    work = Path(tmp)
+    cfg_path = work / "config.json"
+    cfg_path.write_text(json.dumps(config))
 
-a = (work / "a" / "scale_study.csv").read_bytes()
-b = (work / "b" / "scale_study.csv").read_bytes()
-print(f"\nbyte-identical outputs: {a == b}")
+    print("scale study, twice with different thread counts:")
+    cli("scale-study", "--config", str(cfg_path), "--out", str(work / "a"), "--threads", "1")
+    cli("scale-study", "--config", str(cfg_path), "--out", str(work / "b"), "--threads", "4")
 
-summary = json.loads((work / "a" / "scale_study_summary.json").read_text())["summary"]
-print(f"fitted log-log slope of median test risk: {summary['slope']:.3f}")
-print(f"{'n':>5} {'median risk':>12} {'q25':>10} {'q75':>10}")
-for n, stats in sorted(summary["per_n"].items(), key=lambda kv: int(kv[0])):
-    print(f"{n:>5} {stats['median']:>12.3e} {stats['q25']:>10.3e} {stats['q75']:>10.3e}")
+    a = (work / "a" / "scale_study.csv").read_bytes()
+    b = (work / "b" / "scale_study.csv").read_bytes()
+    print(f"\nbyte-identical outputs: {a == b}")
+
+    summary = json.loads((work / "a" / "scale_study_summary.json").read_text())["summary"]
+    print(f"fitted log-log slope of median test risk: {summary['slope']:.3f}")
+    print(f"{'n':>5} {'median risk':>12} {'q25':>10} {'q75':>10}")
+    for n, stats in sorted(summary["per_n"].items(), key=lambda kv: int(kv[0])):
+        print(f"{n:>5} {stats['median']:>12.3e} {stats['q25']:>10.3e} {stats['q75']:>10.3e}")

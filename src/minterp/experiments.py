@@ -533,7 +533,7 @@ def run_verify_lemma(config: ExperimentConfig, threads: int = 1) -> StudyResult:
     return StudyResult(columns=tuple(columns), rows=tuple(rows), summary=summary, config=config)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelFit:
     """One family's interpolant and everything the studies and `minterp fit` read.
 

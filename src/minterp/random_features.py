@@ -29,6 +29,9 @@ _QUADRATURE_CHUNK = 65536
 # Rows of each feature block kernel_exact multiplies out; (4096, n) blocks
 # stay in cache where one (n, 65536) block does not.
 _QUADRATURE_SUB_BLOCK = 4096
+# Rows and columns of each tile _feature_sum multiplies out: one (256, 256)
+# float64 pre-activation tile is 512 KB and stays in L2.
+_FEATURE_TILE = 256
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,7 @@ class FeatureFamily:
         return np.cos(block, out=block)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RandomFeatureModel:
     """Fixed random features with trained output coefficients.
 
@@ -115,24 +118,41 @@ class RandomFeatureModel:
         """||a|| / sqrt(m), the radius of the coefficient ball containing the model."""
         return float(np.linalg.norm(self.coefficients) / math.sqrt(self.m))
 
-    def predict(self, X: np.ndarray, chunk_size: int = 1024) -> np.ndarray:
-        """Evaluate at every column of X, chunked so n_test * m never materializes."""
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Evaluate at every column of X in cache-sized tiles; no (m, n) array is formed."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[0] != self.d:
             raise ValueError(f"expected inputs of shape ({self.d}, n), got {X.shape}")
-        return _map_column_chunks(
-            lambda block: self.coefficients @ self.family._activations(self.params, block) / self.m,
-            X, chunk_size,
-        )
+        relu = self.family.tag == RELU_L1SPHERE
+        return _feature_sum(self.coefficients, self.params, X, relu=relu) / self.m
 
 
-def _map_column_chunks(fn, X: np.ndarray, chunk_size: int = 1024) -> np.ndarray:
-    """fn applied to column blocks of X of at most chunk_size columns, concatenated."""
-    n = X.shape[1]
+def _feature_sum(a: np.ndarray, W: np.ndarray, X: np.ndarray, relu: bool = True) -> np.ndarray:
+    """sum_j a_j phi(W_j . (x, 1)) at every column x of X, without any 1/m prefactor.
+
+    W is the augmented (m, d+1) weight matrix; phi is relu, or cos when
+    relu is False.  X is walked in _FEATURE_TILE-column tiles with a row of
+    ones appended, so the bias sits inside the product, and each tile is
+    multiplied by _FEATURE_TILE-row weight tiles: the working set is one
+    (_FEATURE_TILE, _FEATURE_TILE) pre-activation array, whatever m and n.
+    """
+    d, n = X.shape
+    m = W.shape[0]
     out = np.empty(n)
-    for start in range(0, n, chunk_size):
-        stop = min(start + chunk_size, n)
-        out[start:stop] = fn(X[:, start:stop])
+    for start in range(0, n, _FEATURE_TILE):
+        stop = min(start + _FEATURE_TILE, n)
+        Xt = np.empty((d + 1, stop - start))
+        Xt[:d] = X[:, start:stop]
+        Xt[d] = 1.0
+        acc = np.zeros(stop - start)
+        for row in range(0, m, _FEATURE_TILE):
+            pre = W[row : row + _FEATURE_TILE] @ Xt
+            if relu:
+                np.maximum(pre, 0.0, out=pre)
+            else:
+                np.cos(pre, out=pre)
+            acc += a[row : row + _FEATURE_TILE] @ pre
+        out[start:stop] = acc
     return out
 
 
@@ -316,7 +336,7 @@ def fourier_kernel_closed_form(X: np.ndarray, gamma: float) -> np.ndarray:
     return 0.5 * np.exp(-(gamma ** 2) * sq / 2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RandomFeatureFit:
     """A fitted minimum-norm random feature interpolant plus its audit numbers.
 

@@ -13,13 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .random_features import _map_column_chunks, reference_lambda_min
+from .random_features import _feature_sum, reference_lambda_min
 from .sampling import Dataset
 from .seeding import derive_seed, rng_from
-from .two_layer import TwoLayerNet, _relu_sum, fit_residual_net, path_norm
+from .two_layer import TwoLayerNet, fit_residual_net, path_norm
+
+# Inputs per block of resnet_eval_batch's layer loop, which holds a (D, block) state.
+_LAYER_LOOP_CHUNK = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResNet:
     """Residual network: injection V (D, d+1), readout alpha (D,), and the
     layer weights stacked as U (L, D, m) and W (L, m, D)."""
@@ -75,64 +78,85 @@ def canonical_injection(d: int, D: int) -> np.ndarray:
     return V
 
 
-def _two_layer_form(theta: ResNet):
-    """(lin, a, B, c) with f(x) = lin . x~ + a . relu(B x + c), or None.
+def _disjoint_stacks(theta: ResNet):
+    """The layer stacks as U (D, L*m) and W (L*m, D), or None if the layers interact.
 
-    When no coordinate that some U_l writes is read by any W_l, every
-    layer sees W_l z_l = W_l z_0 with z_0 = V x~, x~ = (x, 1), so the net
-    is one two-layer evaluation:
-    f(x) = alpha V x~ + sum_l (alpha^T U_l / L) relu(W_l V x~).
-    Every net interpolate_resnet builds has this structure.  Neurons whose
-    outer weight is exactly 0 (identity-padding layers) are dropped.
+    They do not interact when no coordinate that some U_l writes (a
+    nonzero row of U) is read by any W_l (a nonzero column of W).  Then
+    W_l z_l = W_l z_0 at every layer, and both the forward pass and the
+    weighted path norm reduce to one product over the stacks.  Every net
+    interpolate_resnet builds has this structure.
     """
     U = theta.U.transpose(1, 0, 2).reshape(theta.D, -1)
     W = theta.W.reshape(-1, theta.D)
     if np.any(U.any(axis=1) & W.any(axis=0)):
         return None
+    return U, W
+
+
+def _two_layer_form(theta: ResNet):
+    """(lin, a, inner) with f(x) = lin . x~ + a . relu(inner x~), x~ = (x, 1), or None.
+
+    For nets with _disjoint_stacks, z_0 = V x~ and
+    f(x) = alpha V x~ + sum_l (alpha^T U_l / L) relu(W_l V x~), one
+    two-layer evaluation with augmented inner weights inner = W V.
+    Neurons whose outer weight is exactly 0 (identity-padding layers) are
+    dropped.
+    """
+    stacks = _disjoint_stacks(theta)
+    if stacks is None:
+        return None
+    U, W = stacks
     outer = theta.alpha @ U / theta.L
     keep = outer != 0.0
-    inner = W[keep] @ theta.V
-    return theta.alpha @ theta.V, outer[keep], inner[:, :-1], inner[:, -1]
+    return theta.alpha @ theta.V, outer[keep], W[keep] @ theta.V
 
 
 def resnet_eval_batch(theta: ResNet, X: np.ndarray) -> np.ndarray:
-    """Forward pass at every column of X (shape (d, n)), 1024 columns at a time.
+    """Forward pass at every column of X (shape (d, n)).
 
-    Nets with disjoint U writes and W reads (see _two_layer_form) are
-    evaluated in one pass; any other net runs the layer loop.
+    Nets with disjoint U writes and W reads (see _disjoint_stacks) are
+    evaluated in one tiled two-layer pass; any other net runs the layer
+    loop, _LAYER_LOOP_CHUNK columns at a time.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != theta.d:
         raise ValueError(f"expected X of shape ({theta.d}, n), got {X.shape}")
     form = _two_layer_form(theta)
     if form is not None:
-        lin, a, B, c = form
+        lin, a, inner = form
+        return lin[:-1] @ X + lin[-1] + _feature_sum(a, inner, X)
 
-        def block(Xc: np.ndarray) -> np.ndarray:
-            return lin[:-1] @ Xc + lin[-1] + _relu_sum(a, B, c, Xc)
-
-    else:
-        L = theta.L
-
-        def block(Xc: np.ndarray) -> np.ndarray:
-            Z = theta.V @ np.vstack([Xc, np.ones((1, Xc.shape[1]))])
-            for U, W in zip(theta.U, theta.W):
-                Z = Z + U @ np.maximum(W @ Z, 0.0) / L
-            return theta.alpha @ Z
-
-    return _map_column_chunks(block, X)
+    n = X.shape[1]
+    out = np.empty(n)
+    for start in range(0, n, _LAYER_LOOP_CHUNK):
+        Xc = X[:, start : start + _LAYER_LOOP_CHUNK]
+        Z = theta.V @ np.vstack([Xc, np.ones((1, Xc.shape[1]))])
+        for U, W in zip(theta.U, theta.W):
+            Z = Z + U @ np.maximum(W @ Z, 0.0) / theta.L
+        out[start : start + _LAYER_LOOP_CHUNK] = theta.alpha @ Z
+    return out
 
 
 def weighted_path_norm(theta: ResNet) -> float:
-    """|alpha|^T prod_l (I + (3/L)|U_l||W_l|) |V| 1, as a vector recursion.
+    """|alpha|^T prod_l (I + (3/L)|U_l||W_l|) |V| 1.
 
-    The row vector starts at |alpha| and absorbs one factor per step, so
-    the D x D product is never materialized; cost O(L D m).
+    For nets with _disjoint_stacks every cross term |U_k||W_k||U_l||W_l|
+    vanishes, so the product telescopes to I + (3/L)|U||W| on the stacks
+    and the row vector is |alpha| + (3/L)|W|^T(|U|^T|alpha|), one stacked
+    product.  Any other net runs the vector recursion, which absorbs one
+    factor per layer and never materializes the D x D product; cost O(L D m).
     """
-    u = np.abs(theta.alpha)
+    a = np.abs(theta.alpha)
     L = theta.L
-    for U, W in zip(np.abs(theta.U), np.abs(theta.W)):
-        u = u + (3.0 / L) * (W.T @ (U.T @ u))
+    stacks = _disjoint_stacks(theta)
+    if stacks is not None:
+        U, W = stacks
+        u = a + (3.0 / L) * (np.abs(W).T @ (np.abs(U).T @ a))
+    else:
+        u = a
+        for U, W in zip(np.abs(theta.U), np.abs(theta.W)):
+            u = u + (3.0 / L) * (W.T @ (U.T @ u))
     return float(u @ (np.abs(theta.V) @ np.ones(theta.d + 1)))
 
 
@@ -221,7 +245,7 @@ def random_resnet(
     return ResNet(V=canonical_injection(d, D), U=U, W=W, alpha=alpha)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResNetFit:
     """interpolate_resnet output: the interpolant and its norm decomposition.
 

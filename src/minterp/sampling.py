@@ -19,7 +19,7 @@ from .seeding import derive_seed, rng_from
 _L1_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TeacherFunction:
     """Finite-atom target: coefficients (K,) and unit-l1 directions (K, d+1)."""
 
@@ -49,7 +49,7 @@ class TeacherFunction:
         return self.coefficients.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Paired samples with inputs in [-1, 1]^d (columns of X) and labels in [-1, 1]."""
 

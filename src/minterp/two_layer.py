@@ -19,7 +19,7 @@ from .linalg import min_norm_solve, smallest_singular_value
 from .random_features import (
     FeatureFamily,
     RELU_L1SPHERE,
-    _map_column_chunks,
+    _feature_sum,
     eigen_min,
     kernel_empirical,
     reference_lambda_min,
@@ -34,7 +34,7 @@ from .sampling import (
 from .seeding import derive_seed, rng_from
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoLayerNet:
     """Width-m ReLU network f(x) = (1/m) sum_j a_j relu(b_j . x + c_j)."""
 
@@ -63,21 +63,12 @@ class TwoLayerNet:
         return self.B.shape[1]
 
 
-def _relu_sum(a: np.ndarray, B: np.ndarray, c: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """a . relu(B x + c) at every column x of X, without the 1/m prefactor."""
-    pre = B @ X
-    pre += c[:, None]
-    return a @ np.maximum(pre, 0.0, out=pre)
-
-
 def two_layer_eval_batch(theta: TwoLayerNet, X: np.ndarray) -> np.ndarray:
-    """Evaluate at every column of X (shape (d, n)), chunked like RandomFeatureModel.predict."""
+    """Evaluate at every column of X (shape (d, n)) in tiles, like RandomFeatureModel.predict."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != theta.d:
         raise ValueError(f"expected X of shape ({theta.d}, n), got {X.shape}")
-    return _map_column_chunks(
-        lambda Xc: _relu_sum(theta.a, theta.B, theta.c, Xc) / theta.m, X
-    )
+    return _feature_sum(theta.a, np.column_stack([theta.B, theta.c]), X) / theta.m
 
 
 def path_norm(theta: TwoLayerNet) -> float:
@@ -118,7 +109,7 @@ def sum_networks(theta1: TwoLayerNet, theta2: TwoLayerNet) -> TwoLayerNet:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidualFit:
     """fit_residual_net output: the network plus its norm certificate.
 
@@ -213,7 +204,7 @@ def fit_residual_net(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TeacherFit:
     """approximate_teacher output: the subsampled network and its fit report."""
 
@@ -256,7 +247,7 @@ def approximate_teacher(
     return TeacherFit(net=net, empirical_risk=risk, path_norm=path_norm(net), draw_index=t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompositeFit:
     """interpolate_two_layer output: the interpolant plus the norm audit.
 

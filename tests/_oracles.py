@@ -52,6 +52,33 @@ def resnet_eval(theta, x: np.ndarray) -> float:
     return float(theta.alpha @ z)
 
 
+def weighted_path_norm_layers(theta) -> float:
+    """|alpha|^T prod_l (I + (3/L)|U_l||W_l|) |V| 1 by the vector recursion, one layer per step."""
+    u = np.abs(theta.alpha)
+    for U, W in zip(np.abs(theta.U), np.abs(theta.W)):
+        u = u + (3.0 / theta.L) * (W.T @ (U.T @ u))
+    return float(u @ (np.abs(theta.V) @ np.ones(theta.d + 1)))
+
+
+def feature_sum_gap_bound(a: np.ndarray, W: np.ndarray, X: np.ndarray,
+                          relu: bool = True) -> np.ndarray:
+    """Largest gap, per column x of X, between two roundings of sum_j a_j phi(W_j . (x, 1)).
+
+    Each rounding perturbs the (d+1)-term pre-activations by at most
+    (d+1) eps q, q = |W||x~|, which relu and cos (both 1-Lipschitz) pass on
+    unamplified, and the m-term sum with a by at most m eps |a|^T g, where
+    |phi| <= g: g = q for relu, g = 1 for cos.  cos itself adds up to 2 ulps
+    per term and a division by m half an ulp of the result.  To first order
+    in eps two roundings differ by at most eps (2(d+1) |a|^T q + (2m + 6) |a|^T g).
+    """
+    d, n = X.shape
+    m = W.shape[0]
+    q = np.abs(W) @ np.abs(np.vstack([X, np.ones((1, n))]))
+    g = q if relu else np.ones_like(q)
+    a = np.abs(a)
+    return np.finfo(float).eps * (2 * (d + 1) * (a @ q) + (2 * m + 6) * (a @ g))
+
+
 def embed_two_layer_stacks(theta) -> tuple[np.ndarray, np.ndarray]:
     """embed_two_layer's U and W, built one single-neuron layer at a time."""
     d = theta.d

@@ -23,3 +23,4 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert not list(tmp_path.glob("minterp_demo_*")), "demo left its scratch directory behind"

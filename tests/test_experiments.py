@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -291,6 +291,21 @@ class TestFitModel:
         assert isinstance(fit.threshold_met, bool)
         lower, upper = fit.rad_bounds(5)
         assert 0.0 <= lower <= upper * (1 + 1e-9)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_array_records_compare_by_identity(self, model):
+        # a field-wise == would compare arrays and raise; hash would hash them
+        cfg = ExperimentConfig(
+            model=model, d_grid=(2,), n_grid=(8,), n_atoms=8, m1=16, L_cap=272,
+            quadrature=20_000, rad_draws=4,
+        )
+        teacher = rescale_teacher(make_teacher(2, 8, 1.0, seed=1))
+        data = sample_dataset(teacher, 8, seed=2)
+        fit = fit_model(cfg, data, teacher, 256, fit_seed=3, approx_seed=4)
+        for record in (fit, fit.fit, fit.model, data, teacher):
+            twin = replace(record)
+            assert record == record and record != twin
+            assert len({record, twin, record}) == 2
 
     def test_cli_fit_uses_the_shared_fit(self, workdir, capsys):
         tmp_path, cfg = workdir

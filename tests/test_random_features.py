@@ -1,8 +1,10 @@
 import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -12,21 +14,25 @@ from minterp import (
     FeatureFamily,
     RandomFeatureModel,
     SingularSystemError,
+    TwoLayerNet,
     UnderParametrizedError,
     concentration_check,
     concentration_width,
     eigen_min,
+    embed_two_layer,
     fit_random_features,
     fourier_kernel_closed_form,
     kernel_empirical,
     kernel_exact,
     min_l2_interpolant,
+    resnet_eval_batch,
     ridgeless_coefficients,
     rkhs_norm_bound,
+    two_layer_eval_batch,
 )
-from minterp.random_features import reference_lambda_min
+from minterp.random_features import _FEATURE_TILE, reference_lambda_min
 
-from _oracles import kernel_exact_blocks
+from _oracles import feature_sum_gap_bound, kernel_exact_blocks
 
 RELU = FeatureFamily(tag=RELU_L1SPHERE)
 
@@ -190,31 +196,82 @@ class TestMinNormInterpolant:
         assert_allclose(fit.model.predict(X), y, atol=1e-10)
 
     def test_predict_chunking_consistent(self):
+        # each column's value depends only on its own tile of _FEATURE_TILE
+        # columns, so slices cut at tile boundaries reproduce it bit for bit
         X = np.random.default_rng(30).uniform(-1, 1, (2, 6))
         y = np.random.default_rng(31).uniform(-1, 1, 6)
-        fit = fit_random_features(X, y, RELU, 64, seed=32)
-        Xt = np.random.default_rng(33).uniform(-1, 1, (2, 500))
-        np.testing.assert_array_equal(
-            fit.model.predict(Xt, chunk_size=64), fit.model.predict(Xt, chunk_size=10_000)
-        )
+        fit = fit_random_features(X, y, RELU, 600, seed=32)
+        Xt = np.random.default_rng(33).uniform(-1, 1, (2, 700))
+        cuts = [0, _FEATURE_TILE, 2 * _FEATURE_TILE, 700]
+        pieces = [fit.model.predict(Xt[:, lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+        np.testing.assert_array_equal(fit.model.predict(Xt), np.concatenate(pieces))
 
     @pytest.mark.parametrize("tag", [RELU_L1SPHERE, RANDOM_FOURIER])
     def test_predict_equals_feature_matrix_route(self, tag):
+        # the tiled sum and Phi a / m round differently; they agree within
+        # the dot-product forward-error bound of feature_sum_gap_bound
         family = FeatureFamily(tag=tag, gamma=1.5)
-        W = family.sample_params(3, 300, seed=37)
-        a = np.random.default_rng(38).standard_normal(300)
-        Xt = np.random.default_rng(39).uniform(-1, 1, (3, 250))
+        W = family.sample_params(3, 700, seed=37)
+        a = np.random.default_rng(38).standard_normal(700)
+        Xt = np.random.default_rng(39).uniform(-1, 1, (3, 600))
         model = RandomFeatureModel(family=family, params=W, coefficients=a)
-        expected = np.concatenate(
-            [family.features(W, Xt[:, s:s + 100]) @ a / 300 for s in range(0, 250, 100)]
-        )
-        assert np.array_equal(model.predict(Xt, chunk_size=100), expected)
+        want = family.features(W, Xt) @ a / 700
+        bound = feature_sum_gap_bound(a, W, Xt, relu=tag == RELU_L1SPHERE) / 700
+        assert np.all(np.abs(model.predict(Xt) - want) <= bound)
 
     def test_predict_rejects_wrong_input_dimension(self):
         W = RELU.sample_params(3, 16, seed=40)
         model = RandomFeatureModel(family=RELU, params=W, coefficients=np.ones(16))
         with pytest.raises(ValueError):
             model.predict(np.zeros((2, 5)))
+
+
+class TestTiledFeatureSum:
+    """The one tiled kernel behind predict, two_layer_eval_batch and the one-pass resnet."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(1, 4), m=st.integers(1, 600), n=st.integers(1, 600),
+           seed=st.integers(0, 2**32 - 2))
+    @example(d=1, m=1, n=1, seed=0)
+    @example(d=4, m=257, n=513, seed=1)
+    @example(d=2, m=256, n=255, seed=2)
+    def test_every_caller_matches_feature_matrix_at_ragged_shapes(self, d, m, n, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(m)
+        X = rng.uniform(-1, 1, (d, n))
+        fourier = FeatureFamily(tag=RANDOM_FOURIER, gamma=1.5)
+        Wf = fourier.sample_params(d, m, seed)
+        got = RandomFeatureModel(family=fourier, params=Wf, coefficients=a).predict(X)
+        want = fourier.features(Wf, X) @ a / m
+        assert np.all(np.abs(got - want) <= feature_sum_gap_bound(a, Wf, X, relu=False) / m)
+
+        W = RELU.sample_params(d, m, seed)
+        net = TwoLayerNet(a=a, B=W[:, :-1], c=W[:, -1])
+        want = RELU.features(W, X) @ a / m
+        bound = feature_sum_gap_bound(a, W, X) / m
+        for got in (RandomFeatureModel(family=RELU, params=W, coefficients=a).predict(X),
+                    two_layer_eval_batch(net, X),
+                    resnet_eval_batch(embed_two_layer(net), X)):
+            assert got.shape == (n,)
+            assert np.all(np.abs(got - want) <= bound)
+
+    def test_memory_does_not_scale_with_width_times_inputs(self):
+        # one (m, 1024) activation block at m = 8192 was 64 MB; the tiles
+        # need one 512 KB pre-activation array plus the output
+        m = n = 8192
+        W = RELU.sample_params(4, m, seed=41)
+        a = np.random.default_rng(42).standard_normal(m)
+        X = np.random.default_rng(43).uniform(-1, 1, (4, n))
+        model = RandomFeatureModel(family=RELU, params=W, coefficients=a)
+        net = TwoLayerNet(a=a, B=W[:, :-1], c=W[:, -1])
+        for evaluate in (model.predict, partial(two_layer_eval_batch, net)):
+            tracemalloc.start()
+            try:
+                evaluate(X)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20 + 8 * n
 
 
 class TestRidgeless:

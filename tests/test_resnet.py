@@ -24,7 +24,13 @@ from minterp import (
 from minterp import resnet
 from minterp.two_layer import TwoLayerNet
 
-from _oracles import embed_two_layer_stacks, resnet_add_stacks, resnet_eval, resnet_eval_layers
+from _oracles import (
+    embed_two_layer_stacks,
+    resnet_add_stacks,
+    resnet_eval,
+    resnet_eval_layers,
+    weighted_path_norm_layers,
+)
 
 
 def norm_by_matrix_product(theta):
@@ -227,6 +233,17 @@ class TestResnetLaws:
         assert resnet._two_layer_form(net) is not None
         X = rng_from(seed).uniform(-1, 1, (d, n))
         assert_same_values(resnet_eval_batch(net, X), resnet_eval_layers(net, X))
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=dims, ma=widths, mb=widths, pad=st.integers(0, 9), seed=seeds)
+    @example(d=1, ma=1, mb=1, pad=0, seed=0)
+    def test_stacked_norm_matches_layer_recursion(self, d, ma, mb, pad, seed):
+        # the stacked product sums the same per-layer terms in another order
+        net = resnet_add(embed_two_layer(random_two_layer(ma, d, seed)),
+                         embed_two_layer(random_two_layer(mb, d, seed + 1)))
+        net = pad_identity_layers(net, net.L + pad)
+        assert resnet._disjoint_stacks(net) is not None
+        assert weighted_path_norm(net) == pytest.approx(weighted_path_norm_layers(net), rel=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(d=dims, L=depths, extra=st.integers(0, 9), embedded=st.booleans(), seed=seeds)

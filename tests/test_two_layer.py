@@ -53,7 +53,7 @@ class TestEvalAndNorm:
         assert_allclose(batch, point, rtol=1e-12)
 
     def test_batch_chunks_match_pointwise(self):
-        # m above and n not a multiple of the 1024-column evaluation chunk
+        # m and n span several 256-wide evaluation tiles; n is not a multiple of it
         net = random_net(1536, 3, seed=4)
         X = np.random.default_rng(5).uniform(-1, 1, (3, 2500))
         batch = two_layer_eval_batch(net, X)
