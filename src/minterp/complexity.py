@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import TeacherFunction, teacher_eval_batch
+from .sampling import TeacherFunction, _l1_sphere_rows, teacher_eval_batch
 from .seeding import derive_seed, rng_from
 
 RF_L2_BALL_EXACT_SUP = "rf_l2_ball_exact_sup"
@@ -211,9 +211,7 @@ def rad_path_ball(
         for t in range(c):
             xi[t] = sign_rng.integers(0, 2, size=n) * 2.0 - 1.0
             if n_starts > 0:
-                g = rng.exponential(size=(n_starts, D))
-                s = g / g.sum(axis=1, keepdims=True)
-                w0[t, 2 * D :] = s * (rng.integers(0, 2, size=(n_starts, D)) * 2 - 1)
+                w0[t, 2 * D :] = _l1_sphere_rows(rng, n_starts, D)
         vals[done : done + c] = C * _refine_sphere_max(A, xi / n, w0)
     mean, se = _mean_se(vals)
     est = RadEstimate(mean=mean, std_error=se, n_sign_draws=n_draws,

@@ -70,6 +70,9 @@ KINDS = ("verify-lemma", "scale-study", "bound-audit")
 DEFAULT_M_GRID = tuple(2 ** k for k in range(6, 15))
 
 _GRID_KEYS = ("n_grid", "m_grid", "L_grid", "d_grid")
+_COUNT_KEYS = ("trials", "n_atoms", "quadrature", "m1", "m2", "m_per_n", "n_test",
+               "max_resamples", "n_retry_draws", "m_cap", "L_cap", "rad_draws",
+               "probe_points")
 
 # Disjoint seed-index bases for the scale-study engine.  A trial adds
 # grid_index * trials + trial to a base, so the streams stay disjoint while
@@ -93,6 +96,11 @@ def check_resnet_widths(m1: int, L_cap: int) -> None:
         raise ValueError(
             f"resnet needs L_cap > m1 (teacher layers), got L_cap={L_cap}, m1={m1}"
         )
+
+
+def _is_int(value) -> bool:
+    """True for a Python or numpy integer; bools and integral floats are not counts."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -136,7 +144,10 @@ class ExperimentConfig:
     def __post_init__(self):
         for key in _GRID_KEYS:
             raw = getattr(self, key)
-            grid = (raw,) if isinstance(raw, (int, np.integer)) else tuple(int(v) for v in raw)
+            grid = (raw,) if isinstance(raw, (int, np.integer)) else tuple(raw)
+            if not all(_is_int(v) for v in grid):
+                raise ValueError(f"{key} entries must be integers, got {grid}")
+            grid = tuple(int(v) for v in grid)
             object.__setattr__(self, key, grid)
             if any(v < 1 for v in grid):
                 raise ValueError(f"{key} entries must be >= 1, got {grid}")
@@ -146,23 +157,22 @@ class ExperimentConfig:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        for key in ("seed",) + _COUNT_KEYS:
+            if not _is_int(getattr(self, key)):
+                raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        for key in ("n_atoms", "quadrature", "m1", "m2", "m_per_n", "n_test",
-                    "max_resamples", "n_retry_draws", "m_cap", "L_cap",
-                    "rad_draws", "probe_points"):
+        for key in _COUNT_KEYS:
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not self.width_factor > 0:
             raise ValueError(f"width_factor must be positive, got {self.width_factor}")
-        _family(self)  # rejects an unknown family tag and gamma <= 0
-        if self.lambda_target is not None and not self.lambda_target > 0:
+        _family(self)  # rejects an unknown family tag and a gamma not in (0, inf)
+        if self.lambda_target is not None and not 0 < self.lambda_target < math.inf:
             raise ValueError(
-                f"lambda_target must be positive or None, got {self.lambda_target}"
+                f"lambda_target must be positive and finite or None, got {self.lambda_target}"
             )
         if self.kind in ("scale-study", "bound-audit"):
             if len(self.n_grid) * self.trials >= _SEED_STRIDE:

@@ -90,11 +90,22 @@ def sample_l1_sphere(d: int, count: int, seed: int) -> np.ndarray:
         raise ValueError(f"d must be >= 1, got {d}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    rng = rng_from(seed)
-    g = rng.exponential(scale=1.0, size=(count, d + 1))
-    simplex = g / g.sum(axis=1, keepdims=True)
-    signs = rng.integers(0, 2, size=(count, d + 1)) * 2 - 1
-    return simplex * signs
+    return _l1_sphere_rows(rng_from(seed), count, d + 1)
+
+
+def _l1_sphere_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """``count`` uniform points on the unit l1 sphere of R^dim drawn from ``rng``.
+
+    Normalizes and signs the exponentials in place; the int64 signs are the
+    only other (count, dim) array.
+    """
+    g = rng.standard_exponential(size=(count, dim))
+    g /= g.sum(axis=1, keepdims=True)
+    signs = rng.integers(0, 2, size=(count, dim))
+    signs *= 2
+    signs -= 1
+    g *= signs
+    return g
 
 
 def make_teacher(d: int, n_atoms: int, coeff_scale: float, seed: int) -> TeacherFunction:
@@ -153,8 +164,12 @@ def teacher_eval_batch(f: TeacherFunction, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != f.d:
         raise ValueError(f"expected X of shape ({f.d}, n), got {X.shape}")
-    pre = f.directions[:, :-1] @ X + f.directions[:, -1][:, None]
-    return f.coefficients @ np.maximum(pre, 0.0) / f.n_atoms
+    return f.coefficients @ _atom_relu(f, X) / f.n_atoms
+
+
+def _atom_relu(f: TeacherFunction, X: np.ndarray) -> np.ndarray:
+    """relu(w_k . (x, 1)) for every atom k and column x of X, shape (K, n)."""
+    return np.maximum(f.directions[:, :-1] @ X + f.directions[:, -1][:, None], 0.0)
 
 
 def sample_dataset(f: TeacherFunction, n: int, seed: int) -> Dataset:

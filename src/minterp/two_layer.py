@@ -27,6 +27,7 @@ from .random_features import (
 from .sampling import (
     Dataset,
     TeacherFunction,
+    _atom_relu,
     barron_norm_upper,
     sample_l1_sphere,
     teacher_eval_batch,
@@ -224,8 +225,11 @@ def approximate_teacher(
     """Width-m1 network built by resampling the teacher's atoms.
 
     Samples m1 atoms with replacement (coefficients carried over), repeats
-    for n_retry_draws seeds, and keeps the draw with the smallest empirical
-    risk on X; the risk decays like 1/m1.
+    for n_retry_draws seeds, and keeps the first draw with the smallest
+    empirical risk on X; the risk decays like 1/m1.  Every draw is a
+    multiset of the same atoms, so each is scored from its atom counts
+    against the atoms' values a_k relu(w_k . (x, 1)), computed once; only
+    the chosen net is built, and its risk is evaluated from the net.
     """
     X = np.asarray(X, dtype=float)
     if m1 < 1:
@@ -235,15 +239,16 @@ def approximate_teacher(
     if n_retry_draws < 1:
         raise ValueError(f"n_retry_draws must be >= 1, got {n_retry_draws}")
     targets = teacher_eval_batch(f, X)
+    atoms = f.coefficients[:, None] * _atom_relu(f, X)
 
-    best = None
-    for t in range(n_retry_draws):
-        idx = rng_from(derive_seed(seed, t)).integers(0, f.n_atoms, size=m1)
-        net = TwoLayerNet(a=f.coefficients[idx], B=f.directions[idx, :-1], c=f.directions[idx, -1])
-        risk = 0.5 * float(np.mean((two_layer_eval_batch(net, X) - targets) ** 2))
-        if best is None or risk < best[0]:
-            best = (risk, net, t)
-    risk, net, t = best
+    draws = [rng_from(derive_seed(seed, t)).integers(0, f.n_atoms, size=m1)
+             for t in range(n_retry_draws)]
+    counts = np.stack([np.bincount(idx, minlength=f.n_atoms) for idx in draws])
+    scores = np.mean((counts @ atoms / m1 - targets) ** 2, axis=1)
+    t = int(np.argmin(scores))
+    idx = draws[t]
+    net = TwoLayerNet(a=f.coefficients[idx], B=f.directions[idx, :-1], c=f.directions[idx, -1])
+    risk = 0.5 * float(np.mean((two_layer_eval_batch(net, X) - targets) ** 2))
     return TeacherFit(net=net, empirical_risk=risk, path_norm=path_norm(net), draw_index=t)
 
 

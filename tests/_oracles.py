@@ -10,7 +10,9 @@ import numpy as np
 
 from minterp.complexity import _is_tie, _mean_se
 from minterp.random_features import _QUADRATURE_CHUNK
+from minterp.sampling import teacher_eval_batch
 from minterp.seeding import derive_seed, rng_from
+from minterp.two_layer import TwoLayerNet, two_layer_eval_batch
 
 
 def teacher_eval(f, x: np.ndarray) -> float:
@@ -20,6 +22,31 @@ def teacher_eval(f, x: np.ndarray) -> float:
         raise ValueError(f"expected x of shape ({f.d},), got {x.shape}")
     pre = f.directions[:, :-1] @ x + f.directions[:, -1]
     return float(f.coefficients @ np.maximum(pre, 0.0) / f.n_atoms)
+
+
+def sample_l1_sphere_formula(d: int, count: int, seed: int) -> np.ndarray:
+    """sample_l1_sphere as normalized exponentials times a separate sign array."""
+    rng = rng_from(seed)
+    g = rng.exponential(scale=1.0, size=(count, d + 1))
+    simplex = g / g.sum(axis=1, keepdims=True)
+    signs = rng.integers(0, 2, size=(count, d + 1)) * 2 - 1
+    return simplex * signs
+
+
+def approximate_teacher_draws(f, m1: int, X: np.ndarray, seed: int, n_retry_draws: int = 32):
+    """approximate_teacher's choice, building and evaluating every draw's net.
+
+    Returns (draw_index, net, risk) of the first draw with the smallest risk.
+    """
+    targets = teacher_eval_batch(f, X)
+    best = None
+    for t in range(n_retry_draws):
+        idx = rng_from(derive_seed(seed, t)).integers(0, f.n_atoms, size=m1)
+        net = TwoLayerNet(a=f.coefficients[idx], B=f.directions[idx, :-1], c=f.directions[idx, -1])
+        risk = 0.5 * float(np.mean((two_layer_eval_batch(net, X) - targets) ** 2))
+        if best is None or risk < best[2]:
+            best = (t, net, risk)
+    return best
 
 
 def two_layer_eval(theta, x: np.ndarray) -> float:

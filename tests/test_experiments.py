@@ -3,6 +3,7 @@ import re
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -19,7 +20,14 @@ from minterp import (
     write_study,
 )
 from minterp.cli import main
-from minterp.experiments import DEFAULT_M_GRID, MODELS, fit_model, result_basename
+from minterp.experiments import (
+    _COUNT_KEYS,
+    _GRID_KEYS,
+    DEFAULT_M_GRID,
+    MODELS,
+    fit_model,
+    result_basename,
+)
 from minterp.serialize import dataset_from_dict, load_json
 
 
@@ -75,11 +83,30 @@ class TestExperimentConfig:
             {"lambda_target": -1.0},
             {"family": "bogus"},
             {"gamma": 0.0},
+            {"gamma": float("inf"), "family": "random_fourier"},
+            {"lambda_target": float("inf")},
+            {"lambda_target": float("nan")},
         ],
     )
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
+
+    @pytest.mark.parametrize("key", ("seed",) + _COUNT_KEYS)
+    @pytest.mark.parametrize("value", [2e5, 32.0, True, "8"])
+    def test_non_integer_count_rejected_naming_key(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+            ExperimentConfig(**{key: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = ExperimentConfig(quadrature=np.int64(1000), trials=np.int32(2))
+        assert cfg.quadrature == 1000 and cfg.trials == 2
+
+    @pytest.mark.parametrize("key", _GRID_KEYS)
+    @pytest.mark.parametrize("grid", [(32.7,), (8, 16.0), (True,), ("8",)])
+    def test_non_integer_grid_entry_rejected_naming_key(self, key, grid):
+        with pytest.raises(ValueError, match=f"^{key} entries must be integers"):
+            ExperimentConfig(**{key: grid})
 
     def test_every_field_is_read(self):
         # a field that is validated and echoed but never read as config.<name>

@@ -30,7 +30,12 @@ from minterp import (
     rkhs_norm_bound,
     two_layer_eval_batch,
 )
-from minterp.random_features import _FEATURE_TILE, reference_lambda_min
+from minterp.random_features import (
+    _FEATURE_TILE,
+    _QUADRATURE_CHUNK,
+    _QUADRATURE_SUB_BLOCK,
+    reference_lambda_min,
+)
 
 from _oracles import feature_sum_gap_bound, kernel_exact_blocks
 
@@ -108,6 +113,42 @@ class TestKernels:
             K = kernel_exact(fam, X, quadrature_size=70_001, seed=21)
             want = kernel_exact_blocks(fam, X, 70_001, 21)
             assert np.abs(K - want).max() <= 1e-14 * np.abs(want).max()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        d=st.integers(1, 6),
+        quadrature=st.one_of(
+            st.integers(1, 3 * _QUADRATURE_SUB_BLOCK + 1),
+            st.integers(_QUADRATURE_CHUNK - 2, _QUADRATURE_CHUNK + _QUADRATURE_SUB_BLOCK + 1),
+        ),
+        relu=st.booleans(),
+        seed=st.integers(0, 2**32),
+    )
+    def test_kernel_exact_matches_per_block_oracle_property(self, n, d, quadrature, relu, seed):
+        fam = RELU if relu else FeatureFamily(tag=RANDOM_FOURIER, gamma=1.5)
+        X = np.random.default_rng(seed).uniform(-1, 1, (d, n))
+        K = kernel_exact(fam, X, quadrature_size=quadrature, seed=seed)
+        want = kernel_exact_blocks(fam, X, quadrature, seed)
+        assert np.abs(K - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n, blocks", [(512, 1), (256, 2)])
+    def test_kernel_exact_memory_is_one_buffer_per_block(self, n, blocks):
+        # the peak holds K, the F^T F product, one (1024, n) feature buffer
+        # and, while a seed block is drawn, its exponentials and int64 signs,
+        # but no earlier block, with 1 MB to spare: 14 MB at n = 512, where
+        # one (4096, 512) feature block alone took 16 MB
+        d = 4
+        X = np.random.default_rng(44).uniform(-1, 1, (d, n))
+        bound = 8 * 1024 * n + 2 * 8 * n * n + 2 * 8 * _QUADRATURE_CHUNK * (d + 1) + 2**20
+        for fam in (RELU, FeatureFamily(tag=RANDOM_FOURIER)):
+            tracemalloc.start()
+            try:
+                kernel_exact(fam, X, quadrature_size=blocks * _QUADRATURE_CHUNK, seed=45)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
 
     def test_kernel_exact_deterministic(self):
         X = np.random.default_rng(12).uniform(-1, 1, (2, 6))

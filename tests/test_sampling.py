@@ -15,7 +15,10 @@ from minterp import (
     teacher_eval_batch,
 )
 
-from _oracles import teacher_eval
+from minterp.sampling import _l1_sphere_rows
+from minterp.seeding import rng_from
+
+from _oracles import sample_l1_sphere_formula, teacher_eval
 
 
 class TestL1Sphere:
@@ -40,6 +43,14 @@ class TestL1Sphere:
     def test_covers_both_signs(self):
         W = sample_l1_sphere(1, 1000, seed=3)
         assert (W[:, 0] > 0).any() and (W[:, 0] < 0).any()
+
+    @pytest.mark.parametrize("d", [1, 4, 9])
+    @pytest.mark.parametrize("count", [1, 7, 1000, 65_536])
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+    def test_in_place_draw_matches_formula(self, d, count, seed):
+        want = sample_l1_sphere_formula(d, count, seed)
+        np.testing.assert_array_equal(_l1_sphere_rows(rng_from(seed), count, d + 1), want)
+        np.testing.assert_array_equal(sample_l1_sphere(d, count, seed), want)
 
 
 class TestTeacher:

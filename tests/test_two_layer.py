@@ -24,7 +24,7 @@ from minterp import (
     two_layer_eval_batch,
 )
 
-from _oracles import two_layer_eval
+from _oracles import approximate_teacher_draws, two_layer_eval
 
 
 def random_net(m, d, seed):
@@ -174,6 +174,12 @@ class TestApproximateTeacher:
         )
         assert fit.empirical_risk <= 1e-24
 
+    def test_tied_draws_keep_the_first(self):
+        # with one atom every draw is the same net, so every score ties
+        f = rescale_teacher(make_teacher(3, 1, 1.0, seed=23))
+        X = np.random.default_rng(24).uniform(-1, 1, (3, 20))
+        assert approximate_teacher(f, 16, X, seed=25, n_retry_draws=8).draw_index == 0
+
     def test_iid_risk_shrinks_with_width(self):
         f = rescale_teacher(make_teacher(3, 32, 1.0, seed=26))
         X = np.random.default_rng(27).uniform(-1, 1, (3, 24))
@@ -188,6 +194,27 @@ class TestApproximateTeacher:
         single = approximate_teacher(f, 8, X, seed=31, n_retry_draws=1)
         assert best.empirical_risk <= single.empirical_risk
         assert 0 <= best.draw_index < 16
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        n_atoms=st.integers(16, 64),
+        m1=st.integers(32, 600),
+        n=st.integers(1, 130),
+        n_retry_draws=st.integers(1, 32),
+        seed=st.integers(0, 2**32),
+    )
+    def test_count_scoring_matches_per_draw_loop(self, d, n_atoms, m1, n, n_retry_draws, seed):
+        # at least 16 atoms and 32 draws per net, so no two draws share a
+        # multiset of atoms and the per-draw risks cannot tie
+        f = rescale_teacher(make_teacher(d, n_atoms, 1.0, seed=seed))
+        X = np.random.default_rng(seed).uniform(-1, 1, (d, n))
+        fit = approximate_teacher(f, m1, X, seed=seed + 1, n_retry_draws=n_retry_draws)
+        t, net, risk = approximate_teacher_draws(f, m1, X, seed + 1, n_retry_draws)
+        assert fit.draw_index == t
+        for got, want in ((fit.net.a, net.a), (fit.net.B, net.B), (fit.net.c, net.c)):
+            np.testing.assert_array_equal(got, want)
+        assert fit.empirical_risk == risk
 
     def test_path_norm_bounded_by_max_coeff(self):
         f = rescale_teacher(make_teacher(2, 6, 1.0, seed=32))
