@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import TeacherFunction, _l1_sphere_rows, teacher_eval_batch
+from .sampling import TeacherFunction, _l1_sphere_rows, _random_signs, teacher_eval_batch
 from .seeding import derive_seed, rng_from
 
 RF_L2_BALL_EXACT_SUP = "rf_l2_ball_exact_sup"
@@ -82,7 +82,7 @@ def rad_rf_ball(
     done = 0
     while done < n_draws:
         c = min(chunk, n_draws - done)
-        Xi = rng.integers(0, 2, size=(n, c)) * 2.0 - 1.0
+        Xi = _random_signs(rng, np.ones((n, c)))
         vals[done : done + c] = np.linalg.norm(Phi.T @ Xi, axis=0)
         done += c
     vals *= C / (n * math.sqrt(m))
@@ -203,13 +203,13 @@ def rad_path_ball(
     chunk = max(1, min(n_draws, _BLOCK_ELEMENTS // (k * n)))
     for done in range(0, n_draws, chunk):
         c = min(chunk, n_draws - done)
-        xi = np.empty((c, n))
+        xi = np.ones((c, n))
         w0 = np.empty((c, k, D))
         w0[:, :D] = np.eye(D)
         w0[:, D : 2 * D] = -np.eye(D)
         # Draw by draw, so both streams match a one-draw-at-a-time search.
         for t in range(c):
-            xi[t] = sign_rng.integers(0, 2, size=n) * 2.0 - 1.0
+            _random_signs(sign_rng, xi[t])
             if n_starts > 0:
                 w0[t, 2 * D :] = _l1_sphere_rows(rng, n_starts, D)
         vals[done : done + c] = C * _refine_sphere_max(A, xi / n, w0)

@@ -652,17 +652,22 @@ def _fit_slope(ns, medians) -> float:
 
 
 def _bootstrap_slope_ci(risks_per_n: list, ns: list, seed: int, n_boot: int = 200):
-    rng = rng_from(seed)
-    slopes = []
-    for _ in range(n_boot):
-        medians = []
-        for risks in risks_per_n:
-            idx = rng.integers(0, len(risks), size=len(risks))
-            medians.append(float(np.median(np.asarray(risks)[idx])))
-        if all(v > 0 for v in medians):
-            slopes.append(_fit_slope(ns, medians))
-    if len(slopes) < n_boot // 2:
+    # One integers() call with a per-entry bound draws the stream that one
+    # resample per grid point per replicate would: each bound is that grid
+    # point's trial count.
+    counts = [len(risks) for risks in risks_per_n]
+    high = np.tile(np.repeat(counts, counts), n_boot)
+    idx = rng_from(seed).integers(0, high).reshape(n_boot, -1)
+    ends = np.cumsum(counts)
+    medians = np.column_stack([
+        np.median(np.asarray(risks)[idx[:, end - len(risks) : end]], axis=1)
+        for risks, end in zip(risks_per_n, ends)
+    ])
+    medians = medians[(medians > 0).all(axis=1)]
+    if len(medians) < n_boot // 2:
         return None
+    # One fit per replicate: a 2-D polyfit rounds differently from 8 grid points on.
+    slopes = [_fit_slope(ns, row) for row in medians]
     return (float(np.percentile(slopes, 2.5)), float(np.percentile(slopes, 97.5)))
 
 

@@ -9,6 +9,7 @@ labels are both exactly computable.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,8 @@ from .errors import ContractViolationError
 from .seeding import derive_seed, rng_from
 
 _L1_TOL = 1e-12
+# Index of the uint32 holding a float64's sign bit in a uint32 view.
+_HIGH_WORD = 1 if sys.byteorder == "little" else 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,16 +99,35 @@ def sample_l1_sphere(d: int, count: int, seed: int) -> np.ndarray:
 def _l1_sphere_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     """``count`` uniform points on the unit l1 sphere of R^dim drawn from ``rng``.
 
-    Normalizes and signs the exponentials in place; the int64 signs are the
-    only other (count, dim) array.
+    Normalizes the exponentials and signs them in place; the row sums and
+    the uint32 sign words are the only other arrays.  Below 8 columns the
+    row sums run column by column, which is the order numpy's own sum
+    takes there, so the bits equal ``g.sum(axis=1)``'s.
     """
     g = rng.standard_exponential(size=(count, dim))
-    g /= g.sum(axis=1, keepdims=True)
-    signs = rng.integers(0, 2, size=(count, dim))
-    signs *= 2
-    signs -= 1
-    g *= signs
-    return g
+    if dim < 8:
+        total = g[:, 0].copy()
+        for j in range(1, dim):
+            total += g[:, j]
+    else:
+        total = g.sum(axis=1)
+    g /= total[:, None]
+    return _random_signs(rng, g)
+
+
+def _random_signs(rng: np.random.Generator, x: np.ndarray) -> np.ndarray:
+    """Negate each entry of the nonnegative C-contiguous float64 ``x`` in place with probability 1/2.
+
+    Same bits and generator state as ``x * (rng.integers(0, 2, size=x.shape) * 2 - 1)``:
+    numpy draws a bound-2 integer as the top bit of one ``next_uint32`` word,
+    and the sign bit is set where that bit is 0.  ``_random_signs(rng,
+    np.ones(shape))`` is a Rademacher draw.
+    """
+    words = rng.integers(0, 1 << 32, size=x.size, dtype=np.uint32)
+    np.invert(words, out=words)
+    words &= 0x80000000
+    x.reshape(-1).view(np.uint32)[_HIGH_WORD::2] |= words
+    return x
 
 
 def make_teacher(d: int, n_atoms: int, coeff_scale: float, seed: int) -> TeacherFunction:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from minterp.complexity import _is_tie, _mean_se
+from minterp.experiments import _fit_slope
 from minterp.random_features import _QUADRATURE_CHUNK
 from minterp.sampling import teacher_eval_batch
 from minterp.seeding import derive_seed, rng_from
@@ -24,13 +25,24 @@ def teacher_eval(f, x: np.ndarray) -> float:
     return float(f.coefficients @ np.maximum(pre, 0.0) / f.n_atoms)
 
 
-def sample_l1_sphere_formula(d: int, count: int, seed: int) -> np.ndarray:
-    """sample_l1_sphere as normalized exponentials times a separate sign array."""
-    rng = rng_from(seed)
-    g = rng.exponential(scale=1.0, size=(count, d + 1))
+def sample_l1_sphere_formula(rng, count: int, dim: int) -> np.ndarray:
+    """sampling._l1_sphere_rows as normalized exponentials times a separate sign array."""
+    g = rng.exponential(scale=1.0, size=(count, dim))
     simplex = g / g.sum(axis=1, keepdims=True)
-    signs = rng.integers(0, 2, size=(count, d + 1)) * 2 - 1
+    signs = rng.integers(0, 2, size=(count, dim)) * 2 - 1
     return simplex * signs
+
+
+def rademacher_formula(rng, shape) -> np.ndarray:
+    """±1.0 signs as twice a bound-2 integer draw minus one."""
+    return rng.integers(0, 2, size=shape) * 2.0 - 1.0
+
+
+def rad_rf_ball_mean_se(Phi: np.ndarray, C: float, n_draws: int, seed: int) -> tuple[float, float]:
+    """rad_rf_ball with all sign vectors in one (n, n_draws) draw, for n_draws within one chunk."""
+    n, m = Phi.shape
+    Xi = rademacher_formula(rng_from(seed), (n, n_draws))
+    return _mean_se(np.linalg.norm(Phi.T @ Xi, axis=0) * (C / (n * np.sqrt(m))))
 
 
 def approximate_teacher_draws(f, m1: int, X: np.ndarray, seed: int, n_retry_draws: int = 32):
@@ -199,7 +211,7 @@ def rad_path_ball_values(X: np.ndarray, C: float, n_draws: int, n_starts: int,
     sign_rng = rng_from(derive_seed(seed, 1))
     vals = np.empty(n_draws)
     for t in range(n_draws):
-        xi = sign_rng.integers(0, 2, size=n) * 2.0 - 1.0
+        xi = rademacher_formula(sign_rng, n)
         starts = [vertices]
         if n_starts > 0:
             g = rng.exponential(size=(n_starts, d + 1))
@@ -214,3 +226,19 @@ def rad_path_ball_values(X: np.ndarray, C: float, n_draws: int, n_starts: int,
 
 def rad_path_ball_mean_se(X, C, n_draws, n_starts, seed) -> tuple[float, float]:
     return _mean_se(rad_path_ball_values(X, C, n_draws, n_starts, seed))
+
+
+def bootstrap_slope_ci_loop(risks_per_n: list, ns: list, seed: int, n_boot: int = 200):
+    """experiments._bootstrap_slope_ci, one resample and one slope fit at a time."""
+    rng = rng_from(seed)
+    slopes = []
+    for _ in range(n_boot):
+        medians = []
+        for risks in risks_per_n:
+            idx = rng.integers(0, len(risks), size=len(risks))
+            medians.append(float(np.median(np.asarray(risks)[idx])))
+        if all(v > 0 for v in medians):
+            slopes.append(_fit_slope(ns, medians))
+    if len(slopes) < n_boot // 2:
+        return None
+    return (float(np.percentile(slopes, 2.5)), float(np.percentile(slopes, 97.5)))

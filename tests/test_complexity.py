@@ -22,7 +22,7 @@ from minterp import (
 from minterp import complexity
 from minterp.complexity import RadEstimate
 
-from _oracles import rad_path_ball_mean_se
+from _oracles import rad_path_ball_mean_se, rad_rf_ball_mean_se
 
 
 class TestRadRfBall:
@@ -58,6 +58,12 @@ class TestRadRfBall:
 
     def test_upper_formula(self):
         assert rf_ball_upper(2.0, 25).mean == pytest.approx(0.4)
+
+    @pytest.mark.parametrize("n, m, n_draws", [(1, 1, 1), (5, 3, 17), (16, 64, 256)])
+    def test_signs_match_integer_formula(self, n, m, n_draws):
+        Phi = np.random.default_rng(n + m).standard_normal((n, m))
+        est = rad_rf_ball(Phi, C=1.7, n_draws=n_draws, seed=21)
+        assert (est.mean, est.std_error) == rad_rf_ball_mean_se(Phi, 1.7, n_draws, 21)
 
     def test_validation(self):
         with pytest.raises(ValueError):

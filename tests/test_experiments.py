@@ -25,10 +25,13 @@ from minterp.experiments import (
     _GRID_KEYS,
     DEFAULT_M_GRID,
     MODELS,
+    _bootstrap_slope_ci,
     fit_model,
     result_basename,
 )
 from minterp.serialize import dataset_from_dict, load_json
+
+from _oracles import bootstrap_slope_ci_loop
 
 
 def make_config(**kwargs):
@@ -299,6 +302,25 @@ class TestScaleEngine:
         )
         result = run_scale_study(cfg)
         assert [r["m_or_L"] for r in result.rows] == [32, 48]
+
+
+class TestBootstrapSlopeCi:
+    # unequal trial counts stand for failed rows; 8 or more grid points are where
+    # a single 2-D polyfit over all replicates would round differently
+    @pytest.mark.parametrize("counts", [(3, 3, 3, 3), (5, 1, 4, 2, 6), (4, 3, 4, 4, 2, 4, 3, 4, 4)])
+    @pytest.mark.parametrize("shift", [0.0, 0.02, 0.06])
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_matches_loop_bytes(self, counts, shift, seed):
+        rng = np.random.default_rng(seed)
+        # a shift makes some resampled medians nonpositive, and those replicates drop out
+        risks = [list(rng.lognormal(-3.0, 1.0, size=c) - shift) for c in counts]
+        ns = [8 * 2**i for i in range(len(counts))]
+        got = _bootstrap_slope_ci(risks, ns, seed)
+        want = bootstrap_slope_ci_loop(risks, ns, seed)
+        if want is None:
+            assert got is None
+        else:
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class TestFitModel:

@@ -135,9 +135,9 @@ class TestKernels:
     @pytest.mark.parametrize("n, blocks", [(512, 1), (256, 2)])
     def test_kernel_exact_memory_is_one_buffer_per_block(self, n, blocks):
         # the peak holds K, the F^T F product, one (1024, n) feature buffer
-        # and, while a seed block is drawn, its exponentials and int64 signs,
-        # but no earlier block, with 1 MB to spare: 14 MB at n = 512, where
-        # one (4096, 512) feature block alone took 16 MB
+        # and, while a seed block is drawn, its exponentials, row sums and
+        # uint32 sign words, but no earlier block, with 1 MB to spare: 14 MB
+        # at n = 512, where one (4096, 512) feature block alone took 16 MB
         d = 4
         X = np.random.default_rng(44).uniform(-1, 1, (d, n))
         bound = 8 * 1024 * n + 2 * 8 * n * n + 2 * 8 * _QUADRATURE_CHUNK * (d + 1) + 2**20

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from minterp import (
@@ -15,10 +17,27 @@ from minterp import (
     teacher_eval_batch,
 )
 
-from minterp.sampling import _l1_sphere_rows
+from minterp.sampling import _l1_sphere_rows, _random_signs
 from minterp.seeding import rng_from
 
-from _oracles import sample_l1_sphere_formula, teacher_eval
+from _oracles import rademacher_formula, sample_l1_sphere_formula, teacher_eval
+
+BIT_GENERATORS = ("PCG64", "MT19937", "Philox", "SFC64", "PCG64DXSM")
+
+
+def generator_pair(name: str, seed: int, half_word: bool):
+    """Two generators in one state; with ``half_word`` each holds a buffered uint32 half."""
+    pair = [np.random.Generator(getattr(np.random, name)(seed)) for _ in range(2)]
+    if half_word:
+        for rng in pair:
+            rng.integers(0, 1 << 32, dtype=np.uint32)
+    return pair
+
+
+def assert_same_state(rng_a, rng_b):
+    assert rng_a.random() == rng_b.random()
+    words_a = rng_a.integers(0, 1 << 32, size=3, dtype=np.uint32)
+    np.testing.assert_array_equal(words_a, rng_b.integers(0, 1 << 32, size=3, dtype=np.uint32))
 
 
 class TestL1Sphere:
@@ -48,9 +67,36 @@ class TestL1Sphere:
     @pytest.mark.parametrize("count", [1, 7, 1000, 65_536])
     @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
     def test_in_place_draw_matches_formula(self, d, count, seed):
-        want = sample_l1_sphere_formula(d, count, seed)
-        np.testing.assert_array_equal(_l1_sphere_rows(rng_from(seed), count, d + 1), want)
-        np.testing.assert_array_equal(sample_l1_sphere(d, count, seed), want)
+        want = sample_l1_sphere_formula(rng_from(seed), count, d + 1)
+        assert _l1_sphere_rows(rng_from(seed), count, d + 1).tobytes() == want.tobytes()
+        assert sample_l1_sphere(d, count, seed).tobytes() == want.tobytes()
+
+    # tobytes, because assert_array_equal takes -0.0 for 0.0; dims 1-17 cover the
+    # column-by-column row sums below 8 columns and numpy's pairwise sum above
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(BIT_GENERATORS), dim=st.integers(1, 17),
+           count=st.integers(1, 300), seed=st.integers(0, 2**63), half_word=st.booleans())
+    def test_rows_and_state_match_formula_bit_for_bit(self, name, dim, count, seed, half_word):
+        rng, ref = generator_pair(name, seed, half_word)
+        got = _l1_sphere_rows(rng, count, dim)
+        assert got.tobytes() == sample_l1_sphere_formula(ref, count, dim).tobytes()
+        assert_same_state(rng, ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(BIT_GENERATORS), rows=st.integers(1, 40),
+           cols=st.integers(1, 9), seed=st.integers(0, 2**63), half_word=st.booleans())
+    def test_rademacher_signs_match_formula_bit_for_bit(self, name, rows, cols, seed, half_word):
+        rng, ref = generator_pair(name, seed, half_word)
+        got = _random_signs(rng, np.ones((rows, cols)))
+        assert got.tobytes() == rademacher_formula(ref, (rows, cols)).tobytes()
+        assert_same_state(rng, ref)
+
+    def test_signs_keep_zero_entries_signed(self):
+        # a sign of -1 turns 0.0 into -0.0, as the product with the formula's signs does
+        rng, ref = generator_pair("PCG64", 6, False)
+        got = _random_signs(rng, np.zeros(64))
+        want = np.zeros(64) * (ref.integers(0, 2, size=64) * 2 - 1)
+        assert got.tobytes() == want.tobytes() and np.signbit(got).any()
 
 
 class TestTeacher:
