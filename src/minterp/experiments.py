@@ -167,8 +167,8 @@ class ExperimentConfig:
         for key in _COUNT_KEYS:
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if not self.width_factor > 0:
-            raise ValueError(f"width_factor must be positive, got {self.width_factor}")
+        if not 0 < self.width_factor < math.inf:
+            raise ValueError(f"width_factor must be positive and finite, got {self.width_factor}")
         _family(self)  # rejects an unknown family tag and a gamma not in (0, inf)
         if self.lambda_target is not None and not 0 < self.lambda_target < math.inf:
             raise ValueError(
@@ -328,7 +328,7 @@ def _verify_krr_bound(config: ExperimentConfig, threads: int):
             seed=derive_seed(config.seed, 3 * t + 2),
         )
         beta = ridgeless_coefficients(K, data.y)
-        surrogate = rkhs_norm_bound(K, data.y)
+        surrogate = float(data.y @ beta)
         denom = max(float(np.abs(data.y).max()), 1e-300)
         reproduce = float(np.abs(K @ beta - data.y).max()) / denom
         return dict(

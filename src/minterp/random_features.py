@@ -2,9 +2,10 @@
 
 Two bounded feature families are shipped: ReLU ridge features with
 parameters uniform on the l1 sphere, and cosine features with Gaussian
-frequencies.  The exact kernel k(x, x') = E_w[phi(x;w) phi(x';w)] has no
-closed form in general; it is computed once by a large fixed Monte Carlo
-quadrature and treated as ground truth thereafter.
+frequencies.  The exact kernel k(x, x') = E_w[phi(x;w) phi(x';w)] is a
+Gaussian in closed form for the cosine family; for the ReLU family it is
+computed once by a large fixed Monte Carlo quadrature and treated as
+ground truth thereafter.
 """
 
 from __future__ import annotations
@@ -170,24 +171,28 @@ def kernel_exact(
     quadrature_size: int = 1_000_000,
     seed: int = 0,
 ) -> np.ndarray:
-    """Monte Carlo quadrature estimate of K[i, j] = E_w[phi(x_i;w) phi(x_j;w)].
+    """The reference kernel K[i, j] = E_w[phi(x_i;w) phi(x_j;w)], symmetric exactly.
 
-    The quadrature_size parameters are drawn in blocks of _QUADRATURE_CHUNK,
-    block b from derive_seed(seed, b * _QUADRATURE_CHUNK), so the sample
-    stream does not depend on how the sum is evaluated.  Each
-    _QUADRATURE_SUB_BLOCK-row feature block F is one product W_blk @ (X; 1),
-    the bias row folded in, written into one reused buffer, activated in
-    place and accumulated as F^T F (a symmetric rank-k update); nothing is
-    allocated per block.  The result is symmetric exactly and positive
-    semidefinite up to rounding.  Fix the seed per experiment and treat
-    the result as the reference kernel.
+    Cosine features: the closed form (1/2) exp(-gamma^2 ||x_i - x_j||^2 / 2)
+    (Rahimi & Recht 2007), summed one coordinate at a time; quadrature_size
+    and seed do not enter.  ReLU features: a Monte Carlo quadrature whose
+    block b of _QUADRATURE_CHUNK draws comes from derive_seed(seed, b *
+    _QUADRATURE_CHUNK), so the samples do not depend on how the sum is
+    evaluated.  Each _QUADRATURE_SUB_BLOCK-row feature block F = W_blk @ (X; 1)
+    is written into one reused buffer, rectified in place and accumulated as
+    F^T F; nothing is allocated per block.  Fix the seed per experiment.
     """
     X = np.asarray(X, dtype=float)
     if quadrature_size < 1:
         raise ValueError(f"quadrature_size must be >= 1, got {quadrature_size}")
     d, n = X.shape
+    if family.tag == RANDOM_FOURIER:
+        K, diff = np.zeros((n, n)), np.empty((n, n))
+        for row in X:
+            K += np.square(np.subtract.outer(row, row, out=diff), out=diff)
+        K *= -0.5 * family.gamma ** 2
+        return 0.5 * np.exp(K, out=K)
     Xt = np.vstack([X, np.ones((1, n))])
-    relu = family.tag == RELU_L1SPHERE
     K = np.zeros((n, n))
     gram = np.empty((n, n))
     buf = np.empty((min(_QUADRATURE_SUB_BLOCK, quadrature_size), n))
@@ -198,10 +203,7 @@ def kernel_exact(
         for start in range(0, c, _QUADRATURE_SUB_BLOCK):
             F = buf[: min(_QUADRATURE_SUB_BLOCK, c - start)]
             np.matmul(W[start : start + _QUADRATURE_SUB_BLOCK], Xt, out=F)
-            if relu:
-                np.maximum(F, 0.0, out=F)
-            else:
-                np.cos(F, out=F)
+            np.maximum(F, 0.0, out=F)
             K += np.matmul(F.T, F, out=gram)
         done += c
         del W  # so the next draw does not hold two parameter blocks at once
@@ -332,16 +334,6 @@ def concentration_check(
         lambda_min_exact=lam_exact,
         lambda_min_empirical=lam_emp,
     )
-
-
-def fourier_kernel_closed_form(X: np.ndarray, gamma: float) -> np.ndarray:
-    """Closed form for the cosine family: (1/2) exp(-gamma^2 ||x - x'||^2 / 2).
-
-    Serves as an independent oracle for the Monte Carlo quadrature.
-    """
-    X = np.asarray(X, dtype=float)
-    sq = ((X[:, :, None] - X[:, None, :]) ** 2).sum(axis=0)
-    return 0.5 * np.exp(-(gamma ** 2) * sq / 2.0)
 
 
 @dataclass(frozen=True, eq=False)

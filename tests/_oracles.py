@@ -166,7 +166,11 @@ def sphere_value(A: np.ndarray, xi_over_n: np.ndarray, w: np.ndarray) -> float:
 
 
 def kernel_exact_blocks(family, X: np.ndarray, quadrature_size: int, seed: int) -> np.ndarray:
-    """kernel_exact with one (n, c) feature array F per seed block, accumulating F F^T."""
+    """Monte Carlo quadrature of E_w[phi(x;w) phi(x';w)] for either family.
+
+    The seed blocks of kernel_exact's ReLU quadrature, with one (n, c)
+    feature array F per block, accumulating F F^T.
+    """
     d, n = X.shape
     K = np.zeros((n, n))
     done = 0

@@ -82,6 +82,7 @@ class TestExperimentConfig:
             {"n_grid": ()},
             {"n_grid": (0,)},
             {"width_factor": 0.0},
+            {"width_factor": float("inf")},
             {"m_cap": 0},
             {"lambda_target": -1.0},
             {"family": "bogus"},

@@ -21,7 +21,6 @@ from minterp import (
     eigen_min,
     embed_two_layer,
     fit_random_features,
-    fourier_kernel_closed_form,
     kernel_empirical,
     kernel_exact,
     min_l2_interpolant,
@@ -83,8 +82,20 @@ class TestKernels:
     def test_fourier_quadrature_matches_closed_form(self):
         fam = FeatureFamily(tag=RANDOM_FOURIER, gamma=2.0)
         X = np.random.default_rng(7).uniform(-1, 1, (3, 10))
-        K = kernel_exact(fam, X, quadrature_size=400_000, seed=8)
-        assert_allclose(K, fourier_kernel_closed_form(X, 2.0), atol=8e-3)
+        quadrature = kernel_exact_blocks(fam, X, 400_000, 8)
+        assert_allclose(quadrature, kernel_exact(fam, X), atol=8e-3)
+
+    def test_fourier_kernel_is_exact_and_ignores_quadrature(self):
+        fam = FeatureFamily(tag=RANDOM_FOURIER, gamma=3.0)
+        X = np.random.default_rng(46).uniform(-1, 1, (5, 40))
+        K = kernel_exact(fam, X, quadrature_size=1, seed=0)
+        np.testing.assert_array_equal(K, K.T)
+        np.testing.assert_array_equal(np.diag(K), 0.5)
+        assert eigen_min(K) >= -1e-12
+        np.testing.assert_array_equal(K, kernel_exact(fam, X, quadrature_size=70_001, seed=47))
+        for family in (RELU, fam):
+            with pytest.raises(ValueError, match="quadrature_size"):
+                kernel_exact(family, X, quadrature_size=0)
 
     def test_relu_kernel_matches_quadrature_oracle(self):
         # d=1: the l1 sphere is w = (s1 u, s2 (1-u)) with u ~ U(0,1) and
@@ -109,10 +120,9 @@ class TestKernels:
         # 70,001 draws: a full seed block, then a short one whose sub-blocks
         # do not divide it evenly
         X = np.random.default_rng(20).uniform(-1, 1, (3, 130))
-        for fam in (RELU, FeatureFamily(tag=RANDOM_FOURIER, gamma=1.5)):
-            K = kernel_exact(fam, X, quadrature_size=70_001, seed=21)
-            want = kernel_exact_blocks(fam, X, 70_001, 21)
-            assert np.abs(K - want).max() <= 1e-14 * np.abs(want).max()
+        K = kernel_exact(RELU, X, quadrature_size=70_001, seed=21)
+        want = kernel_exact_blocks(RELU, X, 70_001, 21)
+        assert np.abs(K - want).max() <= 1e-14 * np.abs(want).max()
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -122,14 +132,12 @@ class TestKernels:
             st.integers(1, 3 * _QUADRATURE_SUB_BLOCK + 1),
             st.integers(_QUADRATURE_CHUNK - 2, _QUADRATURE_CHUNK + _QUADRATURE_SUB_BLOCK + 1),
         ),
-        relu=st.booleans(),
         seed=st.integers(0, 2**32),
     )
-    def test_kernel_exact_matches_per_block_oracle_property(self, n, d, quadrature, relu, seed):
-        fam = RELU if relu else FeatureFamily(tag=RANDOM_FOURIER, gamma=1.5)
+    def test_kernel_exact_matches_per_block_oracle_property(self, n, d, quadrature, seed):
         X = np.random.default_rng(seed).uniform(-1, 1, (d, n))
-        K = kernel_exact(fam, X, quadrature_size=quadrature, seed=seed)
-        want = kernel_exact_blocks(fam, X, quadrature, seed)
+        K = kernel_exact(RELU, X, quadrature_size=quadrature, seed=seed)
+        want = kernel_exact_blocks(RELU, X, quadrature, seed)
         assert np.abs(K - want).max() <= 1e-14 * np.abs(want).max()
 
     @pytest.mark.parametrize("n, blocks", [(512, 1), (256, 2)])
@@ -137,7 +145,8 @@ class TestKernels:
         # the peak holds K, the F^T F product, one (1024, n) feature buffer
         # and, while a seed block is drawn, its exponentials, row sums and
         # uint32 sign words, but no earlier block, with 1 MB to spare: 14 MB
-        # at n = 512, where one (4096, 512) feature block alone took 16 MB
+        # at n = 512, where one (4096, 512) feature block alone took 16 MB;
+        # the cosine closed form holds K and one (n, n) difference, no (d, n, n)
         d = 4
         X = np.random.default_rng(44).uniform(-1, 1, (d, n))
         bound = 8 * 1024 * n + 2 * 8 * n * n + 2 * 8 * _QUADRATURE_CHUNK * (d + 1) + 2**20
