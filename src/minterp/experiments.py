@@ -71,8 +71,13 @@ DEFAULT_M_GRID = tuple(2 ** k for k in range(6, 15))
 
 _GRID_KEYS = ("n_grid", "m_grid", "L_grid", "d_grid")
 _COUNT_KEYS = ("trials", "n_atoms", "quadrature", "m1", "m2", "m_per_n", "n_test",
-               "max_resamples", "n_retry_draws", "m_cap", "L_cap", "rad_draws",
-               "probe_points")
+               "m_cap", "L_cap", "rad_draws")
+
+# Inputs at which resnet-add and embedding compare two evaluations of one function.
+_PROBE_POINTS = 1000
+# Hoeffding width factor: 8 keeps ||K - K^m|| <= lambda_min(K) / 4, so K^m >= (3/4) K
+# and the min-norm radius stays within 2 sqrt(y^T K^-1 y).
+_WIDTH_FACTOR = 8.0
 
 # Disjoint seed-index bases for the scale-study engine.  A trial adds
 # grid_index * trials + trial to a base, so the streams stay disjoint while
@@ -109,7 +114,12 @@ class ExperimentConfig:
 
     m_grid may be empty: verify-lemma substitutes DEFAULT_M_GRID where a
     width grid is needed, and scale studies derive m = m_per_n * n unless
-    m_grid is given with one entry per n.  `out` is a destination, not an
+    m_grid is given with one entry per n.  d_grid holds the one input
+    dimension.  A scale study or bound audit is rejected here if some n
+    gets a width below n (resnet: the residual depth min(width, L_cap - m1)),
+    since every such row would fail.  The resample limit, the teacher
+    retry draws, the probe count and the width factor are constants of
+    two_layer and this module, not fields.  `out` is a destination, not an
     experiment parameter, and is excluded from the config echo.
     """
 
@@ -132,14 +142,9 @@ class ExperimentConfig:
     m2: int = 16384
     m_per_n: int = 64
     n_test: int = 8192
-    lambda_target: float | None = None
-    max_resamples: int = 16
-    n_retry_draws: int = 32
-    width_factor: float = 8.0
     m_cap: int = 131072
     L_cap: int = 256
     rad_draws: int = 32
-    probe_points: int = 1000
 
     def __post_init__(self):
         for key in _GRID_KEYS:
@@ -153,6 +158,8 @@ class ExperimentConfig:
                 raise ValueError(f"{key} entries must be >= 1, got {grid}")
             if key != "m_grid" and not grid:
                 raise ValueError(f"{key} must be nonempty")
+        if len(self.d_grid) != 1:
+            raise ValueError(f"d_grid must have one entry, got {self.d_grid}")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.model not in MODELS:
@@ -167,21 +174,25 @@ class ExperimentConfig:
         for key in _COUNT_KEYS:
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if not 0 < self.width_factor < math.inf:
-            raise ValueError(f"width_factor must be positive and finite, got {self.width_factor}")
         _family(self)  # rejects an unknown family tag and a gamma not in (0, inf)
-        if self.lambda_target is not None and not 0 < self.lambda_target < math.inf:
-            raise ValueError(
-                f"lambda_target must be positive and finite or None, got {self.lambda_target}"
-            )
         if self.kind in ("scale-study", "bound-audit"):
             if len(self.n_grid) * self.trials >= _SEED_STRIDE:
                 raise ValueError(
                     f"len(n_grid) * trials must stay below {_SEED_STRIDE} to keep trial "
                     f"seed streams disjoint, got {len(self.n_grid)} * {self.trials}"
                 )
+            widths = _grid_widths(self)
             if self.model == "resnet":
                 check_resnet_widths(self.m1, self.L_cap)
+                widths = [min(w, self.L_cap - self.m1) for w in widths]
+            elif self.m_grid and len(self.m_grid) != len(self.n_grid):
+                raise ValueError(
+                    f"m_grid needs one entry per n_grid entry or none, got {self.m_grid} "
+                    f"for n_grid {self.n_grid}"
+                )
+            under = [(n, w) for n, w in zip(self.n_grid, widths) if w < n]
+            if under:
+                raise ValueError(f"under-parametrized grid points (n, width): {under}")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -361,7 +372,7 @@ def _verify_min_norm_rf(config: ExperimentConfig, threads: int):
         surrogate = rkhs_norm_bound(K, data.y)
         s = math.sqrt(max(surrogate, 0.0))
         threshold = math.ceil(
-            concentration_width(n, config.delta, lam, factor=config.width_factor)
+            concentration_width(n, config.delta, lam, factor=_WIDTH_FACTOR)
         )
         m = min(threshold, config.m_cap)
         radius = fit_random_features(
@@ -399,15 +410,8 @@ def _verify_fit_rand_label(config: ExperimentConfig, threads: int):
         X = rng_from(derive_seed(config.seed, 5 * t)).uniform(-1.0, 1.0, size=(d, n))
         r = rng_from(derive_seed(config.seed, 5 * t + 1)).standard_normal(n)
         r /= np.linalg.norm(r)
-        lam_ref = config.lambda_target
-        if lam_ref is None:
-            ref_seed = derive_seed(config.seed, 5 * t + 2)
-            lam_ref = reference_lambda_min(X, config.quadrature, ref_seed)
-        fit = fit_residual_net(
-            X, r, config.m2, lam_ref,
-            max_resamples=config.max_resamples,
-            seed=derive_seed(config.seed, 5 * t + 3),
-        )
+        lam_ref = reference_lambda_min(X, config.quadrature, derive_seed(config.seed, 5 * t + 2))
+        fit = fit_residual_net(X, r, config.m2, lam_ref, seed=derive_seed(config.seed, 5 * t + 3))
         norm_bound = math.sqrt(2.0 / (lam_ref / 2.0)) * fit.residual_norm
         return dict(
             lambda_ref=lam_ref,
@@ -431,7 +435,7 @@ def _verify_two_layer_composite(config: ExperimentConfig, threads: int):
         teacher, data = _teacher_data(config, n, 3 * t, 3 * t + 1)
         fit = interpolate_two_layer(
             data, teacher, config.m1, config.m2, derive_seed(config.seed, 3 * t + 2),
-            n_retry_draws=config.n_retry_draws, **_residual_options(config),
+            lambda_quadrature=config.quadrature,
         )
         return dict(
             lambda_ref=fit.lambda_target,
@@ -461,7 +465,7 @@ def _verify_resnet_add(config: ExperimentConfig, threads: int):
         net1 = random_resnet(d, L1, D1, m1, seed=derive_seed(config.seed, 3 * t))
         net2 = random_resnet(d, L2, D2, m2, seed=derive_seed(config.seed, 3 * t + 1))
         total = resnet_add(net1, net2)
-        X = rng.uniform(-1.0, 1.0, size=(d, config.probe_points))
+        X = rng.uniform(-1.0, 1.0, size=(d, _PROBE_POINTS))
         want = resnet_eval_batch(net1, X) + resnet_eval_batch(net2, X)
         got = resnet_eval_batch(total, X)
         value_dev = float(np.abs(want - got).max()) / max(1.0, float(np.abs(want).max()))
@@ -495,7 +499,7 @@ def _verify_embedding(config: ExperimentConfig, threads: int):
         )
         embedded = embed_two_layer(theta)
         X = rng_from(derive_seed(config.seed, 2 * t + 1)).uniform(
-            -1.0, 1.0, size=(d, config.probe_points)
+            -1.0, 1.0, size=(d, _PROBE_POINTS)
         )
         want = two_layer_eval_batch(theta, X)
         got = resnet_eval_batch(embedded, X)
@@ -564,17 +568,11 @@ class ModelFit:
     rad_bounds: Callable
 
 
-def _residual_options(config: ExperimentConfig) -> dict:
-    """Options of the certified residual fit inside the two-layer and resnet fits."""
-    return dict(lambda_target=config.lambda_target, max_resamples=config.max_resamples,
-                lambda_quadrature=config.quadrature)
-
-
 def _fit_rf(config, data, teacher, width, fit_seed, approx_seed) -> ModelFit:
     fit = fit_random_features(data.X, data.y, _family(config), width, fit_seed)
     Phi, radius = fit.features, fit.norm_radius
     lam_ref = smallest_singular_value(Phi) ** 2 / width
-    threshold = concentration_width(data.n, config.delta, lam_ref, config.width_factor)
+    threshold = concentration_width(data.n, config.delta, lam_ref, _WIDTH_FACTOR)
     return ModelFit(
         fit=fit, model=fit.model, predict=fit.model.predict, train_preds=fit.fitted,
         norm_radius=radius, m_or_L=width, lambda_ref=lam_ref, threshold_met=width >= threshold,
@@ -587,7 +585,7 @@ def _fit_rf(config, data, teacher, width, fit_seed, approx_seed) -> ModelFit:
 
 def _fit_two_layer(config, data, teacher, width, fit_seed, approx_seed) -> ModelFit:
     fit = interpolate_two_layer(data, teacher, config.m1, width, fit_seed,
-                                n_retry_draws=config.n_retry_draws, **_residual_options(config))
+                                lambda_quadrature=config.quadrature)
     predict = partial(two_layer_eval_batch, fit.net)
 
     def rad_bounds(seed):
@@ -604,11 +602,10 @@ def _fit_two_layer(config, data, teacher, width, fit_seed, approx_seed) -> Model
 
 def _fit_resnet(config, data, teacher, width, fit_seed, approx_seed) -> ModelFit:
     check_resnet_widths(config.m1, config.L_cap)
-    part1 = approximate_teacher(teacher, config.m1, data.X, approx_seed,
-                                n_retry_draws=config.n_retry_draws)
+    part1 = approximate_teacher(teacher, config.m1, data.X, approx_seed)
     teacher_net = embed_two_layer(part1.net)
     m2 = min(width, config.L_cap - teacher_net.L)
-    fit = interpolate_resnet(data, teacher_net, m2, fit_seed, **_residual_options(config))
+    fit = interpolate_resnet(data, teacher_net, m2, fit_seed, lambda_quadrature=config.quadrature)
     predict = partial(resnet_eval_batch, fit.net)
     threshold = concentration_width(data.n, config.delta, fit.lambda_target)
     return ModelFit(
@@ -642,7 +639,7 @@ def _grid_widths(config: ExperimentConfig) -> list:
     """Resolve the per-n width (m for rf / two-layer, added depth for resnet)."""
     source = config.m_grid if config.model != "resnet" else config.L_grid
     if len(source) == len(config.n_grid):
-        return [int(v) for v in source]
+        return list(source)
     return [config.m_per_n * n for n in config.n_grid]
 
 

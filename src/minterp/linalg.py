@@ -35,7 +35,7 @@ def _check_cutoff(s_min: float, s_max: float, rcond: float) -> None:
         )
 
 
-def min_norm_solve(A: np.ndarray, b: np.ndarray, rcond: float | None = None) -> np.ndarray:
+def min_norm_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimum Euclidean norm solution of the underdetermined system A x = b.
 
     For A (n, p) with n <= p the solution is A^T (A A^T)^-1 b, computed
@@ -43,9 +43,8 @@ def min_norm_solve(A: np.ndarray, b: np.ndarray, rcond: float | None = None) -> 
     GRAM_RCOND limit and from the economy SVD of A otherwise; both cost
     O(n^2 p), so widths p in the hundreds of thousands stay tractable.
     Raises SingularSystemError when the smallest singular value of A falls
-    at or below rcond times the largest, since the pseudoinverse solution
-    then stops being a reliable interpolant; rcond defaults to
-    DEFAULT_RCOND * max(n, p).
+    at or below DEFAULT_RCOND * max(n, p) times the largest, since the
+    pseudoinverse solution then stops being a reliable interpolant.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -56,8 +55,7 @@ def min_norm_solve(A: np.ndarray, b: np.ndarray, rcond: float | None = None) -> 
         raise ValueError(f"system must be underdetermined or square, got shape {A.shape}")
     if n == 0:
         raise SingularSystemError("empty system has no singular values", smallest=0.0, cutoff=0.0)
-    if rcond is None:
-        rcond = DEFAULT_RCOND * max(n, p)
+    rcond = DEFAULT_RCOND * max(n, p)
     lam, V = np.linalg.eigh(A @ A.T)
     if _well_conditioned(lam):
         _check_cutoff(np.sqrt(lam[0]), np.sqrt(lam[-1]), rcond)

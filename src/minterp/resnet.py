@@ -272,8 +272,6 @@ def interpolate_resnet(
     teacher_net: ResNet,
     m2: int,
     seed: int,
-    lambda_target: float | None = None,
-    max_resamples: int = 16,
     lambda_quadrature: int = 1_000_000,
 ) -> ResNetFit:
     """Interpolate the dataset by a teacher network plus an embedded residual fit.
@@ -283,19 +281,18 @@ def interpolate_resnet(
     exactly 3x its path norm, and adds the two networks with exactly
     additive norm.  The report carries the decomposition
     weighted_norm = surrogate_norm + embedded_norm and the certificate
-    3 * ||r|| / sigma_min for the embedded part.
+    3 * ||r|| / sigma_min for the embedded part.  The residual fit's
+    eigenvalue target is the smallest eigenvalue of the reference kernel on
+    the data, estimated by a lambda_quadrature-sample quadrature.
     """
     X, y = data.X, data.y
     if teacher_net.d != data.d:
         raise ValueError(
             f"teacher input dimension {teacher_net.d} does not match data {data.d}"
         )
-    if lambda_target is None:
-        lambda_target = reference_lambda_min(X, lambda_quadrature, derive_seed(seed, 0))
+    lambda_target = reference_lambda_min(X, lambda_quadrature, derive_seed(seed, 0))
     r = y - resnet_eval_batch(teacher_net, X)
-    fit2 = fit_residual_net(
-        X, r, m2, lambda_target, max_resamples=max_resamples, seed=derive_seed(seed, 2)
-    )
+    fit2 = fit_residual_net(X, r, m2, lambda_target, seed=derive_seed(seed, 2))
     embedded = embed_two_layer(fit2.net)
     net = resnet_add(teacher_net, embedded)
     fitted = resnet_eval_batch(net, X)

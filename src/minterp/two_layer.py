@@ -34,6 +34,12 @@ from .sampling import (
 )
 from .seeding import derive_seed, rng_from
 
+# Feature draws fit_residual_net tries for the floor lambda_emp >= lambda_target / 2
+# before it raises ConcentrationFailureError.
+_MAX_RESAMPLES = 16
+# Atom subsamples approximate_teacher scores; it keeps the one of least risk.
+_RETRY_DRAWS = 32
+
 
 @dataclass(frozen=True, eq=False)
 class TwoLayerNet:
@@ -137,14 +143,14 @@ def fit_residual_net(
     r: np.ndarray,
     m: int,
     lambda_target: float,
-    max_resamples: int = 16,
     seed: int = 0,
 ) -> ResidualFit:
     """Fit r at the columns of X with random inner weights and min-norm outer weights.
 
     Inner weights (b_j, c_j) are drawn uniformly from the l1 sphere and
-    re-drawn (up to max_resamples times) until the empirical kernel keeps
-    half the target eigenvalue.  The outer solve is
+    re-drawn until the empirical kernel keeps half the target eigenvalue;
+    after _MAX_RESAMPLES = 16 draws ConcentrationFailureError reports the
+    best eigenvalue seen.  The outer solve is
     argmin ||a|| subject to (1/sqrt(m)) Psi a = r, and the stored network
     carries coefficients sqrt(m) * a_hat so that the standard (1/m)
     evaluation reproduces r.  The sqrt(m) scaling is what makes the chain
@@ -163,26 +169,18 @@ def fit_residual_net(
         raise UnderParametrizedError(m, n)
     if not lambda_target > 0:
         raise ValueError(f"lambda_target must be positive, got {lambda_target}")
-    if max_resamples < 1:
-        raise ValueError(f"max_resamples must be >= 1, got {max_resamples}")
 
     family = FeatureFamily(tag=RELU_L1SPHERE)
     best_lam = -math.inf
-    chosen = None
-    attempts = 0
-    for attempt in range(max_resamples):
-        attempts = attempt + 1
+    for attempt in range(_MAX_RESAMPLES):
         W = sample_l1_sphere(d, m, derive_seed(seed, attempt))
         Psi = family.features(W, X)
         lam_emp = eigen_min(kernel_empirical(Psi))
-        if lam_emp > best_lam:
-            best_lam = lam_emp
+        best_lam = max(best_lam, lam_emp)
         if lam_emp >= lambda_target / 2.0:
-            chosen = (W, Psi, lam_emp)
             break
-    if chosen is None:
-        raise ConcentrationFailureError(lambda_target, best_lam, attempts)
-    W, Psi, lam_emp = chosen
+    else:
+        raise ConcentrationFailureError(lambda_target, best_lam, _MAX_RESAMPLES)
 
     sqm = math.sqrt(m)
     a_hat = min_norm_solve(Psi, sqm * r)
@@ -195,7 +193,7 @@ def fit_residual_net(
         net=net,
         lambda_target=float(lambda_target),
         lambda_emp=float(lam_emp),
-        resamples_used=attempts,
+        resamples_used=attempt + 1,
         coeff_norm=float(np.linalg.norm(a_hat)),
         sigma_min_scaled=float(sigma_scaled),
         certificate=r_norm / sigma_scaled if sigma_scaled > 0 else math.inf,
@@ -215,17 +213,11 @@ class TeacherFit:
     draw_index: int
 
 
-def approximate_teacher(
-    f: TeacherFunction,
-    m1: int,
-    X: np.ndarray,
-    seed: int,
-    n_retry_draws: int = 32,
-) -> TeacherFit:
+def approximate_teacher(f: TeacherFunction, m1: int, X: np.ndarray, seed: int) -> TeacherFit:
     """Width-m1 network built by resampling the teacher's atoms.
 
     Samples m1 atoms with replacement (coefficients carried over), repeats
-    for n_retry_draws seeds, and keeps the first draw with the smallest
+    for _RETRY_DRAWS = 32 seeds, and keeps the first draw with the smallest
     empirical risk on X; the risk decays like 1/m1.  Every draw is a
     multiset of the same atoms, so each is scored from its atom counts
     against the atoms' values a_k relu(w_k . (x, 1)), computed once; only
@@ -236,13 +228,11 @@ def approximate_teacher(
         raise ValueError(f"m1 must be >= 1, got {m1}")
     if X.ndim != 2 or X.shape[0] != f.d:
         raise ValueError(f"expected X of shape ({f.d}, n), got {X.shape}")
-    if n_retry_draws < 1:
-        raise ValueError(f"n_retry_draws must be >= 1, got {n_retry_draws}")
     targets = teacher_eval_batch(f, X)
     atoms = f.coefficients[:, None] * _atom_relu(f, X)
 
     draws = [rng_from(derive_seed(seed, t)).integers(0, f.n_atoms, size=m1)
-             for t in range(n_retry_draws)]
+             for t in range(_RETRY_DRAWS)]
     counts = np.stack([np.bincount(idx, minlength=f.n_atoms) for idx in draws])
     scores = np.mean((counts @ atoms / m1 - targets) ** 2, axis=1)
     t = int(np.argmin(scores))
@@ -280,9 +270,6 @@ def interpolate_two_layer(
     m1: int,
     m2: int,
     seed: int,
-    lambda_target: float | None = None,
-    max_resamples: int = 16,
-    n_retry_draws: int = 32,
     lambda_quadrature: int = 1_000_000,
 ) -> CompositeFit:
     """Interpolate the dataset with a width-(m1+m2) two-layer network.
@@ -290,18 +277,15 @@ def interpolate_two_layer(
     First block: teacher-atom subsample of width m1.  Second block: a
     residual fit of width m2 with certified coefficient norm.  The two are
     summed exactly via width-ratio rescaling, so the composite's path norm
-    is the sum of the parts'.  When lambda_target is not given it defaults
-    to the smallest eigenvalue of the reference kernel computed on the
-    data by Monte Carlo quadrature.
+    is the sum of the parts'.  The residual fit's eigenvalue target is the
+    smallest eigenvalue of the reference kernel on the data, estimated by
+    a lambda_quadrature-sample Monte Carlo quadrature.
     """
     X, y = data.X, data.y
-    if lambda_target is None:
-        lambda_target = reference_lambda_min(X, lambda_quadrature, derive_seed(seed, 0))
-    fit1 = approximate_teacher(f, m1, X, derive_seed(seed, 1), n_retry_draws=n_retry_draws)
+    lambda_target = reference_lambda_min(X, lambda_quadrature, derive_seed(seed, 0))
+    fit1 = approximate_teacher(f, m1, X, derive_seed(seed, 1))
     r = y - two_layer_eval_batch(fit1.net, X)
-    fit2 = fit_residual_net(
-        X, r, m2, lambda_target, max_resamples=max_resamples, seed=derive_seed(seed, 2)
-    )
+    fit2 = fit_residual_net(X, r, m2, lambda_target, seed=derive_seed(seed, 2))
     net = sum_networks(fit1.net, fit2.net)
     teacher_upper = barron_norm_upper(f)
     total = path_norm(net)

@@ -110,7 +110,6 @@ def test_criterion_03_min_norm_radius(capsys):
         family="random_fourier",
         gamma=8.0,
         quadrature=300_000,
-        width_factor=8.0,
         m_cap=3_000_000,
         n_atoms=64,
     )
@@ -164,7 +163,7 @@ def test_criterion_05_composite_norm(capsys):
 
 def test_criterion_06_resnet_additivity(capsys):
     config = _verify(
-        "resnet-add", d_grid=(3,), L_grid=(8,), trials=100, probe_points=1000,
+        "resnet-add", d_grid=(3,), L_grid=(8,), trials=100,
     )
     result = run_verify_lemma(config, threads=2)
     rows = [r for r in result.rows if not r["error"]]
@@ -180,7 +179,7 @@ def test_criterion_06_resnet_additivity(capsys):
 
 def test_criterion_07_embedding_exactness(capsys):
     config = _verify(
-        "embedding", d_grid=(3,), trials=100, probe_points=1000,
+        "embedding", d_grid=(3,), trials=100,
     )
     result = run_verify_lemma(config, threads=2)
     rows = [r for r in result.rows if not r["error"]]

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import re
 from dataclasses import fields, replace
@@ -42,7 +43,6 @@ def make_config(**kwargs):
         n_grid=(8,),
         trials=3,
         seed=11,
-        probe_points=50,
         quadrature=20_000,
         n_atoms=8,
         n_test=200,
@@ -63,6 +63,16 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="unknown config keys: widthz"):
             ExperimentConfig.from_dict({"widthz": 1})
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("max_resamples", 16), ("n_retry_draws", 32), ("probe_points", 1000),
+         ("width_factor", 8.0), ("lambda_target", None)],
+    )
+    def test_from_dict_rejects_keys_that_are_constants(self, key, value):
+        # constants of the constructions, not config keys, whatever the value
+        with pytest.raises(ValueError, match=f"unknown config keys: {key}$"):
+            ExperimentConfig.from_dict({key: value})
+
     def test_echo_excludes_out_and_listifies_grids(self):
         cfg = ExperimentConfig(n_grid=(8, 16), out="/tmp/somewhere")
         echo = cfg.echo()
@@ -81,15 +91,19 @@ class TestExperimentConfig:
             {"seed": -1},
             {"n_grid": ()},
             {"n_grid": (0,)},
-            {"width_factor": 0.0},
-            {"width_factor": float("inf")},
             {"m_cap": 0},
-            {"lambda_target": -1.0},
             {"family": "bogus"},
             {"gamma": 0.0},
             {"gamma": float("inf"), "family": "random_fourier"},
-            {"lambda_target": float("inf")},
-            {"lambda_target": float("nan")},
+            # every run reads d_grid[0] only
+            {"d_grid": (2, 5, 9)},
+            # a width grid of another length than n_grid would be replaced by m_per_n * n
+            {"kind": "scale-study", "n_grid": (8, 16, 32, 64), "m_grid": (4096,)},
+            {"kind": "bound-audit", "model": "two-layer", "n_grid": (8, 16), "m_grid": (64, 64, 64)},
+            # under-parametrized grid points: a width below n
+            {"kind": "scale-study", "n_grid": (8, 16, 32, 64), "m_grid": (8, 8, 8, 8)},
+            {"kind": "bound-audit", "model": "resnet", "n_grid": (8, 16, 32, 64),
+             "L_grid": (64,) * 4, "m1": 24, "L_cap": 32},
         ],
     )
     def test_validation(self, bad):
@@ -127,8 +141,42 @@ class TestExperimentConfig:
         for m1, L_cap in ((512, 256), (256, 256)):
             with pytest.raises(ValueError, match="L_cap > m1"):
                 ExperimentConfig(kind=kind, model="resnet", m1=m1, L_cap=L_cap)
-        ExperimentConfig(kind=kind, model="resnet", m1=256, L_cap=257)
+        ExperimentConfig(kind=kind, model="resnet", m1=256, L_cap=257, n_grid=(1,), L_grid=(1,))
         ExperimentConfig(kind=kind, model="two-layer", m1=512, L_cap=256)
+
+    @pytest.mark.parametrize("kind", ["scale-study", "bound-audit"])
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"model": "two-layer", "m_grid": (64, 64, 16, 64)},
+            {"model": "resnet", "L_grid": (64, 64, 64, 8), "m1": 64},
+            # the residual depth is min(width, L_cap - m1) = 8
+            {"model": "resnet", "L_grid": (64,) * 4, "m1": 24, "L_cap": 32},
+        ],
+    )
+    def test_under_parametrized_grid_point_rejected(self, kind, grid):
+        # a row whose width is below its n can only fail with UnderParametrizedError
+        with pytest.raises(ValueError, match="under-parametrized"):
+            ExperimentConfig(kind=kind, n_grid=(8, 16, 32, 64), **grid)
+        ExperimentConfig(kind="verify-lemma", n_grid=(8, 16, 32, 64), **grid)
+
+    @pytest.mark.parametrize("kind", ["scale-study", "bound-audit"])
+    def test_width_equal_to_n_accepted(self, kind):
+        n_grid = (8, 16, 32, 64)
+        for model in ("rf", "two-layer"):
+            ExperimentConfig(kind=kind, model=model, n_grid=n_grid, m_grid=n_grid)
+        ExperimentConfig(kind=kind, model="resnet", n_grid=n_grid, L_grid=n_grid, m1=8)
+        ExperimentConfig(kind=kind, model="resnet", n_grid=n_grid, L_grid=(128,) * 4,
+                         m1=8, L_cap=72)
+
+    @pytest.mark.parametrize("smoke", [False, True])
+    def test_benchmark_workload_configs_build(self, smoke):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for name in workloads.WORKLOADS:
+            ExperimentConfig.from_dict(workloads.workload_config(name, seed=0, smoke=smoke))
 
     @pytest.mark.parametrize("kind", ["scale-study", "bound-audit"])
     def test_grid_times_trials_stays_below_seed_stride(self, kind):
@@ -189,13 +237,11 @@ class TestVerifyLemma:
             assert row["surrogate_norm"] >= 0.0
 
     def test_fit_rand_label_small(self):
-        cfg = make_config(
-            lemma="fit-rand-label", n_grid=(6,), m2=512, lambda_target=1e-4
-        )
+        cfg = make_config(lemma="fit-rand-label", n_grid=(6,), m2=512)
         result = run_verify_lemma(cfg)
         assert result.pass_fraction == 1.0
         for row in result.rows:
-            assert row["lambda_ref"] == 1e-4
+            assert row["lambda_emp"] >= row["lambda_ref"] / 2 > 0
             assert row["interp_error"] <= 1e-8
 
     def test_two_layer_composite_small(self):
@@ -209,20 +255,14 @@ class TestVerifyLemma:
             assert row["path_norm"] <= 3.0 * row["teacher_norm"]
 
     def test_trial_crash_is_isolated(self):
-        # an unreachable eigenvalue floor makes every trial raise inside the
-        # worker; rows must record the error instead of aborting the run
-        cfg = make_config(
-            lemma="fit-rand-label",
-            n_grid=(6,),
-            m2=64,
-            lambda_target=1e9,
-            max_resamples=1,
-        )
+        # a residual width below n makes every trial raise inside the worker;
+        # rows must record the error instead of aborting the run
+        cfg = make_config(lemma="fit-rand-label", n_grid=(6,), m2=4)
         result = run_verify_lemma(cfg)
         assert result.failures == len(result.rows) == 3
         assert result.pass_fraction == 0.0
         for row in result.rows:
-            assert row["error"].startswith("ConcentrationFailureError")
+            assert row["error"].startswith("UnderParametrizedError")
 
 
 @pytest.fixture(scope="module")

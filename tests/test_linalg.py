@@ -11,7 +11,7 @@ from minterp import (
     smallest_eigenvalue,
     smallest_singular_value,
 )
-from minterp.linalg import DEFAULT_RCOND
+from minterp.linalg import DEFAULT_RCOND, GRAM_RCOND
 
 
 class TestMinNormSolve:
@@ -91,28 +91,31 @@ class TestMinNormSolve:
         V = np.linalg.qr(rng.standard_normal((p, n)))[0]
         A = (U * np.logspace(0, -7, n)) @ V.T
         b = rng.standard_normal(n)
-        x = min_norm_solve(A, b, rcond=1e-12)
+        x = min_norm_solve(A, b)
         ref, *_ = np.linalg.lstsq(A, b, rcond=None)
         assert_allclose(x, ref, rtol=1e-8, atol=1e-8 * np.abs(ref).max())
         assert_allclose(A @ x, b, atol=1e-8)
         assert smallest_singular_value(A) == pytest.approx(1e-7, rel=1e-6)
 
     def test_rcond_enforced_on_gram_route(self):
-        # cond(A) = 1e4 keeps cond(A A^T) = 1e8 on the Gram route
-        n, p = 16, 40
+        # singular values (1, 1.5e-5) give cond(A A^T) = 4.4e9, inside the Gram
+        # route's limit, and fall below the default cutoff DEFAULT_RCOND * p = 2e-5
+        n, p = 2, 200_000
         rng = np.random.default_rng(61)
         U = np.linalg.qr(rng.standard_normal((n, n)))[0]
         V = np.linalg.qr(rng.standard_normal((p, n)))[0]
-        A = (U * np.logspace(0, -4, n)) @ V.T
-        b = rng.standard_normal(n)
+        A = (U * np.array([1.0, 1.5e-5])) @ V.T
+        lam = np.linalg.eigvalsh(A @ A.T)
+        assert lam[0] > GRAM_RCOND * lam[-1]
         with pytest.raises(SingularSystemError) as err:
-            min_norm_solve(A, b, rcond=1e-3)
-        assert err.value.smallest <= err.value.cutoff
-        assert_allclose(A @ min_norm_solve(A, b, rcond=1e-5), b, atol=1e-8)
+            min_norm_solve(A, rng.standard_normal(n))
+        # the Gram route's relative error is about eps * cond(A A^T) = 1e-6
+        assert err.value.smallest == pytest.approx(1.5e-5, rel=1e-5)
+        assert err.value.cutoff == pytest.approx(DEFAULT_RCOND * p, rel=1e-12)
 
     def test_default_cutoff_scales_with_width(self):
         # sigma_min / sigma_max = 1e-8 lies between DEFAULT_RCOND = 1e-10 and
-        # DEFAULT_RCOND * p = 2e-7: the default cutoff rejects, the unscaled one solves
+        # DEFAULT_RCOND * p = 2e-7: the cutoff scaled by the width rejects
         n, p = 4, 2000
         rng = np.random.default_rng(62)
         U = np.linalg.qr(rng.standard_normal((n, n)))[0]
@@ -122,9 +125,6 @@ class TestMinNormSolve:
         with pytest.raises(SingularSystemError) as err:
             min_norm_solve(A, b)
         assert err.value.cutoff == pytest.approx(DEFAULT_RCOND * p, rel=1e-12)
-        x = min_norm_solve(A, b, rcond=DEFAULT_RCOND)
-        ref, *_ = np.linalg.lstsq(A, b, rcond=None)
-        assert_allclose(x, ref, rtol=1e-6, atol=1e-6 * np.abs(ref).max())
 
     def test_norm_identity_against_lstsq(self):
         # ||a||^2 / m = y^T (K^m)^{-1} y with K^m = Phi Phi^T / m, both sides

@@ -147,9 +147,8 @@ class TestFitResidualNet:
 
     def test_unreachable_floor_raises(self):
         with pytest.raises(ConcentrationFailureError) as err:
-            fit_residual_net(self.X, self.r, m=64, lambda_target=1e6,
-                             max_resamples=3, seed=17)
-        assert err.value.attempts == 3
+            fit_residual_net(self.X, self.r, m=64, lambda_target=1e6, seed=17)
+        assert err.value.attempts == 16
         assert err.value.best_lambda < 5e5
 
     def test_underparametrized_rejected(self):
@@ -178,7 +177,7 @@ class TestApproximateTeacher:
         # with one atom every draw is the same net, so every score ties
         f = rescale_teacher(make_teacher(3, 1, 1.0, seed=23))
         X = np.random.default_rng(24).uniform(-1, 1, (3, 20))
-        assert approximate_teacher(f, 16, X, seed=25, n_retry_draws=8).draw_index == 0
+        assert approximate_teacher(f, 16, X, seed=25).draw_index == 0
 
     def test_iid_risk_shrinks_with_width(self):
         f = rescale_teacher(make_teacher(3, 32, 1.0, seed=26))
@@ -190,10 +189,10 @@ class TestApproximateTeacher:
     def test_iid_keeps_best_of_retry_draws(self):
         f = rescale_teacher(make_teacher(2, 6, 1.0, seed=29))
         X = np.random.default_rng(30).uniform(-1, 1, (2, 10))
-        best = approximate_teacher(f, 8, X, seed=31, n_retry_draws=16)
-        single = approximate_teacher(f, 8, X, seed=31, n_retry_draws=1)
-        assert best.empirical_risk <= single.empirical_risk
-        assert 0 <= best.draw_index < 16
+        best = approximate_teacher(f, 8, X, seed=31)
+        _, _, first_risk = approximate_teacher_draws(f, 8, X, 31, n_retry_draws=1)
+        assert best.empirical_risk <= first_risk
+        assert 0 <= best.draw_index < 32
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -201,16 +200,15 @@ class TestApproximateTeacher:
         n_atoms=st.integers(16, 64),
         m1=st.integers(32, 600),
         n=st.integers(1, 130),
-        n_retry_draws=st.integers(1, 32),
         seed=st.integers(0, 2**32),
     )
-    def test_count_scoring_matches_per_draw_loop(self, d, n_atoms, m1, n, n_retry_draws, seed):
+    def test_count_scoring_matches_per_draw_loop(self, d, n_atoms, m1, n, seed):
         # at least 16 atoms and 32 draws per net, so no two draws share a
         # multiset of atoms and the per-draw risks cannot tie
         f = rescale_teacher(make_teacher(d, n_atoms, 1.0, seed=seed))
         X = np.random.default_rng(seed).uniform(-1, 1, (d, n))
-        fit = approximate_teacher(f, m1, X, seed=seed + 1, n_retry_draws=n_retry_draws)
-        t, net, risk = approximate_teacher_draws(f, m1, X, seed + 1, n_retry_draws)
+        fit = approximate_teacher(f, m1, X, seed=seed + 1)
+        t, net, risk = approximate_teacher_draws(f, m1, X, seed + 1)
         assert fit.draw_index == t
         for got, want in ((fit.net.a, net.a), (fit.net.B, net.B), (fit.net.c, net.c)):
             np.testing.assert_array_equal(got, want)
@@ -235,10 +233,3 @@ class TestInterpolateTwoLayer:
         assert fit.norm_ratio == pytest.approx(fit.path_norm / fit.teacher_norm_upper)
         assert fit.lambda_emp >= fit.lambda_target / 2
         assert_allclose(two_layer_eval_batch(fit.net, data.X), data.y, atol=1e-8)
-
-    def test_explicit_lambda_skips_quadrature(self):
-        f = rescale_teacher(make_teacher(2, 4, 1.0, seed=38))
-        data = sample_dataset(f, 8, seed=39)
-        fit = interpolate_two_layer(data, f, m1=8, m2=512, seed=40, lambda_target=1e-5)
-        assert fit.lambda_target == 1e-5
-        assert fit.interp_error <= 1e-8
