@@ -49,16 +49,24 @@ def approximate_teacher_draws(f, m1: int, X: np.ndarray, seed: int, n_retry_draw
     """approximate_teacher's choice, building and evaluating every draw's net.
 
     Returns (draw_index, net, risk) of the first draw with the smallest risk.
+    Draws that take the same atoms, counting only atoms whose neuron is
+    nonzero at some column of X, give the same outputs on X: their risks tie
+    exactly, though the per-net sums may round them apart.  Such a tie goes
+    to the first draw of the smallest risk's tie class.
     """
     targets = teacher_eval_batch(f, X)
-    best = None
+    pre = f.directions[:, :-1] @ X + f.directions[:, -1][:, None]
+    live = np.flatnonzero((f.coefficients[:, None] * np.maximum(pre, 0.0)).any(axis=1))
+    draws = []
     for t in range(n_retry_draws):
         idx = rng_from(derive_seed(seed, t)).integers(0, f.n_atoms, size=m1)
         net = TwoLayerNet(a=f.coefficients[idx], B=f.directions[idx, :-1], c=f.directions[idx, -1])
         risk = 0.5 * float(np.mean((two_layer_eval_batch(net, X) - targets) ** 2))
-        if best is None or risk < best[2]:
-            best = (t, net, risk)
-    return best
+        live_counts = tuple(np.bincount(idx, minlength=f.n_atoms)[live])
+        draws.append((t, net, risk, live_counts))
+    best = min(draws, key=lambda draw: draw[2])
+    first = next(draw for draw in draws if draw[3] == best[3])
+    return first[:3]
 
 
 def two_layer_eval(theta, x: np.ndarray) -> float:
