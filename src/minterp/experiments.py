@@ -117,10 +117,13 @@ class ExperimentConfig:
     m_grid is given with one entry per n.  d_grid holds the one input
     dimension.  A scale study or bound audit is rejected here if some n
     gets a width below n (resnet: the residual depth min(width, L_cap - m1)),
-    since every such row would fail.  The resample limit, the teacher
-    retry draws, the probe count and the width factor are constants of
-    two_layer and this module, not fields.  `out` is a destination, not an
-    experiment parameter, and is excluded from the config echo.
+    since every such row would fail, and a resnet one if it names an m_grid
+    it would not read.  A lemma suite reads no n past n_grid[0] and
+    resnet-add no depth past L_grid[0], so a config naming a lemma must not
+    list more.  The resample limit, the teacher retry draws, the probe
+    count and the width factor are constants of two_layer and this module,
+    not fields.  `out` is a destination, not an experiment parameter, and
+    is excluded from the config echo.
     """
 
     kind: str = "verify-lemma"
@@ -175,6 +178,11 @@ class ExperimentConfig:
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         _family(self)  # rejects an unknown family tag and a gamma not in (0, inf)
+        if self.kind == "verify-lemma" and self.lemma is not None:
+            if len(self.n_grid) != 1:
+                raise ValueError(f"a lemma suite reads one n, got n_grid {self.n_grid}")
+            if self.lemma == "resnet-add" and len(self.L_grid) != 1:
+                raise ValueError(f"resnet-add reads one depth, got L_grid {self.L_grid}")
         if self.kind in ("scale-study", "bound-audit"):
             if len(self.n_grid) * self.trials >= _SEED_STRIDE:
                 raise ValueError(
@@ -183,6 +191,10 @@ class ExperimentConfig:
                 )
             widths = _grid_widths(self)
             if self.model == "resnet":
+                if self.m_grid:
+                    raise ValueError(
+                        f"a resnet study reads L_grid, not m_grid; got m_grid {self.m_grid}"
+                    )
                 check_resnet_widths(self.m1, self.L_cap)
                 widths = [min(w, self.L_cap - self.m1) for w in widths]
             elif self.m_grid and len(self.m_grid) != len(self.n_grid):

@@ -4,8 +4,9 @@ Two bounded feature families are shipped: ReLU ridge features with
 parameters uniform on the l1 sphere, and cosine features with Gaussian
 frequencies.  The exact kernel k(x, x') = E_w[phi(x;w) phi(x';w)] is a
 Gaussian in closed form for the cosine family; for the ReLU family it is
-computed once by a large fixed Monte Carlo quadrature and treated as
-ground truth thereafter.
+computed once by a large fixed Monte Carlo quadrature, over draws w taken
+together with their antithetic partners -w, and treated as ground truth
+thereafter.
 """
 
 from __future__ import annotations
@@ -132,24 +133,29 @@ def _feature_sum(a: np.ndarray, W: np.ndarray, X: np.ndarray, relu: bool = True)
     ones appended, so the bias sits inside the product, and each tile is
     multiplied by _FEATURE_TILE-row weight tiles: the working set is one
     (_FEATURE_TILE, _FEATURE_TILE) pre-activation array, whatever m and n.
+    The input tile, the pre-activation tile and the tile's weighted sum are
+    contiguous views of three buffers allocated once per call.
     """
     d, n = X.shape
     m = W.shape[0]
-    out = np.empty(n)
+    out = np.zeros(n)
+    xt_buf = np.empty((d + 1) * min(_FEATURE_TILE, n))
+    pre_buf = np.empty(min(_FEATURE_TILE, m) * min(_FEATURE_TILE, n))
+    sum_buf = np.empty(min(_FEATURE_TILE, n))
     for start in range(0, n, _FEATURE_TILE):
-        stop = min(start + _FEATURE_TILE, n)
-        Xt = np.empty((d + 1, stop - start))
-        Xt[:d] = X[:, start:stop]
+        cols = min(_FEATURE_TILE, n - start)
+        Xt = xt_buf[: (d + 1) * cols].reshape(d + 1, cols)
+        Xt[:d] = X[:, start : start + cols]
         Xt[d] = 1.0
-        acc = np.zeros(stop - start)
+        acc, tile_sum = out[start : start + cols], sum_buf[:cols]
         for row in range(0, m, _FEATURE_TILE):
-            pre = W[row : row + _FEATURE_TILE] @ Xt
+            Wt = W[row : row + _FEATURE_TILE]
+            pre = np.matmul(Wt, Xt, out=pre_buf[: len(Wt) * cols].reshape(len(Wt), cols))
             if relu:
                 np.maximum(pre, 0.0, out=pre)
             else:
                 np.cos(pre, out=pre)
-            acc += a[row : row + _FEATURE_TILE] @ pre
-        out[start:stop] = acc
+            acc += np.matmul(a[row : row + _FEATURE_TILE], pre, out=tile_sum)
     return out
 
 
@@ -175,12 +181,19 @@ def kernel_exact(
 
     Cosine features: the closed form (1/2) exp(-gamma^2 ||x_i - x_j||^2 / 2)
     (Rahimi & Recht 2007), summed one coordinate at a time; quadrature_size
-    and seed do not enter.  ReLU features: a Monte Carlo quadrature whose
-    block b of _QUADRATURE_CHUNK draws comes from derive_seed(seed, b *
-    _QUADRATURE_CHUNK), so the samples do not depend on how the sum is
-    evaluated.  Each _QUADRATURE_SUB_BLOCK-row feature block F = W_blk @ (X; 1)
-    is written into one reused buffer, rectified in place and accumulated as
-    F^T F; nothing is allocated per block.  Fix the seed per experiment.
+    and seed do not enter.  ReLU features: the plain average of phi phi^T
+    over quadrature_size points of the l1-sphere law, taken as
+    ceil(quadrature_size / 2) draws w, each used with its antithetic
+    partner -w (the law is symmetric); when quadrature_size is odd the last
+    draw is used alone.  Block b of _QUADRATURE_CHUNK draws comes from
+    derive_seed(seed, b * _QUADRATURE_CHUNK), so the points do not depend on
+    how the sum is evaluated.  A pair with t = w . (x, 1) contributes
+    relu(t) relu(t') + relu(-t) relu(-t') = (t t' + |t| |t'|) / 2, so
+    K = ((X; 1)^T M (X; 1) + sum |F|^T |F|) / (2 quadrature_size) with
+    M = sum w w^T over the paired draws.  Each _QUADRATURE_SUB_BLOCK-row
+    block F = W_blk @ (X; 1) is written into one reused buffer, made
+    absolute in place and accumulated as F^T F; nothing is allocated per
+    block.  Fix the seed per experiment.
     """
     X = np.asarray(X, dtype=float)
     if quadrature_size < 1:
@@ -193,21 +206,30 @@ def kernel_exact(
         K *= -0.5 * family.gamma ** 2
         return 0.5 * np.exp(K, out=K)
     Xt = np.vstack([X, np.ones((1, n))])
+    pairs = quadrature_size // 2
+    draws = pairs + quadrature_size % 2
     K = np.zeros((n, n))
+    M = np.zeros((d + 1, d + 1))
     gram = np.empty((n, n))
-    buf = np.empty((min(_QUADRATURE_SUB_BLOCK, quadrature_size), n))
+    buf = np.empty((min(_QUADRATURE_SUB_BLOCK, pairs), n))
     done = 0
-    while done < quadrature_size:
-        c = min(_QUADRATURE_CHUNK, quadrature_size - done)
+    while done < draws:
+        c = min(_QUADRATURE_CHUNK, draws - done)
         W = family.sample_params(d, c, derive_seed(seed, done))
-        for start in range(0, c, _QUADRATURE_SUB_BLOCK):
-            F = buf[: min(_QUADRATURE_SUB_BLOCK, c - start)]
-            np.matmul(W[start : start + _QUADRATURE_SUB_BLOCK], Xt, out=F)
-            np.maximum(F, 0.0, out=F)
+        paired = W[: min(c, pairs - done)]
+        M += paired.T @ paired
+        for start in range(0, len(paired), _QUADRATURE_SUB_BLOCK):
+            F = buf[: min(_QUADRATURE_SUB_BLOCK, len(paired) - start)]
+            np.matmul(paired[start : start + _QUADRATURE_SUB_BLOCK], Xt, out=F)
+            np.abs(F, out=F)
             K += np.matmul(F.T, F, out=gram)
+        if len(paired) < c:  # the last draw of an odd quadrature_size has no partner
+            f = np.maximum(W[-1] @ Xt, 0.0)
+            K += np.outer(f, 2.0 * f, out=gram)
         done += c
-        del W  # so the next draw does not hold two parameter blocks at once
-    K /= quadrature_size
+        del W, paired  # so the next draw does not hold two parameter blocks at once
+    K += np.matmul(Xt.T, M @ Xt, out=gram)
+    K /= 2.0 * quadrature_size
     return (K + K.T) / 2.0
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from minterp.complexity import _is_tie, _mean_se
 from minterp.experiments import _fit_slope
-from minterp.random_features import _QUADRATURE_CHUNK
+from minterp.random_features import _FEATURE_TILE, _QUADRATURE_CHUNK, RELU_L1SPHERE
 from minterp.sampling import teacher_eval_batch
 from minterp.seeding import derive_seed, rng_from
 from minterp.two_layer import TwoLayerNet, two_layer_eval_batch
@@ -126,6 +126,26 @@ def feature_sum_gap_bound(a: np.ndarray, W: np.ndarray, X: np.ndarray,
     return np.finfo(float).eps * (2 * (d + 1) * (a @ q) + (2 * m + 6) * (a @ g))
 
 
+def feature_sum_tiles(a: np.ndarray, W: np.ndarray, X: np.ndarray, relu: bool = True) -> np.ndarray:
+    """random_features._feature_sum with fresh arrays for every tile.
+
+    The same (_FEATURE_TILE, _FEATURE_TILE) tiling and the same products in
+    the same order, so the sums round identically.
+    """
+    d, n = X.shape
+    out = np.empty(n)
+    for start in range(0, n, _FEATURE_TILE):
+        Xt = np.vstack([X[:, start : start + _FEATURE_TILE],
+                        np.ones((1, min(_FEATURE_TILE, n - start)))])
+        acc = np.zeros(Xt.shape[1])
+        for row in range(0, W.shape[0], _FEATURE_TILE):
+            pre = W[row : row + _FEATURE_TILE] @ Xt
+            pre = np.maximum(pre, 0.0) if relu else np.cos(pre)
+            acc += a[row : row + _FEATURE_TILE] @ pre
+        out[start : start + _FEATURE_TILE] = acc
+    return out
+
+
 def embed_two_layer_stacks(theta) -> tuple[np.ndarray, np.ndarray]:
     """embed_two_layer's U and W, built one single-neuron layer at a time."""
     d = theta.d
@@ -173,11 +193,12 @@ def sphere_value(A: np.ndarray, xi_over_n: np.ndarray, w: np.ndarray) -> float:
     return 0.0 if tie else val
 
 
-def kernel_exact_blocks(family, X: np.ndarray, quadrature_size: int, seed: int) -> np.ndarray:
-    """Monte Carlo quadrature of E_w[phi(x;w) phi(x';w)] for either family.
+def kernel_exact_plain(family, X: np.ndarray, quadrature_size: int, seed: int) -> np.ndarray:
+    """Plain Monte Carlo quadrature of E_w[phi(x;w) phi(x';w)] for either family.
 
-    The seed blocks of kernel_exact's ReLU quadrature, with one (n, c)
-    feature array F per block, accumulating F F^T.
+    The average of phi phi^T over quadrature_size draws in kernel_exact's
+    seed blocks, with one (n, c) feature array F per block, accumulating
+    F F^T: the ReLU estimator kernel_exact used before its antithetic pairs.
     """
     d, n = X.shape
     K = np.zeros((n, n))
@@ -186,6 +207,33 @@ def kernel_exact_blocks(family, X: np.ndarray, quadrature_size: int, seed: int) 
         c = min(_QUADRATURE_CHUNK, quadrature_size - done)
         F = family.features(family.sample_params(d, c, derive_seed(seed, done)), X)
         K += F @ F.T
+        done += c
+    K /= quadrature_size
+    return (K + K.T) / 2.0
+
+
+def kernel_exact_blocks(family, X: np.ndarray, quadrature_size: int, seed: int) -> np.ndarray:
+    """kernel_exact's quadrature written out: the plain average over its point set.
+
+    ReLU: the points are the ceil(quadrature_size / 2) draws w_q of
+    kernel_exact's seed blocks together with -w_q, except that the last
+    draw of an odd quadrature_size comes alone; each block's (n, c) feature
+    arrays at w and at -w are accumulated as F F^T.  Cosine: kernel_exact_plain.
+    """
+    if family.tag != RELU_L1SPHERE:
+        return kernel_exact_plain(family, X, quadrature_size, seed)
+    d, n = X.shape
+    pairs = quadrature_size // 2
+    draws = pairs + quadrature_size % 2
+    K = np.zeros((n, n))
+    done = 0
+    while done < draws:
+        c = min(_QUADRATURE_CHUNK, draws - done)
+        W = family.sample_params(d, c, derive_seed(seed, done))
+        for points in (W, -W[: pairs - done]):
+            F = family.features(points, X)
+            K += F @ F.T
+            del F  # one block's feature array at a time
         done += c
     K /= quadrature_size
     return (K + K.T) / 2.0

@@ -26,6 +26,7 @@ from minterp.experiments import (
     _GRID_KEYS,
     DEFAULT_M_GRID,
     MODELS,
+    VERIFY_SELECTORS,
     _bootstrap_slope_ci,
     fit_model,
     result_basename,
@@ -109,6 +110,30 @@ class TestExperimentConfig:
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
+
+    @pytest.mark.parametrize("kind", ["scale-study", "bound-audit"])
+    def test_resnet_study_rejects_m_grid(self, kind):
+        # a resnet study takes its widths from L_grid and never reads m_grid
+        grids = dict(n_grid=(8, 16), L_grid=(256, 512), m1=8, L_cap=1024)
+        with pytest.raises(ValueError, match="reads L_grid, not m_grid"):
+            ExperimentConfig(kind=kind, model="resnet", m_grid=(64, 64), **grids)
+        ExperimentConfig(kind=kind, model="resnet", **grids)
+        ExperimentConfig(kind=kind, model="two-layer", m_grid=(64, 64), **grids)
+
+    @pytest.mark.parametrize("lemma", VERIFY_SELECTORS)
+    def test_lemma_suite_rejects_extra_n(self, lemma):
+        # every lemma suite reads n_grid[0] at most
+        with pytest.raises(ValueError, match="one n"):
+            make_config(lemma=lemma, n_grid=(6, 12))
+        make_config(lemma=lemma, n_grid=(6,))
+        # a config without a lemma (gen-teacher, gen-data, fit) keeps its grid
+        ExperimentConfig(kind="verify-lemma", n_grid=(6, 12))
+
+    def test_resnet_add_rejects_extra_depths(self):
+        with pytest.raises(ValueError, match="one depth"):
+            make_config(lemma="resnet-add", L_grid=(4, 8))
+        make_config(lemma="resnet-add", L_grid=(4,))
+        make_config(lemma="embedding", L_grid=(4, 8))
 
     @pytest.mark.parametrize("key", ("seed",) + _COUNT_KEYS)
     @pytest.mark.parametrize("value", [2e5, 32.0, True, "8"])

@@ -33,10 +33,16 @@ from minterp.random_features import (
     _FEATURE_TILE,
     _QUADRATURE_CHUNK,
     _QUADRATURE_SUB_BLOCK,
+    _feature_sum,
     reference_lambda_min,
 )
 
-from _oracles import feature_sum_gap_bound, kernel_exact_blocks
+from _oracles import (
+    feature_sum_gap_bound,
+    feature_sum_tiles,
+    kernel_exact_blocks,
+    kernel_exact_plain,
+)
 
 RELU = FeatureFamily(tag=RELU_L1SPHERE)
 
@@ -117,23 +123,30 @@ class TestKernels:
         assert eigen_min(K) >= -1e-12
 
     def test_kernel_exact_matches_per_block_oracle(self):
-        # 70,001 draws: a full seed block, then a short one whose sub-blocks
-        # do not divide it evenly
+        # 140,001 points: 70,001 draws, a full seed block, then a short one
+        # whose sub-blocks do not divide it evenly and whose last draw has
+        # no antithetic partner
         X = np.random.default_rng(20).uniform(-1, 1, (3, 130))
-        K = kernel_exact(RELU, X, quadrature_size=70_001, seed=21)
-        want = kernel_exact_blocks(RELU, X, 70_001, 21)
+        K = kernel_exact(RELU, X, quadrature_size=140_001, seed=21)
+        want = kernel_exact_blocks(RELU, X, 140_001, 21)
         assert np.abs(K - want).max() <= 1e-14 * np.abs(want).max()
 
     @settings(max_examples=30, deadline=None)
     @given(
         n=st.integers(1, 300),
         d=st.integers(1, 6),
+        # odd and even point counts around one and two seed blocks of draws
         quadrature=st.one_of(
             st.integers(1, 3 * _QUADRATURE_SUB_BLOCK + 1),
             st.integers(_QUADRATURE_CHUNK - 2, _QUADRATURE_CHUNK + _QUADRATURE_SUB_BLOCK + 1),
+            st.integers(2 * _QUADRATURE_CHUNK - 3, 2 * (_QUADRATURE_CHUNK + _QUADRATURE_SUB_BLOCK) + 1),
         ),
         seed=st.integers(0, 2**32),
     )
+    @example(n=3, d=2, quadrature=1, seed=0)
+    @example(n=5, d=1, quadrature=2 * _QUADRATURE_CHUNK - 1, seed=1)
+    @example(n=5, d=1, quadrature=2 * _QUADRATURE_CHUNK, seed=2)
+    @example(n=5, d=1, quadrature=2 * _QUADRATURE_CHUNK + 1, seed=3)
     def test_kernel_exact_matches_per_block_oracle_property(self, n, d, quadrature, seed):
         X = np.random.default_rng(seed).uniform(-1, 1, (d, n))
         K = kernel_exact(RELU, X, quadrature_size=quadrature, seed=seed)
@@ -142,7 +155,7 @@ class TestKernels:
 
     @pytest.mark.parametrize("n, blocks", [(512, 1), (256, 2)])
     def test_kernel_exact_memory_is_one_buffer_per_block(self, n, blocks):
-        # the peak holds K, the F^T F product, one (1024, n) feature buffer
+        # the peak holds K, the F^T F product, one (1024, n) |feature| buffer
         # and, while a seed block is drawn, its exponentials, row sums and
         # uint32 sign words, but no earlier block, with 1 MB to spare: 14 MB
         # at n = 512, where one (4096, 512) feature block alone took 16 MB;
@@ -158,6 +171,24 @@ class TestKernels:
             finally:
                 tracemalloc.stop()
             assert peak < bound
+
+    @pytest.mark.parametrize("seed", [3, 52, 907])
+    def test_kernel_exact_agrees_with_plain_estimator(self, seed):
+        # both estimate K from points of the same law; sharing the first
+        # draws correlates them positively, so their difference has at most
+        # the variance of two independent estimates: per entry,
+        # var(phi phi') / Q plus var of a pair's mean / (Q / 2), both taken
+        # from 20,000 separate draws, and 5 standard deviations bound it
+        n, d, Q = 8, 3, 100_001
+        X = np.random.default_rng(seed).uniform(-1, 1, (d, n))
+        W = RELU.sample_params(d, 20_000, seed=seed + 1)
+        plus = RELU.features(W, X)
+        minus = RELU.features(-W, X)
+        point = plus[:, None, :] * plus[None, :, :]
+        pair = (point + minus[:, None, :] * minus[None, :, :]) / 2.0
+        se = np.sqrt(point.var(axis=2) / Q + pair.var(axis=2) / (Q // 2))
+        gap = kernel_exact(RELU, X, quadrature_size=Q, seed=seed) - kernel_exact_plain(RELU, X, Q, seed)
+        assert np.all(np.abs(gap) <= 5.0 * se)
 
     def test_kernel_exact_deterministic(self):
         X = np.random.default_rng(12).uniform(-1, 1, (2, 6))
@@ -304,6 +335,20 @@ class TestTiledFeatureSum:
                     resnet_eval_batch(embed_two_layer(net), X)):
             assert got.shape == (n,)
             assert np.all(np.abs(got - want) <= bound)
+
+    @settings(max_examples=20, deadline=None)
+    @given(d=st.integers(1, 4), m=st.integers(1, 600), n=st.integers(1, 600),
+           relu=st.booleans(), seed=st.integers(0, 2**32 - 2))
+    @example(d=1, m=1, n=1, relu=True, seed=0)
+    @example(d=4, m=257, n=513, relu=False, seed=1)
+    @example(d=2, m=512, n=256, relu=True, seed=2)
+    def test_reused_buffers_match_per_tile_arrays_bitwise(self, d, m, n, relu, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(m)
+        W = rng.standard_normal((m, d + 1))
+        X = rng.uniform(-1, 1, (d, n))
+        got = _feature_sum(a, W, X, relu=relu)
+        assert got.tobytes() == feature_sum_tiles(a, W, X, relu=relu).tobytes()
 
     def test_memory_does_not_scale_with_width_times_inputs(self):
         # one (m, 1024) activation block at m = 8192 was 64 MB; the tiles
