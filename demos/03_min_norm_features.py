@@ -16,7 +16,7 @@ from minterp import (
     kernel_exact,
     make_teacher,
     rescale_teacher,
-    rkhs_norm_bound,
+    ridgeless_coefficients,
     sample_dataset,
 )
 
@@ -26,7 +26,8 @@ teacher = rescale_teacher(make_teacher(d, 48, 1.0, seed=0))
 data = sample_dataset(teacher, n, seed=1)
 
 K = kernel_exact(family, data.X, quadrature_size=500_000, seed=2)
-surrogate = rkhs_norm_bound(K, data.y)
+beta, _ = ridgeless_coefficients(K, data.y)
+surrogate = float(data.y @ beta)
 budget = 2.0 * np.sqrt(surrogate)
 print(f"kernel surrogate y^T K^-1 y = {surrogate:.4f}")
 print(f"norm budget 2 sqrt(surrogate) = {budget:.4f}")

@@ -3,10 +3,11 @@
 Every run is a pure function of (config, seed): the CSV embeds the
 resolved config in its first line, floats are written with shortest
 round-trip repr, and thread count changes nothing, so reruns are
-byte-identical.  The same workflow works from a shell:
+byte-identical.  gen-data draws one dataset, so its config lists one n
+and a scale-study grid is rejected.  The same workflow works from a shell:
 
-    minterp gen-teacher --config cfg.json --out work
-    minterp gen-data work/teacher.json --config cfg.json --out work
+    minterp gen-teacher --config data.json --out work
+    minterp gen-data work/teacher.json --config data.json --out work
     minterp fit two-layer work/dataset.json work/teacher.json ...
     minterp scale-study --config cfg.json --out work --threads 4
 """
@@ -40,6 +41,21 @@ with tempfile.TemporaryDirectory(prefix="minterp_demo_") as tmp:
     work = Path(tmp)
     cfg_path = work / "config.json"
     cfg_path.write_text(json.dumps(config))
+    data_path = work / "data.json"
+    data_path.write_text(json.dumps(dict(config, n_grid=[64])))
+
+    print("one dataset from a one-entry config:")
+    cli("gen-teacher", "--config", str(data_path), "--out", str(work))
+    cli("gen-data", str(work / "teacher.json"), "--config", str(data_path), "--out", str(work))
+    n = len(json.loads((work / "dataset.json").read_text())["y"])
+    print(f"dataset size: {n}")
+    rejected = subprocess.run(
+        [sys.executable, "-m", "minterp", "gen-data", str(work / "teacher.json"),
+         "--config", str(cfg_path)],
+        capture_output=True, text=True,
+    )
+    print(f"gen-data on the four-entry scale-study grid exits {rejected.returncode}: "
+          f"{rejected.stderr.strip()}\n")
 
     print("scale study, twice with different thread counts:")
     cli("scale-study", "--config", str(cfg_path), "--out", str(work / "a"), "--threads", "1")

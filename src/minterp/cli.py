@@ -91,6 +91,8 @@ def _cmd_gen_teacher(args) -> int:
 
 def _cmd_gen_data(args) -> int:
     config = _load_config(args)
+    if len(config.n_grid) != 1:
+        raise ValueError(f"gen-data draws one sample size, got n_grid {config.n_grid}")
     teacher = teacher_from_dict(load_json(args.teacher))
     data = sample_dataset(teacher, config.n_grid[0], derive_seed(config.seed, 1))
     path = _out_dir(config) / "dataset.json"

@@ -43,7 +43,6 @@ from .random_features import (
     kernel_exact,
     reference_lambda_min,
     ridgeless_coefficients,
-    rkhs_norm_bound,
 )
 from .resnet import (
     embed_two_layer,
@@ -67,9 +66,10 @@ from .two_layer import (
 
 KINDS = ("verify-lemma", "scale-study", "bound-audit")
 
+# The widths kernel-approx sweeps.
 DEFAULT_M_GRID = tuple(2 ** k for k in range(6, 15))
 
-_GRID_KEYS = ("n_grid", "m_grid", "L_grid", "d_grid")
+_GRID_KEYS = ("n_grid", "L_grid", "d_grid")
 _COUNT_KEYS = ("trials", "n_atoms", "quadrature", "m1", "m2", "m_per_n", "n_test",
                "m_cap", "L_cap", "rad_draws")
 
@@ -112,25 +112,24 @@ def _is_int(value) -> bool:
 class ExperimentConfig:
     """Everything that defines an experiment; the master seed is part of it.
 
-    m_grid may be empty: verify-lemma substitutes DEFAULT_M_GRID where a
-    width grid is needed, and scale studies derive m = m_per_n * n unless
-    m_grid is given with one entry per n.  d_grid holds the one input
-    dimension.  A scale study or bound audit is rejected here if some n
-    gets a width below n (resnet: the residual depth min(width, L_cap - m1)),
-    since every such row would fail, and a resnet one if it names an m_grid
-    it would not read.  A lemma suite reads no n past n_grid[0] and
-    resnet-add no depth past L_grid[0], so a config naming a lemma must not
-    list more.  The resample limit, the teacher retry draws, the probe
-    count and the width factor are constants of two_layer and this module,
-    not fields.  `out` is a destination, not an experiment parameter, and
-    is excluded from the config echo.
+    Each study sizes its models by one rule per family: rf and two-layer
+    take m = m_per_n * n, resnet takes the added depth from L_grid, one
+    entry per n, and kernel-approx sweeps DEFAULT_M_GRID.  d_grid holds the
+    one input dimension.  A resnet scale study or bound audit is rejected
+    here if L_grid has another length than n_grid or if some n gets a
+    residual depth min(L, L_cap - m1) below n, since every such row would
+    fail.  A lemma suite reads no n past n_grid[0] and resnet-add no depth
+    past L_grid[0], so a config naming a lemma must not list more.  The
+    resample limit, the teacher retry draws, the probe count and the width
+    factor are constants of two_layer and this module, not fields.  `out`
+    is a destination, not an experiment parameter, and is excluded from
+    the config echo.
     """
 
     kind: str = "verify-lemma"
     lemma: str | None = None
     model: str = "rf"
     n_grid: tuple = (32,)
-    m_grid: tuple = ()
     L_grid: tuple = (8,)
     d_grid: tuple = (4,)
     trials: int = 20
@@ -159,7 +158,7 @@ class ExperimentConfig:
             object.__setattr__(self, key, grid)
             if any(v < 1 for v in grid):
                 raise ValueError(f"{key} entries must be >= 1, got {grid}")
-            if key != "m_grid" and not grid:
+            if not grid:
                 raise ValueError(f"{key} must be nonempty")
         if len(self.d_grid) != 1:
             raise ValueError(f"d_grid must have one entry, got {self.d_grid}")
@@ -189,22 +188,17 @@ class ExperimentConfig:
                     f"len(n_grid) * trials must stay below {_SEED_STRIDE} to keep trial "
                     f"seed streams disjoint, got {len(self.n_grid)} * {self.trials}"
                 )
-            widths = _grid_widths(self)
             if self.model == "resnet":
-                if self.m_grid:
-                    raise ValueError(
-                        f"a resnet study reads L_grid, not m_grid; got m_grid {self.m_grid}"
-                    )
                 check_resnet_widths(self.m1, self.L_cap)
-                widths = [min(w, self.L_cap - self.m1) for w in widths]
-            elif self.m_grid and len(self.m_grid) != len(self.n_grid):
-                raise ValueError(
-                    f"m_grid needs one entry per n_grid entry or none, got {self.m_grid} "
-                    f"for n_grid {self.n_grid}"
-                )
-            under = [(n, w) for n, w in zip(self.n_grid, widths) if w < n]
-            if under:
-                raise ValueError(f"under-parametrized grid points (n, width): {under}")
+                if len(self.L_grid) != len(self.n_grid):
+                    raise ValueError(
+                        f"a resnet study needs one L_grid entry per n, got L_grid "
+                        f"{self.L_grid} for n_grid {self.n_grid}"
+                    )
+                under = [(n, L) for n, L in zip(self.n_grid, self.L_grid)
+                         if min(L, self.L_cap - self.m1) < n]
+                if under:
+                    raise ValueError(f"under-parametrized grid points (n, depth): {under}")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -291,7 +285,6 @@ def _teacher_data(config: ExperimentConfig, n: int, teacher_index: int, data_ind
 
 def _verify_kernel_approx(config: ExperimentConfig, threads: int):
     d, n = config.d_grid[0], config.n_grid[0]
-    m_grid = config.m_grid or DEFAULT_M_GRID
     family = _family(config)
     X = rng_from(derive_seed(config.seed, 0)).uniform(-1.0, 1.0, size=(d, n))
     K = kernel_exact(
@@ -299,7 +292,7 @@ def _verify_kernel_approx(config: ExperimentConfig, threads: int):
     )
     lam_exact = eigen_min(K)
     heads = [{"trial": t, "n": n, "m": m, "delta": config.delta}
-             for m in m_grid for t in range(config.trials)]
+             for m in DEFAULT_M_GRID for t in range(config.trials)]
 
     def body(j):
         m = heads[j]["m"]
@@ -309,7 +302,7 @@ def _verify_kernel_approx(config: ExperimentConfig, threads: int):
             bound=check.bound,
             observed_spectral=check.observed,
             observed_frobenius=check.observed_frobenius,
-            lambda_min_K=check.lambda_min_exact,
+            lambda_min_K=lam_exact,
             lambda_min_Km=check.lambda_min_empirical,
             holds=check.holds,
         )
@@ -320,7 +313,7 @@ def _verify_kernel_approx(config: ExperimentConfig, threads: int):
     summary = _base_summary(rows)
     eigen_width = concentration_width(n, config.delta, lam_exact, factor=2.0) if lam_exact > 0 else math.inf
     per_m, per_m_eigen = {}, {}
-    for m in m_grid:
+    for m in DEFAULT_M_GRID:
         group = [r for r in rows if r["m"] == m]
         per_m[str(m)] = sum(1 for r in group if r.get("holds") is True) / len(group)
         if m >= eigen_width:
@@ -350,13 +343,13 @@ def _verify_krr_bound(config: ExperimentConfig, threads: int):
             quadrature_size=config.quadrature,
             seed=derive_seed(config.seed, 3 * t + 2),
         )
-        beta = ridgeless_coefficients(K, data.y)
+        beta, lam = ridgeless_coefficients(K, data.y)
         surrogate = float(data.y @ beta)
         denom = max(float(np.abs(data.y).max()), 1e-300)
         reproduce = float(np.abs(K @ beta - data.y).max()) / denom
         return dict(
             surrogate_norm=surrogate,
-            lambda_min_K=eigen_min(K),
+            lambda_min_K=lam,
             reproduce_error=reproduce,
             holds=surrogate >= 0.0 and reproduce <= 1e-8,
         )
@@ -380,8 +373,8 @@ def _verify_min_norm_rf(config: ExperimentConfig, threads: int):
             quadrature_size=config.quadrature,
             seed=derive_seed(config.seed, 4 * t + 2),
         )
-        lam = eigen_min(K)
-        surrogate = rkhs_norm_bound(K, data.y)
+        beta, lam = ridgeless_coefficients(K, data.y)
+        surrogate = float(data.y @ beta)
         s = math.sqrt(max(surrogate, 0.0))
         threshold = math.ceil(
             concentration_width(n, config.delta, lam, factor=_WIDTH_FACTOR)
@@ -647,14 +640,6 @@ def fit_model(
     return _FITTERS[config.model](config, data, teacher, width, fit_seed, approx_seed)
 
 
-def _grid_widths(config: ExperimentConfig) -> list:
-    """Resolve the per-n width (m for rf / two-layer, added depth for resnet)."""
-    source = config.m_grid if config.model != "resnet" else config.L_grid
-    if len(source) == len(config.n_grid):
-        return list(source)
-    return [config.m_per_n * n for n in config.n_grid]
-
-
 def _fit_slope(ns, medians) -> float:
     coeffs = np.polyfit(np.log(np.asarray(ns, dtype=float)), np.log(np.asarray(medians)), 1)
     return float(coeffs[0])
@@ -681,7 +666,11 @@ def _bootstrap_slope_ci(risks_per_n: list, ns: list, seed: int, n_boot: int = 20
 
 
 def _scale_engine(config: ExperimentConfig, threads: int, audit: bool) -> StudyResult:
-    widths = _grid_widths(config)
+    # rf and two-layer take m = m_per_n * n; a resnet takes its depth per n from L_grid
+    if config.model == "resnet":
+        widths = config.L_grid
+    else:
+        widths = [config.m_per_n * n for n in config.n_grid]
     heads = [
         {"trial": t, "model_kind": config.model, "n": n, "m_or_L": widths[gi]}
         for gi, n in enumerate(config.n_grid)

@@ -167,7 +167,6 @@ class ConcentrationCheck:
     observed: float
     holds: bool
     observed_frobenius: float
-    lambda_min_exact: float
     lambda_min_empirical: float
 
 
@@ -280,10 +279,14 @@ def eigen_min(K: np.ndarray) -> float:
     return smallest_eigenvalue(_check_symmetric(K))
 
 
-def ridgeless_coefficients(K: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coefficients beta = K^-1 y of the kernel ridgeless interpolant, by symmetric eigensolve.
+def ridgeless_coefficients(K: np.ndarray, y: np.ndarray) -> tuple:
+    """(beta, lambda_min(K)) with beta = K^-1 y the kernel ridgeless interpolant.
 
-    Raises SingularSystemError when lambda_min(K) <= DEFAULT_RCOND * lambda_max(K).
+    Both come from one symmetric eigensolve.  y @ beta = y^T K^-1 y is the
+    squared kernel-space norm of the interpolant, a lower bound on that of
+    any function interpolating the data, hence a usable surrogate for the
+    unknown norm of the target.  Raises SingularSystemError when
+    lambda_min(K) <= DEFAULT_RCOND * lambda_max(K).
     """
     K = _check_symmetric(K)
     y = np.asarray(y, dtype=float)
@@ -297,18 +300,7 @@ def ridgeless_coefficients(K: np.ndarray, y: np.ndarray) -> np.ndarray:
             smallest=float(lam[0]),
             cutoff=float(cutoff),
         )
-    return V @ ((V.T @ y) / lam)
-
-
-def rkhs_norm_bound(K: np.ndarray, y: np.ndarray) -> float:
-    """y^T K^-1 y, the squared kernel-space norm of the ridgeless interpolant.
-
-    This is a computable lower bound on the squared kernel-space norm of
-    any function interpolating the data, hence a usable surrogate for the
-    unknown norm of the target.
-    """
-    y = np.asarray(y, dtype=float)
-    return float(y @ ridgeless_coefficients(K, y))
+    return V @ ((V.T @ y) / lam), float(lam[0])
 
 
 def concentration_width(n: int, delta: float, lam: float, factor: float = 2.0) -> float:
@@ -330,8 +322,8 @@ def concentration_check(
 ) -> ConcentrationCheck:
     """Compare ||K - K^m|| against the Hoeffding bound sqrt(n^2 ln(2n^2/delta) / 2m).
 
-    Also records both smallest eigenvalues; by Weyl's inequality
-    lambda_min(K^m) >= lambda_min(K)/2 on the concentration event.
+    Also records lambda_min(K^m); by Weyl's inequality it moves from
+    lambda_min(K), which the caller computes once per K, by at most ||K - K^m||.
     """
     K = _check_symmetric(K)
     Km = _check_symmetric(Km)
@@ -345,16 +337,12 @@ def concentration_check(
     bound = math.sqrt(n * n * math.log(2.0 * n * n / delta) / (2.0 * m))
     diff = K - Km
     observed = float(np.linalg.norm(diff, ord=2))
-    frob = float(np.linalg.norm(diff))
-    lam_exact = smallest_eigenvalue(K)
-    lam_emp = smallest_eigenvalue(Km)
     return ConcentrationCheck(
         bound=bound,
         observed=observed,
         holds=observed <= bound,
-        observed_frobenius=frob,
-        lambda_min_exact=lam_exact,
-        lambda_min_empirical=lam_emp,
+        observed_frobenius=float(np.linalg.norm(diff)),
+        lambda_min_empirical=smallest_eigenvalue(Km),
     )
 
 

@@ -22,6 +22,8 @@ from minterp import (
 )
 from minterp.cli import main
 
+from _workloads import load_workloads
+
 SEED = 20240817
 
 
@@ -277,3 +279,31 @@ def test_criterion_11_byte_determinism(capsys, tmp_path):
         f"scale-study CSV and summary byte-identical across threads 1/2/4 "
         f"({len(blobs[1][0])} CSV bytes)",
     )
+
+
+def _family_audit(capsys, num: int, workload: str) -> None:
+    """The benchmark workload's bound audit at 8 trials, held to the gates of 08 and 09.
+
+    The labels are noiseless and the teacher lies in the model class, so
+    the slopes come out near -1, steeper than the paper's n^(-1/2); the
+    gate asks for at least that rate, not for equality.
+    """
+    config = dict(load_workloads().workload_config(workload, SEED), trials=8)
+    result = run_bound_audit(ExperimentConfig.from_dict(config), threads=2)
+    slope = result.summary.get("slope")
+    frac = result.summary["bound_pass_fraction"]
+    ok = result.failures == 0 and slope is not None and slope <= -0.5 and frac >= 0.9
+    _report(
+        capsys, num, ok,
+        f"{workload}: log-log slope {slope:.3f} (need <= -0.5), bootstrap CI "
+        f"{result.summary.get('slope_ci')}; bound holds in {frac:.2f} of "
+        f"{len(result.rows)} trials (need 0.9); {result.failures} failures",
+    )
+
+
+def test_criterion_12_two_layer_audit(capsys):
+    _family_audit(capsys, 12, "two-layer-audit")
+
+
+def test_criterion_13_resnet_audit(capsys):
+    _family_audit(capsys, 13, "resnet-audit")

@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import re
 from dataclasses import fields, replace
@@ -34,6 +33,7 @@ from minterp.experiments import (
 from minterp.serialize import dataset_from_dict, load_json
 
 from _oracles import bootstrap_slope_ci_loop
+from _workloads import load_workloads
 
 
 def make_config(**kwargs):
@@ -74,6 +74,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"unknown config keys: {key}$"):
             ExperimentConfig.from_dict({key: value})
 
+    def test_from_dict_rejects_m_grid(self):
+        # widths are m_per_n * n (rf, two-layer) or L_grid (resnet), never a width grid
+        with pytest.raises(ValueError, match="unknown config keys: m_grid$"):
+            ExperimentConfig.from_dict({"kind": "scale-study", "m_grid": [64]})
+
     def test_echo_excludes_out_and_listifies_grids(self):
         cfg = ExperimentConfig(n_grid=(8, 16), out="/tmp/somewhere")
         echo = cfg.echo()
@@ -98,11 +103,14 @@ class TestExperimentConfig:
             {"gamma": float("inf"), "family": "random_fourier"},
             # every run reads d_grid[0] only
             {"d_grid": (2, 5, 9)},
-            # a width grid of another length than n_grid would be replaced by m_per_n * n
-            {"kind": "scale-study", "n_grid": (8, 16, 32, 64), "m_grid": (4096,)},
-            {"kind": "bound-audit", "model": "two-layer", "n_grid": (8, 16), "m_grid": (64, 64, 64)},
-            # under-parametrized grid points: a width below n
-            {"kind": "scale-study", "n_grid": (8, 16, 32, 64), "m_grid": (8, 8, 8, 8)},
+            # a resnet depth grid needs one entry per n
+            {"kind": "scale-study", "model": "resnet", "n_grid": (8, 16, 32, 64),
+             "L_grid": (4096,), "m1": 8, "L_cap": 8192},
+            {"kind": "bound-audit", "model": "resnet", "n_grid": (8, 16), "L_grid": (64, 64, 64),
+             "m1": 8},
+            # under-parametrized grid points: a depth below n
+            {"kind": "scale-study", "model": "resnet", "n_grid": (8, 16, 32, 64),
+             "L_grid": (8, 8, 8, 8), "m1": 8},
             {"kind": "bound-audit", "model": "resnet", "n_grid": (8, 16, 32, 64),
              "L_grid": (64,) * 4, "m1": 24, "L_cap": 32},
         ],
@@ -112,13 +120,15 @@ class TestExperimentConfig:
             ExperimentConfig(**bad)
 
     @pytest.mark.parametrize("kind", ["scale-study", "bound-audit"])
-    def test_resnet_study_rejects_m_grid(self, kind):
-        # a resnet study takes its widths from L_grid and never reads m_grid
-        grids = dict(n_grid=(8, 16), L_grid=(256, 512), m1=8, L_cap=1024)
-        with pytest.raises(ValueError, match="reads L_grid, not m_grid"):
-            ExperimentConfig(kind=kind, model="resnet", m_grid=(64, 64), **grids)
-        ExperimentConfig(kind=kind, model="resnet", **grids)
-        ExperimentConfig(kind=kind, model="two-layer", m_grid=(64, 64), **grids)
+    @pytest.mark.parametrize("L_grid", [(256,), (256, 512, 1024)])
+    def test_resnet_study_needs_one_depth_per_n(self, kind, L_grid):
+        # a depth grid of another length than n_grid is an error, not replaced
+        grids = dict(n_grid=(8, 16), m1=8, L_cap=2048)
+        with pytest.raises(ValueError, match="one L_grid entry per n"):
+            ExperimentConfig(kind=kind, model="resnet", L_grid=L_grid, **grids)
+        ExperimentConfig(kind=kind, model="resnet", L_grid=(256, 512), **grids)
+        # rf and two-layer read m_per_n and no depth
+        ExperimentConfig(kind=kind, model="two-layer", L_grid=L_grid, **grids)
 
     @pytest.mark.parametrize("lemma", VERIFY_SELECTORS)
     def test_lemma_suite_rejects_extra_n(self, lemma):
@@ -173,7 +183,7 @@ class TestExperimentConfig:
     @pytest.mark.parametrize(
         "grid",
         [
-            {"model": "two-layer", "m_grid": (64, 64, 16, 64)},
+            {"model": "resnet", "L_grid": (64, 64, 16, 64), "m1": 8},
             {"model": "resnet", "L_grid": (64, 64, 64, 8), "m1": 64},
             # the residual depth is min(width, L_cap - m1) = 8
             {"model": "resnet", "L_grid": (64,) * 4, "m1": 24, "L_cap": 32},
@@ -189,19 +199,24 @@ class TestExperimentConfig:
     def test_width_equal_to_n_accepted(self, kind):
         n_grid = (8, 16, 32, 64)
         for model in ("rf", "two-layer"):
-            ExperimentConfig(kind=kind, model=model, n_grid=n_grid, m_grid=n_grid)
+            ExperimentConfig(kind=kind, model=model, n_grid=n_grid, m_per_n=1)
         ExperimentConfig(kind=kind, model="resnet", n_grid=n_grid, L_grid=n_grid, m1=8)
         ExperimentConfig(kind=kind, model="resnet", n_grid=n_grid, L_grid=(128,) * 4,
                          m1=8, L_cap=72)
 
     @pytest.mark.parametrize("smoke", [False, True])
     def test_benchmark_workload_configs_build(self, smoke):
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
+        workloads = load_workloads()
         for name in workloads.WORKLOADS:
             ExperimentConfig.from_dict(workloads.workload_config(name, seed=0, smoke=smoke))
+
+    def test_readme_config_blocks_build(self):
+        # a key removed from ExperimentConfig must not linger in the docs
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+        assert blocks
+        for block in blocks:
+            ExperimentConfig.from_dict(json.loads(block))
 
     @pytest.mark.parametrize("kind", ["scale-study", "bound-audit"])
     def test_grid_times_trials_stays_below_seed_stride(self, kind):
@@ -246,11 +261,13 @@ class TestVerifyLemma:
             assert row["norm_ratio"] == pytest.approx(3.0)
 
     def test_kernel_approx_small(self):
-        cfg = make_config(lemma="kernel-approx", m_grid=(32, 64), trials=3)
+        cfg = make_config(lemma="kernel-approx", trials=3)
         result = run_verify_lemma(cfg)
-        assert len(result.rows) == 2 * 3
+        assert len(result.rows) == len(DEFAULT_M_GRID) * 3
         assert result.columns[:4] == ("trial", "n", "m", "delta")
-        assert set(result.summary["per_m_pass"]) == {"32", "64"}
+        assert set(result.summary["per_m_pass"]) == {str(m) for m in DEFAULT_M_GRID}
+        # one lambda_min(K) per run, shared by every row
+        assert {r["lambda_min_K"] for r in result.rows} == {result.summary["lambda_min_K"]}
         assert result.summary["min_per_m_pass"] == 1.0
         assert result.summary["lambda_min_K"] > 0
 
@@ -361,13 +378,15 @@ class TestScaleEngine:
         assert r1.rows == r3.rows
         assert r1.summary == r3.summary
 
-    def test_explicit_m_grid_per_n(self):
-        cfg = ExperimentConfig(
-            kind="scale-study", model="rf", d_grid=(2,), n_grid=(8, 16),
-            m_grid=(32, 48), trials=1, n_test=100, n_atoms=8, seed=19,
-        )
-        result = run_scale_study(cfg)
-        assert [r["m_or_L"] for r in result.rows] == [32, 48]
+    def test_widths_follow_the_family_rule(self):
+        base = dict(kind="scale-study", d_grid=(2,), n_grid=(8, 16), trials=1, n_test=100,
+                    n_atoms=8, seed=19, m1=8, quadrature=20_000)
+        rf = run_scale_study(ExperimentConfig(model="rf", m_per_n=4, **base))
+        assert [r["m_or_L"] for r in rf.rows] == [32, 64]
+        # a resnet adds L_grid[i] layers to its m1-layer teacher at n_grid[i]
+        resnet = run_scale_study(ExperimentConfig(model="resnet", L_grid=(64, 128), **base))
+        assert resnet.failures == 0
+        assert [r["m_or_L"] for r in resnet.rows] == [8 + 64, 8 + 128]
 
 
 class TestBootstrapSlopeCi:
@@ -558,6 +577,16 @@ class TestCli:
         assert rc == 2
         assert "L_cap > m1" in capsys.readouterr().err
         assert not (tmp_path / "model_resnet.json").exists()
+
+    def test_gen_data_rejects_several_sample_sizes(self, workdir, capsys):
+        tmp_path, cfg = workdir
+        out = ["--config", cfg, "--out", str(tmp_path)]
+        assert main(["gen-teacher", *out]) == 0
+        config = json.loads((tmp_path / "config.json").read_text())
+        (tmp_path / "config.json").write_text(json.dumps(dict(config, n_grid=[8, 16])))
+        assert main(["gen-data", str(tmp_path / "teacher.json"), *out]) == 2
+        assert "n_grid" in capsys.readouterr().err
+        assert not (tmp_path / "dataset.json").exists()
 
     def test_norms_rejects_dataset_file(self, workdir, capsys):
         tmp_path, cfg = workdir

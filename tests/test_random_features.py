@@ -26,7 +26,6 @@ from minterp import (
     min_l2_interpolant,
     resnet_eval_batch,
     ridgeless_coefficients,
-    rkhs_norm_bound,
     two_layer_eval_batch,
 )
 from minterp.random_features import (
@@ -241,7 +240,8 @@ class TestMinNormInterpolant:
         Phi = RELU.features(W, X)
         a = min_l2_interpolant(Phi, y)
         lhs = np.linalg.norm(a) ** 2 / 512
-        rhs = rkhs_norm_bound(kernel_empirical(Phi), y)
+        beta, _ = ridgeless_coefficients(kernel_empirical(Phi), y)
+        rhs = float(y @ beta)
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
     @settings(max_examples=40, deadline=None)
@@ -374,16 +374,23 @@ class TestRidgeless:
         X = np.random.default_rng(34).uniform(-1, 1, (4, 16))
         K = kernel_exact(RELU, X, quadrature_size=200_000, seed=35)
         y = np.random.default_rng(36).uniform(-1, 1, 16)
-        beta = ridgeless_coefficients(K, y)
+        beta, _ = ridgeless_coefficients(K, y)
         assert_allclose(K @ beta, y, atol=1e-9)
 
     def test_norm_bound_nonnegative_and_matches_dot(self):
         X = np.random.default_rng(37).uniform(-1, 1, (3, 10))
         K = kernel_exact(RELU, X, quadrature_size=100_000, seed=38)
         y = np.random.default_rng(39).uniform(-1, 1, 10)
-        s2 = rkhs_norm_bound(K, y)
+        beta, _ = ridgeless_coefficients(K, y)
+        s2 = float(y @ beta)
         assert s2 >= 0
-        assert s2 == pytest.approx(float(y @ ridgeless_coefficients(K, y)), rel=1e-10)
+        assert s2 == pytest.approx(float(y @ np.linalg.solve(K, y)), rel=1e-10)
+
+    def test_lambda_min_from_the_same_eigensolve(self):
+        X = np.random.default_rng(37).uniform(-1, 1, (3, 10))
+        K = kernel_exact(RELU, X, quadrature_size=100_000, seed=38)
+        _, lam = ridgeless_coefficients(K, np.ones(10))
+        assert lam == pytest.approx(eigen_min(K), rel=1e-10)
 
     def test_asymmetric_kernel_rejected(self):
         K = np.array([[1.0, 0.5], [0.2, 1.0]])
@@ -414,8 +421,9 @@ class TestConcentration:
         assert chk.observed == pytest.approx(np.linalg.norm(K - Km, ord=2))
         assert chk.observed_frobenius >= chk.observed
         assert chk.holds == (chk.observed <= chk.bound)
+        assert chk.lambda_min_empirical == eigen_min(Km)
         # Weyl: the eigenvalue moves by at most the spectral deviation
-        assert abs(chk.lambda_min_exact - chk.lambda_min_empirical) <= chk.observed + 1e-12
+        assert abs(eigen_min(K) - chk.lambda_min_empirical) <= chk.observed + 1e-12
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
