@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import GramFactor
 from .sampling import TeacherFunction, _l1_sphere_rows, _random_signs, teacher_eval_batch
 from .seeding import derive_seed, rng_from
 
@@ -60,22 +61,22 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 
 
 def rad_rf_ball(
-    Phi: np.ndarray, C: float, n_draws: int = 256, seed: int = 0
+    Phi, C: float, n_draws: int = 256, seed: int = 0
 ) -> RadEstimate:
     """Rademacher complexity of the coefficient ball ||a|| <= C sqrt(m).
 
     Per sign vector xi the supremum of (1/n) sum_i xi_i f(x_i) over the
     ball is exact: (C / (n sqrt(m))) ||Phi^T xi||.  Monte Carlo averages
-    over n_draws sign vectors.
+    over n_draws sign vectors.  Phi is the (n, m) feature matrix or its
+    GramFactor; the norm is sqrt(xi^T G xi), O(n^2) per draw, and the
+    (n, c) sign blocks keep their width c from m.
     """
-    Phi = np.asarray(Phi, dtype=float)
-    if Phi.ndim != 2:
-        raise ValueError(f"expected Phi of shape (n, m), got {Phi.shape}")
     if not C > 0:
         raise ValueError(f"C must be positive, got {C}")
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
-    n, m = Phi.shape
+    gram = GramFactor.of(Phi)
+    n, m = gram.shape
     rng = rng_from(seed)
     vals = np.empty(n_draws)
     chunk = max(1, min(n_draws, _BLOCK_ELEMENTS // max(m, 1)))
@@ -83,7 +84,8 @@ def rad_rf_ball(
     while done < n_draws:
         c = min(chunk, n_draws - done)
         Xi = _random_signs(rng, np.ones((n, c)))
-        vals[done : done + c] = np.linalg.norm(Phi.T @ Xi, axis=0)
+        quad = (Xi * (gram.G @ Xi)).sum(axis=0)  # rounding can dip below an exact 0
+        vals[done : done + c] = np.sqrt(np.maximum(quad, 0.0))
         done += c
     vals *= C / (n * math.sqrt(m))
     mean, se = _mean_se(vals)

@@ -31,17 +31,17 @@ class ConcentrationFailureError(MinterpError):
     """Feature resampling never reached the required eigenvalue floor.
 
     ``best_lambda`` is the largest smallest-eigenvalue achieved over all
-    resampling attempts.
+    resampling attempts of the width-``m`` fit to ``n`` samples.
     """
 
-    def __init__(self, target, best_lambda, attempts):
+    def __init__(self, target, best_lambda, attempts, m, n):
         super().__init__(
             f"smallest eigenvalue never reached {target / 2:.6e} "
-            f"(best {best_lambda:.6e} over {attempts} attempts)"
+            f"(best {best_lambda:.6e} over {attempts} attempts; m={m}, n={n})"
         )
         self.target = float(target)
         self.best_lambda = float(best_lambda)
-        self.attempts = attempts
+        self.attempts, self.m, self.n = attempts, m, n
 
 
 class ContractViolationError(MinterpError):

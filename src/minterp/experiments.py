@@ -575,14 +575,14 @@ class ModelFit:
 
 def _fit_rf(config, data, teacher, width, fit_seed, approx_seed) -> ModelFit:
     fit = fit_random_features(data.X, data.y, _family(config), width, fit_seed)
-    Phi, radius = fit.features, fit.norm_radius
-    lam_ref = smallest_singular_value(Phi) ** 2 / width
+    gram, radius = fit.gram, fit.norm_radius
+    lam_ref = smallest_singular_value(gram) ** 2 / width
     threshold = concentration_width(data.n, config.delta, lam_ref, _WIDTH_FACTOR)
     return ModelFit(
         fit=fit, model=fit.model, predict=fit.model.predict, train_preds=fit.fitted,
         norm_radius=radius, m_or_L=width, lambda_ref=lam_ref, threshold_met=width >= threshold,
         rad_bounds=lambda seed: (
-            rad_rf_ball(Phi, radius, n_draws=config.rad_draws, seed=seed).mean,
+            rad_rf_ball(gram, radius, n_draws=config.rad_draws, seed=seed).mean,
             rf_ball_upper(radius, data.n).mean,
         ),
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularSystemError, UnderParametrizedError
-from .linalg import DEFAULT_RCOND, min_norm_solve, smallest_eigenvalue
+from .linalg import DEFAULT_RCOND, GramFactor, min_norm_solve, smallest_eigenvalue
 from .sampling import sample_l1_sphere
 from .seeding import derive_seed, rng_from
 
@@ -238,29 +238,27 @@ def reference_lambda_min(X: np.ndarray, quadrature_size: int, seed: int) -> floa
     return eigen_min(kernel_exact(relu, X, quadrature_size=quadrature_size, seed=seed))
 
 
-def kernel_empirical(Phi: np.ndarray) -> np.ndarray:
-    """K^m = Phi Phi^T / m for a feature matrix Phi of shape (n, m)."""
-    Phi = np.asarray(Phi, dtype=float)
-    if Phi.ndim != 2 or Phi.size == 0:
-        raise ValueError(f"expected a nonempty (n, m) matrix, got shape {Phi.shape}")
-    K = Phi @ Phi.T / Phi.shape[1]
+def kernel_empirical(Phi) -> np.ndarray:
+    """K^m = Phi Phi^T / m, symmetrized, from the G of Phi (n, m) or of its GramFactor."""
+    gram = GramFactor.of(Phi)
+    if 0 in gram.shape:
+        raise ValueError(f"expected a nonempty (n, m) matrix, got shape {gram.shape}")
+    K = gram.G / gram.shape[1]
     return (K + K.T) / 2.0
 
 
-def min_l2_interpolant(Phi: np.ndarray, y: np.ndarray) -> np.ndarray:
+def min_l2_interpolant(Phi, y: np.ndarray) -> np.ndarray:
     """Coefficients of minimum Euclidean norm with (1/m) Phi a = y.
 
     Closed form m Phi^T (Phi Phi^T)^-1 y, computed by min_norm_solve at
-    its cutoff DEFAULT_RCOND * max(n, m).
+    its cutoff DEFAULT_RCOND * max(n, m); Phi is a matrix or its GramFactor.
     """
-    Phi = np.asarray(Phi, dtype=float)
+    gram = GramFactor.of(Phi)
     y = np.asarray(y, dtype=float)
-    if Phi.ndim != 2:
-        raise ValueError(f"expected Phi of shape (n, m), got {Phi.shape}")
-    n, m = Phi.shape
+    n, m = gram.shape
     if m < n:
         raise UnderParametrizedError(m, n)
-    return min_norm_solve(Phi, m * y)
+    return min_norm_solve(gram, m * y)
 
 
 def _check_symmetric(K: np.ndarray) -> np.ndarray:
@@ -350,14 +348,15 @@ def concentration_check(
 class RandomFeatureFit:
     """A fitted minimum-norm random feature interpolant plus its audit numbers.
 
-    features is the (n, m) matrix Phi solved on, fitted the values (1/m) Phi a.
+    gram is the GramFactor of the (n, m) feature matrix Phi solved on, which
+    sigma_min and the Rademacher estimate reuse; fitted holds (1/m) Phi a.
     """
 
     model: RandomFeatureModel
     coeff_norm: float
     norm_radius: float
     interp_error: float
-    features: np.ndarray
+    gram: GramFactor
     fitted: np.ndarray
 
 
@@ -372,15 +371,15 @@ def fit_random_features(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     W = family.sample_params(X.shape[0], m, seed)
-    Phi = family.features(W, X)
-    a = min_l2_interpolant(Phi, y)
+    gram = GramFactor(family.features(W, X))
+    a = min_l2_interpolant(gram, y)
     model = RandomFeatureModel(family=family, params=W, coefficients=a)
-    fitted = Phi @ a / m
+    fitted = gram.A @ a / m
     return RandomFeatureFit(
         model=model,
         coeff_norm=float(np.linalg.norm(a)),
         norm_radius=model.norm_radius,
         interp_error=float(np.abs(fitted - y).max()),
-        features=Phi,
+        gram=gram,
         fitted=fitted,
     )

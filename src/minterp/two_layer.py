@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConcentrationFailureError, UnderParametrizedError
-from .linalg import min_norm_solve, smallest_singular_value
+from .linalg import GramFactor, min_norm_solve, smallest_singular_value
 from .random_features import (
     FeatureFamily,
     RELU_L1SPHERE,
@@ -150,11 +150,12 @@ def fit_residual_net(
     Inner weights (b_j, c_j) are drawn uniformly from the l1 sphere and
     re-drawn until the empirical kernel keeps half the target eigenvalue;
     after _MAX_RESAMPLES = 16 draws ConcentrationFailureError reports the
-    best eigenvalue seen.  The outer solve is
-    argmin ||a|| subject to (1/sqrt(m)) Psi a = r, and the stored network
-    carries coefficients sqrt(m) * a_hat so that the standard (1/m)
-    evaluation reproduces r.  The sqrt(m) scaling is what makes the chain
-    path_norm <= (1/m) sum |sqrt(m) a_hat_j| <= ||a_hat|| valid.
+    best eigenvalue seen.  Each draw's Psi is factored once: lambda_emp
+    reads its G, and the accepted draw's solve and sigma_min share its
+    eigh.  The outer solve is argmin ||a|| subject to (1/sqrt(m)) Psi a = r,
+    and the stored network carries coefficients sqrt(m) * a_hat so that the
+    standard (1/m) evaluation reproduces r.  The sqrt(m) scaling is what
+    makes the chain path_norm <= (1/m) sum |sqrt(m) a_hat_j| <= ||a_hat|| valid.
     """
     X = np.asarray(X, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -174,19 +175,19 @@ def fit_residual_net(
     best_lam = -math.inf
     for attempt in range(_MAX_RESAMPLES):
         W = sample_l1_sphere(d, m, derive_seed(seed, attempt))
-        Psi = family.features(W, X)
-        lam_emp = eigen_min(kernel_empirical(Psi))
+        gram = GramFactor(family.features(W, X))
+        lam_emp = eigen_min(kernel_empirical(gram))
         best_lam = max(best_lam, lam_emp)
         if lam_emp >= lambda_target / 2.0:
             break
     else:
-        raise ConcentrationFailureError(lambda_target, best_lam, _MAX_RESAMPLES)
+        raise ConcentrationFailureError(lambda_target, best_lam, _MAX_RESAMPLES, m, n)
 
     sqm = math.sqrt(m)
-    a_hat = min_norm_solve(Psi, sqm * r)
+    a_hat = min_norm_solve(gram, sqm * r)
     net = TwoLayerNet(a=sqm * a_hat, B=W[:, :-1], c=W[:, -1])
 
-    sigma_scaled = smallest_singular_value(Psi) / sqm
+    sigma_scaled = smallest_singular_value(gram) / sqm
     r_norm = float(np.linalg.norm(r))
     fitted = two_layer_eval_batch(net, X)
     return ResidualFit(

@@ -39,10 +39,16 @@ def rademacher_formula(rng, shape) -> np.ndarray:
 
 
 def rad_rf_ball_mean_se(Phi: np.ndarray, C: float, n_draws: int, seed: int) -> tuple[float, float]:
-    """rad_rf_ball with all sign vectors in one (n, n_draws) draw, for n_draws within one chunk."""
+    """rad_rf_ball with all sign vectors in one (n, n_draws) draw, for n_draws within one chunk.
+
+    The signs come from integer draws; the norm ||Phi^T xi|| is taken as
+    sqrt(xi^T G xi) with G = Phi Phi^T, as rad_rf_ball takes it, so the two
+    agree exactly and a mismatch points at the sign stream.
+    """
     n, m = Phi.shape
     Xi = rademacher_formula(rng_from(seed), (n, n_draws))
-    return _mean_se(np.linalg.norm(Phi.T @ Xi, axis=0) * (C / (n * np.sqrt(m))))
+    quad = np.sum(Xi * ((Phi @ Phi.T) @ Xi), axis=0)
+    return _mean_se(np.sqrt(np.maximum(quad, 0.0)) * (C / (n * np.sqrt(m))))
 
 
 def approximate_teacher_draws(f, m1: int, X: np.ndarray, seed: int, n_retry_draws: int = 32):

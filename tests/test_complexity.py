@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from minterp import (
+    GramFactor,
     generalization_bound,
     population_risk,
     rad_path_ball,
@@ -64,6 +65,31 @@ class TestRadRfBall:
         Phi = np.random.default_rng(n + m).standard_normal((n, m))
         est = rad_rf_ball(Phi, C=1.7, n_draws=n_draws, seed=21)
         assert (est.mean, est.std_error) == rad_rf_ball_mean_se(Phi, 1.7, n_draws, 21)
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (7, 3), (16, 64), (40, 500)])
+    def test_gram_quadratic_form_is_the_feature_norm(self, n, m):
+        # the identity rad_rf_ball rests on: xi^T (Phi Phi^T) xi = ||Phi^T xi||^2
+        rng = np.random.default_rng(30 + n)
+        Phi = rng.standard_normal((n, m))
+        xi = rng.choice([-1.0, 1.0], size=(n, 32))
+        quad = np.einsum("it,ij,jt->t", xi, Phi @ Phi.T, xi)
+        assert_allclose(np.sqrt(quad), np.linalg.norm(Phi.T @ xi, axis=0), rtol=1e-12)
+
+    @pytest.mark.parametrize("n, m, n_draws", [(5, 3, 17), (16, 64, 256), (8, 1 << 16, 200)])
+    def test_factor_and_array_give_the_same_estimate(self, n, m, n_draws):
+        # (8, 2**16) draws its signs in blocks of 64, so the chunk loop runs too
+        Phi = np.random.default_rng(n * m).standard_normal((n, m))
+        assert rad_rf_ball(GramFactor(Phi), 1.3, n_draws, seed=4) == rad_rf_ball(
+            Phi, 1.3, n_draws, seed=4
+        )
+
+    def test_near_duplicate_rows_give_a_finite_estimate(self):
+        # for xi = ±(1, -1) the exact xi^T G xi is 1e-23; G's rounding makes it -1.1e-12
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(1000)
+        Phi = np.stack([x, x + 1e-13 * rng.standard_normal(1000)])
+        est = rad_rf_ball(Phi, C=1.0, n_draws=64, seed=3)
+        assert np.isfinite(est.mean) and np.isfinite(est.std_error)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -388,6 +388,17 @@ class TestScaleEngine:
         assert resnet.failures == 0
         assert [r["m_or_L"] for r in resnet.rows] == [8 + 64, 8 + 128]
 
+    def test_failed_residual_rows_name_their_width(self):
+        # at these depths every residual fit misses its eigenvalue floor
+        study = run_scale_study(ExperimentConfig(
+            kind="scale-study", model="resnet", d_grid=(2,), n_grid=(8, 16), L_grid=(16, 24),
+            m1=8, n_atoms=8, trials=1, quadrature=20_000, seed=19,
+        ))
+        assert study.failures == 2
+        for row in study.rows:
+            assert row["error"].startswith("ConcentrationFailureError")
+            assert f"m={row['m_or_L']}; n={row['n']})" in row["error"]
+
 
 class TestBootstrapSlopeCi:
     # unequal trial counts stand for failed rows; 8 or more grid points are where

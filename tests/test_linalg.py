@@ -1,17 +1,43 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from minterp import (
     RELU_L1SPHERE,
+    ExperimentConfig,
     FeatureFamily,
+    GramFactor,
     SingularSystemError,
+    fit_residual_net,
+    kernel_empirical,
+    make_teacher,
     min_l2_interpolant,
     min_norm_solve,
+    rescale_teacher,
+    sample_dataset,
     smallest_eigenvalue,
     smallest_singular_value,
 )
+from minterp.experiments import fit_model
 from minterp.linalg import DEFAULT_RCOND, GRAM_RCOND
+
+
+def _ill_conditioned():
+    # singular values 1 .. 1e-7 give cond(A A^T) = 1e14, past the Gram route's limit
+    n, p = 32, 96
+    rng = np.random.default_rng(60)
+    U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((p, n)))[0]
+    return (U * np.logspace(0, -7, n)) @ V.T, rng.standard_normal(n)
+
+
+def _relu_features(n=20, m=640, seed=64):
+    family = FeatureFamily(tag=RELU_L1SPHERE)
+    X = np.random.default_rng(seed).uniform(-1, 1, (3, n))
+    return family.features(family.sample_params(3, m, seed + 1), X)
 
 
 class TestMinNormSolve:
@@ -83,14 +109,8 @@ class TestMinNormSolve:
         assert np.abs(A @ x - b).max() <= tol * np.abs(b).max()
 
     def test_ill_conditioned_gram_falls_back_to_svd(self):
-        # singular values 1 .. 1e-7 give cond(A A^T) = 1e14, past the Gram
-        # route's limit; only the SVD keeps the solution accurate here.
-        n, p = 32, 96
-        rng = np.random.default_rng(60)
-        U = np.linalg.qr(rng.standard_normal((n, n)))[0]
-        V = np.linalg.qr(rng.standard_normal((p, n)))[0]
-        A = (U * np.logspace(0, -7, n)) @ V.T
-        b = rng.standard_normal(n)
+        # only the SVD keeps the solution accurate here
+        A, b = _ill_conditioned()
         x = min_norm_solve(A, b)
         ref, *_ = np.linalg.lstsq(A, b, rcond=None)
         assert_allclose(x, ref, rtol=1e-8, atol=1e-8 * np.abs(ref).max())
@@ -154,3 +174,96 @@ class TestSpectralHelpers:
         assert smallest_singular_value(M) == pytest.approx(
             np.linalg.svd(M, compute_uv=False)[-1]
         )
+
+
+class TestGramFactor:
+    @pytest.mark.parametrize("make", [
+        lambda: (_relu_features(), np.random.default_rng(7).uniform(-1, 1, 20)),
+        lambda: (np.random.default_rng(8).standard_normal((6, 50)), np.ones(6)),
+        _ill_conditioned,
+    ])
+    def test_solve_from_factor_is_bit_identical(self, make):
+        A, b = make()
+        assert min_norm_solve(GramFactor(A), b).tobytes() == min_norm_solve(A, b).tobytes()
+
+    def test_kernel_from_factor_is_bit_identical(self):
+        # features come out Fortran-ordered; the factor keeps that layout for its product
+        Phi = _relu_features()
+        K = kernel_empirical(GramFactor(Phi))
+        assert K.tobytes() == kernel_empirical(Phi).tobytes()
+        direct = Phi @ Phi.T / Phi.shape[1]
+        assert K.tobytes() == ((direct + direct.T) / 2.0).tobytes()
+
+    @pytest.mark.parametrize("make, route", [
+        (lambda: _relu_features(), "gram"),
+        (lambda: _ill_conditioned()[0], "svd"),
+    ])
+    def test_sigma_min_matches_svd(self, make, route):
+        A = make()
+        factor = GramFactor(A)
+        assert smallest_singular_value(factor) == pytest.approx(
+            np.linalg.svd(A, compute_uv=False)[-1], rel=1e-10
+        )
+        assert factor.route == route
+        assert smallest_singular_value(A.T) == smallest_singular_value(factor)
+
+    def test_kernel_only_factor_runs_no_eigensolve(self, monkeypatch):
+        calls = _count_factorizations(monkeypatch)
+        kernel_empirical(GramFactor(_relu_features()))
+        assert calls == {"gram": 1, "eigh": 0, "eigvalsh": 0, "svd": 0}
+
+    def test_used_factor_is_freed_without_the_cycle_collector(self):
+        # a factor caught in a reference cycle keeps its A until a gc pass,
+        # which raised the benchmark audits' peak RSS by 9-16 MB
+        factor = GramFactor(_relu_features())
+        min_norm_solve(factor, np.ones(20))
+        ref = weakref.ref(factor)
+        gc.disable()
+        try:
+            del factor
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_rejects_non_matrix(self):
+        with pytest.raises(ValueError):
+            GramFactor(np.ones(3))
+
+
+def _count_factorizations(monkeypatch) -> dict:
+    """Count Gram products (GramFactor builds) and numpy.linalg eigh, eigvalsh and svd calls.
+
+    numpy.linalg is patched as a module attribute, so every minterp module sees the counters.
+    """
+    calls = {}
+    for owner, name in ((GramFactor, "__init__"), (np.linalg, "eigh"),
+                        (np.linalg, "eigvalsh"), (np.linalg, "svd")):
+        key = "gram" if owner is GramFactor else name
+        calls[key] = 0
+
+        def counted(*args, _key=key, _fn=getattr(owner, name), **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestOneFactorizationPerFit:
+    def test_rf_fit_lambda_ref_and_rad_share_one_eigh(self, monkeypatch):
+        cfg = ExperimentConfig(model="rf", d_grid=(2,), n_grid=(8,), n_atoms=8, rad_draws=4)
+        teacher = rescale_teacher(make_teacher(2, 8, 1.0, seed=1))
+        data = sample_dataset(teacher, 8, seed=2)
+        calls = _count_factorizations(monkeypatch)
+        fit = fit_model(cfg, data, teacher, 256, fit_seed=3, approx_seed=4)
+        fit.rad_bounds(5)
+        assert fit.lambda_ref > 0
+        assert calls == {"gram": 1, "eigh": 1, "eigvalsh": 0, "svd": 0}
+
+    def test_residual_fit_runs_one_eigh_and_the_kernel_eigvalsh(self, monkeypatch):
+        X = np.random.default_rng(14).uniform(-1, 1, (2, 8))
+        r = np.random.default_rng(15).standard_normal(8)
+        calls = _count_factorizations(monkeypatch)
+        fit = fit_residual_net(X, r, m=2048, lambda_target=1e-8, seed=16)
+        assert fit.resamples_used == 1
+        assert calls == {"gram": 1, "eigh": 1, "eigvalsh": 1, "svd": 0}

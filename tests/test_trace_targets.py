@@ -11,7 +11,11 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import minterp.cli  # noqa: F401  (loads every module a CLI run reaches)
+from minterp import GramFactor
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -47,3 +51,21 @@ def test_every_traced_target_resolves():
 def test_trial_pool_keeps_its_traced_signature():
     run_trials = _minterp_modules()["experiments"]._run_trials
     assert list(inspect.signature(run_trials).parameters) == ["worker", "count", "threads"]
+
+
+@pytest.mark.parametrize("fn_name, extra", [
+    ("min_norm_solve", (np.ones(3),)),
+    ("smallest_singular_value", ()),
+])
+def test_linalg_counters_read_a_gram_factor(fn_name, extra):
+    # the fits pass factors, not arrays, to these two; the counters read .shape
+    tracing = _tracing_module()
+    modules = _minterp_modules()
+    counters = {attr: counter for module, attr, counter in tracing._targets(modules)
+                if module == "linalg"}
+    tracer = tracing.Tracer()
+    traced = tracer._wrap(f"linalg.{fn_name}", getattr(modules["linalg"], fn_name),
+                          counters[fn_name])
+    traced(GramFactor(np.random.default_rng(0).standard_normal((3, 12))), *extra)
+    (span,) = tracer.spans
+    assert span["counts"] == {"factor_flops": 3 ** 2 * 12}

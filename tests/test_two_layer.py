@@ -150,6 +150,8 @@ class TestFitResidualNet:
             fit_residual_net(self.X, self.r, m=64, lambda_target=1e6, seed=17)
         assert err.value.attempts == 16
         assert err.value.best_lambda < 5e5
+        assert (err.value.m, err.value.n) == (64, self.X.shape[1])
+        assert f"m=64, n={self.X.shape[1]})" in str(err.value)
 
     def test_underparametrized_rejected(self):
         with pytest.raises(UnderParametrizedError):
