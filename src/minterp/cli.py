@@ -24,9 +24,7 @@ from .experiments import (
     VERIFY_SELECTORS,
     ExperimentConfig,
     fit_model,
-    run_bound_audit,
-    run_scale_study,
-    run_verify_lemma,
+    run_study,
     write_study,
 )
 from .resnet import resnet_eval_batch, weighted_path_norm
@@ -133,10 +131,11 @@ def _cmd_fit(args) -> int:
         if args.teacher is None:
             raise ValueError(f"fit {args.model} needs a teacher file")
         teacher = teacher_from_dict(load_json(args.teacher))
-    # The fitted family comes from the command line; the echo keeps the file's config.
+    # The fitted family comes from the command line, and a fit runs no study, so the
+    # file's study rules do not apply to it; the echo keeps the file's config.
     fit = fit_model(
-        replace(config, model=args.model), data, teacher, config.m2,
-        derive_seed(config.seed, 2), derive_seed(config.seed, 3),
+        replace(config, kind="verify-lemma", lemma=None, model=args.model),
+        data, teacher, config.m2, derive_seed(config.seed, 2), derive_seed(config.seed, 3),
     )
     to_dict, filename, keys = _FIT_OUTPUTS[args.model]
     model_path = out / filename
@@ -153,44 +152,27 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _print_study(paths, line: str) -> None:
-    for path in paths:
+# Per study kind: the one-line account of a finished run.
+_STUDY_NOTES = {
+    "verify-lemma": lambda r: f"verify {r.config.lemma}: pass fraction {r.pass_fraction!r}",
+    "scale-study": lambda r: "scale-study: " + (
+        f"slope {r.summary['slope']!r}" if "slope" in r.summary else r.summary["slope_flag"]
+    ),
+    "bound-audit":
+        lambda r: f"bound-audit: bound pass fraction {r.summary['bound_pass_fraction']!r}",
+}
+
+
+def _cmd_study(args) -> int:
+    forced = {"kind": args.kind}
+    if args.kind == "verify-lemma":
+        forced["lemma"] = args.lemma
+    config = _load_config(args, **forced)
+    result = run_study(config, threads=args.threads)
+    for path in write_study(result, _out_dir(config)):
         print(f"wrote {path}")
-    print(line)
-
-
-def _cmd_verify(args) -> int:
-    config = _load_config(args, kind="verify-lemma", lemma=args.lemma)
-    result = run_verify_lemma(config, threads=args.threads)
-    paths = write_study(result, _out_dir(config))
-    _print_study(
-        paths,
-        f"verify {args.lemma}: pass fraction {result.pass_fraction!r} "
-        f"over {len(result.rows)} rows ({result.failures} failures)",
-    )
-    return 0
-
-
-def _cmd_scale_study(args) -> int:
-    config = _load_config(args, kind="scale-study")
-    result = run_scale_study(config, threads=args.threads)
-    paths = write_study(result, _out_dir(config))
-    slope = result.summary.get("slope")
-    note = f"slope {slope!r}" if slope is not None else result.summary.get("slope_flag", "no slope")
-    _print_study(paths, f"scale-study: {note} over {len(result.rows)} rows "
-                        f"({result.failures} failures)")
-    return 0
-
-
-def _cmd_bound_audit(args) -> int:
-    config = _load_config(args, kind="bound-audit")
-    result = run_bound_audit(config, threads=args.threads)
-    paths = write_study(result, _out_dir(config))
-    _print_study(
-        paths,
-        f"bound-audit: bound pass fraction {result.summary.get('bound_pass_fraction')!r} "
-        f"over {len(result.rows)} rows ({result.failures} failures)",
-    )
+    print(f"{_STUDY_NOTES[args.kind](result)} over {len(result.rows)} rows "
+          f"({result.failures} failures)")
     return 0
 
 
@@ -256,15 +238,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run one lemma verification suite")
     p.add_argument("--lemma", required=True, choices=list(VERIFY_SELECTORS))
     _add_common(p)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_study, kind="verify-lemma")
 
     p = sub.add_parser("scale-study", help="risk-vs-n study over the n grid")
     _add_common(p)
-    p.set_defaults(func=_cmd_scale_study)
+    p.set_defaults(func=_cmd_study, kind="scale-study")
 
     p = sub.add_parser("bound-audit", help="scale study plus deviation-bound audit")
     _add_common(p)
-    p.set_defaults(func=_cmd_bound_audit)
+    p.set_defaults(func=_cmd_study, kind="bound-audit")
 
     p = sub.add_parser("norms", help="norm audit of a saved model file")
     p.add_argument("model_file", help="model JSON file")

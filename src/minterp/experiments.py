@@ -14,6 +14,7 @@ study, the bound audit and `minterp fit`.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
@@ -112,18 +113,16 @@ def _is_int(value) -> bool:
 class ExperimentConfig:
     """Everything that defines an experiment; the master seed is part of it.
 
-    Each study sizes its models by one rule per family: rf and two-layer
-    take m = m_per_n * n, resnet takes the added depth from L_grid, one
-    entry per n, and kernel-approx sweeps DEFAULT_M_GRID.  d_grid holds the
-    one input dimension.  A resnet scale study or bound audit is rejected
-    here if L_grid has another length than n_grid or if some n gets a
-    residual depth min(L, L_cap - m1) below n, since every such row would
-    fail.  A lemma suite reads no n past n_grid[0] and resnet-add no depth
-    past L_grid[0], so a config naming a lemma must not list more.  The
-    resample limit, the teacher retry draws, the probe count and the width
-    factor are constants of two_layer and this module, not fields.  `out`
-    is a destination, not an experiment parameter, and is excluded from
-    the config echo.
+    A config runs the study that STUDY_KEYS names by (kind, lemma or model)
+    and echoes only the keys that study reads; every other key must keep
+    its default.  Kind verify-lemma without a lemma names no study (the
+    gen-teacher, gen-data, fit and norms commands) and echoes every key.
+    Widths follow one rule per family: m = m_per_n * n for rf and
+    two-layer, one L_grid depth per n for resnet, DEFAULT_M_GRID for
+    kernel-approx.  A lemma suite reads one n (resnet-add one depth), and a
+    resnet study whose residual depth min(L, L_cap - m1) is below some n is
+    rejected, since every such row would fail.  `out` is a destination,
+    never echoed.
     """
 
     kind: str = "verify-lemma"
@@ -169,6 +168,10 @@ class ExperimentConfig:
         for key in ("seed",) + _COUNT_KEYS:
             if not _is_int(getattr(self, key)):
                 raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
+        for key in ("delta", "gamma"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{key} must be a real number, got {value!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.seed < 0:
@@ -177,28 +180,44 @@ class ExperimentConfig:
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         _family(self)  # rejects an unknown family tag and a gamma not in (0, inf)
-        if self.kind == "verify-lemma" and self.lemma is not None:
+        if self.lemma is not None and self.lemma not in VERIFY_SELECTORS:
+            raise ValueError(f"unknown lemma selector {self.lemma!r}; expected one of "
+                             f"{VERIFY_SELECTORS}")
+        keys = STUDY_KEYS.get(self._study())
+        if keys is None:
+            return
+        for f in fields(self):
+            if f.name not in keys and f.name != "out" and getattr(self, f.name) != f.default:
+                raise ValueError(
+                    f"{' '.join(self._study())} does not read {f.name}; leave it at its "
+                    f"default {f.default!r}, got {getattr(self, f.name)!r}"
+                )
+        if self.kind == "verify-lemma":
             if len(self.n_grid) != 1:
                 raise ValueError(f"a lemma suite reads one n, got n_grid {self.n_grid}")
-            if self.lemma == "resnet-add" and len(self.L_grid) != 1:
+            if len(self.L_grid) != 1:
                 raise ValueError(f"resnet-add reads one depth, got L_grid {self.L_grid}")
-        if self.kind in ("scale-study", "bound-audit"):
-            if len(self.n_grid) * self.trials >= _SEED_STRIDE:
+            return
+        if len(self.n_grid) * self.trials >= _SEED_STRIDE:
+            raise ValueError(
+                f"len(n_grid) * trials must stay below {_SEED_STRIDE} to keep trial "
+                f"seed streams disjoint, got {len(self.n_grid)} * {self.trials}"
+            )
+        if self.model == "resnet":
+            check_resnet_widths(self.m1, self.L_cap)
+            if len(self.L_grid) != len(self.n_grid):
                 raise ValueError(
-                    f"len(n_grid) * trials must stay below {_SEED_STRIDE} to keep trial "
-                    f"seed streams disjoint, got {len(self.n_grid)} * {self.trials}"
+                    f"a resnet study needs one L_grid entry per n, got L_grid "
+                    f"{self.L_grid} for n_grid {self.n_grid}"
                 )
-            if self.model == "resnet":
-                check_resnet_widths(self.m1, self.L_cap)
-                if len(self.L_grid) != len(self.n_grid):
-                    raise ValueError(
-                        f"a resnet study needs one L_grid entry per n, got L_grid "
-                        f"{self.L_grid} for n_grid {self.n_grid}"
-                    )
-                under = [(n, L) for n, L in zip(self.n_grid, self.L_grid)
-                         if min(L, self.L_cap - self.m1) < n]
-                if under:
-                    raise ValueError(f"under-parametrized grid points (n, depth): {under}")
+            under = [(n, L) for n, L in zip(self.n_grid, self.L_grid)
+                     if min(L, self.L_cap - self.m1) < n]
+            if under:
+                raise ValueError(f"under-parametrized grid points (n, depth): {under}")
+
+    def _study(self) -> tuple:
+        """(kind, lemma or model): this config's STUDY_KEYS entry, if it names a study."""
+        return self.kind, self.lemma if self.kind == "verify-lemma" else self.model
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -209,13 +228,12 @@ class ExperimentConfig:
         return cls(**obj)
 
     def echo(self) -> dict:
-        """The experiment-defining fields, JSON-ready; excludes `out`."""
+        """The keys the study reads (all but `out` without a study), JSON-ready."""
+        names = STUDY_KEYS.get(self._study()) or [f.name for f in fields(self) if f.name != "out"]
         echoed = {}
-        for f in fields(self):
-            if f.name == "out":
-                continue
-            value = getattr(self, f.name)
-            echoed[f.name] = list(value) if isinstance(value, tuple) else value
+        for name in names:
+            value = getattr(self, name)
+            echoed[name] = list(value) if isinstance(value, tuple) else value
         return echoed
 
 
@@ -527,31 +545,6 @@ def _verify_embedding(config: ExperimentConfig, threads: int):
     return columns, rows, _base_summary(rows)
 
 
-_SELECTOR_TABLE = {
-    "kernel-approx": _verify_kernel_approx,
-    "krr-bound": _verify_krr_bound,
-    "min-norm-rf": _verify_min_norm_rf,
-    "fit-rand-label": _verify_fit_rand_label,
-    "two-layer-composite": _verify_two_layer_composite,
-    "resnet-add": _verify_resnet_add,
-    "embedding": _verify_embedding,
-}
-VERIFY_SELECTORS = tuple(_SELECTOR_TABLE)
-
-
-def run_verify_lemma(config: ExperimentConfig, threads: int = 1) -> StudyResult:
-    """Run one lemma's verification suite over its grid of trials."""
-    if config.kind != "verify-lemma":
-        raise ValueError(f"config.kind must be verify-lemma, got {config.kind!r}")
-    if config.lemma not in _SELECTOR_TABLE:
-        raise ValueError(
-            f"unknown lemma selector {config.lemma!r}; expected one of {VERIFY_SELECTORS}"
-        )
-    columns, rows, summary = _SELECTOR_TABLE[config.lemma](config, threads)
-    summary["lemma"] = config.lemma
-    return StudyResult(columns=tuple(columns), rows=tuple(rows), summary=summary, config=config)
-
-
 @dataclass(frozen=True, eq=False)
 class ModelFit:
     """One family's interpolant and everything the studies and `minterp fit` read.
@@ -623,8 +616,40 @@ def _fit_resnet(config, data, teacher, width, fit_seed, approx_seed) -> ModelFit
     )
 
 
-_FITTERS = {"rf": _fit_rf, "two-layer": _fit_two_layer, "resnet": _fit_resnet}
-MODELS = tuple(_FITTERS)
+# Each lemma's suite and each model's fitter, with the config keys the
+# study reads besides kind, seed, trials, d_grid and its lemma or model.
+# A scale study reads its model's keys but rad_draws, which only the bound
+# audit's Rademacher estimate reads.
+_STUDIES = {
+    "kernel-approx": (_verify_kernel_approx, "n_grid delta family gamma quadrature"),
+    "krr-bound": (_verify_krr_bound, "n_grid family gamma n_atoms quadrature"),
+    "min-norm-rf": (_verify_min_norm_rf, "n_grid delta family gamma n_atoms quadrature m_cap"),
+    "fit-rand-label": (_verify_fit_rand_label, "n_grid quadrature m2"),
+    "two-layer-composite": (_verify_two_layer_composite, "n_grid n_atoms quadrature m1 m2"),
+    "resnet-add": (_verify_resnet_add, "L_grid"),
+    "embedding": (_verify_embedding, ""),
+    "rf": (_fit_rf, "n_grid delta family gamma n_atoms m_per_n n_test rad_draws"),
+    "two-layer": (_fit_two_layer, "n_grid delta n_atoms quadrature m1 m_per_n n_test rad_draws"),
+    "resnet": (_fit_resnet, "n_grid L_grid delta n_atoms quadrature m1 n_test L_cap"),
+}
+MODELS = ("rf", "two-layer", "resnet")
+VERIFY_SELECTORS = tuple(name for name in _STUDIES if name not in MODELS)
+
+
+def _keys_read(kind: str, name: str) -> tuple:
+    reads = {"kind", "lemma" if kind == "verify-lemma" else "model", "seed", "trials", "d_grid",
+             *_STUDIES[name][1].split()}
+    if kind == "scale-study":
+        reads.discard("rad_draws")
+    return tuple(f.name for f in fields(ExperimentConfig) if f.name in reads)
+
+
+# (kind, lemma or model) -> the config keys that study reads, in field order.
+STUDY_KEYS = {
+    (kind, name): _keys_read(kind, name)
+    for kind in KINDS
+    for name in (VERIFY_SELECTORS if kind == "verify-lemma" else MODELS)
+}
 
 
 def fit_model(
@@ -637,7 +662,7 @@ def fit_model(
     depth for resnet (capped at L_cap - m1); approx_seed draws the resnet's
     teacher discretization.
     """
-    return _FITTERS[config.model](config, data, teacher, width, fit_seed, approx_seed)
+    return _STUDIES[config.model][0](config, data, teacher, width, fit_seed, approx_seed)
 
 
 def _fit_slope(ns, medians) -> float:
@@ -667,10 +692,8 @@ def _bootstrap_slope_ci(risks_per_n: list, ns: list, seed: int, n_boot: int = 20
 
 def _scale_engine(config: ExperimentConfig, threads: int, audit: bool) -> StudyResult:
     # rf and two-layer take m = m_per_n * n; a resnet takes its depth per n from L_grid
-    if config.model == "resnet":
-        widths = config.L_grid
-    else:
-        widths = [config.m_per_n * n for n in config.n_grid]
+    widths = (config.L_grid if config.model == "resnet"
+              else [config.m_per_n * n for n in config.n_grid])
     heads = [
         {"trial": t, "model_kind": config.model, "n": n, "m_or_L": widths[gi]}
         for gi, n in enumerate(config.n_grid)
@@ -754,22 +777,19 @@ def _scale_engine(config: ExperimentConfig, threads: int, audit: bool) -> StudyR
     return StudyResult(columns=columns, rows=tuple(rows), summary=summary, config=config)
 
 
-def run_scale_study(config: ExperimentConfig, threads: int = 1) -> StudyResult:
-    """Risk-vs-n study: interpolate at each grid point, measure held-out risk."""
-    if config.kind != "scale-study":
-        raise ValueError(f"config.kind must be scale-study, got {config.kind!r}")
-    return _scale_engine(config, threads, audit=False)
+def run_study(config: ExperimentConfig, threads: int = 1) -> StudyResult:
+    """Run config's study: a lemma suite, or a model's scale study or bound audit.
 
-
-def run_bound_audit(config: ExperimentConfig, threads: int = 1) -> StudyResult:
-    """Scale study plus per-trial complexity estimates and the deviation bound.
-
-    Trial seeds match run_scale_study exactly, so the shared columns of the
-    two reports agree row for row under the same config and master seed.
+    An audit adds complexity estimates and the deviation bound to the scale
+    study's rows; trial seeds match, so the shared columns agree row for row.
     """
-    if config.kind != "bound-audit":
-        raise ValueError(f"config.kind must be bound-audit, got {config.kind!r}")
-    return _scale_engine(config, threads, audit=True)
+    if config.kind != "verify-lemma":
+        return _scale_engine(config, threads, audit=config.kind == "bound-audit")
+    if config.lemma is None:
+        raise ValueError(f"a verify-lemma config needs a lemma, one of {VERIFY_SELECTORS}")
+    columns, rows, summary = _STUDIES[config.lemma][0](config, threads)
+    summary["lemma"] = config.lemma
+    return StudyResult(columns=tuple(columns), rows=tuple(rows), summary=summary, config=config)
 
 
 def result_basename(result: StudyResult) -> str:

@@ -17,8 +17,7 @@ from minterp import (
     rad_path_ball,
     rad_rf_ball,
     rng_from,
-    run_bound_audit,
-    run_verify_lemma,
+    run_study,
 )
 from minterp.cli import main
 
@@ -53,7 +52,7 @@ def audit_study():
         seed=SEED,
     )
     start = time.monotonic()
-    result = run_bound_audit(config, threads=2)
+    result = run_study(config, threads=2)
     return result, time.monotonic() - start
 
 
@@ -67,7 +66,7 @@ def test_criterion_01_kernel_concentration(capsys):
         quadrature=1_000_000,
     )
     start = time.monotonic()
-    result = run_verify_lemma(config, threads=2)
+    result = run_study(config, threads=2)
     elapsed = time.monotonic() - start
     s = result.summary
     eigen = s["per_m_eigen_pass"]
@@ -90,7 +89,7 @@ def test_criterion_02_surrogate_norm(capsys):
         "krr-bound", d_grid=(4,), n_grid=(32,), trials=50,
         quadrature=1_000_000, n_atoms=64,
     )
-    result = run_verify_lemma(config, threads=2)
+    result = run_study(config, threads=2)
     rows = result.rows
     worst = max(r["reproduce_error"] for r in rows if not r["error"])
     min_surrogate = min(r["surrogate_norm"] for r in rows if not r["error"])
@@ -115,7 +114,7 @@ def test_criterion_03_min_norm_radius(capsys):
         m_cap=3_000_000,
         n_atoms=64,
     )
-    result = run_verify_lemma(config, threads=2)
+    result = run_study(config, threads=2)
     met = result.summary["threshold_met_fraction"]
     ms = [r["m"] for r in result.rows if not r["error"]]
     ok = result.pass_fraction >= 0.9 and met == 1.0 and result.failures == 0
@@ -131,7 +130,7 @@ def test_criterion_04_residual_certificate(capsys):
         "fit-rand-label", d_grid=(3,), n_grid=(16,), trials=50,
         m2=8192, quadrature=400_000,
     )
-    result = run_verify_lemma(config, threads=2)
+    result = run_study(config, threads=2)
     rows = [r for r in result.rows if not r["error"]]
     worst_interp = max(r["interp_error"] for r in rows)
     worst_ratio = max(
@@ -151,7 +150,7 @@ def test_criterion_05_composite_norm(capsys):
         "two-layer-composite", d_grid=(4,), n_grid=(32,), trials=50,
         n_atoms=64, m1=512, m2=16384, quadrature=200_000,
     )
-    result = run_verify_lemma(config, threads=2)
+    result = run_study(config, threads=2)
     ratios = [
         r["path_norm"] / r["teacher_norm"] for r in result.rows if not r["error"]
     ]
@@ -167,7 +166,7 @@ def test_criterion_06_resnet_additivity(capsys):
     config = _verify(
         "resnet-add", d_grid=(3,), L_grid=(8,), trials=100,
     )
-    result = run_verify_lemma(config, threads=2)
+    result = run_study(config, threads=2)
     rows = [r for r in result.rows if not r["error"]]
     worst_value = max(r["value_dev"] for r in rows)
     worst_norm = max(r["norm_dev"] for r in rows)
@@ -183,7 +182,7 @@ def test_criterion_07_embedding_exactness(capsys):
     config = _verify(
         "embedding", d_grid=(3,), trials=100,
     )
-    result = run_verify_lemma(config, threads=2)
+    result = run_study(config, threads=2)
     rows = [r for r in result.rows if not r["error"]]
     worst_value = max(r["value_dev"] for r in rows)
     worst_ratio = max(abs(r["norm_ratio"] - 3.0) for r in rows)
@@ -289,7 +288,7 @@ def _family_audit(capsys, num: int, workload: str) -> None:
     gate asks for at least that rate, not for equality.
     """
     config = dict(load_workloads().workload_config(workload, SEED), trials=8)
-    result = run_bound_audit(ExperimentConfig.from_dict(config), threads=2)
+    result = run_study(ExperimentConfig.from_dict(config), threads=2)
     slope = result.summary.get("slope")
     frac = result.summary["bound_pass_fraction"]
     ok = result.failures == 0 and slope is not None and slope <= -0.5 and frac >= 0.9

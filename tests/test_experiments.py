@@ -9,13 +9,12 @@ from numpy.testing import assert_allclose
 
 import minterp
 from minterp import (
+    RANDOM_FOURIER,
     ExperimentConfig,
     derive_seed,
     make_teacher,
     rescale_teacher,
-    run_bound_audit,
-    run_scale_study,
-    run_verify_lemma,
+    run_study,
     sample_dataset,
     write_study,
 )
@@ -25,6 +24,7 @@ from minterp.experiments import (
     _GRID_KEYS,
     DEFAULT_M_GRID,
     MODELS,
+    STUDY_KEYS,
     VERIFY_SELECTORS,
     _bootstrap_slope_ci,
     fit_model,
@@ -36,20 +36,48 @@ from _oracles import bootstrap_slope_ci_loop
 from _workloads import load_workloads
 
 
-def make_config(**kwargs):
-    base = dict(
-        kind="verify-lemma",
-        lemma="resnet-add",
-        d_grid=(2,),
-        n_grid=(8,),
-        trials=3,
-        seed=11,
-        quadrature=20_000,
-        n_atoms=8,
-        n_test=200,
-    )
-    base.update(kwargs)
-    return ExperimentConfig(**base)
+_SMALL = dict(d_grid=(2,), n_grid=(8,), trials=3, seed=11, quadrature=20_000, n_atoms=8)
+
+
+def make_config(lemma="resnet-add", **kwargs):
+    """A small config of one lemma suite: the _SMALL sizes it reads, then kwargs as given."""
+    reads = STUDY_KEYS.get(("verify-lemma", lemma), ())
+    small = {key: value for key, value in _SMALL.items() if key in reads}
+    return ExperimentConfig(kind="verify-lemma", lemma=lemma, **{**small, **kwargs})
+
+
+# Smoke sizes per lemma or model; each sets only keys its studies read.
+_SMOKE_SIZES = {
+    "kernel-approx": dict(n_grid=(6,), quadrature=2000),
+    "krr-bound": dict(n_grid=(6,), quadrature=2000, n_atoms=8),
+    "min-norm-rf": dict(n_grid=(6,), quadrature=2000, n_atoms=8, m_cap=256),
+    "fit-rand-label": dict(n_grid=(6,), quadrature=20_000, m2=512),
+    "two-layer-composite": dict(n_grid=(6,), quadrature=20_000, n_atoms=8, m1=16, m2=256),
+    "resnet-add": dict(L_grid=(4,)),
+    "embedding": dict(),
+    "rf": dict(n_grid=(8, 16), n_atoms=8, m_per_n=4, n_test=100),
+    "two-layer": dict(n_grid=(8, 16), n_atoms=8, quadrature=20_000, m1=16, m_per_n=16, n_test=100),
+    "resnet": dict(n_grid=(8, 16), L_grid=(64, 128), n_atoms=8, quadrature=20_000, m1=8,
+                   n_test=100),
+}
+STUDIES = list(STUDY_KEYS)
+STUDY_IDS = [f"{kind}:{name}" for kind, name in STUDIES]
+
+
+def smoke_config(study):
+    kind, name = study
+    own = {"lemma" if kind == "verify-lemma" else "model": name}
+    audit = {"rad_draws": 4} if kind == "bound-audit" and name in ("rf", "two-layer") else {}
+    return ExperimentConfig(kind=kind, d_grid=(2,), seed=5, trials=1, **own,
+                            **_SMOKE_SIZES[name], **audit)
+
+
+# A value other than the default for every key a study may leave unread.
+_OFF_DEFAULT = dict(
+    lemma="embedding", model="resnet", n_grid=(8,), L_grid=(4,), delta=0.2,
+    family=RANDOM_FOURIER, gamma=2.0, n_atoms=8, quadrature=1000, m1=16, m2=256, m_per_n=4,
+    n_test=100, m_cap=512, L_cap=4096, rad_draws=4,
+)
 
 
 class TestExperimentConfig:
@@ -127,12 +155,15 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="one L_grid entry per n"):
             ExperimentConfig(kind=kind, model="resnet", L_grid=L_grid, **grids)
         ExperimentConfig(kind=kind, model="resnet", L_grid=(256, 512), **grids)
-        # rf and two-layer read m_per_n and no depth
-        ExperimentConfig(kind=kind, model="two-layer", L_grid=L_grid, **grids)
+        # rf and two-layer read m_per_n and no depth, so a depth grid is rejected
+        with pytest.raises(ValueError, match="does not read L_grid"):
+            ExperimentConfig(kind=kind, model="two-layer", L_grid=L_grid, **grids)
 
-    @pytest.mark.parametrize("lemma", VERIFY_SELECTORS)
+    @pytest.mark.parametrize(
+        "lemma", [name for name in VERIFY_SELECTORS if "n_grid" in STUDY_KEYS["verify-lemma", name]]
+    )
     def test_lemma_suite_rejects_extra_n(self, lemma):
-        # every lemma suite reads n_grid[0] at most
+        # a lemma suite that reads n_grid reads n_grid[0] only
         with pytest.raises(ValueError, match="one n"):
             make_config(lemma=lemma, n_grid=(6, 12))
         make_config(lemma=lemma, n_grid=(6,))
@@ -143,13 +174,27 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="one depth"):
             make_config(lemma="resnet-add", L_grid=(4, 8))
         make_config(lemma="resnet-add", L_grid=(4,))
-        make_config(lemma="embedding", L_grid=(4, 8))
+        with pytest.raises(ValueError, match="does not read L_grid"):
+            make_config(lemma="embedding", L_grid=(4, 8))
 
     @pytest.mark.parametrize("key", ("seed",) + _COUNT_KEYS)
     @pytest.mark.parametrize("value", [2e5, 32.0, True, "8"])
     def test_non_integer_count_rejected_naming_key(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be an integer"):
             ExperimentConfig(**{key: value})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("delta", "0.1"), ("delta", None), ("delta", True), ("delta", [0.1]),
+         ("gamma", "2"), ("gamma", None), ("gamma", False)],
+    )
+    def test_non_real_delta_gamma_rejected_naming_key(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be a real number"):
+            ExperimentConfig(**{key: value})
+
+    def test_numpy_reals_accepted(self):
+        cfg = ExperimentConfig(delta=np.float64(0.2), gamma=np.int64(2))
+        assert cfg.delta == 0.2 and cfg.gamma == 2
 
     def test_numpy_integer_counts_accepted(self):
         cfg = ExperimentConfig(quadrature=np.int64(1000), trials=np.int32(2))
@@ -233,36 +278,105 @@ class TestExperimentConfig:
         assert DEFAULT_M_GRID[0] == 64 and DEFAULT_M_GRID[-1] == 16384
 
 
+class TestStudyTable:
+    def test_table_size(self):
+        # 7 lemma suites plus a scale study and a bound audit per model
+        assert len(STUDIES) == len(VERIFY_SELECTORS) + 2 * len(MODELS) == 13
+        assert sum(len(keys) for keys in STUDY_KEYS.values()) == 137
+
+    @pytest.mark.parametrize("study", STUDIES, ids=STUDY_IDS)
+    def test_declared_keys_are_the_keys_read(self, study, monkeypatch):
+        # a declared key the study never reads fails, and so does a read undeclared key
+        config = smoke_config(study)
+        names = {f.name for f in fields(ExperimentConfig)}
+        read = set()
+
+        def spy(self, name):
+            if name in names:
+                read.add(name)
+            return object.__getattribute__(self, name)
+
+        monkeypatch.setattr(ExperimentConfig, "__getattribute__", spy)
+        result = run_study(config)
+        monkeypatch.undo()
+        assert result.failures == 0
+        assert sorted(read) == sorted(STUDY_KEYS[study])
+
+    @pytest.mark.parametrize("study", STUDIES, ids=STUDY_IDS)
+    def test_unread_key_off_its_default_rejected(self, study):
+        config = smoke_config(study)
+        unread = [f for f in fields(ExperimentConfig)
+                  if f.name not in STUDY_KEYS[study] and f.name != "out"]
+        assert unread
+        for f in unread:
+            with pytest.raises(ValueError, match=f"does not read {f.name};"):
+                replace(config, **{f.name: _OFF_DEFAULT[f.name]})
+            assert replace(config, **{f.name: f.default}) == config
+
+    @pytest.mark.parametrize("kind", ["scale-study", "bound-audit"])
+    def test_unread_size_keys_rejected(self, kind):
+        # a depth grid for a width-rule model, a width rule for resnet
+        with pytest.raises(ValueError, match="does not read L_grid"):
+            ExperimentConfig.from_dict(
+                {"kind": kind, "model": "two-layer", "n_grid": [8, 16], "L_grid": [256]}
+            )
+        with pytest.raises(ValueError, match="does not read m_per_n"):
+            ExperimentConfig(kind=kind, model="resnet", n_grid=(8, 16), L_grid=(64, 64),
+                             m1=8, m_per_n=32)
+        with pytest.raises(ValueError, match="unknown lemma selector"):
+            ExperimentConfig.from_dict({"kind": kind, "lemma": ["x"]})
+
+    @pytest.mark.parametrize("study", STUDIES, ids=STUDY_IDS)
+    def test_echo_rebuilds_the_config_and_its_bytes(self, study, tmp_path):
+        config = smoke_config(study)
+        echo = config.echo()
+        assert tuple(echo) == STUDY_KEYS[study]
+        rebuilt = ExperimentConfig.from_dict(echo)
+        assert rebuilt == config
+        paths = [write_study(run_study(cfg), tmp_path / sub)
+                 for sub, cfg in (("a", config), ("b", rebuilt))]
+        for first, second in zip(*paths):
+            assert first.read_bytes() == second.read_bytes()
+
+    def test_readme_table_matches_study_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `(verify|scale-study|bound-audit)` \| `([\w-]+)` \| (.*) \|$",
+                          section, flags=re.M)
+        table = {}
+        for command, name, keys in rows:
+            kind = "verify-lemma" if command == "verify" else command
+            own = "lemma" if kind == "verify-lemma" else "model"
+            common = {"kind", "seed", "trials", "d_grid", own}
+            table[kind, name] = common | set(re.findall(r"`(\w+)`", keys))
+        assert len(rows) == len(STUDY_KEYS)
+        assert table == {study: set(keys) for study, keys in STUDY_KEYS.items()}
+
+
 class TestVerifyLemma:
     def test_unknown_selector(self):
+        # rejected when the config is built, before any run
         with pytest.raises(ValueError, match="unknown lemma selector"):
-            run_verify_lemma(make_config(lemma="no-such-lemma"))
-
-    def test_wrong_kind_rejected(self):
-        cfg = make_config(kind="scale-study", lemma=None, model="rf")
-        with pytest.raises(ValueError, match="verify-lemma"):
-            run_verify_lemma(cfg)
-        with pytest.raises(ValueError, match="scale-study"):
-            run_scale_study(make_config())
-        with pytest.raises(ValueError, match="bound-audit"):
-            run_bound_audit(make_config())
+            make_config(lemma="no-such-lemma")
+        with pytest.raises(ValueError, match="unknown lemma selector"):
+            ExperimentConfig.from_dict({"kind": "verify-lemma", "lemma": "no-such-lemma"})
 
     def test_resnet_add_small(self):
-        result = run_verify_lemma(make_config(lemma="resnet-add", trials=5))
+        result = run_study(make_config(lemma="resnet-add", trials=5))
         assert len(result.rows) == 5
         assert result.failures == 0
         assert result.pass_fraction == 1.0
         assert result.summary["lemma"] == "resnet-add"
 
     def test_embedding_small(self):
-        result = run_verify_lemma(make_config(lemma="embedding", trials=5))
+        result = run_study(make_config(lemma="embedding", trials=5))
         assert result.pass_fraction == 1.0
         for row in result.rows:
             assert row["norm_ratio"] == pytest.approx(3.0)
 
     def test_kernel_approx_small(self):
         cfg = make_config(lemma="kernel-approx", trials=3)
-        result = run_verify_lemma(cfg)
+        result = run_study(cfg)
         assert len(result.rows) == len(DEFAULT_M_GRID) * 3
         assert result.columns[:4] == ("trial", "n", "m", "delta")
         assert set(result.summary["per_m_pass"]) == {str(m) for m in DEFAULT_M_GRID}
@@ -272,7 +386,7 @@ class TestVerifyLemma:
         assert result.summary["lambda_min_K"] > 0
 
     def test_krr_bound_small(self):
-        result = run_verify_lemma(make_config(lemma="krr-bound", trials=3))
+        result = run_study(make_config(lemma="krr-bound", trials=3))
         assert result.pass_fraction == 1.0
         for row in result.rows:
             assert row["reproduce_error"] <= 1e-8
@@ -280,7 +394,7 @@ class TestVerifyLemma:
 
     def test_fit_rand_label_small(self):
         cfg = make_config(lemma="fit-rand-label", n_grid=(6,), m2=512)
-        result = run_verify_lemma(cfg)
+        result = run_study(cfg)
         assert result.pass_fraction == 1.0
         for row in result.rows:
             assert row["lambda_emp"] >= row["lambda_ref"] / 2 > 0
@@ -290,7 +404,7 @@ class TestVerifyLemma:
         cfg = make_config(
             lemma="two-layer-composite", n_grid=(6,), m1=64, m2=1024, trials=2
         )
-        result = run_verify_lemma(cfg)
+        result = run_study(cfg)
         assert result.failures == 0
         assert result.pass_fraction == 1.0
         for row in result.rows:
@@ -300,7 +414,7 @@ class TestVerifyLemma:
         # a residual width below n makes every trial raise inside the worker;
         # rows must record the error instead of aborting the run
         cfg = make_config(lemma="fit-rand-label", n_grid=(6,), m2=4)
-        result = run_verify_lemma(cfg)
+        result = run_study(cfg)
         assert result.failures == len(result.rows) == 3
         assert result.pass_fraction == 0.0
         for row in result.rows:
@@ -318,11 +432,11 @@ def scale_pair():
         trials=2,
         n_test=500,
         n_atoms=8,
-        rad_draws=4,
         seed=13,
     )
-    audit_cfg = ExperimentConfig.from_dict({**cfg.echo(), "kind": "bound-audit"})
-    return run_scale_study(cfg, threads=1), run_bound_audit(audit_cfg, threads=1)
+    # only the audit reads rad_draws
+    audit_cfg = ExperimentConfig.from_dict({**cfg.echo(), "kind": "bound-audit", "rad_draws": 4})
+    return run_study(cfg, threads=1), run_study(audit_cfg, threads=1)
 
 
 class TestScaleEngine:
@@ -364,7 +478,7 @@ class TestScaleEngine:
             kind="scale-study", model="rf", d_grid=(2,), n_grid=(8, 16),
             m_per_n=8, trials=2, n_test=100, n_atoms=8, seed=3,
         )
-        result = run_scale_study(cfg)
+        result = run_study(cfg)
         assert "slope" not in result.summary
         assert "grid points" in result.summary["slope_flag"]
 
@@ -373,24 +487,25 @@ class TestScaleEngine:
             kind="scale-study", model="rf", d_grid=(2,), n_grid=(8, 16),
             m_per_n=8, trials=3, n_test=100, n_atoms=8, seed=17,
         )
-        r1 = run_scale_study(cfg, threads=1)
-        r3 = run_scale_study(cfg, threads=3)
+        r1 = run_study(cfg, threads=1)
+        r3 = run_study(cfg, threads=3)
         assert r1.rows == r3.rows
         assert r1.summary == r3.summary
 
     def test_widths_follow_the_family_rule(self):
         base = dict(kind="scale-study", d_grid=(2,), n_grid=(8, 16), trials=1, n_test=100,
-                    n_atoms=8, seed=19, m1=8, quadrature=20_000)
-        rf = run_scale_study(ExperimentConfig(model="rf", m_per_n=4, **base))
+                    n_atoms=8, seed=19)
+        rf = run_study(ExperimentConfig(model="rf", m_per_n=4, **base))
         assert [r["m_or_L"] for r in rf.rows] == [32, 64]
         # a resnet adds L_grid[i] layers to its m1-layer teacher at n_grid[i]
-        resnet = run_scale_study(ExperimentConfig(model="resnet", L_grid=(64, 128), **base))
+        resnet = run_study(ExperimentConfig(model="resnet", L_grid=(64, 128), m1=8,
+                                            quadrature=20_000, **base))
         assert resnet.failures == 0
         assert [r["m_or_L"] for r in resnet.rows] == [8 + 64, 8 + 128]
 
     def test_failed_residual_rows_name_their_width(self):
         # at these depths every residual fit misses its eigenvalue floor
-        study = run_scale_study(ExperimentConfig(
+        study = run_study(ExperimentConfig(
             kind="scale-study", model="resnet", d_grid=(2,), n_grid=(8, 16), L_grid=(16, 24),
             m1=8, n_atoms=8, trials=1, quadrature=20_000, seed=19,
         ))
@@ -469,7 +584,7 @@ class TestFitModel:
 class TestWriteStudy:
     def test_names_and_summary_schema(self, tmp_path, scale_pair):
         scale, audit = scale_pair
-        result = run_verify_lemma(make_config(lemma="resnet-add", trials=2))
+        result = run_study(make_config(lemma="resnet-add", trials=2))
         assert result_basename(result) == "verify_resnet_add"
         assert result_basename(scale) == "scale_study"
         assert result_basename(audit) == "bound_audit"
@@ -484,7 +599,7 @@ class TestWriteStudy:
     def test_byte_identical_reruns(self, tmp_path):
         cfg = make_config(lemma="embedding", trials=3)
         for sub in ("a", "b"):
-            write_study(run_verify_lemma(cfg), tmp_path / sub)
+            write_study(run_study(cfg), tmp_path / sub)
         for name in ("verify_embedding.csv", "verify_embedding_summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -567,6 +682,24 @@ class TestCli:
         assert main(["gen-teacher", "--config", str(cfg)]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", [["gen-teacher"], ["verify", "--lemma", "embedding"], ["bound-audit"]]
+    )
+    @pytest.mark.parametrize("bad", [{"delta": "0.1"}, {"delta": None}, {"gamma": "2"}])
+    def test_mistyped_real_key_exits_2(self, tmp_path, capsys, command, bad):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(bad))
+        assert main([*command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        (key,) = bad
+        assert capsys.readouterr().err.startswith(f"error: {key} must be a real number")
+
+    def test_unread_study_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "two-layer", "n_grid": [8, 16], "L_grid": [256]}))
+        assert main(["scale-study", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "does not read L_grid" in capsys.readouterr().err
+        assert not (tmp_path / "scale_study.csv").exists()
+
     def test_fit_without_teacher_exits_2(self, workdir, capsys):
         tmp_path, cfg = workdir
         out = ["--config", cfg, "--out", str(tmp_path)]
@@ -575,6 +708,22 @@ class TestCli:
         rc = main(["fit", "two-layer", str(tmp_path / "dataset.json"), *out])
         assert rc == 2
         assert "needs a teacher" in capsys.readouterr().err
+
+    def test_fit_reads_a_study_config_for_any_family(self, workdir, capsys):
+        # family is an rf key; the fitted family comes from the command line
+        tmp_path, cfg = workdir
+        out = ["--config", cfg, "--out", str(tmp_path)]
+        assert main(["gen-teacher", *out]) == 0
+        assert main(["gen-data", str(tmp_path / "teacher.json"), *out]) == 0
+        study = tmp_path / "audit.json"
+        study.write_text(json.dumps({"kind": "bound-audit", "model": "rf", "d_grid": [2],
+                                     "n_grid": [8], "family": "random_fourier"}))
+        rc = main(["fit", "two-layer", str(tmp_path / "dataset.json"),
+                   str(tmp_path / "teacher.json"), "--config", str(study), "--out", str(tmp_path)])
+        assert rc == 0, capsys.readouterr().err
+        report = json.loads((tmp_path / "fit_report.json").read_text())
+        assert report["report"]["kind"] == "two-layer"
+        assert report["config"]["family"] == "random_fourier"
 
     def test_fit_resnet_rejects_infeasible_widths(self, workdir, capsys):
         tmp_path, cfg = workdir
