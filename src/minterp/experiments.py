@@ -34,6 +34,7 @@ from .complexity import (
 )
 from .linalg import smallest_singular_value
 from .random_features import (
+    RANDOM_FOURIER,
     RELU_L1SPHERE,
     FeatureFamily,
     concentration_check,
@@ -66,6 +67,10 @@ from .two_layer import (
 )
 
 KINDS = ("verify-lemma", "scale-study", "bound-audit")
+
+# The key each feature family leaves inert: a study that reads family
+# rejects a non-default value of it and leaves it out of the echo.
+_INERT_UNDER = {RELU_L1SPHERE: "gamma", RANDOM_FOURIER: "quadrature"}
 
 # The widths kernel-approx sweeps.
 DEFAULT_M_GRID = tuple(2 ** k for k in range(6, 15))
@@ -114,9 +119,11 @@ class ExperimentConfig:
     """Everything that defines an experiment; the master seed is part of it.
 
     A config runs the study that STUDY_KEYS names by (kind, lemma or model)
-    and echoes only the keys that study reads; every other key must keep
-    its default.  Kind verify-lemma without a lemma names no study (the
-    gen-teacher, gen-data, fit and norms commands) and echoes every key.
+    and echoes only the keys that study reads (keys_read: under the ReLU
+    family no gamma, under the cosine family no quadrature); every other
+    key must keep its default.  Kind verify-lemma without a lemma names no
+    study (the gen-teacher, gen-data, fit and norms commands) and echoes
+    every key.
     Widths follow one rule per family: m = m_per_n * n for rf and
     two-layer, one L_grid depth per n for resnet, DEFAULT_M_GRID for
     kernel-approx.  A lemma suite reads one n (resnet-add one depth), and a
@@ -179,18 +186,20 @@ class ExperimentConfig:
         for key in _COUNT_KEYS:
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
-        _family(self)  # rejects an unknown family tag and a gamma not in (0, inf)
+        FeatureFamily(tag=self.family, gamma=self.gamma)  # an unknown tag, a gamma not in (0, inf)
         if self.lemma is not None and self.lemma not in VERIFY_SELECTORS:
             raise ValueError(f"unknown lemma selector {self.lemma!r}; expected one of "
                              f"{VERIFY_SELECTORS}")
-        keys = STUDY_KEYS.get(self._study())
+        keys = self.keys_read()
         if keys is None:
             return
         for f in fields(self):
             if f.name not in keys and f.name != "out" and getattr(self, f.name) != f.default:
+                inert = f.name in STUDY_KEYS[self._study()]
+                under = f" under family {self.family}" if inert else ""
                 raise ValueError(
-                    f"{' '.join(self._study())} does not read {f.name}; leave it at its "
-                    f"default {f.default!r}, got {getattr(self, f.name)!r}"
+                    f"{' '.join(self._study())} does not read {f.name}{under}; leave it at "
+                    f"its default {f.default!r}, got {getattr(self, f.name)!r}"
                 )
         if self.kind == "verify-lemma":
             if len(self.n_grid) != 1:
@@ -219,6 +228,17 @@ class ExperimentConfig:
         """(kind, lemma or model): this config's STUDY_KEYS entry, if it names a study."""
         return self.kind, self.lemma if self.kind == "verify-lemma" else self.model
 
+    def keys_read(self) -> tuple | None:
+        """The keys this config's study reads: its STUDY_KEYS entry less the key its family ignores.
+
+        gamma shapes only cosine features and quadrature only the ReLU
+        reference kernel.  None when the config names no study.
+        """
+        keys = STUDY_KEYS.get(self._study())
+        if keys is None or "family" not in keys:
+            return keys
+        return tuple(key for key in keys if key != _INERT_UNDER[self.family])
+
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
         names = {f.name for f in fields(cls)}
@@ -229,7 +249,7 @@ class ExperimentConfig:
 
     def echo(self) -> dict:
         """The keys the study reads (all but `out` without a study), JSON-ready."""
-        names = STUDY_KEYS.get(self._study()) or [f.name for f in fields(self) if f.name != "out"]
+        names = self.keys_read() or [f.name for f in fields(self) if f.name != "out"]
         echoed = {}
         for name in names:
             value = getattr(self, name)
@@ -256,7 +276,9 @@ class StudyResult:
 
 
 def _family(config: ExperimentConfig) -> FeatureFamily:
-    return FeatureFamily(tag=config.family, gamma=config.gamma)
+    if config.family == RANDOM_FOURIER:
+        return FeatureFamily(tag=RANDOM_FOURIER, gamma=config.gamma)
+    return FeatureFamily(tag=config.family)
 
 
 def _run_trials(worker, count: int, threads: int) -> list:

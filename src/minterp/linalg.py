@@ -1,17 +1,21 @@
 """Shared dense linear algebra: minimum-norm solves and spectral quantities.
 
 A wide matrix A (n, p), n << p, is factored once per fit by a GramFactor:
-G = A A^T is formed once and its symmetric eigensolve runs on first use,
-O(n^2 p) plus O(n^3) against a much larger constant for the SVD of A.
-Squaring A squares its condition number, so eigenpairs of G carry a
-relative error of about eps * cond(G); past 1 / GRAM_RCOND the economy
-SVD of A runs instead.  The solve, sigma_min(A), K^m = G / m and the
-random-feature Rademacher estimate all read the one factor.
+G = A A^T is summed over A's column blocks in one pass and its symmetric
+eigensolve runs on first use, O(n^2 p) plus O(n^3) against a much larger
+constant for the SVD of A.  A is given as a ColumnBlocks source, so a
+source that recomputes its blocks never holds A whole; an array is the
+source of one block.  Squaring A squares its condition number, so
+eigenpairs of G carry a relative error of about eps * cond(G); past
+1 / GRAM_RCOND the economy SVD of A, stacked from its blocks, runs
+instead.  The solve, sigma_min(A), K^m = G / m and the random-feature
+Rademacher estimate all read the one factor.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -21,6 +25,11 @@ DEFAULT_RCOND = 1e-10
 # Smallest lambda_min(G) / lambda_max(G) the Gram route accepts; below it
 # the SVD of A runs.
 GRAM_RCOND = 1e-10
+# Columns per block of a recomputed source.  At n = 512 one block is 8 MB;
+# there (2 cores, OpenBLAS on one thread) blocks of 256 columns made the Gram
+# sum 32% slower than one whole-matrix product, blocks of 2048-4096 came
+# within 5-10%, and at n <= 256 every width from 512 up was within noise.
+BLOCK_COLUMNS = 2048
 
 
 def _well_conditioned(lam: np.ndarray) -> bool:
@@ -38,38 +47,99 @@ def _check_cutoff(s_min: float, s_max: float, rcond: float) -> None:
         )
 
 
-class GramFactor:
-    """A matrix A (n, p), its Gram matrix G = A A^T and, on first use, its spectrum.
+class ColumnBlocks:
+    """An (n, p) matrix A as a source of column blocks: columns(start, stop) is A[:, start:stop].
 
-    eigh(G) runs when sigma_min, route or a solve is first asked for, so a
-    factor used only for G runs none; route is "svd" when the economy SVD
-    of A replaced it past the GRAM_RCOND limit, else "gram".
+    Iterating yields (slice, block) pairs of at most `width` columns, each
+    built when it is reached, so a consumer that drops each block before
+    asking for the next holds one at a time.
     """
 
-    def __init__(self, A: np.ndarray):
-        self.A = np.asarray(A, dtype=float)
-        if self.A.ndim != 2:
-            raise ValueError(f"expected a 2-D matrix, got shape {self.A.shape}")
-        self.G = self.A @ self.A.T
+    def __init__(self, shape: tuple, columns: Callable, width: int = BLOCK_COLUMNS):
+        self.shape, self._columns, self._width = tuple(shape), columns, width
+
+    @classmethod
+    def of(cls, A) -> ColumnBlocks:
+        """A itself when it is a source, else the one-block source of the array A."""
+        if isinstance(A, cls):
+            return A
+        A = np.asarray(A, dtype=float)
+        if A.ndim != 2:
+            raise ValueError(f"expected a 2-D matrix, got shape {A.shape}")
+        return cls(A.shape, lambda start, stop: A[:, start:stop], width=max(A.shape[1], 1))
+
+    def __iter__(self):
+        p = self.shape[1]
+        for start in range(0, max(p, 1), self._width):  # an empty A is one empty block
+            stop = min(start + self._width, p)
+            yield slice(start, stop), self._columns(start, stop)
+
+
+def _blockwise(source: ColumnBlocks, x: np.ndarray, v, image: bool) -> tuple:
+    """(x, A x or None) from one pass over A's blocks.
+
+    With v, x_b = A_b^T v is written into x block by block; with image,
+    A x is summed in the same pass.
+    """
+    Ax = np.zeros(source.shape[0]) if image else None
+    for cols, block in source:
+        if v is not None:
+            np.matmul(block.T, v, out=x[cols])
+        if image:
+            Ax += block @ x[cols]
+        del block  # so the source builds the next block with this one freed
+    return x, Ax
+
+
+class GramFactor:
+    """The Gram matrix G = A A^T of an (n, p) matrix A and, on first use, its spectrum.
+
+    A is an array or a ColumnBlocks source.  G is summed over the source's
+    blocks once, when the factor is built; the factor keeps G and the
+    source, never A, so a recomputed source costs O(n^2 + n * block) memory
+    instead of O(n p).  A solve is one more pass over the blocks.  eigh(G)
+    runs when sigma_min, route or a solve is first asked for, so a factor
+    used only for G runs none; route is "svd" when the economy SVD of A,
+    the one place A is built whole, replaced it past the GRAM_RCOND limit,
+    else "gram".
+    """
+
+    def __init__(self, A):
+        self.source, self.G = ColumnBlocks.of(A), None
+        for _, block in self.source:
+            if self.G is None:
+                self.G = block @ block.T
+            else:
+                self.G += block @ block.T
+            del block  # so the source builds the next block with this one freed
 
     @staticmethod
     def of(A) -> GramFactor:
-        """A itself when it is a GramFactor, else the factor of the array A."""
+        """A itself when it is a GramFactor, else the factor of the array or source A."""
         return A if isinstance(A, GramFactor) else GramFactor(A)
 
     @property
     def shape(self) -> tuple:
-        return self.A.shape
+        return self.source.shape
 
     @cached_property
     def _spectrum(self) -> tuple:
-        # (route, singular values of A ascending, b -> A^T (A A^T)^-1 b); the
-        # solve closes over A, not self, so no cycle keeps a dropped factor alive
-        A, (lam, V) = self.A, np.linalg.eigh(self.G)
+        # (route, singular values of A ascending, (b, image) -> (x, A x or None)); the
+        # solve closes over the source, not self, so no cycle keeps a dropped factor alive
+        source, (lam, V) = self.source, np.linalg.eigh(self.G)
         if _well_conditioned(lam):
-            return "gram", np.sqrt(lam), lambda b: A.T @ (V @ ((V.T @ b) / lam))
-        U, s, Vt = np.linalg.svd(self.A, full_matrices=False)
-        return "svd", s[::-1], lambda b: Vt.T @ ((U.T @ b) / s)
+            def solve(b, image):
+                v = V @ ((V.T @ b) / lam)
+                return _blockwise(source, np.empty(source.shape[1]), v, image)
+
+            return "gram", np.sqrt(lam), solve
+        U, s, Vt = np.linalg.svd(np.hstack([block for _, block in source]), full_matrices=False)
+
+        def solve(b, image):
+            x = Vt.T @ ((U.T @ b) / s)
+            return _blockwise(source, x, None, True) if image else (x, None)
+
+        return "svd", s[::-1], solve
 
     @property
     def route(self) -> str:
@@ -80,16 +150,18 @@ class GramFactor:
         return float(self._spectrum[1][0])
 
 
-def min_norm_solve(A, b: np.ndarray) -> np.ndarray:
+def min_norm_solve(A, b: np.ndarray, image: bool = False):
     """Minimum Euclidean norm solution of the underdetermined system A x = b.
 
-    A is a matrix (n, p) with n <= p or its GramFactor.  The solution is
-    A^T (A A^T)^-1 b, computed from the factor's eigenpairs of G or, past
-    the GRAM_RCOND limit, from the economy SVD of A; both cost O(n^2 p),
-    so widths p in the hundreds of thousands stay tractable.  Raises
-    SingularSystemError when the smallest singular value of A falls at or
-    below DEFAULT_RCOND * max(n, p) times the largest, since the
-    pseudoinverse solution then stops being a reliable interpolant.
+    A is a matrix (n, p) with n <= p, a ColumnBlocks source of one, or its
+    GramFactor.  The solution is A^T (A A^T)^-1 b, computed from the
+    factor's eigenpairs of G or, past the GRAM_RCOND limit, from the economy
+    SVD of A; both cost O(n^2 p), so widths p in the hundreds of thousands
+    stay tractable.  With image, returns (x, A x), A x summed in the pass
+    over A's blocks that writes x, so fitted values take no pass of their
+    own.  Raises SingularSystemError when the smallest singular value of A
+    falls at or below DEFAULT_RCOND * max(n, p) times the largest, since
+    the pseudoinverse solution then stops being a reliable interpolant.
     """
     factor = GramFactor.of(A)
     b = np.asarray(b, dtype=float)
@@ -102,7 +174,8 @@ def min_norm_solve(A, b: np.ndarray) -> np.ndarray:
         raise SingularSystemError("empty system has no singular values", smallest=0.0, cutoff=0.0)
     _, s, solve = factor._spectrum
     _check_cutoff(s[0], s[-1], DEFAULT_RCOND * max(n, p))
-    return solve(b)
+    x, Ax = solve(b, image)
+    return (x, Ax) if image else x
 
 
 def smallest_eigenvalue(K: np.ndarray) -> float:

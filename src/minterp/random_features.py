@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularSystemError, UnderParametrizedError
-from .linalg import DEFAULT_RCOND, GramFactor, min_norm_solve, smallest_eigenvalue
+from .linalg import DEFAULT_RCOND, ColumnBlocks, GramFactor, min_norm_solve, smallest_eigenvalue
 from .sampling import sample_l1_sphere
 from .seeding import derive_seed, rng_from
 
@@ -80,6 +80,20 @@ class FeatureFamily:
             return np.maximum(block, 0.0, out=block).T
         return np.cos(block, out=block).T
 
+    def feature_source(self, W: np.ndarray, X: np.ndarray):
+        """Phi as a GramFactor source: recomputed ReLU column blocks, or the cosine array.
+
+        A ReLU block costs about 1 ns per entry to recompute, less than the
+        n multiply-adds per entry of the Gram update it feeds, so a ReLU fit
+        never holds Phi whole.  A cosine block costs about 10 ns per entry;
+        recomputing it more than doubled the widest cosine fits, so the
+        whole array is built once, as the source of one block.
+        """
+        if self.tag == RANDOM_FOURIER:
+            return self.features(W, X)
+        return ColumnBlocks((X.shape[1], len(W)),
+                            lambda start, stop: self.features(W[start:stop], X))
+
 
 @dataclass(frozen=True, eq=False)
 class RandomFeatureModel:
@@ -134,7 +148,9 @@ def _feature_sum(a: np.ndarray, W: np.ndarray, X: np.ndarray, relu: bool = True)
     multiplied by _FEATURE_TILE-row weight tiles: the working set is one
     (_FEATURE_TILE, _FEATURE_TILE) pre-activation array, whatever m and n.
     The input tile, the pre-activation tile and the tile's weighted sum are
-    contiguous views of three buffers allocated once per call.
+    contiguous views of three buffers allocated once per call.  relu sums
+    through relu(t) = (t + |t|) / 2: the tiles sum a_j |t_j|, and the
+    linear half is one (d+1)-vector product, (a^T W) . (x, 1), per call.
     """
     d, n = X.shape
     m = W.shape[0]
@@ -152,10 +168,14 @@ def _feature_sum(a: np.ndarray, W: np.ndarray, X: np.ndarray, relu: bool = True)
             Wt = W[row : row + _FEATURE_TILE]
             pre = np.matmul(Wt, Xt, out=pre_buf[: len(Wt) * cols].reshape(len(Wt), cols))
             if relu:
-                np.maximum(pre, 0.0, out=pre)
+                np.abs(pre, out=pre)
             else:
                 np.cos(pre, out=pre)
             acc += np.matmul(a[row : row + _FEATURE_TILE], pre, out=tile_sum)
+    if relu:
+        u = a @ W
+        out += u[:d] @ X + u[d]
+        out *= 0.5
     return out
 
 
@@ -239,7 +259,7 @@ def reference_lambda_min(X: np.ndarray, quadrature_size: int, seed: int) -> floa
 
 
 def kernel_empirical(Phi) -> np.ndarray:
-    """K^m = Phi Phi^T / m, symmetrized, from the G of Phi (n, m) or of its GramFactor."""
+    """K^m = Phi Phi^T / m, symmetrized, from the G of Phi (n, m), its source or its GramFactor."""
     gram = GramFactor.of(Phi)
     if 0 in gram.shape:
         raise ValueError(f"expected a nonempty (n, m) matrix, got shape {gram.shape}")
@@ -349,7 +369,9 @@ class RandomFeatureFit:
     """A fitted minimum-norm random feature interpolant plus its audit numbers.
 
     gram is the GramFactor of the (n, m) feature matrix Phi solved on, which
-    sigma_min and the Rademacher estimate reuse; fitted holds (1/m) Phi a.
+    sigma_min and the Rademacher estimate reuse.  It keeps G and the family's
+    feature source: W and X for ReLU, never Phi whole, and the Phi array
+    for cosine.  fitted holds (1/m) Phi a, summed in the solve's pass.
     """
 
     model: RandomFeatureModel
@@ -370,11 +392,13 @@ def fit_random_features(
     """Sample m features, solve the minimum-norm interpolation, report the fit."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
+    if m < X.shape[1]:
+        raise UnderParametrizedError(m, X.shape[1])
     W = family.sample_params(X.shape[0], m, seed)
-    gram = GramFactor(family.features(W, X))
-    a = min_l2_interpolant(gram, y)
+    gram = GramFactor(family.feature_source(W, X))
+    a, image = min_norm_solve(gram, m * y, image=True)
     model = RandomFeatureModel(family=family, params=W, coefficients=a)
-    fitted = gram.A @ a / m
+    fitted = image / m
     return RandomFeatureFit(
         model=model,
         coeff_norm=float(np.linalg.norm(a)),

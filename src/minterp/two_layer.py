@@ -150,9 +150,10 @@ def fit_residual_net(
     Inner weights (b_j, c_j) are drawn uniformly from the l1 sphere and
     re-drawn until the empirical kernel keeps half the target eigenvalue;
     after _MAX_RESAMPLES = 16 draws ConcentrationFailureError reports the
-    best eigenvalue seen.  Each draw's Psi is factored once: lambda_emp
-    reads its G, and the accepted draw's solve and sigma_min share its
-    eigh.  The outer solve is argmin ||a|| subject to (1/sqrt(m)) Psi a = r,
+    best eigenvalue seen.  Each draw's Psi is factored once, from column
+    blocks recomputed from the weights, so Psi never exists whole:
+    lambda_emp reads its G, and the accepted draw's solve and sigma_min
+    share its eigh.  The outer solve is argmin ||a|| subject to (1/sqrt(m)) Psi a = r,
     and the stored network carries coefficients sqrt(m) * a_hat so that the
     standard (1/m) evaluation reproduces r.  The sqrt(m) scaling is what
     makes the chain path_norm <= (1/m) sum |sqrt(m) a_hat_j| <= ||a_hat|| valid.
@@ -175,7 +176,7 @@ def fit_residual_net(
     best_lam = -math.inf
     for attempt in range(_MAX_RESAMPLES):
         W = sample_l1_sphere(d, m, derive_seed(seed, attempt))
-        gram = GramFactor(family.features(W, X))
+        gram = GramFactor(family.feature_source(W, X))
         lam_emp = eigen_min(kernel_empirical(gram))
         best_lam = max(best_lam, lam_emp)
         if lam_emp >= lambda_target / 2.0:

@@ -123,20 +123,27 @@ def feature_sum_gap_bound(a: np.ndarray, W: np.ndarray, X: np.ndarray,
     |phi| <= g: g = q for relu, g = 1 for cos.  cos itself adds up to 2 ulps
     per term and a division by m half an ulp of the result.  To first order
     in eps two roundings differ by at most eps (2(d+1) |a|^T q + (2m + 6) |a|^T g).
+    The tiled relu sum takes relu(t) = (t + |t|) / 2; its linear half
+    a^T W, m terms per entry, times (x, 1), d+1 terms, adds another
+    eps (m + d + 1) |a|^T q, so for relu the gap bound is
+    eps (3(d+1) + 3m + 6) |a|^T q.
     """
     d, n = X.shape
     m = W.shape[0]
     q = np.abs(W) @ np.abs(np.vstack([X, np.ones((1, n))]))
-    g = q if relu else np.ones_like(q)
     a = np.abs(a)
-    return np.finfo(float).eps * (2 * (d + 1) * (a @ q) + (2 * m + 6) * (a @ g))
+    if relu:
+        return np.finfo(float).eps * (3 * (d + 1) + 3 * m + 6) * (a @ q)
+    return np.finfo(float).eps * (2 * (d + 1) * (a @ q) + (2 * m + 6) * (a @ np.ones_like(q)))
 
 
 def feature_sum_tiles(a: np.ndarray, W: np.ndarray, X: np.ndarray, relu: bool = True) -> np.ndarray:
     """random_features._feature_sum with fresh arrays for every tile.
 
     The same (_FEATURE_TILE, _FEATURE_TILE) tiling and the same products in
-    the same order, so the sums round identically.
+    the same order, so the sums round identically; relu sums through
+    relu(t) = (t + |t|) / 2, the tiles taking |t| and one product with
+    a^T W the linear half.
     """
     d, n = X.shape
     out = np.empty(n)
@@ -146,9 +153,12 @@ def feature_sum_tiles(a: np.ndarray, W: np.ndarray, X: np.ndarray, relu: bool = 
         acc = np.zeros(Xt.shape[1])
         for row in range(0, W.shape[0], _FEATURE_TILE):
             pre = W[row : row + _FEATURE_TILE] @ Xt
-            pre = np.maximum(pre, 0.0) if relu else np.cos(pre)
+            pre = np.abs(pre) if relu else np.cos(pre)
             acc += a[row : row + _FEATURE_TILE] @ pre
         out[start : start + _FEATURE_TILE] = acc
+    if relu:
+        u = a @ W
+        out = (out + (u[:d] @ X + u[d])) * 0.5
     return out
 
 

@@ -110,7 +110,6 @@ def test_criterion_03_min_norm_radius(capsys):
         delta=0.1,
         family="random_fourier",
         gamma=8.0,
-        quadrature=300_000,
         m_cap=3_000_000,
         n_atoms=64,
     )

@@ -62,6 +62,7 @@ _SMOKE_SIZES = {
 }
 STUDIES = list(STUDY_KEYS)
 STUDY_IDS = [f"{kind}:{name}" for kind, name in STUDIES]
+FAMILY_STUDIES = [study for study in STUDIES if "family" in STUDY_KEYS[study]]
 
 
 def smoke_config(study):
@@ -300,7 +301,7 @@ class TestStudyTable:
         result = run_study(config)
         monkeypatch.undo()
         assert result.failures == 0
-        assert sorted(read) == sorted(STUDY_KEYS[study])
+        assert sorted(read) == sorted(config.keys_read())
 
     @pytest.mark.parametrize("study", STUDIES, ids=STUDY_IDS)
     def test_unread_key_off_its_default_rejected(self, study):
@@ -312,6 +313,22 @@ class TestStudyTable:
             with pytest.raises(ValueError, match=f"does not read {f.name};"):
                 replace(config, **{f.name: _OFF_DEFAULT[f.name]})
             assert replace(config, **{f.name: f.default}) == config
+
+    @pytest.mark.parametrize("study", FAMILY_STUDIES, ids=lambda s: f"{s[0]}:{s[1]}")
+    def test_key_inert_under_the_family_rejected(self, study):
+        # gamma shapes only cosine features, quadrature only the ReLU reference kernel
+        relu = smoke_config(study)
+        assert "gamma" not in relu.keys_read() and "gamma" not in relu.echo()
+        with pytest.raises(ValueError, match="does not read gamma under family relu_l1sphere;"):
+            replace(relu, gamma=3.0)
+        cosine = replace(relu, family=RANDOM_FOURIER, gamma=3.0,
+                         quadrature=ExperimentConfig().quadrature)
+        assert "gamma" in cosine.echo() and "quadrature" not in cosine.keys_read()
+        assert ExperimentConfig.from_dict(cosine.echo()) == cosine
+        if "quadrature" in STUDY_KEYS[study]:
+            with pytest.raises(ValueError,
+                               match="does not read quadrature under family random_fourier;"):
+                replace(cosine, quadrature=1000)
 
     @pytest.mark.parametrize("kind", ["scale-study", "bound-audit"])
     def test_unread_size_keys_rejected(self, kind):
@@ -330,7 +347,7 @@ class TestStudyTable:
     def test_echo_rebuilds_the_config_and_its_bytes(self, study, tmp_path):
         config = smoke_config(study)
         echo = config.echo()
-        assert tuple(echo) == STUDY_KEYS[study]
+        assert tuple(echo) == config.keys_read()
         rebuilt = ExperimentConfig.from_dict(echo)
         assert rebuilt == config
         paths = [write_study(run_study(cfg), tmp_path / sub)

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -6,11 +7,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from minterp import (
+    RANDOM_FOURIER,
     RELU_L1SPHERE,
     ExperimentConfig,
     FeatureFamily,
     GramFactor,
     SingularSystemError,
+    fit_random_features,
     fit_residual_net,
     kernel_empirical,
     make_teacher,
@@ -22,7 +25,7 @@ from minterp import (
     smallest_singular_value,
 )
 from minterp.experiments import fit_model
-from minterp.linalg import DEFAULT_RCOND, GRAM_RCOND
+from minterp.linalg import BLOCK_COLUMNS, DEFAULT_RCOND, GRAM_RCOND, ColumnBlocks
 
 
 def _ill_conditioned():
@@ -213,21 +216,109 @@ class TestGramFactor:
         assert calls == {"gram": 1, "eigh": 0, "eigvalsh": 0, "svd": 0}
 
     def test_used_factor_is_freed_without_the_cycle_collector(self):
-        # a factor caught in a reference cycle keeps its A until a gc pass,
-        # which raised the benchmark audits' peak RSS by 9-16 MB
-        factor = GramFactor(_relu_features())
-        min_norm_solve(factor, np.ones(20))
-        ref = weakref.ref(factor)
-        gc.disable()
-        try:
-            del factor
-            assert ref() is None
-        finally:
-            gc.enable()
+        # a factor caught in a reference cycle keeps its source until a gc
+        # pass, which raised the benchmark audits' peak RSS by 9-16 MB
+        for source in (_relu_features(), _relu_source(20, 5000)):
+            factor = GramFactor(source)
+            min_norm_solve(factor, np.ones(20))
+            ref = weakref.ref(factor)
+            gc.disable()
+            try:
+                del factor
+                assert ref() is None
+            finally:
+                gc.enable()
 
     def test_rejects_non_matrix(self):
         with pytest.raises(ValueError):
             GramFactor(np.ones(3))
+
+
+def _relu_source(n, m, seed=64):
+    family = FeatureFamily(tag=RELU_L1SPHERE)
+    X = np.random.default_rng(seed).uniform(-1, 1, (3, n))
+    return family.feature_source(family.sample_params(3, m, seed + 1), X)
+
+
+def _split(A, width):
+    """A as a source of width-column blocks, views of A."""
+    return ColumnBlocks(A.shape, lambda start, stop: A[:, start:stop], width=width)
+
+
+class TestBlockSource:
+    @pytest.mark.parametrize("make", [
+        lambda: (_relu_source(20, 5000), np.hstack([b for _, b in _relu_source(20, 5000)])),
+        lambda: (_split(_relu_features(), 96), _relu_features()),
+    ], ids=["relu-blocks", "split-array"])
+    def test_blocks_match_the_whole_array(self, make):
+        source, A = make()
+        assert len(list(source)) > 1
+        b = np.random.default_rng(9).uniform(-1, 1, 20)
+        blocks, whole = GramFactor(source), GramFactor(A)
+        assert blocks.route == whole.route == "gram"
+        assert_allclose(blocks.G, whole.G, rtol=1e-12)
+        assert blocks.sigma_min == pytest.approx(whole.sigma_min, rel=1e-12)
+        x, Ax = min_norm_solve(blocks, b, image=True)
+        assert_allclose(x, min_norm_solve(whole, b), rtol=1e-12, atol=1e-12 * np.abs(x).max())
+        assert_allclose(Ax, A @ x, rtol=1e-12)
+        assert_allclose(Ax, b, rtol=1e-9)
+
+    def test_ill_conditioned_blocks_take_the_svd_route_bit_for_bit(self):
+        A, b = _ill_conditioned()
+        factor = GramFactor(_split(A, 40))
+        assert factor.route == "svd"
+        assert min_norm_solve(factor, b).tobytes() == min_norm_solve(A, b).tobytes()
+        assert factor.sigma_min == GramFactor(A).sigma_min
+
+    def test_relu_fit_recomputes_blocks_per_pass(self, monkeypatch):
+        # one pass for G, one for the solve and its fitted values
+        family = FeatureFamily(tag=RELU_L1SPHERE)
+        calls = []
+        features = FeatureFamily.features
+        monkeypatch.setattr(FeatureFamily, "features",
+                            lambda self, W, X: calls.append(len(W)) or features(self, W, X))
+        X = np.random.default_rng(3).uniform(-1, 1, (2, 16))
+        fit = fit_random_features(X, np.sin(X[0]), family, 5000, seed=4)
+        assert calls == [BLOCK_COLUMNS, BLOCK_COLUMNS, 5000 - 2 * BLOCK_COLUMNS] * 2
+        assert fit.interp_error < 1e-9
+
+    def test_cosine_fit_builds_phi_once_and_keeps_its_bits(self, monkeypatch):
+        # the cosine source is the whole array: the fit reproduces the
+        # whole-matrix route, G = Phi Phi^T, a = Phi^T V diag(1/lam) V^T (m y), Phi a / m
+        family = FeatureFamily(tag=RANDOM_FOURIER, gamma=2.0)
+        X = np.random.default_rng(5).uniform(-1, 1, (3, 24))
+        y = np.cos(X.sum(axis=0))
+        m = 3000
+        calls = []
+        features = FeatureFamily.features
+        monkeypatch.setattr(FeatureFamily, "features",
+                            lambda self, W, X: calls.append(len(W)) or features(self, W, X))
+        fit = fit_random_features(X, y, family, m, seed=6)
+        assert calls == [m]
+        Phi = features(family, family.sample_params(3, m, 6), X)
+        G = Phi @ Phi.T
+        lam, V = np.linalg.eigh(G)
+        a = Phi.T @ (V @ ((V.T @ (m * y)) / lam))
+        assert fit.gram.G.tobytes() == G.tobytes()
+        assert fit.model.coefficients.tobytes() == a.tobytes()
+        assert fit.fitted.tobytes() == (Phi @ a / m).tobytes()
+
+    @pytest.mark.parametrize("fit", [
+        lambda X, y: fit_random_features(X, y, FeatureFamily(tag=RELU_L1SPHERE), 65536, seed=7),
+        lambda X, y: fit_residual_net(X, y, m=65536, lambda_target=1e-8, seed=8),
+    ], ids=["rf", "residual"])
+    def test_relu_fit_never_holds_phi(self, fit):
+        # Phi at n = 256, m = 65536 is 128 MB; W, one block and G are a few MB
+        X = np.random.default_rng(10).uniform(-1, 1, (2, 256))
+        y = np.random.default_rng(11).uniform(-1, 1, 256)
+        tracemalloc.start()
+        try:
+            result = fit(X, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.interp_error < 1e-6
+        assert peak < 16 * 2**20
 
 
 def _count_factorizations(monkeypatch) -> dict:

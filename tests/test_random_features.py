@@ -350,6 +350,22 @@ class TestTiledFeatureSum:
         got = _feature_sum(a, W, X, relu=relu)
         assert got.tobytes() == feature_sum_tiles(a, W, X, relu=relu).tobytes()
 
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(1, 4), m=st.integers(1, 600), n=st.integers(1, 300),
+           seed=st.integers(0, 2**32 - 2))
+    @example(d=1, m=1, n=1, seed=0)
+    @example(d=4, m=513, n=257, seed=1)
+    def test_relu_through_abs_matches_the_maximum_sum(self, d, m, n, seed):
+        # relu(t) = (t + |t|) / 2 rounds differently from max(t, 0); the gap is
+        # a few m eps times sum_j |a_j| |W_j| |x~|, the forward-error scale of
+        # sum_j |a_j| |t_j|
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(m)
+        W = rng.standard_normal((m, d + 1))
+        X = rng.uniform(-1, 1, (d, n))
+        want = a @ np.maximum(W @ np.vstack([X, np.ones((1, n))]), 0.0)
+        assert np.all(np.abs(_feature_sum(a, W, X) - want) <= feature_sum_gap_bound(a, W, X))
+
     def test_memory_does_not_scale_with_width_times_inputs(self):
         # one (m, 1024) activation block at m = 8192 was 64 MB; the tiles
         # need one 512 KB pre-activation array plus the output
