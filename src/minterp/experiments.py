@@ -281,6 +281,21 @@ def _family(config: ExperimentConfig) -> FeatureFamily:
     return FeatureFamily(tag=config.family)
 
 
+def _quadrature(config: ExperimentConfig) -> int | None:
+    """The ReLU reference kernel's quadrature size; None for cosine, whose kernel is closed form."""
+    return None if config.family == RANDOM_FOURIER else config.quadrature
+
+
+def _reference_kernel(config: ExperimentConfig, family: FeatureFamily, X: np.ndarray,
+                      seed_index: int) -> np.ndarray:
+    """kernel_exact of the config's family on X, reading quadrature only where it shapes K."""
+    quadrature = _quadrature(config)
+    if quadrature is None:
+        return kernel_exact(family, X)
+    return kernel_exact(family, X, quadrature_size=quadrature,
+                        seed=derive_seed(config.seed, seed_index))
+
+
 def _run_trials(worker, count: int, threads: int) -> list:
     if threads <= 1:
         return [worker(i) for i in range(count)]
@@ -327,9 +342,7 @@ def _verify_kernel_approx(config: ExperimentConfig, threads: int):
     d, n = config.d_grid[0], config.n_grid[0]
     family = _family(config)
     X = rng_from(derive_seed(config.seed, 0)).uniform(-1.0, 1.0, size=(d, n))
-    K = kernel_exact(
-        family, X, quadrature_size=config.quadrature, seed=derive_seed(config.seed, 1)
-    )
+    K = _reference_kernel(config, family, X, 1)
     lam_exact = eigen_min(K)
     heads = [{"trial": t, "n": n, "m": m, "delta": config.delta}
              for m in DEFAULT_M_GRID for t in range(config.trials)]
@@ -378,11 +391,7 @@ def _verify_krr_bound(config: ExperimentConfig, threads: int):
 
     def body(t):
         _, data = _teacher_data(config, n, 3 * t, 3 * t + 1)
-        K = kernel_exact(
-            family, data.X,
-            quadrature_size=config.quadrature,
-            seed=derive_seed(config.seed, 3 * t + 2),
-        )
+        K = _reference_kernel(config, family, data.X, 3 * t + 2)
         beta, lam = ridgeless_coefficients(K, data.y)
         surrogate = float(data.y @ beta)
         denom = max(float(np.abs(data.y).max()), 1e-300)
@@ -394,7 +403,7 @@ def _verify_krr_bound(config: ExperimentConfig, threads: int):
             holds=surrogate >= 0.0 and reproduce <= 1e-8,
         )
 
-    heads = [{"trial": t, "n": n, "d": d, "quadrature": config.quadrature}
+    heads = [{"trial": t, "n": n, "d": d, "quadrature": _quadrature(config)}
              for t in range(config.trials)]
     rows = _run_rows(heads, body, threads)
     columns = ("trial", "n", "d", "quadrature", "surrogate_norm", "lambda_min_K",
@@ -408,11 +417,7 @@ def _verify_min_norm_rf(config: ExperimentConfig, threads: int):
 
     def body(t):
         _, data = _teacher_data(config, n, 4 * t, 4 * t + 1)
-        K = kernel_exact(
-            family, data.X,
-            quadrature_size=config.quadrature,
-            seed=derive_seed(config.seed, 4 * t + 2),
-        )
+        K = _reference_kernel(config, family, data.X, 4 * t + 2)
         beta, lam = ridgeless_coefficients(K, data.y)
         surrogate = float(data.y @ beta)
         s = math.sqrt(max(surrogate, 0.0))

@@ -267,18 +267,23 @@ def kernel_empirical(Phi) -> np.ndarray:
     return (K + K.T) / 2.0
 
 
-def min_l2_interpolant(Phi, y: np.ndarray) -> np.ndarray:
-    """Coefficients of minimum Euclidean norm with (1/m) Phi a = y.
+def min_l2_interpolant(Phi, y: np.ndarray, fitted: bool = False):
+    """Coefficients a of minimum Euclidean norm with (1/m) Phi a = y.
 
     Closed form m Phi^T (Phi Phi^T)^-1 y, computed by min_norm_solve at
-    its cutoff DEFAULT_RCOND * max(n, m); Phi is a matrix or its GramFactor.
+    its cutoff DEFAULT_RCOND * max(n, m); Phi is a matrix, its source or
+    its GramFactor.  With fitted=True returns (a, (1/m) Phi a), the fitted
+    values summed in the solve's pass over Phi.
     """
     gram = GramFactor.of(Phi)
     y = np.asarray(y, dtype=float)
     n, m = gram.shape
     if m < n:
         raise UnderParametrizedError(m, n)
-    return min_norm_solve(gram, m * y)
+    if not fitted:
+        return min_norm_solve(gram, m * y)
+    a, image = min_norm_solve(gram, m * y, image=True)
+    return a, image / m
 
 
 def _check_symmetric(K: np.ndarray) -> np.ndarray:
@@ -392,13 +397,10 @@ def fit_random_features(
     """Sample m features, solve the minimum-norm interpolation, report the fit."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if m < X.shape[1]:
-        raise UnderParametrizedError(m, X.shape[1])
     W = family.sample_params(X.shape[0], m, seed)
     gram = GramFactor(family.feature_source(W, X))
-    a, image = min_norm_solve(gram, m * y, image=True)
+    a, fitted = min_l2_interpolant(gram, y, fitted=True)
     model = RandomFeatureModel(family=family, params=W, coefficients=a)
-    fitted = image / m
     return RandomFeatureFit(
         model=model,
         coeff_norm=float(np.linalg.norm(a)),

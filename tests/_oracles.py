@@ -123,18 +123,19 @@ def feature_sum_gap_bound(a: np.ndarray, W: np.ndarray, X: np.ndarray,
     |phi| <= g: g = q for relu, g = 1 for cos.  cos itself adds up to 2 ulps
     per term and a division by m half an ulp of the result.  To first order
     in eps two roundings differ by at most eps (2(d+1) |a|^T q + (2m + 6) |a|^T g).
-    The tiled relu sum takes relu(t) = (t + |t|) / 2; its linear half
-    a^T W, m terms per entry, times (x, 1), d+1 terms, adds another
-    eps (m + d + 1) |a|^T q, so for relu the gap bound is
-    eps (3(d+1) + 3m + 6) |a|^T q.
+    The tiled relu sum takes relu(t) = (t + |t|) / 2.  Its sum of
+    a_j |t_j| and its linear half (a^T W) . (x, 1), m and then d+1 terms,
+    each err by at most eps (m + d + 1) |a|^T q; adding them errs by at
+    most eps |a|^T q more, and the halving is exact, so that rounding errs
+    by at most eps (m + d + 3/2) |a|^T q, inside one rounding's half of the
+    bound, eps (m + d + 4) |a|^T q.
     """
     d, n = X.shape
     m = W.shape[0]
     q = np.abs(W) @ np.abs(np.vstack([X, np.ones((1, n))]))
+    g = q if relu else np.ones_like(q)
     a = np.abs(a)
-    if relu:
-        return np.finfo(float).eps * (3 * (d + 1) + 3 * m + 6) * (a @ q)
-    return np.finfo(float).eps * (2 * (d + 1) * (a @ q) + (2 * m + 6) * (a @ np.ones_like(q)))
+    return np.finfo(float).eps * (2 * (d + 1) * (a @ q) + (2 * m + 6) * (a @ g))
 
 
 def feature_sum_tiles(a: np.ndarray, W: np.ndarray, X: np.ndarray, relu: bool = True) -> np.ndarray:

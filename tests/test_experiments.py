@@ -285,10 +285,9 @@ class TestStudyTable:
         assert len(STUDIES) == len(VERIFY_SELECTORS) + 2 * len(MODELS) == 13
         assert sum(len(keys) for keys in STUDY_KEYS.values()) == 137
 
-    @pytest.mark.parametrize("study", STUDIES, ids=STUDY_IDS)
-    def test_declared_keys_are_the_keys_read(self, study, monkeypatch):
+    @staticmethod
+    def assert_keys_read_are_declared(config, monkeypatch):
         # a declared key the study never reads fails, and so does a read undeclared key
-        config = smoke_config(study)
         names = {f.name for f in fields(ExperimentConfig)}
         read = set()
 
@@ -302,6 +301,19 @@ class TestStudyTable:
         monkeypatch.undo()
         assert result.failures == 0
         assert sorted(read) == sorted(config.keys_read())
+        return result
+
+    @pytest.mark.parametrize("study", STUDIES, ids=STUDY_IDS)
+    def test_declared_keys_are_the_keys_read(self, study, monkeypatch):
+        self.assert_keys_read_are_declared(smoke_config(study), monkeypatch)
+
+    @pytest.mark.parametrize("study", FAMILY_STUDIES, ids=lambda s: f"{s[0]}:{s[1]}")
+    def test_declared_keys_are_the_keys_read_under_cosine(self, study, monkeypatch):
+        # the cosine family reads gamma, and its closed-form kernel no quadrature
+        cosine = replace(smoke_config(study), family=RANDOM_FOURIER, gamma=1.5,
+                         quadrature=ExperimentConfig().quadrature)
+        result = self.assert_keys_read_are_declared(cosine, monkeypatch)
+        assert all(row.get("quadrature") is None for row in result.rows)
 
     @pytest.mark.parametrize("study", STUDIES, ids=STUDY_IDS)
     def test_unread_key_off_its_default_rejected(self, study):
