@@ -11,8 +11,10 @@ bound, even though the network interpolates exactly.
 import numpy as np
 
 from minterp import (
+    derive_seed,
     interpolate_two_layer,
     make_teacher,
+    reference_lambda_min,
     rescale_teacher,
     sample_dataset,
     two_layer_eval_batch,
@@ -22,7 +24,10 @@ d, n = 4, 32
 teacher = rescale_teacher(make_teacher(d, 64, 1.0, seed=0))
 data = sample_dataset(teacher, n, seed=1)
 
-fit = interpolate_two_layer(data, teacher, m1=512, m2=16384, seed=2)
+# the residual fit's eigenvalue target: lambda_min of the ReLU reference
+# kernel on the data, by a 1e6-point quadrature
+lam = reference_lambda_min(data.X, 1_000_000, derive_seed(2, 0))
+fit = interpolate_two_layer(data, teacher, m1=512, m2=16384, seed=2, lambda_target=lam)
 
 print(f"teacher part: m1 = {fit.m1} neurons, residual part: m2 = {fit.m2}")
 print(f"eigen floor: target {fit.lambda_target:.3e}, "

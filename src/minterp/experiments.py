@@ -88,6 +88,8 @@ _WIDTH_FACTOR = 8.0
 # Disjoint seed-index bases for the scale-study engine.  A trial adds
 # grid_index * trials + trial to a base, so the streams stay disjoint while
 # len(n_grid) * trials < _SEED_STRIDE, which ExperimentConfig enforces.
+# _BOOT_BASE and _QUADRATURE_BASE are used once per study, with no offset:
+# every two-layer and resnet fit of a study shares one ReLU quadrature rule.
 _SEED_STRIDE = 1 << 20
 _TEACHER_BASE = 1 * _SEED_STRIDE
 _DATA_BASE = 2 * _SEED_STRIDE
@@ -95,6 +97,7 @@ _FIT_BASE = 3 * _SEED_STRIDE
 _TEST_BASE = 4 * _SEED_STRIDE
 _RAD_BASE = 5 * _SEED_STRIDE
 _BOOT_BASE = 6 * _SEED_STRIDE
+_QUADRATURE_BASE = 7 * _SEED_STRIDE
 
 
 def check_resnet_widths(m1: int, L_cap: int) -> None:
@@ -483,10 +486,9 @@ def _verify_two_layer_composite(config: ExperimentConfig, threads: int):
 
     def body(t):
         teacher, data = _teacher_data(config, n, 3 * t, 3 * t + 1)
-        fit = interpolate_two_layer(
-            data, teacher, config.m1, config.m2, derive_seed(config.seed, 3 * t + 2),
-            lambda_quadrature=config.quadrature,
-        )
+        fit_seed = derive_seed(config.seed, 3 * t + 2)
+        lam_ref = reference_lambda_min(data.X, config.quadrature, derive_seed(fit_seed, 0))
+        fit = interpolate_two_layer(data, teacher, config.m1, config.m2, fit_seed, lam_ref)
         return dict(
             lambda_ref=fit.lambda_target,
             lambda_emp=fit.lambda_emp,
@@ -608,9 +610,15 @@ def _fit_rf(config, data, teacher, width, fit_seed, approx_seed) -> ModelFit:
     )
 
 
+def _study_lambda_ref(config: ExperimentConfig, data: Dataset) -> float:
+    """lambda_min of the ReLU reference kernel on data, from the study's one quadrature rule."""
+    return reference_lambda_min(data.X, config.quadrature,
+                                derive_seed(config.seed, _QUADRATURE_BASE))
+
+
 def _fit_two_layer(config, data, teacher, width, fit_seed, approx_seed) -> ModelFit:
     fit = interpolate_two_layer(data, teacher, config.m1, width, fit_seed,
-                                lambda_quadrature=config.quadrature)
+                                _study_lambda_ref(config, data))
     predict = partial(two_layer_eval_batch, fit.net)
 
     def rad_bounds(seed):
@@ -630,7 +638,7 @@ def _fit_resnet(config, data, teacher, width, fit_seed, approx_seed) -> ModelFit
     part1 = approximate_teacher(teacher, config.m1, data.X, approx_seed)
     teacher_net = embed_two_layer(part1.net)
     m2 = min(width, config.L_cap - teacher_net.L)
-    fit = interpolate_resnet(data, teacher_net, m2, fit_seed, lambda_quadrature=config.quadrature)
+    fit = interpolate_resnet(data, teacher_net, m2, fit_seed, _study_lambda_ref(config, data))
     predict = partial(resnet_eval_batch, fit.net)
     threshold = concentration_width(data.n, config.delta, fit.lambda_target)
     return ModelFit(

@@ -25,11 +25,21 @@ DEFAULT_RCOND = 1e-10
 # Smallest lambda_min(G) / lambda_max(G) the Gram route accepts; below it
 # the SVD of A runs.
 GRAM_RCOND = 1e-10
-# Columns per block of a recomputed source.  At n = 512 one block is 8 MB;
-# there (2 cores, OpenBLAS on one thread) blocks of 256 columns made the Gram
-# sum 32% slower than one whole-matrix product, blocks of 2048-4096 came
-# within 5-10%, and at n <= 256 every width from 512 up was within noise.
-BLOCK_COLUMNS = 2048
+# Bytes per block of a recomputed source, and the column range a block
+# keeps to.  On 2 cores with OpenBLAS on one thread, blocks of 256 columns
+# made the n = 512 Gram sum 32% slower than one whole-matrix product, and at
+# n <= 256 every width from 512 columns up was within noise.  So a block
+# holds about 1 MB, 2**20 // (8 n) columns, but never fewer than 512; nor
+# more than 2048, since at n <= 64 a 2048-column block is already 1 MB or
+# less and a wider one would only move the bits of those fits' G.
+BLOCK_BYTES = 1 << 20
+MIN_BLOCK_COLUMNS = 512
+MAX_BLOCK_COLUMNS = 2048
+
+
+def block_columns(n: int) -> int:
+    """Columns per block of an n-row recomputed source."""
+    return max(MIN_BLOCK_COLUMNS, min(MAX_BLOCK_COLUMNS, BLOCK_BYTES // (8 * max(n, 1))))
 
 
 def _well_conditioned(lam: np.ndarray) -> bool:
@@ -50,13 +60,14 @@ def _check_cutoff(s_min: float, s_max: float, rcond: float) -> None:
 class ColumnBlocks:
     """An (n, p) matrix A as a source of column blocks: columns(start, stop) is A[:, start:stop].
 
-    Iterating yields (slice, block) pairs of at most `width` columns, each
-    built when it is reached, so a consumer that drops each block before
-    asking for the next holds one at a time.
+    Iterating yields (slice, block) pairs of at most `width` columns
+    (default block_columns(n)), each built when it is reached, so a consumer
+    that drops each block before asking for the next holds one at a time.
     """
 
-    def __init__(self, shape: tuple, columns: Callable, width: int = BLOCK_COLUMNS):
-        self.shape, self._columns, self._width = tuple(shape), columns, width
+    def __init__(self, shape: tuple, columns: Callable, width: int | None = None):
+        self.shape, self._columns = tuple(shape), columns
+        self._width = block_columns(self.shape[0]) if width is None else width
 
     @classmethod
     def of(cls, A) -> ColumnBlocks:

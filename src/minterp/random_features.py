@@ -4,21 +4,23 @@ Two bounded feature families are shipped: ReLU ridge features with
 parameters uniform on the l1 sphere, and cosine features with Gaussian
 frequencies.  The exact kernel k(x, x') = E_w[phi(x;w) phi(x';w)] is a
 Gaussian in closed form for the cosine family; for the ReLU family it is
-computed once by a large fixed Monte Carlo quadrature, over draws w taken
+computed by a large fixed Monte Carlo quadrature, over draws w taken
 together with their antithetic partners -w, and treated as ground truth
-thereafter.
+thereafter.  The draws form a QuadratureRule, drawn once per (d, size,
+seed) and cached, so every fit of a study sums the same points.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularSystemError, UnderParametrizedError
 from .linalg import DEFAULT_RCOND, ColumnBlocks, GramFactor, min_norm_solve, smallest_eigenvalue
-from .sampling import sample_l1_sphere
+from .sampling import _l1_sphere_rows, sample_l1_sphere
 from .seeding import derive_seed, rng_from
 
 RELU_L1SPHERE = "relu_l1sphere"
@@ -190,6 +192,68 @@ class ConcentrationCheck:
     lambda_min_empirical: float
 
 
+@dataclass(frozen=True, eq=False)
+class QuadratureRule:
+    """The ReLU reference kernel's quadrature points for one (d, quadrature_size, seed).
+
+    pairs holds the quadrature_size // 2 draws w that enter with their
+    antithetic partners -w, odd the last draw of an odd quadrature_size
+    (else None), and M = sum w w^T over pairs, summed one seed block at a
+    time.  The arrays are read-only, since every fit of a study shares them.
+    """
+
+    key: tuple
+    pairs: np.ndarray
+    odd: np.ndarray | None
+    M: np.ndarray
+
+
+_RULE_LOCK = threading.Lock()
+_cached_rule: QuadratureRule | None = None
+
+
+def _draw_rule(d: int, quadrature_size: int, seed: int) -> QuadratureRule:
+    """Draw the rule in _QUADRATURE_CHUNK blocks, block b from derive_seed(seed, b * chunk).
+
+    Each block is drawn in place into one (draws, d+1) array, so a draw
+    holds no second copy of its block.
+    """
+    pairs = quadrature_size // 2
+    draws = pairs + quadrature_size % 2
+    W = np.empty((draws, d + 1))
+    M = np.zeros((d + 1, d + 1))
+    done = 0
+    while done < draws:
+        c = min(_QUADRATURE_CHUNK, draws - done)
+        _l1_sphere_rows(rng_from(derive_seed(seed, done)), c, d + 1, out=W[done : done + c])
+        paired = W[done : min(done + c, pairs)]
+        M += paired.T @ paired
+        done += c
+    W.setflags(write=False)
+    M.setflags(write=False)
+    odd = W[pairs] if draws > pairs else None  # the last draw of an odd size has no partner
+    return QuadratureRule(key=(d, quadrature_size, seed), pairs=W[:pairs], odd=odd, M=M)
+
+
+def quadrature_rule(d: int, quadrature_size: int, seed: int) -> QuadratureRule:
+    """The rule for (d, quadrature_size, seed), cached until another key is asked for.
+
+    One rule is cached at a time, and it is dropped before a new one is
+    drawn, so a cache miss holds one rule plus one seed block's row sums
+    and sign words.  The draw runs under a lock: pool threads that ask for
+    the same key wait for one draw and share its rule.
+    """
+    global _cached_rule
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    key = (d, quadrature_size, seed)
+    with _RULE_LOCK:
+        if _cached_rule is None or _cached_rule.key != key:
+            _cached_rule = None
+            _cached_rule = _draw_rule(d, quadrature_size, seed)
+        return _cached_rule
+
+
 def kernel_exact(
     family: FeatureFamily,
     X: np.ndarray,
@@ -204,10 +268,11 @@ def kernel_exact(
     over quadrature_size points of the l1-sphere law, taken as
     ceil(quadrature_size / 2) draws w, each used with its antithetic
     partner -w (the law is symmetric); when quadrature_size is odd the last
-    draw is used alone.  Block b of _QUADRATURE_CHUNK draws comes from
-    derive_seed(seed, b * _QUADRATURE_CHUNK), so the points do not depend on
-    how the sum is evaluated.  A pair with t = w . (x, 1) contributes
-    relu(t) relu(t') + relu(-t) relu(-t') = (t t' + |t| |t'|) / 2, so
+    draw is used alone.  The draws are quadrature_rule(d, quadrature_size,
+    seed), drawn once and shared by every call with the same key, so the
+    points do not depend on how the sum is evaluated.  A pair with
+    t = w . (x, 1) contributes relu(t) relu(t') + relu(-t) relu(-t') =
+    (t t' + |t| |t'|) / 2, so
     K = ((X; 1)^T M (X; 1) + sum |F|^T |F|) / (2 quadrature_size) with
     M = sum w w^T over the paired draws.  Each _QUADRATURE_SUB_BLOCK-row
     block F = W_blk @ (X; 1) is written into one reused buffer, made
@@ -224,32 +289,24 @@ def kernel_exact(
             K += np.square(np.subtract.outer(row, row, out=diff), out=diff)
         K *= -0.5 * family.gamma ** 2
         return 0.5 * np.exp(K, out=K)
+    rule = quadrature_rule(d, quadrature_size, seed)
     Xt = np.vstack([X, np.ones((1, n))])
-    pairs = quadrature_size // 2
-    draws = pairs + quadrature_size % 2
+    pairs = len(rule.pairs)
     K = np.zeros((n, n))
-    M = np.zeros((d + 1, d + 1))
     gram = np.empty((n, n))
     buf = np.empty((min(_QUADRATURE_SUB_BLOCK, pairs), n))
-    done = 0
-    while done < draws:
-        c = min(_QUADRATURE_CHUNK, draws - done)
-        W = family.sample_params(d, c, derive_seed(seed, done))
-        paired = W[: min(c, pairs - done)]
-        M += paired.T @ paired
-        for start in range(0, len(paired), _QUADRATURE_SUB_BLOCK):
-            F = buf[: min(_QUADRATURE_SUB_BLOCK, len(paired) - start)]
-            np.matmul(paired[start : start + _QUADRATURE_SUB_BLOCK], Xt, out=F)
-            np.abs(F, out=F)
-            K += np.matmul(F.T, F, out=gram)
-        if len(paired) < c:  # the last draw of an odd quadrature_size has no partner
-            f = np.maximum(W[-1] @ Xt, 0.0)
-            K += np.outer(f, 2.0 * f, out=gram)
-        done += c
-        del W, paired  # so the next draw does not hold two parameter blocks at once
-    K += np.matmul(Xt.T, M @ Xt, out=gram)
+    for start in range(0, pairs, _QUADRATURE_SUB_BLOCK):
+        F = buf[: min(_QUADRATURE_SUB_BLOCK, pairs - start)]
+        np.matmul(rule.pairs[start : start + _QUADRATURE_SUB_BLOCK], Xt, out=F)
+        np.abs(F, out=F)
+        K += np.matmul(F.T, F, out=gram)
+    if rule.odd is not None:
+        f = np.maximum(rule.odd @ Xt, 0.0)
+        K += np.outer(f, 2.0 * f, out=gram)
+    K += np.matmul(Xt.T, rule.M @ Xt, out=gram)
     K /= 2.0 * quadrature_size
-    return (K + K.T) / 2.0
+    np.add(K, K.T, out=gram)  # (K + K^T) / 2 with no third (n, n) array
+    return np.divide(gram, 2.0, out=gram)
 
 
 def reference_lambda_min(X: np.ndarray, quadrature_size: int, seed: int) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .random_features import _feature_sum, reference_lambda_min
+from .random_features import _feature_sum
 from .sampling import Dataset
 from .seeding import derive_seed, rng_from
 from .two_layer import TwoLayerNet, fit_residual_net, path_norm
@@ -272,7 +272,7 @@ def interpolate_resnet(
     teacher_net: ResNet,
     m2: int,
     seed: int,
-    lambda_quadrature: int = 1_000_000,
+    lambda_target: float,
 ) -> ResNetFit:
     """Interpolate the dataset by a teacher network plus an embedded residual fit.
 
@@ -281,16 +281,16 @@ def interpolate_resnet(
     exactly 3x its path norm, and adds the two networks with exactly
     additive norm.  The report carries the decomposition
     weighted_norm = surrogate_norm + embedded_norm and the certificate
-    3 * ||r|| / sigma_min for the embedded part.  The residual fit's
-    eigenvalue target is the smallest eigenvalue of the reference kernel on
-    the data, estimated by a lambda_quadrature-sample quadrature.
+    3 * ||r|| / sigma_min for the embedded part.  lambda_target is the
+    residual fit's eigenvalue target: the smallest eigenvalue of the
+    reference kernel on the data, which the caller estimates once
+    (reference_lambda_min).
     """
     X, y = data.X, data.y
     if teacher_net.d != data.d:
         raise ValueError(
             f"teacher input dimension {teacher_net.d} does not match data {data.d}"
         )
-    lambda_target = reference_lambda_min(X, lambda_quadrature, derive_seed(seed, 0))
     r = y - resnet_eval_batch(teacher_net, X)
     fit2 = fit_residual_net(X, r, m2, lambda_target, seed=derive_seed(seed, 2))
     embedded = embed_two_layer(fit2.net)

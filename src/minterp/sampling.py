@@ -18,6 +18,9 @@ from .errors import ContractViolationError
 from .seeding import derive_seed, rng_from
 
 _L1_TOL = 1e-12
+# Columns per tile of teacher_eval_batch: at 64 atoms one (64, 512) atom
+# tile is 256 KB, so a 4096-point test risk holds no (64, 4096) arrays.
+_TEACHER_TILE = 512
 # Index of the uint32 holding a float64's sign bit in a uint32 view.
 _HIGH_WORD = 1 if sys.byteorder == "little" else 0
 
@@ -96,15 +99,16 @@ def sample_l1_sphere(d: int, count: int, seed: int) -> np.ndarray:
     return _l1_sphere_rows(rng_from(seed), count, d + 1)
 
 
-def _l1_sphere_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+def _l1_sphere_rows(rng: np.random.Generator, count: int, dim: int, out=None) -> np.ndarray:
     """``count`` uniform points on the unit l1 sphere of R^dim drawn from ``rng``.
 
-    Normalizes the exponentials and signs them in place; the row sums and
-    the uint32 sign words are the only other arrays.  Below 8 columns the
-    row sums run column by column, which is the order numpy's own sum
-    takes there, so the bits equal ``g.sum(axis=1)``'s.
+    Normalizes the exponentials and signs them in place, in ``out`` when
+    given (a C-contiguous (count, dim) float64 array); the row sums and the
+    uint32 sign words are the only other arrays.  Below 8 columns the row
+    sums run column by column, which is the order numpy's own sum takes
+    there, so the bits equal ``g.sum(axis=1)``'s.
     """
-    g = rng.standard_exponential(size=(count, dim))
+    g = rng.standard_exponential(size=(count, dim), out=out)
     if dim < 8:
         total = g[:, 0].copy()
         for j in range(1, dim):
@@ -182,11 +186,19 @@ def rescale_teacher(f: TeacherFunction, target: float = 1.0) -> TeacherFunction:
 
 
 def teacher_eval_batch(f: TeacherFunction, X: np.ndarray) -> np.ndarray:
-    """Evaluate the teacher at every column of X (shape (d, n))."""
+    """Evaluate the teacher at every column of X (shape (d, n)), _TEACHER_TILE columns at a time.
+
+    An input of at most one tile takes one product, the whole-array one.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != f.d:
         raise ValueError(f"expected X of shape ({f.d}, n), got {X.shape}")
-    return f.coefficients @ _atom_relu(f, X) / f.n_atoms
+    out = np.empty(X.shape[1])
+    for start in range(0, X.shape[1], _TEACHER_TILE):
+        tile = slice(start, start + _TEACHER_TILE)
+        np.matmul(f.coefficients, _atom_relu(f, X[:, tile]), out=out[tile])
+    out /= f.n_atoms
+    return out
 
 
 def _atom_relu(f: TeacherFunction, X: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ from .random_features import (
     _feature_sum,
     eigen_min,
     kernel_empirical,
-    reference_lambda_min,
 )
 from .sampling import (
     Dataset,
@@ -272,19 +271,18 @@ def interpolate_two_layer(
     m1: int,
     m2: int,
     seed: int,
-    lambda_quadrature: int = 1_000_000,
+    lambda_target: float,
 ) -> CompositeFit:
     """Interpolate the dataset with a width-(m1+m2) two-layer network.
 
     First block: teacher-atom subsample of width m1.  Second block: a
     residual fit of width m2 with certified coefficient norm.  The two are
     summed exactly via width-ratio rescaling, so the composite's path norm
-    is the sum of the parts'.  The residual fit's eigenvalue target is the
-    smallest eigenvalue of the reference kernel on the data, estimated by
-    a lambda_quadrature-sample Monte Carlo quadrature.
+    is the sum of the parts'.  lambda_target is the residual fit's
+    eigenvalue target: the smallest eigenvalue of the reference kernel on
+    the data, which the caller estimates once (reference_lambda_min).
     """
     X, y = data.X, data.y
-    lambda_target = reference_lambda_min(X, lambda_quadrature, derive_seed(seed, 0))
     fit1 = approximate_teacher(f, m1, X, derive_seed(seed, 1))
     r = y - two_layer_eval_batch(fit1.net, X)
     fit2 = fit_residual_net(X, r, m2, lambda_target, seed=derive_seed(seed, 2))

@@ -19,9 +19,18 @@ from minterp import (
     write_study,
 )
 from minterp.cli import main
+from minterp import random_features
 from minterp.experiments import (
+    _BOOT_BASE,
     _COUNT_KEYS,
+    _DATA_BASE,
+    _FIT_BASE,
     _GRID_KEYS,
+    _QUADRATURE_BASE,
+    _RAD_BASE,
+    _SEED_STRIDE,
+    _TEACHER_BASE,
+    _TEST_BASE,
     DEFAULT_M_GRID,
     MODELS,
     STUDY_KEYS,
@@ -533,15 +542,37 @@ class TestScaleEngine:
         assert [r["m_or_L"] for r in resnet.rows] == [8 + 64, 8 + 128]
 
     def test_failed_residual_rows_name_their_width(self):
-        # at these depths every residual fit misses its eigenvalue floor
+        # at depth m2 = n the residual fit's square system misses its eigenvalue
+        # floor: both rows failed at each study seed 0-39
         study = run_study(ExperimentConfig(
-            kind="scale-study", model="resnet", d_grid=(2,), n_grid=(8, 16), L_grid=(16, 24),
+            kind="scale-study", model="resnet", d_grid=(2,), n_grid=(16, 32), L_grid=(16, 32),
             m1=8, n_atoms=8, trials=1, quadrature=20_000, seed=19,
         ))
-        assert study.failures == 2
+        assert study.failures == len(study.rows) == 2
         for row in study.rows:
             assert row["error"].startswith("ConcentrationFailureError")
             assert f"m={row['m_or_L']}; n={row['n']})" in row["error"]
+
+
+class TestQuadratureRule:
+    @pytest.mark.parametrize("model", ["two-layer", "resnet"])
+    def test_a_bound_audit_draws_one_rule(self, monkeypatch, model):
+        # every fit of the study reads the rule at its quadrature seed role
+        draws = []
+        draw = random_features._draw_rule
+        monkeypatch.setattr(random_features, "_cached_rule", None)
+        monkeypatch.setattr(random_features, "_draw_rule",
+                            lambda *key: draws.append(key) or draw(*key))
+        config = replace(smoke_config(("bound-audit", model)), trials=2)
+        study = run_study(config, threads=2)
+        assert study.failures == 0 and len(study.rows) == 4
+        assert draws == [(2, config.quadrature, derive_seed(config.seed, _QUADRATURE_BASE))]
+
+    def test_seed_bases_are_disjoint(self):
+        # each base owns the indices [base, base + _SEED_STRIDE)
+        bases = (_TEACHER_BASE, _DATA_BASE, _FIT_BASE, _TEST_BASE, _RAD_BASE, _BOOT_BASE,
+                 _QUADRATURE_BASE)
+        assert sorted(bases) == [k * _SEED_STRIDE for k in range(1, len(bases) + 1)]
 
 
 class TestBootstrapSlopeCi:

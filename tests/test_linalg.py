@@ -25,7 +25,7 @@ from minterp import (
     smallest_singular_value,
 )
 from minterp.experiments import fit_model
-from minterp.linalg import BLOCK_COLUMNS, DEFAULT_RCOND, GRAM_RCOND, ColumnBlocks
+from minterp.linalg import DEFAULT_RCOND, GRAM_RCOND, ColumnBlocks, block_columns
 
 
 def _ill_conditioned():
@@ -279,8 +279,23 @@ class TestBlockSource:
                             lambda self, W, X: calls.append(len(W)) or features(self, W, X))
         X = np.random.default_rng(3).uniform(-1, 1, (2, 16))
         fit = fit_random_features(X, np.sin(X[0]), family, 5000, seed=4)
-        assert calls == [BLOCK_COLUMNS, BLOCK_COLUMNS, 5000 - 2 * BLOCK_COLUMNS] * 2
+        width = block_columns(16)
+        assert calls == [width, width, 5000 - 2 * width] * 2
         assert fit.interp_error < 1e-9
+
+    @pytest.mark.parametrize("n, width", [(128, 1024), (512, 512)])
+    def test_relu_blocks_hold_about_one_megabyte(self, monkeypatch, n, width):
+        # 2**20 // (8 n) columns, kept within 512 to 2048 columns
+        assert block_columns(n) == width
+        family = FeatureFamily(tag=RELU_L1SPHERE)
+        calls = []
+        features = FeatureFamily.features
+        monkeypatch.setattr(FeatureFamily, "features",
+                            lambda self, W, X: calls.append(len(W)) or features(self, W, X))
+        X = np.random.default_rng(3).uniform(-1, 1, (4, n))
+        fit = fit_random_features(X, np.sin(X[0]), family, 2 * width + 300, seed=4)
+        assert fit.gram.route == "gram"
+        assert calls == [width, width, 300] * 2
 
     def test_cosine_fit_builds_phi_once_and_keeps_its_bits(self, monkeypatch):
         # the cosine source is the whole array: the fit reproduces the

@@ -1,5 +1,10 @@
+import gc
 import math
+import threading
+import time
 import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -28,11 +33,13 @@ from minterp import (
     ridgeless_coefficients,
     two_layer_eval_batch,
 )
+from minterp import random_features
 from minterp.random_features import (
     _FEATURE_TILE,
     _QUADRATURE_CHUNK,
     _QUADRATURE_SUB_BLOCK,
     _feature_sum,
+    quadrature_rule,
     reference_lambda_min,
 )
 
@@ -44,6 +51,21 @@ from _oracles import (
 )
 
 RELU = FeatureFamily(tag=RELU_L1SPHERE)
+
+
+def _count_rule_draws(monkeypatch, delay=0.0):
+    """Empty the rule cache and record the key of each rule drawn after, delay seconds per draw."""
+    draws = []
+    draw = random_features._draw_rule
+
+    def counted(d, quadrature_size, seed):
+        draws.append((d, quadrature_size, seed))
+        time.sleep(delay)
+        return draw(d, quadrature_size, seed)
+
+    monkeypatch.setattr(random_features, "_cached_rule", None)
+    monkeypatch.setattr(random_features, "_draw_rule", counted)
+    return draws
 
 
 class TestFeatureFamilies:
@@ -101,6 +123,8 @@ class TestKernels:
         for family in (RELU, fam):
             with pytest.raises(ValueError, match="quadrature_size"):
                 kernel_exact(family, X, quadrature_size=0)
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            kernel_exact(RELU, np.zeros((0, 3)), quadrature_size=10)
 
     def test_relu_kernel_matches_quadrature_oracle(self):
         # d=1: the l1 sphere is w = (s1 u, s2 (1-u)) with u ~ U(0,1) and
@@ -152,20 +176,24 @@ class TestKernels:
         want = kernel_exact_blocks(RELU, X, quadrature, seed)
         assert np.abs(K - want).max() <= 1e-14 * np.abs(want).max()
 
-    @pytest.mark.parametrize("n, blocks", [(512, 1), (256, 2)])
-    def test_kernel_exact_memory_is_one_buffer_per_block(self, n, blocks):
-        # the peak holds K, the F^T F product, one (1024, n) |feature| buffer
-        # and, while a seed block is drawn, its exponentials, row sums and
-        # uint32 sign words, but no earlier block, with 1 MB to spare: 14 MB
-        # at n = 512, where one (4096, 512) feature block alone took 16 MB;
-        # the cosine closed form holds K and one (n, n) difference, no (d, n, n)
-        d = 4
+    @pytest.mark.parametrize("n, blocks", [(512, 1), (256, 2), (64, 4)])
+    def test_kernel_exact_memory_is_one_buffer_per_block(self, monkeypatch, n, blocks):
+        # a repeat call holds K, the F^T F product and one (1024, n) |feature|
+        # buffer, with 128 KB to spare; the first call also holds the rule,
+        # (Q / 2, d + 1) draws written in place, and while a seed block is
+        # drawn its float64 row sums and uint32 sign words; the cosine
+        # closed form holds K and one (n, n) difference, no (d, n, n)
+        monkeypatch.setattr(random_features, "_cached_rule", None)
+        d, Q, spare = 4, blocks * _QUADRATURE_CHUNK, 2**17
         X = np.random.default_rng(44).uniform(-1, 1, (d, n))
-        bound = 8 * 1024 * n + 2 * 8 * n * n + 2 * 8 * _QUADRATURE_CHUNK * (d + 1) + 2**20
-        for fam in (RELU, FeatureFamily(tag=RANDOM_FOURIER)):
+        repeat = 8 * _QUADRATURE_SUB_BLOCK * n + 2 * 8 * n * n + spare
+        draw = _QUADRATURE_CHUNK * (8 + 4 * (d + 1)) + spare
+        first = 8 * (Q // 2) * (d + 1) + max(draw, repeat)
+        cosine = FeatureFamily(tag=RANDOM_FOURIER)
+        for fam, bound in ((RELU, first), (RELU, repeat), (cosine, repeat)):
             tracemalloc.start()
             try:
-                kernel_exact(fam, X, quadrature_size=blocks * _QUADRATURE_CHUNK, seed=45)
+                kernel_exact(fam, X, quadrature_size=Q, seed=45)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -194,6 +222,42 @@ class TestKernels:
         A = kernel_exact(RELU, X, quadrature_size=30_000, seed=13)
         B = kernel_exact(RELU, X, quadrature_size=30_000, seed=13)
         np.testing.assert_array_equal(A, B)
+
+    def test_kernel_exact_keeps_the_oracle_on_a_rule_miss_and_hit(self, monkeypatch):
+        # the second and third calls reuse the first call's rule, and a hit
+        # returns the bits of the miss
+        draws = _count_rule_draws(monkeypatch)
+        X = np.random.default_rng(20).uniform(-1, 1, (3, 130))
+        miss = kernel_exact(RELU, X, quadrature_size=140_001, seed=21)
+        hit = kernel_exact(RELU, X[:, :70], quadrature_size=140_001, seed=21)
+        assert kernel_exact(RELU, X, quadrature_size=140_001, seed=21).tobytes() == miss.tobytes()
+        assert draws == [(3, 140_001, 21)]
+        for K, Xs in ((miss, X), (hit, X[:, :70])):
+            want = kernel_exact_blocks(RELU, Xs, 140_001, 21)
+            assert np.abs(K - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_threads_asking_for_one_key_share_one_draw(self, monkeypatch):
+        draws = _count_rule_draws(monkeypatch, delay=0.05)
+        start = threading.Barrier(2)
+
+        def ask(_):
+            start.wait()
+            return quadrature_rule(2, 5001, 7)
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            a, b = pool.map(ask, range(2))
+        assert a is b
+        assert draws == [(2, 5001, 7)]
+        assert len(a.pairs) == 2500 and a.odd is not None and not a.pairs.flags.writeable
+
+    def test_a_new_key_replaces_the_cached_rule(self, monkeypatch):
+        draws = _count_rule_draws(monkeypatch)
+        old = weakref.ref(quadrature_rule(2, 4000, 1))
+        new = quadrature_rule(2, 4000, 2)
+        gc.collect()
+        assert old() is None
+        assert quadrature_rule(2, 4000, 2) is new
+        assert draws == [(2, 4000, 1), (2, 4000, 2)]
 
     def test_reference_lambda_min_is_relu_quadrature_eigenvalue(self):
         X = np.random.default_rng(18).uniform(-1, 1, (2, 6))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from minterp import (
+    derive_seed,
     ResNet,
     canonical_injection,
     embed_two_layer,
@@ -13,6 +14,7 @@ from minterp import (
     pad_identity_layers,
     path_norm,
     random_resnet,
+    reference_lambda_min,
     rescale_teacher,
     resnet_add,
     resnet_eval_batch,
@@ -314,7 +316,9 @@ class TestInterpolateResnet:
         data = sample_dataset(f, 10, seed=18)
         # teacher half: a small random resnet
         teacher_net = random_resnet(2, L=4, D=4, m=3, scale=0.3, seed=19)
-        fit = interpolate_resnet(data, teacher_net, m2=512, seed=20, lambda_quadrature=50_000)
+        lam = reference_lambda_min(data.X, 50_000, derive_seed(20, 0))
+        fit = interpolate_resnet(data, teacher_net, m2=512, seed=20, lambda_target=lam)
+        assert fit.lambda_target == lam
         assert fit.interp_error <= 1e-8
         assert fit.surrogate_norm == weighted_path_norm(teacher_net)
         assert fit.weighted_norm == pytest.approx(

@@ -12,10 +12,12 @@ from minterp import (
     UnderParametrizedError,
     approximate_teacher,
     concat_neurons,
+    derive_seed,
     fit_residual_net,
     interpolate_two_layer,
     make_teacher,
     path_norm,
+    reference_lambda_min,
     rescale_teacher,
     sample_dataset,
     scale_outer,
@@ -227,9 +229,9 @@ class TestInterpolateTwoLayer:
     def test_composite_interpolates_with_additive_norm(self):
         f = rescale_teacher(make_teacher(2, 8, 1.0, seed=35))
         data = sample_dataset(f, 10, seed=36)
-        fit = interpolate_two_layer(
-            data, f, m1=32, m2=1024, seed=37, lambda_quadrature=50_000
-        )
+        lam = reference_lambda_min(data.X, 50_000, derive_seed(37, 0))
+        fit = interpolate_two_layer(data, f, m1=32, m2=1024, seed=37, lambda_target=lam)
+        assert fit.lambda_target == lam
         assert fit.interp_error <= 1e-8
         assert fit.net.m == 32 + 1024
         assert fit.norm_ratio == pytest.approx(fit.path_norm / fit.teacher_norm_upper)
