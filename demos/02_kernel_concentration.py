@@ -13,18 +13,19 @@ from minterp import (
     RELU_L1SPHERE,
     FeatureFamily,
     concentration_check,
-    eigen_min,
     kernel_empirical,
     kernel_exact,
+    quadrature_rule,
     rng_from,
+    smallest_eigenvalue,
 )
 
 d, n, delta = 4, 32, 0.1
 family = FeatureFamily(tag=RELU_L1SPHERE)
 X = rng_from(0).uniform(-1, 1, (d, n))
 
-K = kernel_exact(family, X, quadrature_size=1_000_000, seed=1)
-lam = eigen_min(K)
+K = kernel_exact(family, X, quadrature_rule(d, 1_000_000, seed=1))
+lam = smallest_eigenvalue(K)
 print(f"exact kernel on n={n} points: lambda_min = {lam:.3e}")
 print(f"\n{'m':>7} {'bound':>9} {'observed':>9} {'lam_min(K^m)':>13} holds")
 

@@ -15,6 +15,7 @@ from minterp import (
     fit_random_features,
     kernel_exact,
     make_teacher,
+    quadrature_rule,
     rescale_teacher,
     ridgeless_coefficients,
     sample_dataset,
@@ -25,7 +26,7 @@ family = FeatureFamily(tag=RELU_L1SPHERE)
 teacher = rescale_teacher(make_teacher(d, 48, 1.0, seed=0))
 data = sample_dataset(teacher, n, seed=1)
 
-K = kernel_exact(family, data.X, quadrature_size=500_000, seed=2)
+K = kernel_exact(family, data.X, quadrature_rule(d, 500_000, seed=2))
 beta, _ = ridgeless_coefficients(K, data.y)
 surrogate = float(data.y @ beta)
 budget = 2.0 * np.sqrt(surrogate)

@@ -14,6 +14,7 @@ from minterp import (
     derive_seed,
     interpolate_two_layer,
     make_teacher,
+    quadrature_rule,
     reference_lambda_min,
     rescale_teacher,
     sample_dataset,
@@ -26,7 +27,7 @@ data = sample_dataset(teacher, n, seed=1)
 
 # the residual fit's eigenvalue target: lambda_min of the ReLU reference
 # kernel on the data, by a 1e6-point quadrature
-lam = reference_lambda_min(data.X, 1_000_000, derive_seed(2, 0))
+lam = reference_lambda_min(data.X, quadrature_rule(d, 1_000_000, derive_seed(2, 0)))
 fit = interpolate_two_layer(data, teacher, m1=512, m2=16384, seed=2, lambda_target=lam)
 
 print(f"teacher part: m1 = {fit.m1} neurons, residual part: m2 = {fit.m2}")

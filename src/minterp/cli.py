@@ -25,6 +25,7 @@ from .experiments import (
     ExperimentConfig,
     fit_model,
     run_study,
+    study_rule,
     write_study,
 )
 from .resnet import resnet_eval_batch, weighted_path_norm
@@ -59,14 +60,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_config(args, **forced) -> ExperimentConfig:
-    obj = dict(load_json(args.config)) if args.config else {}
-    if args.seed is not None:
-        obj["seed"] = args.seed
-    if args.trials is not None:
-        obj["trials"] = args.trials
-    if args.out is not None:
-        obj["out"] = args.out
-    obj.update(forced)
+    obj = load_json(args.config) if args.config else {}
+    if isinstance(obj, dict):  # from_dict rejects anything else
+        flags = {"seed": args.seed, "trials": args.trials, "out": args.out}
+        obj = {**obj, **{k: v for k, v in flags.items() if v is not None}, **forced}
     return ExperimentConfig.from_dict(obj)
 
 
@@ -132,10 +129,12 @@ def _cmd_fit(args) -> int:
             raise ValueError(f"fit {args.model} needs a teacher file")
         teacher = teacher_from_dict(load_json(args.teacher))
     # The fitted family comes from the command line, and a fit runs no study, so the
-    # file's study rules do not apply to it; the echo keeps the file's config.
+    # file's study rules do not apply to it; the echo keeps the file's config.  The
+    # quadrature rule is drawn at the dataset's d, which the file's d_grid need not name.
     fit = fit_model(
         replace(config, kind="verify-lemma", lemma=None, model=args.model),
         data, teacher, config.m2, derive_seed(config.seed, 2), derive_seed(config.seed, 3),
+        None if args.model == "rf" else study_rule(config, data.d),
     )
     to_dict, filename, keys = _FIT_OUTPUTS[args.model]
     model_path = out / filename

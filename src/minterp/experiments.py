@@ -5,7 +5,9 @@ its randomness from a seed derived from its index, trials execute in a
 thread pool, and rows are merged in trial order, so output bytes are
 identical across runs and across thread counts.  A failed trial records
 its error in the row instead of aborting the run; summaries use only the
-successful rows and report the failure count.
+successful rows and report the failure count.  A study that reads
+`quadrature` draws one ReLU quadrature rule, from a seed of its own, and
+every trial sums that rule.
 
 Each model family has one fit path, `fit_model`, shared by the scale
 study, the bound audit and `minterp fit`.
@@ -32,17 +34,18 @@ from .complexity import (
     rad_weighted_path_upper,
     rf_ball_upper,
 )
-from .linalg import smallest_singular_value
+from .linalg import smallest_eigenvalue, smallest_singular_value
 from .random_features import (
     RANDOM_FOURIER,
     RELU_L1SPHERE,
     FeatureFamily,
+    QuadratureRule,
     concentration_check,
     concentration_width,
-    eigen_min,
     fit_random_features,
     kernel_empirical,
     kernel_exact,
+    quadrature_rule,
     reference_lambda_min,
     ridgeless_coefficients,
 )
@@ -89,7 +92,7 @@ _WIDTH_FACTOR = 8.0
 # grid_index * trials + trial to a base, so the streams stay disjoint while
 # len(n_grid) * trials < _SEED_STRIDE, which ExperimentConfig enforces.
 # _BOOT_BASE and _QUADRATURE_BASE are used once per study, with no offset:
-# every two-layer and resnet fit of a study shares one ReLU quadrature rule.
+# every trial and fit of a study sums one ReLU quadrature rule.
 _SEED_STRIDE = 1 << 20
 _TEACHER_BASE = 1 * _SEED_STRIDE
 _DATA_BASE = 2 * _SEED_STRIDE
@@ -160,7 +163,11 @@ class ExperimentConfig:
     def __post_init__(self):
         for key in _GRID_KEYS:
             raw = getattr(self, key)
-            grid = (raw,) if isinstance(raw, (int, np.integer)) else tuple(raw)
+            try:
+                grid = (raw,) if isinstance(raw, (int, np.integer)) else tuple(raw)
+            except TypeError:
+                raise ValueError(f"{key} must be an integer or a list of integers, "
+                                 f"got {raw!r}") from None
             if not all(_is_int(v) for v in grid):
                 raise ValueError(f"{key} entries must be integers, got {grid}")
             grid = tuple(int(v) for v in grid)
@@ -184,6 +191,8 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be a real number, got {value!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a directory path, got {self.out!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         for key in _COUNT_KEYS:
@@ -244,6 +253,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
+        if not isinstance(obj, dict):
+            raise ValueError(f"a config must be a JSON object, got {type(obj).__name__}")
         names = {f.name for f in fields(cls)}
         unknown = sorted(set(obj) - names)
         if unknown:
@@ -282,21 +293,6 @@ def _family(config: ExperimentConfig) -> FeatureFamily:
     if config.family == RANDOM_FOURIER:
         return FeatureFamily(tag=RANDOM_FOURIER, gamma=config.gamma)
     return FeatureFamily(tag=config.family)
-
-
-def _quadrature(config: ExperimentConfig) -> int | None:
-    """The ReLU reference kernel's quadrature size; None for cosine, whose kernel is closed form."""
-    return None if config.family == RANDOM_FOURIER else config.quadrature
-
-
-def _reference_kernel(config: ExperimentConfig, family: FeatureFamily, X: np.ndarray,
-                      seed_index: int) -> np.ndarray:
-    """kernel_exact of the config's family on X, reading quadrature only where it shapes K."""
-    quadrature = _quadrature(config)
-    if quadrature is None:
-        return kernel_exact(family, X)
-    return kernel_exact(family, X, quadrature_size=quadrature,
-                        seed=derive_seed(config.seed, seed_index))
 
 
 def _run_trials(worker, count: int, threads: int) -> list:
@@ -341,12 +337,12 @@ def _teacher_data(config: ExperimentConfig, n: int, teacher_index: int, data_ind
     return teacher, sample_dataset(teacher, n, derive_seed(config.seed, data_index))
 
 
-def _verify_kernel_approx(config: ExperimentConfig, threads: int):
+def _verify_kernel_approx(config: ExperimentConfig, threads: int, rule: QuadratureRule | None):
     d, n = config.d_grid[0], config.n_grid[0]
     family = _family(config)
     X = rng_from(derive_seed(config.seed, 0)).uniform(-1.0, 1.0, size=(d, n))
-    K = _reference_kernel(config, family, X, 1)
-    lam_exact = eigen_min(K)
+    K = kernel_exact(family, X, rule)
+    lam_exact = smallest_eigenvalue(K)
     heads = [{"trial": t, "n": n, "m": m, "delta": config.delta}
              for m in DEFAULT_M_GRID for t in range(config.trials)]
 
@@ -388,13 +384,13 @@ def _verify_kernel_approx(config: ExperimentConfig, threads: int):
     return columns, rows, summary
 
 
-def _verify_krr_bound(config: ExperimentConfig, threads: int):
+def _verify_krr_bound(config: ExperimentConfig, threads: int, rule: QuadratureRule | None):
     d, n = config.d_grid[0], config.n_grid[0]
     family = _family(config)
 
     def body(t):
         _, data = _teacher_data(config, n, 3 * t, 3 * t + 1)
-        K = _reference_kernel(config, family, data.X, 3 * t + 2)
+        K = kernel_exact(family, data.X, rule)
         beta, lam = ridgeless_coefficients(K, data.y)
         surrogate = float(data.y @ beta)
         denom = max(float(np.abs(data.y).max()), 1e-300)
@@ -406,7 +402,7 @@ def _verify_krr_bound(config: ExperimentConfig, threads: int):
             holds=surrogate >= 0.0 and reproduce <= 1e-8,
         )
 
-    heads = [{"trial": t, "n": n, "d": d, "quadrature": _quadrature(config)}
+    heads = [{"trial": t, "n": n, "d": d, "quadrature": None if rule is None else rule.Q}
              for t in range(config.trials)]
     rows = _run_rows(heads, body, threads)
     columns = ("trial", "n", "d", "quadrature", "surrogate_norm", "lambda_min_K",
@@ -414,13 +410,13 @@ def _verify_krr_bound(config: ExperimentConfig, threads: int):
     return columns, rows, _base_summary(rows)
 
 
-def _verify_min_norm_rf(config: ExperimentConfig, threads: int):
+def _verify_min_norm_rf(config: ExperimentConfig, threads: int, rule: QuadratureRule | None):
     n = config.n_grid[0]
     family = _family(config)
 
     def body(t):
         _, data = _teacher_data(config, n, 4 * t, 4 * t + 1)
-        K = _reference_kernel(config, family, data.X, 4 * t + 2)
+        K = kernel_exact(family, data.X, rule)
         beta, lam = ridgeless_coefficients(K, data.y)
         surrogate = float(data.y @ beta)
         s = math.sqrt(max(surrogate, 0.0))
@@ -456,14 +452,14 @@ _RESIDUAL_COLUMNS = ("trial", "n", "m1", "m2", "lambda_ref", "lambda_emp", "resa
                      "path_norm", "teacher_norm", "interp_error", "holds", "error")
 
 
-def _verify_fit_rand_label(config: ExperimentConfig, threads: int):
+def _verify_fit_rand_label(config: ExperimentConfig, threads: int, rule: QuadratureRule):
     d, n = config.d_grid[0], config.n_grid[0]
 
     def body(t):
         X = rng_from(derive_seed(config.seed, 5 * t)).uniform(-1.0, 1.0, size=(d, n))
         r = rng_from(derive_seed(config.seed, 5 * t + 1)).standard_normal(n)
         r /= np.linalg.norm(r)
-        lam_ref = reference_lambda_min(X, config.quadrature, derive_seed(config.seed, 5 * t + 2))
+        lam_ref = reference_lambda_min(X, rule)
         fit = fit_residual_net(X, r, config.m2, lam_ref, seed=derive_seed(config.seed, 5 * t + 3))
         norm_bound = math.sqrt(2.0 / (lam_ref / 2.0)) * fit.residual_norm
         return dict(
@@ -481,14 +477,14 @@ def _verify_fit_rand_label(config: ExperimentConfig, threads: int):
     return _RESIDUAL_COLUMNS, rows, _base_summary(rows)
 
 
-def _verify_two_layer_composite(config: ExperimentConfig, threads: int):
+def _verify_two_layer_composite(config: ExperimentConfig, threads: int, rule: QuadratureRule):
     n = config.n_grid[0]
 
     def body(t):
         teacher, data = _teacher_data(config, n, 3 * t, 3 * t + 1)
-        fit_seed = derive_seed(config.seed, 3 * t + 2)
-        lam_ref = reference_lambda_min(data.X, config.quadrature, derive_seed(fit_seed, 0))
-        fit = interpolate_two_layer(data, teacher, config.m1, config.m2, fit_seed, lam_ref)
+        fit = interpolate_two_layer(data, teacher, config.m1, config.m2,
+                                    derive_seed(config.seed, 3 * t + 2),
+                                    reference_lambda_min(data.X, rule))
         return dict(
             lambda_ref=fit.lambda_target,
             lambda_emp=fit.lambda_emp,
@@ -505,7 +501,7 @@ def _verify_two_layer_composite(config: ExperimentConfig, threads: int):
     return _RESIDUAL_COLUMNS, rows, _base_summary(rows)
 
 
-def _verify_resnet_add(config: ExperimentConfig, threads: int):
+def _verify_resnet_add(config: ExperimentConfig, threads: int, rule: None):
     d = config.d_grid[0]
     L_max = config.L_grid[0]
 
@@ -538,7 +534,7 @@ def _verify_resnet_add(config: ExperimentConfig, threads: int):
     return columns, rows, _base_summary(rows)
 
 
-def _verify_embedding(config: ExperimentConfig, threads: int):
+def _verify_embedding(config: ExperimentConfig, threads: int, rule: None):
     d = config.d_grid[0]
 
     def body(t):
@@ -595,7 +591,7 @@ class ModelFit:
     rad_bounds: Callable
 
 
-def _fit_rf(config, data, teacher, width, fit_seed, approx_seed) -> ModelFit:
+def _fit_rf(config, data, teacher, width, fit_seed, approx_seed, rule) -> ModelFit:
     fit = fit_random_features(data.X, data.y, _family(config), width, fit_seed)
     gram, radius = fit.gram, fit.norm_radius
     lam_ref = smallest_singular_value(gram) ** 2 / width
@@ -610,15 +606,9 @@ def _fit_rf(config, data, teacher, width, fit_seed, approx_seed) -> ModelFit:
     )
 
 
-def _study_lambda_ref(config: ExperimentConfig, data: Dataset) -> float:
-    """lambda_min of the ReLU reference kernel on data, from the study's one quadrature rule."""
-    return reference_lambda_min(data.X, config.quadrature,
-                                derive_seed(config.seed, _QUADRATURE_BASE))
-
-
-def _fit_two_layer(config, data, teacher, width, fit_seed, approx_seed) -> ModelFit:
+def _fit_two_layer(config, data, teacher, width, fit_seed, approx_seed, rule) -> ModelFit:
     fit = interpolate_two_layer(data, teacher, config.m1, width, fit_seed,
-                                _study_lambda_ref(config, data))
+                                reference_lambda_min(data.X, rule))
     predict = partial(two_layer_eval_batch, fit.net)
 
     def rad_bounds(seed):
@@ -633,12 +623,12 @@ def _fit_two_layer(config, data, teacher, width, fit_seed, approx_seed) -> Model
     )
 
 
-def _fit_resnet(config, data, teacher, width, fit_seed, approx_seed) -> ModelFit:
+def _fit_resnet(config, data, teacher, width, fit_seed, approx_seed, rule) -> ModelFit:
     check_resnet_widths(config.m1, config.L_cap)
     part1 = approximate_teacher(teacher, config.m1, data.X, approx_seed)
     teacher_net = embed_two_layer(part1.net)
     m2 = min(width, config.L_cap - teacher_net.L)
-    fit = interpolate_resnet(data, teacher_net, m2, fit_seed, _study_lambda_ref(config, data))
+    fit = interpolate_resnet(data, teacher_net, m2, fit_seed, reference_lambda_min(data.X, rule))
     predict = partial(resnet_eval_batch, fit.net)
     threshold = concentration_width(data.n, config.delta, fit.lambda_target)
     return ModelFit(
@@ -689,15 +679,21 @@ STUDY_KEYS = {
 
 def fit_model(
     config: ExperimentConfig, data: Dataset, teacher: TeacherFunction | None,
-    width: int, fit_seed: int, approx_seed: int,
+    width: int, fit_seed: int, approx_seed: int, rule: QuadratureRule | None = None,
 ) -> ModelFit:
     """Minimum-norm interpolant of config.model on data; rf needs no teacher.
 
     width is m for rf, the residual width m2 for two-layer and the added
     depth for resnet (capped at L_cap - m1); approx_seed draws the resnet's
-    teacher discretization.
+    teacher discretization.  rule is the ReLU quadrature rule (study_rule)
+    that two-layer and resnet sum for lambda_ref; rf reads none.
     """
-    return _STUDIES[config.model][0](config, data, teacher, width, fit_seed, approx_seed)
+    return _STUDIES[config.model][0](config, data, teacher, width, fit_seed, approx_seed, rule)
+
+
+def study_rule(config: ExperimentConfig, d: int) -> QuadratureRule:
+    """The one ReLU quadrature rule of config's study at input dimension d."""
+    return quadrature_rule(d, config.quadrature, derive_seed(config.seed, _QUADRATURE_BASE))
 
 
 def _fit_slope(ns, medians) -> float:
@@ -725,7 +721,8 @@ def _bootstrap_slope_ci(risks_per_n: list, ns: list, seed: int, n_boot: int = 20
     return (float(np.percentile(slopes, 2.5)), float(np.percentile(slopes, 97.5)))
 
 
-def _scale_engine(config: ExperimentConfig, threads: int, audit: bool) -> StudyResult:
+def _scale_engine(config: ExperimentConfig, threads: int, audit: bool,
+                  rule: QuadratureRule | None) -> StudyResult:
     # rf and two-layer take m = m_per_n * n; a resnet takes its depth per n from L_grid
     widths = (config.L_grid if config.model == "resnet"
               else [config.m_per_n * n for n in config.n_grid])
@@ -742,7 +739,7 @@ def _scale_engine(config: ExperimentConfig, threads: int, audit: bool) -> StudyR
         fit = fit_model(
             config, data, teacher, heads[j]["m_or_L"],
             derive_seed(config.seed, _FIT_BASE + j),
-            derive_seed(config.seed, _TEACHER_BASE + j),
+            derive_seed(config.seed, _TEACHER_BASE + j), rule,
         )
         emp_risk = 0.5 * float(np.mean((fit.train_preds - data.y) ** 2))
         test = population_risk(
@@ -817,12 +814,15 @@ def run_study(config: ExperimentConfig, threads: int = 1) -> StudyResult:
 
     An audit adds complexity estimates and the deviation bound to the scale
     study's rows; trial seeds match, so the shared columns agree row for row.
+    A study that reads quadrature draws its one rule here, and every trial
+    sums it.
     """
-    if config.kind != "verify-lemma":
-        return _scale_engine(config, threads, audit=config.kind == "bound-audit")
-    if config.lemma is None:
+    if config.kind == "verify-lemma" and config.lemma is None:
         raise ValueError(f"a verify-lemma config needs a lemma, one of {VERIFY_SELECTORS}")
-    columns, rows, summary = _STUDIES[config.lemma][0](config, threads)
+    rule = study_rule(config, config.d_grid[0]) if "quadrature" in config.keys_read() else None
+    if config.kind != "verify-lemma":
+        return _scale_engine(config, threads, config.kind == "bound-audit", rule)
+    columns, rows, summary = _STUDIES[config.lemma][0](config, threads, rule)
     summary["lemma"] = config.lemma
     return StudyResult(columns=tuple(columns), rows=tuple(rows), summary=summary, config=config)
 

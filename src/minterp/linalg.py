@@ -22,6 +22,8 @@ import numpy as np
 from .errors import SingularSystemError
 
 DEFAULT_RCOND = 1e-10
+# Largest max |K - K^T| / max(1, max |K|) a symmetric input may show.
+_SYM_TOL = 1e-10
 # Smallest lambda_min(G) / lambda_max(G) the Gram route accepts; below it
 # the SVD of A runs.
 GRAM_RCOND = 1e-10
@@ -189,10 +191,24 @@ def min_norm_solve(A, b: np.ndarray, image: bool = False):
     return (x, Ax) if image else x
 
 
-def smallest_eigenvalue(K: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric matrix (full symmetric eigensolve)."""
+def _check_symmetric(K: np.ndarray) -> np.ndarray:
     K = np.asarray(K, dtype=float)
-    return float(np.linalg.eigvalsh(K)[0])
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {K.shape}")
+    scale = max(1.0, float(np.abs(K).max())) if K.size else 1.0
+    asym = float(np.abs(K - K.T).max()) if K.size else 0.0
+    if asym > _SYM_TOL * scale:
+        raise ValueError(f"matrix is asymmetric: max |K - K^T| = {asym:.3e}")
+    return K
+
+
+def smallest_eigenvalue(K: np.ndarray) -> float:
+    """Smallest eigenvalue of a symmetric matrix (full symmetric eigensolve).
+
+    Raises ValueError for a matrix that is not square or not symmetric to
+    within _SYM_TOL of its largest entry.
+    """
+    return float(np.linalg.eigvalsh(_check_symmetric(K))[0])
 
 
 def smallest_singular_value(M) -> float:

@@ -6,28 +6,33 @@ frequencies.  The exact kernel k(x, x') = E_w[phi(x;w) phi(x';w)] is a
 Gaussian in closed form for the cosine family; for the ReLU family it is
 computed by a large fixed Monte Carlo quadrature, over draws w taken
 together with their antithetic partners -w, and treated as ground truth
-thereafter.  The draws form a QuadratureRule, drawn once per (d, size,
-seed) and cached, so every fit of a study sums the same points.
+thereafter.  The draws form a QuadratureRule, which a study draws once
+and hands to every kernel_exact call, so all its fits sum the same points.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularSystemError, UnderParametrizedError
-from .linalg import DEFAULT_RCOND, ColumnBlocks, GramFactor, min_norm_solve, smallest_eigenvalue
+from .linalg import (
+    DEFAULT_RCOND,
+    ColumnBlocks,
+    GramFactor,
+    _check_symmetric,
+    min_norm_solve,
+    smallest_eigenvalue,
+)
 from .sampling import _l1_sphere_rows, sample_l1_sphere
 from .seeding import derive_seed, rng_from
 
 RELU_L1SPHERE = "relu_l1sphere"
 RANDOM_FOURIER = "random_fourier"
 
-_SYM_TOL = 1e-10
-# Quadrature parameters drawn per block in kernel_exact; each block has its
+# Quadrature parameters drawn per block in quadrature_rule; each block has its
 # own derived seed, so this value fixes the reference kernels.
 _QUADRATURE_CHUNK = 65536
 # Rows of the feature buffer kernel_exact fills per product; at n = 128 the
@@ -194,32 +199,39 @@ class ConcentrationCheck:
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """The ReLU reference kernel's quadrature points for one (d, quadrature_size, seed).
+    """The ReLU reference kernel's Q quadrature points in R^(d+1).
 
-    pairs holds the quadrature_size // 2 draws w that enter with their
-    antithetic partners -w, odd the last draw of an odd quadrature_size
-    (else None), and M = sum w w^T over pairs, summed one seed block at a
-    time.  The arrays are read-only, since every fit of a study shares them.
+    pairs holds the Q // 2 draws w that enter with their antithetic
+    partners -w, odd the last draw of an odd Q (else None), and
+    M = sum w w^T over pairs, summed one seed block at a time.  The arrays
+    are read-only, since every fit of a study shares them.
     """
 
-    key: tuple
+    Q: int
     pairs: np.ndarray
     odd: np.ndarray | None
     M: np.ndarray
 
+    @property
+    def d(self) -> int:
+        return self.pairs.shape[1] - 1
 
-_RULE_LOCK = threading.Lock()
-_cached_rule: QuadratureRule | None = None
 
+def quadrature_rule(d: int, Q: int, seed: int) -> QuadratureRule:
+    """The rule of Q points: ceil(Q / 2) draws of the l1-sphere law in R^(d+1).
 
-def _draw_rule(d: int, quadrature_size: int, seed: int) -> QuadratureRule:
-    """Draw the rule in _QUADRATURE_CHUNK blocks, block b from derive_seed(seed, b * chunk).
-
-    Each block is drawn in place into one (draws, d+1) array, so a draw
-    holds no second copy of its block.
+    The draws come in _QUADRATURE_CHUNK blocks, block b from
+    derive_seed(seed, b * chunk), each drawn in place into one
+    (draws, d+1) array, so a draw holds no second copy of its block.
+    Every call draws afresh: a study draws its rule once and passes it
+    to each kernel_exact call.
     """
-    pairs = quadrature_size // 2
-    draws = pairs + quadrature_size % 2
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    if Q < 1:
+        raise ValueError(f"Q must be >= 1, got {Q}")
+    pairs = Q // 2
+    draws = pairs + Q % 2
     W = np.empty((draws, d + 1))
     M = np.zeros((d + 1, d + 1))
     done = 0
@@ -231,57 +243,28 @@ def _draw_rule(d: int, quadrature_size: int, seed: int) -> QuadratureRule:
         done += c
     W.setflags(write=False)
     M.setflags(write=False)
-    odd = W[pairs] if draws > pairs else None  # the last draw of an odd size has no partner
-    return QuadratureRule(key=(d, quadrature_size, seed), pairs=W[:pairs], odd=odd, M=M)
-
-
-def quadrature_rule(d: int, quadrature_size: int, seed: int) -> QuadratureRule:
-    """The rule for (d, quadrature_size, seed), cached until another key is asked for.
-
-    One rule is cached at a time, and it is dropped before a new one is
-    drawn, so a cache miss holds one rule plus one seed block's row sums
-    and sign words.  The draw runs under a lock: pool threads that ask for
-    the same key wait for one draw and share its rule.
-    """
-    global _cached_rule
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    key = (d, quadrature_size, seed)
-    with _RULE_LOCK:
-        if _cached_rule is None or _cached_rule.key != key:
-            _cached_rule = None
-            _cached_rule = _draw_rule(d, quadrature_size, seed)
-        return _cached_rule
+    odd = W[pairs] if draws > pairs else None  # the last draw of an odd Q has no partner
+    return QuadratureRule(Q=Q, pairs=W[:pairs], odd=odd, M=M)
 
 
 def kernel_exact(
-    family: FeatureFamily,
-    X: np.ndarray,
-    quadrature_size: int = 1_000_000,
-    seed: int = 0,
+    family: FeatureFamily, X: np.ndarray, rule: QuadratureRule | None = None
 ) -> np.ndarray:
     """The reference kernel K[i, j] = E_w[phi(x_i;w) phi(x_j;w)], symmetric exactly.
 
     Cosine features: the closed form (1/2) exp(-gamma^2 ||x_i - x_j||^2 / 2)
-    (Rahimi & Recht 2007), summed one coordinate at a time; quadrature_size
-    and seed do not enter.  ReLU features: the plain average of phi phi^T
-    over quadrature_size points of the l1-sphere law, taken as
-    ceil(quadrature_size / 2) draws w, each used with its antithetic
-    partner -w (the law is symmetric); when quadrature_size is odd the last
-    draw is used alone.  The draws are quadrature_rule(d, quadrature_size,
-    seed), drawn once and shared by every call with the same key, so the
-    points do not depend on how the sum is evaluated.  A pair with
-    t = w . (x, 1) contributes relu(t) relu(t') + relu(-t) relu(-t') =
-    (t t' + |t| |t'|) / 2, so
-    K = ((X; 1)^T M (X; 1) + sum |F|^T |F|) / (2 quadrature_size) with
-    M = sum w w^T over the paired draws.  Each _QUADRATURE_SUB_BLOCK-row
-    block F = W_blk @ (X; 1) is written into one reused buffer, made
-    absolute in place and accumulated as F^T F; nothing is allocated per
-    block.  Fix the seed per experiment.
+    (Rahimi & Recht 2007), summed one coordinate at a time; rule does not
+    enter.  ReLU features: the plain average of phi phi^T over the Q points
+    of rule, a quadrature_rule of X's dimension d: each paired draw w is
+    used with its antithetic partner -w (the law is symmetric), the odd
+    draw alone.  A pair with t = w . (x, 1) contributes
+    relu(t) relu(t') + relu(-t) relu(-t') = (t t' + |t| |t'|) / 2, so
+    K = ((X; 1)^T M (X; 1) + sum |F|^T |F|) / (2 Q) with M = sum w w^T
+    over the paired draws.  Each _QUADRATURE_SUB_BLOCK-row block
+    F = W_blk @ (X; 1) is written into one reused buffer, made absolute in
+    place and accumulated as F^T F; nothing is allocated per block.
     """
     X = np.asarray(X, dtype=float)
-    if quadrature_size < 1:
-        raise ValueError(f"quadrature_size must be >= 1, got {quadrature_size}")
     d, n = X.shape
     if family.tag == RANDOM_FOURIER:
         K, diff = np.zeros((n, n)), np.empty((n, n))
@@ -289,7 +272,10 @@ def kernel_exact(
             K += np.square(np.subtract.outer(row, row, out=diff), out=diff)
         K *= -0.5 * family.gamma ** 2
         return 0.5 * np.exp(K, out=K)
-    rule = quadrature_rule(d, quadrature_size, seed)
+    if rule is None:
+        raise ValueError("the ReLU reference kernel needs a quadrature rule")
+    if rule.d != d:
+        raise ValueError(f"quadrature rule of d={rule.d} for inputs of d={d}")
     Xt = np.vstack([X, np.ones((1, n))])
     pairs = len(rule.pairs)
     K = np.zeros((n, n))
@@ -304,15 +290,14 @@ def kernel_exact(
         f = np.maximum(rule.odd @ Xt, 0.0)
         K += np.outer(f, 2.0 * f, out=gram)
     K += np.matmul(Xt.T, rule.M @ Xt, out=gram)
-    K /= 2.0 * quadrature_size
+    K /= 2.0 * rule.Q
     np.add(K, K.T, out=gram)  # (K + K^T) / 2 with no third (n, n) array
     return np.divide(gram, 2.0, out=gram)
 
 
-def reference_lambda_min(X: np.ndarray, quadrature_size: int, seed: int) -> float:
-    """lambda_min of the ReLU reference kernel on X, by kernel_exact quadrature."""
-    relu = FeatureFamily(tag=RELU_L1SPHERE)
-    return eigen_min(kernel_exact(relu, X, quadrature_size=quadrature_size, seed=seed))
+def reference_lambda_min(X: np.ndarray, rule: QuadratureRule) -> float:
+    """lambda_min of the ReLU reference kernel on X, summed over rule."""
+    return smallest_eigenvalue(kernel_exact(FeatureFamily(tag=RELU_L1SPHERE), X, rule))
 
 
 def kernel_empirical(Phi) -> np.ndarray:
@@ -341,22 +326,6 @@ def min_l2_interpolant(Phi, y: np.ndarray, fitted: bool = False):
         return min_norm_solve(gram, m * y)
     a, image = min_norm_solve(gram, m * y, image=True)
     return a, image / m
-
-
-def _check_symmetric(K: np.ndarray) -> np.ndarray:
-    K = np.asarray(K, dtype=float)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {K.shape}")
-    scale = max(1.0, float(np.abs(K).max())) if K.size else 1.0
-    asym = float(np.abs(K - K.T).max()) if K.size else 0.0
-    if asym > _SYM_TOL * scale:
-        raise ValueError(f"matrix is asymmetric: max |K - K^T| = {asym:.3e}")
-    return K
-
-
-def eigen_min(K: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric matrix."""
-    return smallest_eigenvalue(_check_symmetric(K))
 
 
 def ridgeless_coefficients(K: np.ndarray, y: np.ndarray) -> tuple:

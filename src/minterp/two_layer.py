@@ -15,14 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConcentrationFailureError, UnderParametrizedError
-from .linalg import GramFactor, min_norm_solve, smallest_singular_value
-from .random_features import (
-    FeatureFamily,
-    RELU_L1SPHERE,
-    _feature_sum,
-    eigen_min,
-    kernel_empirical,
-)
+from .linalg import GramFactor, min_norm_solve, smallest_eigenvalue, smallest_singular_value
+from .random_features import FeatureFamily, RELU_L1SPHERE, _feature_sum, kernel_empirical
 from .sampling import (
     Dataset,
     TeacherFunction,
@@ -176,7 +170,7 @@ def fit_residual_net(
     for attempt in range(_MAX_RESAMPLES):
         W = sample_l1_sphere(d, m, derive_seed(seed, attempt))
         gram = GramFactor(family.feature_source(W, X))
-        lam_emp = eigen_min(kernel_empirical(gram))
+        lam_emp = smallest_eigenvalue(kernel_empirical(gram))
         best_lam = max(best_lam, lam_emp)
         if lam_emp >= lambda_target / 2.0:
             break

@@ -18,8 +18,8 @@ from minterp import (
     sample_dataset,
     write_study,
 )
+from minterp import experiments
 from minterp.cli import main
-from minterp import random_features
 from minterp.experiments import (
     _BOOT_BASE,
     _COUNT_KEYS,
@@ -38,6 +38,7 @@ from minterp.experiments import (
     _bootstrap_slope_ci,
     fit_model,
     result_basename,
+    study_rule,
 )
 from minterp.serialize import dataset_from_dict, load_json
 
@@ -554,19 +555,50 @@ class TestScaleEngine:
             assert f"m={row['m_or_L']}; n={row['n']})" in row["error"]
 
 
+# The studies that sum a ReLU quadrature rule at their (ReLU) smoke sizes; the bound
+# audits are test_a_bound_audit_draws_one_rule's.
+RULE_STUDIES = [study for study in STUDIES
+                if "quadrature" in STUDY_KEYS[study] and study[0] != "bound-audit"]
+
+
 class TestQuadratureRule:
+    @staticmethod
+    def draws_per_run(config, monkeypatch):
+        """The (d, Q, seed) of each rule experiments draws, per run of config at 1 and 2 threads."""
+        draws = []
+        draw = experiments.quadrature_rule
+        monkeypatch.setattr(experiments, "quadrature_rule",
+                            lambda *key: draws.append(key) or draw(*key))
+        runs = []
+        for threads in (1, 2):
+            study = run_study(config, threads=threads)
+            assert study.failures == 0
+            runs.append(draws[:])
+            draws.clear()
+        return runs
+
     @pytest.mark.parametrize("model", ["two-layer", "resnet"])
     def test_a_bound_audit_draws_one_rule(self, monkeypatch, model):
         # every fit of the study reads the rule at its quadrature seed role
-        draws = []
-        draw = random_features._draw_rule
-        monkeypatch.setattr(random_features, "_cached_rule", None)
-        monkeypatch.setattr(random_features, "_draw_rule",
-                            lambda *key: draws.append(key) or draw(*key))
         config = replace(smoke_config(("bound-audit", model)), trials=2)
-        study = run_study(config, threads=2)
-        assert study.failures == 0 and len(study.rows) == 4
-        assert draws == [(2, config.quadrature, derive_seed(config.seed, _QUADRATURE_BASE))]
+        rule = (2, config.quadrature, derive_seed(config.seed, _QUADRATURE_BASE))
+        assert self.draws_per_run(config, monkeypatch) == [[rule], [rule]]
+
+    @pytest.mark.parametrize("study", RULE_STUDIES, ids=lambda s: f"{s[0]}:{s[1]}")
+    def test_each_lemma_suite_and_scale_study_draws_one_rule(self, monkeypatch, study):
+        config = replace(smoke_config(study), trials=2)
+        rule = (2, config.quadrature, derive_seed(config.seed, _QUADRATURE_BASE))
+        assert self.draws_per_run(config, monkeypatch) == [[rule], [rule]]
+
+    @pytest.mark.parametrize("config", [
+        pytest.param(config, id=f"{config.kind}:{config.lemma or config.model}:{config.family}")
+        for study in FAMILY_STUDIES
+        for config in (smoke_config(study), replace(smoke_config(study), family=RANDOM_FOURIER,
+                                                    quadrature=ExperimentConfig().quadrature))
+        if "quadrature" not in config.keys_read()
+    ])
+    def test_rf_and_cosine_studies_draw_no_rule(self, monkeypatch, config):
+        assert self.draws_per_run(config, monkeypatch) == [[], []]
 
     def test_seed_bases_are_disjoint(self):
         # each base owns the indices [base, base + _SEED_STRIDE)
@@ -603,7 +635,8 @@ class TestFitModel:
         )
         teacher = rescale_teacher(make_teacher(2, 8, 1.0, seed=1))
         data = sample_dataset(teacher, 8, seed=2)
-        fit = fit_model(cfg, data, teacher, 256, fit_seed=3, approx_seed=4)
+        fit = fit_model(cfg, data, teacher, 256, fit_seed=3, approx_seed=4,
+                        rule=study_rule(cfg, 2))
         assert fit.m_or_L == (16 + 256 if model == "resnet" else 256)
         assert_allclose(fit.train_preds, data.y, atol=1e-8)
         assert_allclose(fit.predict(data.X), fit.train_preds, atol=1e-12)
@@ -621,7 +654,8 @@ class TestFitModel:
         )
         teacher = rescale_teacher(make_teacher(2, 8, 1.0, seed=1))
         data = sample_dataset(teacher, 8, seed=2)
-        fit = fit_model(cfg, data, teacher, 256, fit_seed=3, approx_seed=4)
+        fit = fit_model(cfg, data, teacher, 256, fit_seed=3, approx_seed=4,
+                        rule=study_rule(cfg, 2))
         for record in (fit, fit.fit, fit.model, data, teacher):
             twin = replace(record)
             assert record == record and record != twin
@@ -753,6 +787,19 @@ class TestCli:
         (key,) = bad
         assert capsys.readouterr().err.startswith(f"error: {key} must be a real number")
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"n_grid": 8.0}, "n_grid must be an integer or a list of integers, got 8.0"),
+        ({"n_grid": None}, "n_grid must be an integer or a list of integers, got None"),
+        ([1, 2], "a config must be a JSON object, got list"),
+        ({"out": 5}, "out must be a directory path, got 5"),
+    ])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, bad, message):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(bad))
+        assert main(["bound-audit", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
     def test_unread_study_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": "two-layer", "n_grid": [8, 16], "L_grid": [256]}))
@@ -784,6 +831,21 @@ class TestCli:
         report = json.loads((tmp_path / "fit_report.json").read_text())
         assert report["report"]["kind"] == "two-layer"
         assert report["config"]["family"] == "random_fourier"
+
+    def test_fit_draws_the_rule_at_the_datasets_dimension(self, workdir, capsys):
+        # the dataset has d = 2 and the fit's config the default d_grid (4,)
+        tmp_path, cfg = workdir
+        out = ["--config", cfg, "--out", str(tmp_path)]
+        assert main(["gen-teacher", *out]) == 0
+        assert main(["gen-data", str(tmp_path / "teacher.json"), *out]) == 0
+        fit_cfg = tmp_path / "fit.json"
+        fit_cfg.write_text(json.dumps({"m1": 16, "m2": 256, "quadrature": 20_000, "seed": 5}))
+        rc = main(["fit", "two-layer", str(tmp_path / "dataset.json"),
+                   str(tmp_path / "teacher.json"), "--config", str(fit_cfg), "--out", str(tmp_path)])
+        assert rc == 0, capsys.readouterr().err
+        report = json.loads((tmp_path / "fit_report.json").read_text())
+        assert report["config"]["d_grid"] == [4]
+        assert report["report"]["interp_error"] <= 1e-8 and report["report"]["lambda_target"] > 0
 
     def test_fit_resnet_rejects_infeasible_widths(self, workdir, capsys):
         tmp_path, cfg = workdir

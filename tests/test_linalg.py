@@ -171,6 +171,12 @@ class TestSpectralHelpers:
         K = M @ M.T
         assert smallest_eigenvalue(K) == pytest.approx(np.linalg.eigvalsh(K)[0])
 
+    def test_smallest_eigenvalue_rejects_asymmetric_and_non_square(self):
+        with pytest.raises(ValueError, match="asymmetric"):
+            smallest_eigenvalue(np.array([[1.0, 0.5], [0.2, 1.0]]))
+        with pytest.raises(ValueError, match="square"):
+            smallest_eigenvalue(np.ones((2, 3)))
+
     def test_smallest_singular_value(self):
         rng = np.random.default_rng(8)
         M = rng.standard_normal((4, 20))

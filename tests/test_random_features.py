@@ -1,10 +1,5 @@
-import gc
 import math
-import threading
-import time
 import tracemalloc
-import weakref
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -23,24 +18,23 @@ from minterp import (
     UnderParametrizedError,
     concentration_check,
     concentration_width,
-    eigen_min,
     embed_two_layer,
     fit_random_features,
     kernel_empirical,
     kernel_exact,
     min_l2_interpolant,
+    quadrature_rule,
+    reference_lambda_min,
     resnet_eval_batch,
     ridgeless_coefficients,
+    smallest_eigenvalue,
     two_layer_eval_batch,
 )
-from minterp import random_features
 from minterp.random_features import (
     _FEATURE_TILE,
     _QUADRATURE_CHUNK,
     _QUADRATURE_SUB_BLOCK,
     _feature_sum,
-    quadrature_rule,
-    reference_lambda_min,
 )
 
 from _oracles import (
@@ -53,19 +47,9 @@ from _oracles import (
 RELU = FeatureFamily(tag=RELU_L1SPHERE)
 
 
-def _count_rule_draws(monkeypatch, delay=0.0):
-    """Empty the rule cache and record the key of each rule drawn after, delay seconds per draw."""
-    draws = []
-    draw = random_features._draw_rule
-
-    def counted(d, quadrature_size, seed):
-        draws.append((d, quadrature_size, seed))
-        time.sleep(delay)
-        return draw(d, quadrature_size, seed)
-
-    monkeypatch.setattr(random_features, "_cached_rule", None)
-    monkeypatch.setattr(random_features, "_draw_rule", counted)
-    return draws
+def _relu_kernel(X, Q, seed):
+    """kernel_exact of the ReLU family on X, over a freshly drawn Q-point rule."""
+    return kernel_exact(RELU, X, quadrature_rule(X.shape[0], Q, seed))
 
 
 class TestFeatureFamilies:
@@ -115,16 +99,20 @@ class TestKernels:
     def test_fourier_kernel_is_exact_and_ignores_quadrature(self):
         fam = FeatureFamily(tag=RANDOM_FOURIER, gamma=3.0)
         X = np.random.default_rng(46).uniform(-1, 1, (5, 40))
-        K = kernel_exact(fam, X, quadrature_size=1, seed=0)
+        K = kernel_exact(fam, X)
         np.testing.assert_array_equal(K, K.T)
         np.testing.assert_array_equal(np.diag(K), 0.5)
-        assert eigen_min(K) >= -1e-12
-        np.testing.assert_array_equal(K, kernel_exact(fam, X, quadrature_size=70_001, seed=47))
-        for family in (RELU, fam):
-            with pytest.raises(ValueError, match="quadrature_size"):
-                kernel_exact(family, X, quadrature_size=0)
-        with pytest.raises(ValueError, match="d must be >= 1"):
-            kernel_exact(RELU, np.zeros((0, 3)), quadrature_size=10)
+        assert smallest_eigenvalue(K) >= -1e-12
+        np.testing.assert_array_equal(K, kernel_exact(fam, X, quadrature_rule(5, 70_001, 47)))
+
+    def test_relu_kernel_needs_a_rule_of_its_inputs_dimension(self):
+        X = np.random.default_rng(46).uniform(-1, 1, (3, 10))
+        with pytest.raises(ValueError, match="needs a quadrature rule"):
+            kernel_exact(RELU, X)
+        with pytest.raises(ValueError, match="d=2 for inputs of d=3"):
+            kernel_exact(RELU, X, quadrature_rule(2, 1000, 0))
+        with pytest.raises(ValueError, match="reference kernel needs"):
+            reference_lambda_min(X, None)
 
     def test_relu_kernel_matches_quadrature_oracle(self):
         # d=1: the l1 sphere is w = (s1 u, s2 (1-u)) with u ~ U(0,1) and
@@ -136,21 +124,21 @@ class TestKernels:
             for s2 in (1.0, -1.0):
                 F = np.maximum(s1 * u[None, :] * X.T + s2 * (1 - u)[None, :], 0.0)
                 oracle += F @ F.T / len(u) / 4.0
-        K = kernel_exact(RELU, X, quadrature_size=1_000_000, seed=9)
+        K = _relu_kernel(X, 1_000_000, 9)
         assert_allclose(K, oracle, atol=1.5e-3)
 
     def test_kernel_exact_symmetric_psd(self):
         X = np.random.default_rng(10).uniform(-1, 1, (4, 12))
-        K = kernel_exact(RELU, X, quadrature_size=50_000, seed=11)
+        K = _relu_kernel(X, 50_000, 11)
         np.testing.assert_array_equal(K, K.T)
-        assert eigen_min(K) >= -1e-12
+        assert smallest_eigenvalue(K) >= -1e-12
 
     def test_kernel_exact_matches_per_block_oracle(self):
         # 140,001 points: 70,001 draws, a full seed block, then a short one
         # whose sub-blocks do not divide it evenly and whose last draw has
         # no antithetic partner
         X = np.random.default_rng(20).uniform(-1, 1, (3, 130))
-        K = kernel_exact(RELU, X, quadrature_size=140_001, seed=21)
+        K = _relu_kernel(X, 140_001, 21)
         want = kernel_exact_blocks(RELU, X, 140_001, 21)
         assert np.abs(K - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -172,32 +160,42 @@ class TestKernels:
     @example(n=5, d=1, quadrature=2 * _QUADRATURE_CHUNK + 1, seed=3)
     def test_kernel_exact_matches_per_block_oracle_property(self, n, d, quadrature, seed):
         X = np.random.default_rng(seed).uniform(-1, 1, (d, n))
-        K = kernel_exact(RELU, X, quadrature_size=quadrature, seed=seed)
+        K = _relu_kernel(X, quadrature, seed)
         want = kernel_exact_blocks(RELU, X, quadrature, seed)
         assert np.abs(K - want).max() <= 1e-14 * np.abs(want).max()
 
     @pytest.mark.parametrize("n, blocks", [(512, 1), (256, 2), (64, 4)])
-    def test_kernel_exact_memory_is_one_buffer_per_block(self, monkeypatch, n, blocks):
-        # a repeat call holds K, the F^T F product and one (1024, n) |feature|
-        # buffer, with 128 KB to spare; the first call also holds the rule,
-        # (Q / 2, d + 1) draws written in place, and while a seed block is
-        # drawn its float64 row sums and uint32 sign words; the cosine
+    def test_kernel_exact_memory_is_one_buffer_per_block(self, n, blocks):
+        # a ReLU call holds K, the F^T F product and one (1024, n) |feature|
+        # buffer, with 128 KB to spare, whatever the rule's size; the cosine
         # closed form holds K and one (n, n) difference, no (d, n, n)
-        monkeypatch.setattr(random_features, "_cached_rule", None)
-        d, Q, spare = 4, blocks * _QUADRATURE_CHUNK, 2**17
+        d = 4
+        rule = quadrature_rule(d, blocks * _QUADRATURE_CHUNK, 45)
         X = np.random.default_rng(44).uniform(-1, 1, (d, n))
-        repeat = 8 * _QUADRATURE_SUB_BLOCK * n + 2 * 8 * n * n + spare
-        draw = _QUADRATURE_CHUNK * (8 + 4 * (d + 1)) + spare
-        first = 8 * (Q // 2) * (d + 1) + max(draw, repeat)
-        cosine = FeatureFamily(tag=RANDOM_FOURIER)
-        for fam, bound in ((RELU, first), (RELU, repeat), (cosine, repeat)):
+        bound = 8 * _QUADRATURE_SUB_BLOCK * n + 2 * 8 * n * n + 2**17
+        for fam in (RELU, FeatureFamily(tag=RANDOM_FOURIER)):
             tracemalloc.start()
             try:
-                kernel_exact(fam, X, quadrature_size=Q, seed=45)
+                kernel_exact(fam, X, rule)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             assert peak < bound
+
+    @pytest.mark.parametrize("blocks", [1, 2, 4])
+    def test_quadrature_rule_memory_is_its_draws_and_one_seed_block(self, blocks):
+        # the rule's (Q / 2, d + 1) draws, written in place, plus, while a
+        # seed block is drawn, its float64 row sums and uint32 sign words,
+        # with 128 KB to spare
+        d, Q = 4, blocks * _QUADRATURE_CHUNK
+        bound = 8 * (Q // 2) * (d + 1) + _QUADRATURE_CHUNK * (8 + 4 * (d + 1)) + 2**17
+        tracemalloc.start()
+        try:
+            quadrature_rule(d, Q, 45)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     @pytest.mark.parametrize("seed", [3, 52, 907])
     def test_kernel_exact_agrees_with_plain_estimator(self, seed):
@@ -214,65 +212,48 @@ class TestKernels:
         point = plus[:, None, :] * plus[None, :, :]
         pair = (point + minus[:, None, :] * minus[None, :, :]) / 2.0
         se = np.sqrt(point.var(axis=2) / Q + pair.var(axis=2) / (Q // 2))
-        gap = kernel_exact(RELU, X, quadrature_size=Q, seed=seed) - kernel_exact_plain(RELU, X, Q, seed)
+        gap = _relu_kernel(X, Q, seed) - kernel_exact_plain(RELU, X, Q, seed)
         assert np.all(np.abs(gap) <= 5.0 * se)
 
     def test_kernel_exact_deterministic(self):
         X = np.random.default_rng(12).uniform(-1, 1, (2, 6))
-        A = kernel_exact(RELU, X, quadrature_size=30_000, seed=13)
-        B = kernel_exact(RELU, X, quadrature_size=30_000, seed=13)
+        A = _relu_kernel(X, 30_000, 13)
+        B = _relu_kernel(X, 30_000, 13)
         np.testing.assert_array_equal(A, B)
 
-    def test_kernel_exact_keeps_the_oracle_on_a_rule_miss_and_hit(self, monkeypatch):
-        # the second and third calls reuse the first call's rule, and a hit
-        # returns the bits of the miss
-        draws = _count_rule_draws(monkeypatch)
+    def test_one_rule_summed_over_two_inputs_matches_the_oracle(self):
+        rule = quadrature_rule(3, 140_001, 21)
         X = np.random.default_rng(20).uniform(-1, 1, (3, 130))
-        miss = kernel_exact(RELU, X, quadrature_size=140_001, seed=21)
-        hit = kernel_exact(RELU, X[:, :70], quadrature_size=140_001, seed=21)
-        assert kernel_exact(RELU, X, quadrature_size=140_001, seed=21).tobytes() == miss.tobytes()
-        assert draws == [(3, 140_001, 21)]
-        for K, Xs in ((miss, X), (hit, X[:, :70])):
+        for Xs in (X, X[:, :70]):
+            K = kernel_exact(RELU, Xs, rule)
             want = kernel_exact_blocks(RELU, Xs, 140_001, 21)
             assert np.abs(K - want).max() <= 1e-14 * np.abs(want).max()
 
-    def test_threads_asking_for_one_key_share_one_draw(self, monkeypatch):
-        draws = _count_rule_draws(monkeypatch, delay=0.05)
-        start = threading.Barrier(2)
-
-        def ask(_):
-            start.wait()
-            return quadrature_rule(2, 5001, 7)
-
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            a, b = pool.map(ask, range(2))
-        assert a is b
-        assert draws == [(2, 5001, 7)]
-        assert len(a.pairs) == 2500 and a.odd is not None and not a.pairs.flags.writeable
-
-    def test_a_new_key_replaces_the_cached_rule(self, monkeypatch):
-        draws = _count_rule_draws(monkeypatch)
-        old = weakref.ref(quadrature_rule(2, 4000, 1))
-        new = quadrature_rule(2, 4000, 2)
-        gc.collect()
-        assert old() is None
-        assert quadrature_rule(2, 4000, 2) is new
-        assert draws == [(2, 4000, 1), (2, 4000, 2)]
+    def test_quadrature_rule_draws_afresh_a_read_only_rule(self):
+        a, b = quadrature_rule(2, 5001, 7), quadrature_rule(2, 5001, 7)
+        assert a is not b and a.pairs.tobytes() == b.pairs.tobytes()
+        assert (a.Q, a.d, len(a.pairs)) == (5001, 2, 2500) and a.odd is not None
+        assert not a.pairs.flags.writeable and not a.M.flags.writeable
+        assert quadrature_rule(2, 5000, 7).odd is None
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            quadrature_rule(0, 10, 0)
+        with pytest.raises(ValueError, match="Q must be >= 1"):
+            quadrature_rule(2, 0, 0)
 
     def test_reference_lambda_min_is_relu_quadrature_eigenvalue(self):
         X = np.random.default_rng(18).uniform(-1, 1, (2, 6))
-        want = eigen_min(kernel_exact(RELU, X, quadrature_size=20_000, seed=19))
-        assert reference_lambda_min(X, 20_000, 19) == want
+        want = smallest_eigenvalue(_relu_kernel(X, 20_000, 19))
+        assert reference_lambda_min(X, quadrature_rule(2, 20_000, 19)) == want
 
     def test_kernel_empirical_is_gram(self):
         Phi = np.random.default_rng(14).standard_normal((5, 64))
         Km = kernel_empirical(Phi)
         assert_allclose(Km, Phi @ Phi.T / 64, rtol=1e-12)
-        assert eigen_min(Km) >= -1e-12
+        assert smallest_eigenvalue(Km) >= -1e-12
 
     def test_empirical_converges_to_exact(self):
         X = np.random.default_rng(15).uniform(-1, 1, (3, 8))
-        K = kernel_exact(RELU, X, quadrature_size=500_000, seed=16)
+        K = _relu_kernel(X, 500_000, 16)
         W = RELU.sample_params(3, 100_000, seed=17)
         Km = kernel_empirical(RELU.features(W, X))
         assert np.abs(K - Km).max() < 0.01
@@ -452,14 +433,14 @@ class TestTiledFeatureSum:
 class TestRidgeless:
     def test_reproduces_labels(self):
         X = np.random.default_rng(34).uniform(-1, 1, (4, 16))
-        K = kernel_exact(RELU, X, quadrature_size=200_000, seed=35)
+        K = _relu_kernel(X, 200_000, 35)
         y = np.random.default_rng(36).uniform(-1, 1, 16)
         beta, _ = ridgeless_coefficients(K, y)
         assert_allclose(K @ beta, y, atol=1e-9)
 
     def test_norm_bound_nonnegative_and_matches_dot(self):
         X = np.random.default_rng(37).uniform(-1, 1, (3, 10))
-        K = kernel_exact(RELU, X, quadrature_size=100_000, seed=38)
+        K = _relu_kernel(X, 100_000, 38)
         y = np.random.default_rng(39).uniform(-1, 1, 10)
         beta, _ = ridgeless_coefficients(K, y)
         s2 = float(y @ beta)
@@ -468,9 +449,9 @@ class TestRidgeless:
 
     def test_lambda_min_from_the_same_eigensolve(self):
         X = np.random.default_rng(37).uniform(-1, 1, (3, 10))
-        K = kernel_exact(RELU, X, quadrature_size=100_000, seed=38)
+        K = _relu_kernel(X, 100_000, 38)
         _, lam = ridgeless_coefficients(K, np.ones(10))
-        assert lam == pytest.approx(eigen_min(K), rel=1e-10)
+        assert lam == pytest.approx(smallest_eigenvalue(K), rel=1e-10)
 
     def test_asymmetric_kernel_rejected(self):
         K = np.array([[1.0, 0.5], [0.2, 1.0]])
@@ -501,9 +482,9 @@ class TestConcentration:
         assert chk.observed == pytest.approx(np.linalg.norm(K - Km, ord=2))
         assert chk.observed_frobenius >= chk.observed
         assert chk.holds == (chk.observed <= chk.bound)
-        assert chk.lambda_min_empirical == eigen_min(Km)
+        assert chk.lambda_min_empirical == smallest_eigenvalue(Km)
         # Weyl: the eigenvalue moves by at most the spectral deviation
-        assert abs(eigen_min(K) - chk.lambda_min_empirical) <= chk.observed + 1e-12
+        assert abs(smallest_eigenvalue(K) - chk.lambda_min_empirical) <= chk.observed + 1e-12
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from minterp import (
     pad_identity_layers,
     path_norm,
     random_resnet,
+    quadrature_rule,
     reference_lambda_min,
     rescale_teacher,
     resnet_add,
@@ -316,7 +317,7 @@ class TestInterpolateResnet:
         data = sample_dataset(f, 10, seed=18)
         # teacher half: a small random resnet
         teacher_net = random_resnet(2, L=4, D=4, m=3, scale=0.3, seed=19)
-        lam = reference_lambda_min(data.X, 50_000, derive_seed(20, 0))
+        lam = reference_lambda_min(data.X, quadrature_rule(2, 50_000, derive_seed(20, 0)))
         fit = interpolate_resnet(data, teacher_net, m2=512, seed=20, lambda_target=lam)
         assert fit.lambda_target == lam
         assert fit.interp_error <= 1e-8

@@ -17,6 +17,7 @@ from minterp import (
     interpolate_two_layer,
     make_teacher,
     path_norm,
+    quadrature_rule,
     reference_lambda_min,
     rescale_teacher,
     sample_dataset,
@@ -229,7 +230,7 @@ class TestInterpolateTwoLayer:
     def test_composite_interpolates_with_additive_norm(self):
         f = rescale_teacher(make_teacher(2, 8, 1.0, seed=35))
         data = sample_dataset(f, 10, seed=36)
-        lam = reference_lambda_min(data.X, 50_000, derive_seed(37, 0))
+        lam = reference_lambda_min(data.X, quadrature_rule(2, 50_000, derive_seed(37, 0)))
         fit = interpolate_two_layer(data, f, m1=32, m2=1024, seed=37, lambda_target=lam)
         assert fit.lambda_target == lam
         assert fit.interp_error <= 1e-8
