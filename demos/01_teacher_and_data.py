@@ -3,7 +3,9 @@
 The targets are finite mixtures of ReLU ridge functions with directions on
 the unit l1 sphere.  That normalization makes two quantities exactly
 computable: an upper bound on the representation norm (the mean absolute
-coefficient) and an upper bound on sup |f| over the input box.
+coefficient) and an upper bound on sup |f| over the input box.  Drawn
+coefficients lie in [-1, 1], so both bounds stay below 1 and every label
+lands in [-1, 1] as drawn.
 """
 
 import numpy as np
@@ -11,7 +13,6 @@ import numpy as np
 from minterp import (
     barron_norm_upper,
     make_teacher,
-    rescale_teacher,
     sample_dataset,
     sup_norm_upper,
     teacher_eval_batch,
@@ -19,15 +20,11 @@ from minterp import (
 
 d, n_atoms, n = 4, 32, 200
 
-raw = make_teacher(d, n_atoms, coeff_scale=2.0, seed=0)
-print(f"raw teacher: {raw.n_atoms} atoms in d={raw.d}")
-print(f"  norm upper bound      {barron_norm_upper(raw):.4f}")
-print(f"  sup|f| upper bound    {sup_norm_upper(raw):.4f}")
-
-# labels must land in [-1, 1], so scale the coefficients down first
-teacher = rescale_teacher(raw)
-print(f"rescaled: norm bound {barron_norm_upper(teacher):.4f}, "
-      f"sup bound {sup_norm_upper(teacher):.4f}")
+teacher = make_teacher(d, n_atoms, seed=0)
+print(f"teacher: {teacher.n_atoms} atoms in d={teacher.d}, "
+      f"max|a_k| {np.abs(teacher.coefficients).max():.4f}")
+print(f"  norm upper bound      {barron_norm_upper(teacher):.4f}")
+print(f"  sup|f| upper bound    {sup_norm_upper(teacher):.4f}  (at most the norm bound)")
 
 data = sample_dataset(teacher, n, seed=1)
 print(f"\ndataset: X {data.X.shape}, y {data.y.shape}, seed {data.seed}")

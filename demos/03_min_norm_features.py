@@ -16,14 +16,13 @@ from minterp import (
     kernel_exact,
     make_teacher,
     quadrature_rule,
-    rescale_teacher,
     ridgeless_coefficients,
     sample_dataset,
 )
 
 d, n = 4, 24
 family = FeatureFamily(tag=RELU_L1SPHERE)
-teacher = rescale_teacher(make_teacher(d, 48, 1.0, seed=0))
+teacher = make_teacher(d, 48, seed=0)
 data = sample_dataset(teacher, n, seed=1)
 
 K = kernel_exact(family, data.X, quadrature_rule(d, 500_000, seed=2))

@@ -16,13 +16,12 @@ from minterp import (
     make_teacher,
     quadrature_rule,
     reference_lambda_min,
-    rescale_teacher,
     sample_dataset,
     two_layer_eval_batch,
 )
 
 d, n = 4, 32
-teacher = rescale_teacher(make_teacher(d, 64, 1.0, seed=0))
+teacher = make_teacher(d, 64, seed=0)
 data = sample_dataset(teacher, n, seed=1)
 
 # the residual fit's eigenvalue target: lambda_min of the ReLU reference

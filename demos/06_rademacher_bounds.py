@@ -29,7 +29,7 @@ est = rad_rf_ball(Phi, C, n_draws=512, seed=2)
 up = rf_ball_upper(C, n)
 print(f"feature ball, radius {C}:")
 print(f"  estimate {est.mean:.4f} +- {est.std_error:.4f}  ({est.n_sign_draws} draws)")
-print(f"  closed-form upper {up.mean:.4f}  (C / sqrt(n))")
+print(f"  closed-form upper {up:.4f}  (C / sqrt(n))")
 
 res = rad_path_ball(X, C, n_draws=128, n_starts=8, seed=3)
 print(f"\npath-norm ball, radius {C}:")

@@ -29,7 +29,7 @@ from .experiments import (
     write_study,
 )
 from .resnet import resnet_eval_batch, weighted_path_norm
-from .sampling import make_teacher, rescale_teacher, sample_dataset, teacher_eval_batch
+from .sampling import make_teacher, sample_dataset, teacher_eval_batch
 from .sampling import barron_norm_upper
 from .seeding import derive_seed, rng_from
 from .serialize import (
@@ -75,9 +75,7 @@ def _out_dir(config: ExperimentConfig) -> Path:
 
 def _cmd_gen_teacher(args) -> int:
     config = _load_config(args)
-    teacher = rescale_teacher(
-        make_teacher(config.d_grid[0], config.n_atoms, 1.0, derive_seed(config.seed, 0))
-    )
+    teacher = make_teacher(config.d_grid[0], config.n_atoms, derive_seed(config.seed, 0))
     path = _out_dir(config) / "teacher.json"
     write_json_report(path, teacher_to_dict(teacher))
     print(f"wrote {path}")

@@ -3,8 +3,8 @@
 The coefficient-ball estimator computes its per-draw supremum exactly in
 closed form.  The path-norm ball has no exact supremum (piecewise-linear
 nonconvex maximization), so it is sandwiched: a multi-start heuristic
-gives a certified lower estimate, the closed-form theory value an upper
-one, and both are labeled as such.
+gives a certified lower estimate and the closed-form theory value an
+upper one.
 """
 
 from __future__ import annotations
@@ -18,26 +18,19 @@ from .linalg import GramFactor
 from .sampling import TeacherFunction, _l1_sphere_rows, _random_signs, teacher_eval_batch
 from .seeding import derive_seed, rng_from
 
-RF_L2_BALL_EXACT_SUP = "rf_l2_ball_exact_sup"
-PATH_BALL_HEURISTIC_SUP = "path_ball_heuristic_sup"
-THEORETICAL_UPPER = "theoretical_upper"
-
 # Largest working block, in array elements, of the sign-draw loops below.
 _BLOCK_ELEMENTS = 1 << 22
 
 
 @dataclass(frozen=True)
 class RadEstimate:
-    """Monte Carlo Rademacher complexity estimate (or a closed-form upper value)."""
+    """Monte Carlo Rademacher complexity estimate."""
 
     mean: float
     std_error: float
     n_sign_draws: int
-    kind: str
 
     def __post_init__(self):
-        if self.kind not in (RF_L2_BALL_EXACT_SUP, PATH_BALL_HEURISTIC_SUP, THEORETICAL_UPPER):
-            raise ValueError(f"unknown estimate kind {self.kind!r}")
         if self.mean < 0 or self.std_error < 0:
             raise ValueError("mean and std_error must be nonnegative")
 
@@ -89,18 +82,16 @@ def rad_rf_ball(
         done += c
     vals *= C / (n * math.sqrt(m))
     mean, se = _mean_se(vals)
-    return RadEstimate(mean=mean, std_error=se, n_sign_draws=n_draws, kind=RF_L2_BALL_EXACT_SUP)
+    return RadEstimate(mean=mean, std_error=se, n_sign_draws=n_draws)
 
 
-def rf_ball_upper(C: float, n: int) -> RadEstimate:
+def rf_ball_upper(C: float, n: int) -> float:
     """Closed-form upper value C / sqrt(n) for the coefficient ball."""
     if not C >= 0:
         raise ValueError(f"C must be nonnegative, got {C}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return RadEstimate(
-        mean=C / math.sqrt(n), std_error=0.0, n_sign_draws=1, kind=THEORETICAL_UPPER
-    )
+    return C / math.sqrt(n)
 
 
 def _augment(X: np.ndarray) -> np.ndarray:
@@ -192,8 +183,7 @@ def rad_path_ball(
     d, n = X.shape
     upper = 2.0 * C * math.sqrt(2.0 * math.log(2.0 * d) / n)
     if C == 0.0:
-        est = RadEstimate(mean=0.0, std_error=0.0, n_sign_draws=n_draws,
-                          kind=PATH_BALL_HEURISTIC_SUP)
+        est = RadEstimate(mean=0.0, std_error=0.0, n_sign_draws=n_draws)
         return PathBallResult(estimate=est, upper=upper)
 
     A = _augment(X)
@@ -216,19 +206,17 @@ def rad_path_ball(
                 w0[t, 2 * D :] = _l1_sphere_rows(rng, n_starts, D)
         vals[done : done + c] = C * _refine_sphere_max(A, xi / n, w0)
     mean, se = _mean_se(vals)
-    est = RadEstimate(mean=mean, std_error=se, n_sign_draws=n_draws,
-                      kind=PATH_BALL_HEURISTIC_SUP)
+    est = RadEstimate(mean=mean, std_error=se, n_sign_draws=n_draws)
     return PathBallResult(estimate=est, upper=upper)
 
 
-def rad_weighted_path_upper(C: float, d: int, n: int) -> RadEstimate:
+def rad_weighted_path_upper(C: float, d: int, n: int) -> float:
     """Closed-form upper value 3 C sqrt(2 log(2d) / n) for the weighted-path ball."""
     if d < 1 or n < 1:
         raise ValueError(f"d and n must be >= 1, got d={d}, n={n}")
     if C < 0:
         raise ValueError(f"C must be nonnegative, got {C}")
-    value = 3.0 * C * math.sqrt(2.0 * math.log(2.0 * d) / n)
-    return RadEstimate(mean=value, std_error=0.0, n_sign_draws=1, kind=THEORETICAL_UPPER)
+    return 3.0 * C * math.sqrt(2.0 * math.log(2.0 * d) / n)
 
 
 def generalization_bound(

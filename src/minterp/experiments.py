@@ -57,7 +57,7 @@ from .resnet import (
     resnet_eval_batch,
     weighted_path_norm,
 )
-from .sampling import Dataset, TeacherFunction, make_teacher, rescale_teacher, sample_dataset
+from .sampling import Dataset, TeacherFunction, make_teacher, sample_dataset
 from .seeding import derive_seed, rng_from
 from .serialize import write_csv, write_json_report
 from .two_layer import (
@@ -106,8 +106,9 @@ _QUADRATURE_BASE = 7 * _SEED_STRIDE
 def check_resnet_widths(m1: int, L_cap: int) -> None:
     """Reject a resnet fit whose cap leaves no layers after the m1-layer teacher.
 
-    The embedded teacher takes m1 layers and the residual fit gets
-    m2 = min(width, L_cap - m1), which must be positive.
+    The embedded teacher is m1 layers deep and the residual fit
+    m2 = min(width, L_cap - m1), which must be positive: L_cap caps
+    m1 + m2, while the fitted net (resnet_add) is max(m1, m2) deep.
     """
     if L_cap <= m1:
         raise ValueError(
@@ -330,10 +331,9 @@ def _base_summary(rows: list, with_pass: bool = True) -> dict:
 
 
 def _teacher_data(config: ExperimentConfig, n: int, teacher_index: int, data_index: int):
-    """A rescaled teacher drawn at seed index teacher_index and n samples labelled by it."""
-    teacher = rescale_teacher(make_teacher(
-        config.d_grid[0], config.n_atoms, 1.0, derive_seed(config.seed, teacher_index)
-    ))
+    """A teacher drawn at seed index teacher_index and n samples labelled by it."""
+    teacher = make_teacher(config.d_grid[0], config.n_atoms,
+                           derive_seed(config.seed, teacher_index))
     return teacher, sample_dataset(teacher, n, derive_seed(config.seed, data_index))
 
 
@@ -575,7 +575,8 @@ class ModelFit:
     """One family's interpolant and everything the studies and `minterp fit` read.
 
     fit is the family's own report and model the fitted model or net;
-    m_or_L is the effective width (resnet: teacher depth plus added depth).
+    m_or_L is the effective width; resnet's is m1 + m2, the two parts'
+    depths, while the fitted net is max(m1, m2) deep (resnet_add).
     rad_bounds(seed) returns the audit's (rad_lower, rad_upper), so only a
     bound audit pays for the Rademacher estimate.
     """
@@ -601,7 +602,7 @@ def _fit_rf(config, data, teacher, width, fit_seed, approx_seed, rule) -> ModelF
         norm_radius=radius, m_or_L=width, lambda_ref=lam_ref, threshold_met=width >= threshold,
         rad_bounds=lambda seed: (
             rad_rf_ball(gram, radius, n_draws=config.rad_draws, seed=seed).mean,
-            rf_ball_upper(radius, data.n).mean,
+            rf_ball_upper(radius, data.n),
         ),
     )
 
@@ -635,9 +636,7 @@ def _fit_resnet(config, data, teacher, width, fit_seed, approx_seed, rule) -> Mo
         fit=fit, model=fit.net, predict=predict, train_preds=fit.fitted,
         norm_radius=fit.weighted_norm, m_or_L=teacher_net.L + m2, lambda_ref=fit.lambda_target,
         threshold_met=m2 >= width and m2 >= threshold,
-        rad_bounds=lambda seed: (
-            0.0, rad_weighted_path_upper(fit.weighted_norm, data.d, data.n).mean,
-        ),
+        rad_bounds=lambda seed: (0.0, rad_weighted_path_upper(fit.weighted_norm, data.d, data.n)),
     )
 
 

@@ -134,21 +134,18 @@ def _random_signs(rng: np.random.Generator, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def make_teacher(d: int, n_atoms: int, coeff_scale: float, seed: int) -> TeacherFunction:
+def make_teacher(d: int, n_atoms: int, seed: int) -> TeacherFunction:
     """Build a random finite-atom teacher.
 
-    Directions are uniform on the l1 sphere, coefficients uniform in
-    [-coeff_scale, coeff_scale].  Use :func:`sup_norm_upper` (reported
-    bound of the teacher over the input box) to rescale labels into
-    [-1, 1] before generating data, or call :func:`rescale_teacher`.
+    Directions are uniform on the l1 sphere and coefficients uniform in
+    [-1, 1], so barron_norm_upper <= 1 and every label on the input box
+    lies in [-1, 1].
     """
     if n_atoms < 1:
         raise ValueError(f"n_atoms must be >= 1, got {n_atoms}")
-    if not coeff_scale > 0:
-        raise ValueError(f"coeff_scale must be positive, got {coeff_scale}")
     directions = sample_l1_sphere(d, n_atoms, derive_seed(seed, 0))
     rng = rng_from(derive_seed(seed, 1))
-    coefficients = rng.uniform(-coeff_scale, coeff_scale, size=n_atoms)
+    coefficients = rng.uniform(-1.0, 1.0, size=n_atoms)
     return TeacherFunction(coefficients=coefficients, directions=directions, d=d)
 
 
@@ -167,22 +164,6 @@ def sup_norm_upper(f: TeacherFunction) -> float:
     c = f.directions[:, -1]
     atom_sup = np.maximum(0.0, np.abs(b).sum(axis=1) + c)
     return float(np.mean(np.abs(f.coefficients) * atom_sup))
-
-
-def rescale_teacher(f: TeacherFunction, target: float = 1.0) -> TeacherFunction:
-    """Divide coefficients so that barron_norm_upper <= target.
-
-    No-op when the bound is already within target; labels generated from
-    the result stay in [-target, target] on the input box.
-    """
-    bound = barron_norm_upper(f)
-    if bound <= target:
-        return f
-    return TeacherFunction(
-        coefficients=f.coefficients * (target / bound),
-        directions=f.directions,
-        d=f.d,
-    )
 
 
 def teacher_eval_batch(f: TeacherFunction, X: np.ndarray) -> np.ndarray:
@@ -209,8 +190,9 @@ def _atom_relu(f: TeacherFunction, X: np.ndarray) -> np.ndarray:
 def sample_dataset(f: TeacherFunction, n: int, seed: int) -> Dataset:
     """Draw n inputs uniformly from [-1, 1]^d and label them with the teacher.
 
-    The teacher must already be rescaled so labels land in [-1, 1];
-    violations raise with the first offending sample index.
+    Labels must land in [-1, 1], as every make_teacher draw's do; a
+    teacher whose labels leave it (a loaded file, say) raises with the
+    first offending sample index.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -220,7 +202,7 @@ def sample_dataset(f: TeacherFunction, n: int, seed: int) -> Dataset:
     bad = np.flatnonzero(np.abs(y) > 1.0)
     if bad.size:
         raise ContractViolationError(
-            f"label magnitude {abs(y[bad[0]]):.6f} exceeds 1; rescale the teacher first",
+            f"label magnitude {abs(y[bad[0]]):.6f} exceeds 1: the teacher's norm bound is above 1",
             index=bad[0],
         )
     return Dataset(X=X, y=y, seed=seed)

@@ -78,23 +78,6 @@ def path_norm(theta: TwoLayerNet) -> float:
     )
 
 
-def concat_neurons(theta1: TwoLayerNet, theta2: TwoLayerNet) -> TwoLayerNet:
-    """Plain neuron-list concatenation; the (1/m) prefactor re-averages, so the
-    result's function is the width-weighted average of the parts, not their sum."""
-    if theta1.d != theta2.d:
-        raise ValueError(f"dimension mismatch: {theta1.d} vs {theta2.d}")
-    return TwoLayerNet(
-        a=np.concatenate([theta1.a, theta2.a]),
-        B=np.concatenate([theta1.B, theta2.B], axis=0),
-        c=np.concatenate([theta1.c, theta2.c]),
-    )
-
-
-def scale_outer(theta: TwoLayerNet, t: float) -> TwoLayerNet:
-    """Scale every outer coefficient a_j by t."""
-    return TwoLayerNet(a=theta.a * t, B=theta.B, c=theta.c)
-
-
 def sum_networks(theta1: TwoLayerNet, theta2: TwoLayerNet) -> TwoLayerNet:
     """Width-(m1+m2) network computing f1 + f2 exactly.
 
@@ -102,10 +85,13 @@ def sum_networks(theta1: TwoLayerNet, theta2: TwoLayerNet) -> TwoLayerNet:
     coefficients are scaled by (m1+m2)/m_i so its contribution is
     preserved; the same bookkeeping makes the path norm exactly additive.
     """
+    if theta1.d != theta2.d:
+        raise ValueError(f"dimension mismatch: {theta1.d} vs {theta2.d}")
     total = theta1.m + theta2.m
-    return concat_neurons(
-        scale_outer(theta1, total / theta1.m),
-        scale_outer(theta2, total / theta2.m),
+    return TwoLayerNet(
+        a=np.concatenate([theta1.a * (total / theta1.m), theta2.a * (total / theta2.m)]),
+        B=np.concatenate([theta1.B, theta2.B], axis=0),
+        c=np.concatenate([theta1.c, theta2.c]),
     )
 
 

@@ -13,7 +13,6 @@ from minterp import (
     rad_path_ball,
     rad_rf_ball,
     rad_weighted_path_upper,
-    rescale_teacher,
     rf_ball_upper,
     make_teacher,
     rng_from,
@@ -54,11 +53,11 @@ class TestRadRfBall:
         fam = FeatureFamily(tag=RELU_L1SPHERE)
         Phi = fam.features(fam.sample_params(3, 256, seed=12), X)
         est = rad_rf_ball(Phi, C=1.3, n_draws=128, seed=13)
-        upper = rf_ball_upper(1.3, 16).mean
+        upper = rf_ball_upper(1.3, 16)
         assert est.mean <= upper + 3 * est.std_error
 
     def test_upper_formula(self):
-        assert rf_ball_upper(2.0, 25).mean == pytest.approx(0.4)
+        assert rf_ball_upper(2.0, 25) == pytest.approx(0.4)
 
     @pytest.mark.parametrize("n, m, n_draws", [(1, 1, 1), (5, 3, 17), (16, 64, 256)])
     def test_signs_match_integer_formula(self, n, m, n_draws):
@@ -95,7 +94,7 @@ class TestRadRfBall:
         with pytest.raises(ValueError):
             rad_rf_ball(np.ones((2, 2)), C=0.0)
         with pytest.raises(ValueError):
-            RadEstimate(mean=-0.1, std_error=0.0, n_sign_draws=1, kind="theoretical_upper")
+            RadEstimate(mean=-0.1, std_error=0.0, n_sign_draws=1)
 
 
 class TestRadPathBall:
@@ -196,8 +195,8 @@ class TestRadPathBall:
         assert rad_path_ball(X, C=1.0, n_draws=1, n_starts=0, seed=cancel).estimate.mean == 0.0
 
     def test_weighted_upper_formula(self):
-        est = rad_weighted_path_upper(1.5, d=4, n=9)
-        assert est.mean == pytest.approx(3 * 1.5 * math.sqrt(2 * math.log(8) / 9))
+        upper = rad_weighted_path_upper(1.5, d=4, n=9)
+        assert upper == pytest.approx(3 * 1.5 * math.sqrt(2 * math.log(8) / 9))
 
 
 class TestGeneralizationBound:
@@ -223,7 +222,7 @@ class TestGeneralizationBound:
 
 class TestPopulationRisk:
     def test_matches_manual_monte_carlo(self):
-        f = rescale_teacher(make_teacher(3, 6, 1.0, seed=15))
+        f = make_teacher(3, 6, seed=15)
         est = population_risk(lambda X: np.zeros(X.shape[1]), f, N_test=5000, seed=16)
         X = rng_from(16).uniform(-1.0, 1.0, size=(3, 5000))
         want = 0.5 * float(np.mean(teacher_eval_batch(f, X) ** 2))
@@ -231,6 +230,6 @@ class TestPopulationRisk:
         assert est.n_test == 5000
 
     def test_perfect_model_has_zero_risk(self):
-        f = rescale_teacher(make_teacher(2, 4, 1.0, seed=17))
+        f = make_teacher(2, 4, seed=17)
         est = population_risk(lambda X: teacher_eval_batch(f, X), f, N_test=100, seed=18)
         assert est.risk == 0.0

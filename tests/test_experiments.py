@@ -13,7 +13,6 @@ from minterp import (
     ExperimentConfig,
     derive_seed,
     make_teacher,
-    rescale_teacher,
     run_study,
     sample_dataset,
     write_study,
@@ -633,11 +632,15 @@ class TestFitModel:
             model=model, d_grid=(2,), n_grid=(8,), n_atoms=8, m1=16, L_cap=272,
             quadrature=20_000, rad_draws=4,
         )
-        teacher = rescale_teacher(make_teacher(2, 8, 1.0, seed=1))
+        teacher = make_teacher(2, 8, seed=1)
         data = sample_dataset(teacher, 8, seed=2)
         fit = fit_model(cfg, data, teacher, 256, fit_seed=3, approx_seed=4,
                         rule=study_rule(cfg, 2))
         assert fit.m_or_L == (16 + 256 if model == "resnet" else 256)
+        if model == "resnet":
+            # m_or_L counts the layers of both parts, m1 + m2; resnet_add stacks
+            # them side by side, so the fitted net is max(m1, m2) deep
+            assert (fit.model.L, fit.model.D, fit.model.m) == (max(16, 256), 2 * (2 + 2), 2)
         assert_allclose(fit.train_preds, data.y, atol=1e-8)
         assert_allclose(fit.predict(data.X), fit.train_preds, atol=1e-12)
         assert fit.norm_radius > 0 and fit.lambda_ref > 0
@@ -652,7 +655,7 @@ class TestFitModel:
             model=model, d_grid=(2,), n_grid=(8,), n_atoms=8, m1=16, L_cap=272,
             quadrature=20_000, rad_draws=4,
         )
-        teacher = rescale_teacher(make_teacher(2, 8, 1.0, seed=1))
+        teacher = make_teacher(2, 8, seed=1)
         data = sample_dataset(teacher, 8, seed=2)
         fit = fit_model(cfg, data, teacher, 256, fit_seed=3, approx_seed=4,
                         rule=study_rule(cfg, 2))

@@ -19,7 +19,6 @@ from minterp import (
     make_teacher,
     min_l2_interpolant,
     min_norm_solve,
-    rescale_teacher,
     sample_dataset,
     smallest_eigenvalue,
     smallest_singular_value,
@@ -364,7 +363,7 @@ def _count_factorizations(monkeypatch) -> dict:
 class TestOneFactorizationPerFit:
     def test_rf_fit_lambda_ref_and_rad_share_one_eigh(self, monkeypatch):
         cfg = ExperimentConfig(model="rf", d_grid=(2,), n_grid=(8,), n_atoms=8, rad_draws=4)
-        teacher = rescale_teacher(make_teacher(2, 8, 1.0, seed=1))
+        teacher = make_teacher(2, 8, seed=1)
         data = sample_dataset(teacher, 8, seed=2)
         calls = _count_factorizations(monkeypatch)
         fit = fit_model(cfg, data, teacher, 256, fit_seed=3, approx_seed=4)

@@ -16,7 +16,6 @@ from minterp import (
     random_resnet,
     quadrature_rule,
     reference_lambda_min,
-    rescale_teacher,
     resnet_add,
     resnet_eval_batch,
     rng_from,
@@ -313,7 +312,7 @@ class TestResnetLaws:
 
 class TestInterpolateResnet:
     def test_interpolates_with_norm_decomposition(self):
-        f = rescale_teacher(make_teacher(2, 8, 1.0, seed=17))
+        f = make_teacher(2, 8, seed=17)
         data = sample_dataset(f, 10, seed=18)
         # teacher half: a small random resnet
         teacher_net = random_resnet(2, L=4, D=4, m=3, scale=0.3, seed=19)

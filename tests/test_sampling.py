@@ -10,7 +10,6 @@ from minterp import (
     TeacherFunction,
     barron_norm_upper,
     make_teacher,
-    rescale_teacher,
     sample_dataset,
     sample_l1_sphere,
     sup_norm_upper,
@@ -101,16 +100,16 @@ class TestL1Sphere:
 
 class TestTeacher:
     def test_make_teacher_shapes(self):
-        f = make_teacher(5, 12, 1.0, seed=0)
+        f = make_teacher(5, 12, seed=0)
         assert f.d == 5
         assert f.n_atoms == 12
         assert f.coefficients.shape == (12,)
         assert f.directions.shape == (12, 6)
 
     def test_directions_on_sphere(self):
-        f = make_teacher(4, 30, 2.0, seed=1)
+        f = make_teacher(4, 30, seed=1)
         assert_allclose(np.abs(f.directions).sum(axis=1), 1.0, atol=1e-12)
-        assert np.abs(f.coefficients).max() <= 2.0
+        assert np.abs(f.coefficients).max() <= 1.0
 
     def test_invalid_direction_rejected(self):
         with pytest.raises(ValueError):
@@ -137,7 +136,7 @@ class TestTeacher:
         assert teacher_eval(f2, np.array([0.6])) == pytest.approx(2.0 * 0.8)
 
     def test_batch_matches_pointwise(self):
-        f = make_teacher(3, 7, 1.0, seed=4)
+        f = make_teacher(3, 7, seed=4)
         X = np.random.default_rng(0).uniform(-1, 1, (3, 40))
         batch = teacher_eval_batch(f, X)
         point = np.array([teacher_eval(f, X[:, i]) for i in range(40)])
@@ -154,29 +153,22 @@ class TestTeacher:
         assert sup_norm_upper(f) == pytest.approx((3.0 * 1.0 + 1.0 * 1.0) / 2.0)
 
     def test_sup_upper_is_actual_bound(self):
-        f = make_teacher(4, 20, 1.5, seed=5)
+        f = make_teacher(4, 20, seed=5)
         X = np.random.default_rng(1).uniform(-1, 1, (4, 5000))
         assert np.abs(teacher_eval_batch(f, X)).max() <= sup_norm_upper(f) + 1e-12
 
-    def test_rescale(self):
-        f = make_teacher(3, 9, 2.0, seed=6)
-        g = rescale_teacher(f, target=0.5)
-        assert barron_norm_upper(g) == pytest.approx(0.5)
-        # the sup bound is dominated by the coefficient bound
-        assert sup_norm_upper(g) <= 0.5 + 1e-12
-        # rescaling is a pure outer scaling
-        x = np.array([0.1, -0.2, 0.3])
-        ratio = teacher_eval(g, x) / teacher_eval(f, x)
-        assert ratio == pytest.approx(0.5 / barron_norm_upper(f))
-
-    def test_rescale_noop_when_within_target(self):
-        f = rescale_teacher(make_teacher(3, 9, 2.0, seed=6))
-        assert rescale_teacher(f) is f
+    @settings(max_examples=50, deadline=None)
+    @given(d=st.integers(1, 8), n_atoms=st.integers(1, 64), seed=st.integers(0, 2**63))
+    def test_drawn_teacher_labels_need_no_rescaling(self, d, n_atoms, seed):
+        # coefficients in [-1, 1] keep the norm bound, and so every label, below 1
+        f = make_teacher(d, n_atoms, seed)
+        assert barron_norm_upper(f) < 1.0
+        assert sup_norm_upper(f) <= barron_norm_upper(f)
 
 
 class TestDataset:
     def test_sample_dataset(self):
-        f = rescale_teacher(make_teacher(4, 10, 1.0, seed=7))
+        f = make_teacher(4, 10, seed=7)
         data = sample_dataset(f, 25, seed=8)
         assert data.X.shape == (4, 25)
         assert data.y.shape == (25,)
@@ -185,7 +177,7 @@ class TestDataset:
         assert_allclose(data.y, teacher_eval_batch(f, data.X), rtol=1e-12)
 
     def test_deterministic(self):
-        f = rescale_teacher(make_teacher(2, 5, 1.0, seed=0))
+        f = make_teacher(2, 5, seed=0)
         a = sample_dataset(f, 10, seed=3)
         b = sample_dataset(f, 10, seed=3)
         np.testing.assert_array_equal(a.X, b.X)

@@ -16,7 +16,6 @@ from minterp import (
     canonical_injection,
     make_teacher,
     random_resnet,
-    rescale_teacher,
     sample_dataset,
 )
 from minterp.serialize import (
@@ -41,7 +40,7 @@ from minterp.two_layer import TwoLayerNet
 
 @pytest.fixture
 def teacher():
-    return rescale_teacher(make_teacher(3, 5, 2.0, seed=21))
+    return make_teacher(3, 5, seed=21)
 
 
 class TestRoundTrips:

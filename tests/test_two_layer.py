@@ -11,7 +11,6 @@ from minterp import (
     TwoLayerNet,
     UnderParametrizedError,
     approximate_teacher,
-    concat_neurons,
     derive_seed,
     fit_residual_net,
     interpolate_two_layer,
@@ -19,9 +18,7 @@ from minterp import (
     path_norm,
     quadrature_rule,
     reference_lambda_min,
-    rescale_teacher,
     sample_dataset,
-    scale_outer,
     sum_networks,
     teacher_eval_batch,
     two_layer_eval_batch,
@@ -74,7 +71,7 @@ class TestEvalAndNorm:
 
     def test_outer_scaling_homogeneity(self):
         net = random_net(4, 2, seed=3)
-        scaled = scale_outer(net, -2.5)
+        scaled = TwoLayerNet(a=-2.5 * net.a, B=net.B, c=net.c)
         x = np.array([0.3, 0.4])
         assert two_layer_eval(scaled, x) == pytest.approx(-2.5 * two_layer_eval(net, x))
         assert path_norm(scaled) == pytest.approx(2.5 * path_norm(net))
@@ -108,14 +105,6 @@ class TestSumNetworks:
         err = np.abs(two_layer_eval_batch(total, X) - want).max()
         assert err <= 1e-12 * max(1.0, np.abs(want).max())
         assert path_norm(total) == pytest.approx(path_norm(n1) + path_norm(n2), rel=1e-12)
-
-    def test_concat_averages(self):
-        # plain concatenation re-averages: value is the width-weighted mean
-        n1, n2 = random_net(2, 2, seed=9), random_net(6, 2, seed=10)
-        cat = concat_neurons(n1, n2)
-        x = np.array([0.1, -0.9])
-        want = (2 * two_layer_eval(n1, x) + 6 * two_layer_eval(n2, x)) / 8
-        assert two_layer_eval(cat, x) == pytest.approx(want, rel=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -170,7 +159,7 @@ class TestFitResidualNet:
 class TestApproximateTeacher:
     def test_one_atom_teacher_reproduced_exactly(self):
         # every draw repeats the single atom, so the net is the teacher
-        f = rescale_teacher(make_teacher(3, 1, 1.0, seed=20))
+        f = make_teacher(3, 1, seed=20)
         X = np.random.default_rng(21).uniform(-1, 1, (3, 20))
         fit = approximate_teacher(f, 16, X, seed=22)
         assert_allclose(
@@ -180,19 +169,19 @@ class TestApproximateTeacher:
 
     def test_tied_draws_keep_the_first(self):
         # with one atom every draw is the same net, so every score ties
-        f = rescale_teacher(make_teacher(3, 1, 1.0, seed=23))
+        f = make_teacher(3, 1, seed=23)
         X = np.random.default_rng(24).uniform(-1, 1, (3, 20))
         assert approximate_teacher(f, 16, X, seed=25).draw_index == 0
 
     def test_iid_risk_shrinks_with_width(self):
-        f = rescale_teacher(make_teacher(3, 32, 1.0, seed=26))
+        f = make_teacher(3, 32, seed=26)
         X = np.random.default_rng(27).uniform(-1, 1, (3, 24))
         wide = approximate_teacher(f, 512, X, seed=28).empirical_risk
         narrow = approximate_teacher(f, 4, X, seed=28).empirical_risk
         assert wide < narrow
 
     def test_iid_keeps_best_of_retry_draws(self):
-        f = rescale_teacher(make_teacher(2, 6, 1.0, seed=29))
+        f = make_teacher(2, 6, seed=29)
         X = np.random.default_rng(30).uniform(-1, 1, (2, 10))
         best = approximate_teacher(f, 8, X, seed=31)
         _, _, first_risk = approximate_teacher_draws(f, 8, X, 31, n_retry_draws=1)
@@ -210,7 +199,7 @@ class TestApproximateTeacher:
     def test_count_scoring_matches_per_draw_loop(self, d, n_atoms, m1, n, seed):
         # draws that differ only in atoms inactive on X tie exactly; the
         # oracle resolves such ties to the first draw, as the scoring must
-        f = rescale_teacher(make_teacher(d, n_atoms, 1.0, seed=seed))
+        f = make_teacher(d, n_atoms, seed=seed)
         X = np.random.default_rng(seed).uniform(-1, 1, (d, n))
         fit = approximate_teacher(f, m1, X, seed=seed + 1)
         t, net, risk = approximate_teacher_draws(f, m1, X, seed + 1)
@@ -220,7 +209,7 @@ class TestApproximateTeacher:
         assert fit.empirical_risk == risk
 
     def test_path_norm_bounded_by_max_coeff(self):
-        f = rescale_teacher(make_teacher(2, 6, 1.0, seed=32))
+        f = make_teacher(2, 6, seed=32)
         X = np.random.default_rng(33).uniform(-1, 1, (2, 10))
         fit = approximate_teacher(f, 12, X, seed=34)
         assert fit.path_norm <= np.abs(f.coefficients).max() + 1e-12
@@ -228,7 +217,7 @@ class TestApproximateTeacher:
 
 class TestInterpolateTwoLayer:
     def test_composite_interpolates_with_additive_norm(self):
-        f = rescale_teacher(make_teacher(2, 8, 1.0, seed=35))
+        f = make_teacher(2, 8, seed=35)
         data = sample_dataset(f, 10, seed=36)
         lam = reference_lambda_min(data.X, quadrature_rule(2, 50_000, derive_seed(37, 0)))
         fit = interpolate_two_layer(data, f, m1=32, m2=1024, seed=37, lambda_target=lam)
