@@ -1,9 +1,9 @@
 """Command-line harness for dataset generation, fitting, and experiment suites.
 
 Config files are JSON objects whose keys are ExperimentConfig fields; the
---seed / --trials / --out flags override the file.  Every output embeds
-the resolved config and the package version, and identical (config, seed)
-pairs produce byte-identical files regardless of --threads.
+--seed / --out flags, and the study commands' --trials, override the file.
+Every output embeds the resolved config and the package version, and identical
+(config, seed) pairs produce byte-identical files regardless of --threads.
 """
 
 from __future__ import annotations
@@ -32,22 +32,7 @@ from .resnet import resnet_eval_batch, weighted_path_norm
 from .sampling import make_teacher, sample_dataset, teacher_eval_batch
 from .sampling import barron_norm_upper
 from .seeding import derive_seed, rng_from
-from .serialize import (
-    dataset_from_dict,
-    dataset_to_dict,
-    detect_model_kind,
-    load_json,
-    resnet_from_dict,
-    resnet_to_dict,
-    rf_model_from_dict,
-    rf_model_to_dict,
-    teacher_from_dict,
-    teacher_to_dict,
-    two_layer_from_dict,
-    two_layer_to_dict,
-    write_csv,
-    write_json_report,
-)
+from .serialize import kind_of, load_json, read_file, write_csv, write_file, write_json_report
 from .two_layer import path_norm, two_layer_eval_batch
 
 
@@ -55,6 +40,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
     parser.add_argument("--out", default=None, help="output directory (default .)")
+    parser.set_defaults(trials=None)  # set by --trials on the study commands
+
+
+def _add_study(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser)
     parser.add_argument("--trials", type=int, default=None, help="trial count override")
     parser.add_argument("--threads", type=int, default=1, help="worker threads")
 
@@ -76,9 +66,7 @@ def _out_dir(config: ExperimentConfig) -> Path:
 def _cmd_gen_teacher(args) -> int:
     config = _load_config(args)
     teacher = make_teacher(config.d_grid[0], config.n_atoms, derive_seed(config.seed, 0))
-    path = _out_dir(config) / "teacher.json"
-    write_json_report(path, teacher_to_dict(teacher))
-    print(f"wrote {path}")
+    print(f"wrote {write_file(_out_dir(config), teacher)}")
     return 0
 
 
@@ -86,46 +74,42 @@ def _cmd_gen_data(args) -> int:
     config = _load_config(args)
     if len(config.n_grid) != 1:
         raise ValueError(f"gen-data draws one sample size, got n_grid {config.n_grid}")
-    teacher = teacher_from_dict(load_json(args.teacher))
+    teacher = read_file(args.teacher, "teacher")
     data = sample_dataset(teacher, config.n_grid[0], derive_seed(config.seed, 1))
-    path = _out_dir(config) / "dataset.json"
-    write_json_report(path, dataset_to_dict(data))
-    print(f"wrote {path}")
+    print(f"wrote {write_file(_out_dir(config), data)}")
     return 0
 
 
-# Per family: model serializer, model file name, and the report keys with
-# the attribute of the family's fit each one reads.
+# Per family: the report keys with the attribute of the family's fit each one reads.
 _FIT_OUTPUTS = {
-    "rf": (rf_model_to_dict, "model_rf.json", {
+    "rf": {
         "m": "model.m", "coeff_norm": "coeff_norm", "norm_radius": "norm_radius",
         "interp_error": "interp_error",
-    }),
-    "two-layer": (two_layer_to_dict, "model_two_layer.json", {
+    },
+    "two-layer": {
         "m1": "m1", "m2": "m2", "path_norm": "path_norm",
         "teacher_norm_upper": "teacher_norm_upper", "norm_ratio": "norm_ratio",
         "interp_error": "interp_error", "lambda_target": "lambda_target",
         "lambda_emp": "lambda_emp", "resamples_used": "resamples_used",
-    }),
-    "resnet": (resnet_to_dict, "model_resnet.json", {
+    },
+    "resnet": {
         "L": "net.L", "D": "net.D", "m": "net.m", "weighted_path_norm": "weighted_norm",
         "surrogate_norm": "surrogate_norm", "embedded_norm": "embedded_norm",
         "interp_error": "interp_error", "lambda_target": "lambda_target",
         "lambda_emp": "lambda_emp", "resamples_used": "resamples_used",
         "certificate": "certificate",
-    }),
+    },
 }
 
 
 def _cmd_fit(args) -> int:
     config = _load_config(args)
-    data = dataset_from_dict(load_json(args.data))
-    out = _out_dir(config)
+    data = read_file(args.data, "dataset")
     teacher = None
     if args.model != "rf":
         if args.teacher is None:
             raise ValueError(f"fit {args.model} needs a teacher file")
-        teacher = teacher_from_dict(load_json(args.teacher))
+        teacher = read_file(args.teacher, "teacher")
     # The fitted family comes from the command line, and a fit runs no study, so the
     # file's study rules do not apply to it; the echo keeps the file's config.  The
     # quadrature rule is drawn at the dataset's d, which the file's d_grid need not name.
@@ -134,11 +118,11 @@ def _cmd_fit(args) -> int:
         data, teacher, config.m2, derive_seed(config.seed, 2), derive_seed(config.seed, 3),
         None if args.model == "rf" else study_rule(config, data.d),
     )
-    to_dict, filename, keys = _FIT_OUTPUTS[args.model]
-    model_path = out / filename
-    write_json_report(model_path, to_dict(fit.model))
+    out = _out_dir(config)
+    model_path = write_file(out, fit.model)
     report = {"kind": args.model}
-    report.update((key, attrgetter(attr)(fit.fit)) for key, attr in keys.items())
+    report.update((key, attrgetter(attr)(fit.fit))
+                  for key, attr in _FIT_OUTPUTS[args.model].items())
     report_path = out / "fit_report.json"
     write_json_report(
         report_path, {"version": VERSION, "config": config.echo(), "report": report}
@@ -173,28 +157,24 @@ def _cmd_study(args) -> int:
     return 0
 
 
-# Per model-file kind: loader, shape columns, norm column, norm of the
-# loaded object, and its batch evaluator on a (d, n) input matrix.
+# Per model-file kind: shape columns, norm column, norm of the loaded
+# object, and its batch evaluator on a (d, n) input matrix.
 _NORMS = {
-    "resnet": (resnet_from_dict, ("L", "D", "m"), "weighted_path_norm",
-               weighted_path_norm, resnet_eval_batch),
-    "two-layer": (two_layer_from_dict, ("m", "d"), "path_norm",
-                  path_norm, two_layer_eval_batch),
-    "rf": (rf_model_from_dict, ("m", "d"), "norm_radius",
-           attrgetter("norm_radius"), lambda model, X: model.predict(X)),
-    "teacher": (teacher_from_dict, ("n_atoms", "d"), "barron_norm_upper",
-                barron_norm_upper, teacher_eval_batch),
+    "resnet": (("L", "D", "m"), "weighted_path_norm", weighted_path_norm, resnet_eval_batch),
+    "two-layer": (("m", "d"), "path_norm", path_norm, two_layer_eval_batch),
+    "rf": (("m", "d"), "norm_radius", attrgetter("norm_radius"),
+           lambda model, X: model.predict(X)),
+    "teacher": (("n_atoms", "d"), "barron_norm_upper", barron_norm_upper, teacher_eval_batch),
 }
 
 
 def _cmd_norms(args) -> int:
     config = _load_config(args)
-    obj = load_json(args.model_file)
-    kind = detect_model_kind(obj)
+    net = read_file(args.model_file)
+    kind = kind_of(net)
     if kind not in _NORMS:
         raise ValueError(f"norms expects a model file, got a {kind} file")
-    load, shape, norm_name, norm, evaluate = _NORMS[kind]
-    net = load(obj)
+    shape, norm_name, norm, evaluate = _NORMS[kind]
     net_id = Path(args.model_file).stem
     X = rng_from(derive_seed(config.seed, 0)).uniform(-1.0, 1.0, size=(net.d, 128))
     row = {"net_id": net_id, **{key: getattr(net, key) for key in shape},
@@ -234,15 +214,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run one lemma verification suite")
     p.add_argument("--lemma", required=True, choices=list(VERIFY_SELECTORS))
-    _add_common(p)
+    _add_study(p)
     p.set_defaults(func=_cmd_study, kind="verify-lemma")
 
     p = sub.add_parser("scale-study", help="risk-vs-n study over the n grid")
-    _add_common(p)
+    _add_study(p)
     p.set_defaults(func=_cmd_study, kind="scale-study")
 
     p = sub.add_parser("bound-audit", help="scale study plus deviation-bound audit")
-    _add_common(p)
+    _add_study(p)
     p.set_defaults(func=_cmd_study, kind="bound-audit")
 
     p = sub.add_parser("norms", help="norm audit of a saved model file")

@@ -43,10 +43,3 @@ class ConcentrationFailureError(MinterpError):
         self.best_lambda = float(best_lambda)
         self.attempts, self.m, self.n = attempts, m, n
 
-
-class ContractViolationError(MinterpError):
-    """A data invariant was violated; reports the first offending index."""
-
-    def __init__(self, message, index):
-        super().__init__(f"{message} (first offending index {index})")
-        self.index = int(index)

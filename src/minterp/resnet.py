@@ -37,8 +37,8 @@ class ResNet:
         U = np.asarray(self.U, dtype=float)
         W = np.asarray(self.W, dtype=float)
         alpha = np.asarray(self.alpha, dtype=float)
-        if V.ndim != 2 or V.shape[0] < V.shape[1]:
-            raise ValueError(f"expected V of shape (D, d+1) with D >= d+1, got {V.shape}")
+        if V.ndim != 2 or not 2 <= V.shape[1] <= V.shape[0]:
+            raise ValueError(f"expected V of shape (D, d+1) with D >= d+1 >= 2, got {V.shape}")
         D = V.shape[0]
         if alpha.shape != (D,):
             raise ValueError(f"expected alpha of shape ({D},), got {alpha.shape}")

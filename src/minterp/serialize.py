@@ -1,4 +1,4 @@
-"""JSON-compatible model/data files and deterministic CSV reports.
+"""Model and data files, each kind described once in FILE_KINDS, and deterministic CSV reports.
 
 All floats are written with repr (shortest round-trip), keys are sorted,
 and no timestamps or environment data are embedded, so identical inputs
@@ -8,7 +8,9 @@ produce byte-identical files.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -18,123 +20,153 @@ from .sampling import Dataset, TeacherFunction
 from .two_layer import TwoLayerNet
 
 
-def dataset_to_dict(ds: Dataset) -> dict:
-    return {
-        "d": ds.d,
-        "n": ds.n,
-        "seed": ds.seed,
-        "X": [list(map(float, row)) for row in ds.X],
-        "y": [float(v) for v in ds.y],
-    }
+@dataclass(frozen=True)
+class FileKind:
+    """One file kind.  ``header`` names integer counts, each equal to the object's attribute
+    of that name.  ``keys`` maps every other key, the first marking the kind, to the rank of
+    its float array, ``str`` or the keys of a list's objects.  ``pack`` gives their JSON
+    values; ``unpack`` builds the object from the checked values, header included."""
+
+    cls: type
+    filename: str
+    header: tuple
+    keys: dict
+    pack: Callable
+    unpack: Callable
+    optional: tuple = ()
 
 
-def dataset_from_dict(obj: dict) -> Dataset:
-    X = np.asarray(obj["X"], dtype=float)
-    y = np.asarray(obj["y"], dtype=float)
-    if X.shape != (obj["d"], obj["n"]):
-        raise ValueError(f"X shape {X.shape} does not match d={obj['d']}, n={obj['n']}")
-    return Dataset(X=X, y=y, seed=int(obj["seed"]))
-
-
-def teacher_to_dict(f: TeacherFunction) -> dict:
-    atoms = [
-        [float(a)] + [float(v) for v in w]
-        for a, w in zip(f.coefficients, f.directions)
-    ]
-    return {"d": f.d, "atoms": atoms}
-
-
-def teacher_from_dict(obj: dict) -> TeacherFunction:
-    atoms = np.asarray(obj["atoms"], dtype=float)
-    return TeacherFunction(
-        coefficients=atoms[:, 0], directions=atoms[:, 1:], d=int(obj["d"])
-    )
-
-
-def two_layer_to_dict(theta: TwoLayerNet) -> dict:
-    neurons = [
-        [float(a)] + [float(v) for v in b] + [float(c)]
-        for a, b, c in zip(theta.a, theta.B, theta.c)
-    ]
-    return {"d": theta.d, "m": theta.m, "neurons": neurons}
-
-
-def two_layer_from_dict(obj: dict) -> TwoLayerNet:
-    neurons = np.asarray(obj["neurons"], dtype=float)
-    if neurons.shape != (obj["m"], obj["d"] + 2):
-        raise ValueError(f"neuron array shape {neurons.shape} does not match header")
-    return TwoLayerNet(a=neurons[:, 0], B=neurons[:, 1:-1], c=neurons[:, -1])
-
-
-def resnet_to_dict(theta: ResNet) -> dict:
-    obj = {
-        "d": theta.d,
-        "L": theta.L,
-        "D": theta.D,
-        "m": theta.m,
-        "alpha": [float(v) for v in theta.alpha],
-        "layers": [
-            {
-                "U": [list(map(float, row)) for row in U],
-                "W": [list(map(float, row)) for row in W],
-            }
-            for U, W in zip(theta.U, theta.W)
-        ],
-    }
-    canonical = canonical_injection(theta.d, theta.D)
-    if not np.array_equal(theta.V, canonical):
-        obj["V"] = [list(map(float, row)) for row in theta.V]
+def _pack_resnet(net: ResNet) -> dict:
+    obj = {"alpha": net.alpha.tolist(),
+           "layers": [{"U": U.tolist(), "W": W.tolist()} for U, W in zip(net.U, net.W)]}
+    if not np.array_equal(net.V, canonical_injection(net.d, net.D)):
+        obj["V"] = net.V.tolist()
     return obj
 
 
-def resnet_from_dict(obj: dict) -> ResNet:
-    """Rebuild the stacks from per-layer U/W lists; ragged or no layers raise ValueError."""
-    U = np.asarray([layer["U"] for layer in obj["layers"]], dtype=float)
-    W = np.asarray([layer["W"] for layer in obj["layers"]], dtype=float)
-    if "V" in obj:
-        V = np.asarray(obj["V"], dtype=float)
-    else:
-        V = canonical_injection(int(obj["d"]), int(obj["D"]))
-    return ResNet(V=V, U=U, W=W, alpha=np.asarray(obj["alpha"], dtype=float))
+def _unpack_resnet(v: dict) -> ResNet:
+    # the canonical V is sized by alpha, so the header's D sizes nothing before it is checked
+    V = v["V"] if "V" in v else canonical_injection(v["d"], v["alpha"].shape[0])
+    return ResNet(V=V, U=np.stack([layer["U"] for layer in v["layers"]]),
+                  W=np.stack([layer["W"] for layer in v["layers"]]), alpha=v["alpha"])
 
 
-def rf_model_to_dict(model: RandomFeatureModel) -> dict:
-    return {
-        "d": model.d,
-        "m": model.m,
-        "family": model.family.tag,
-        "gamma": model.family.gamma,
-        "params": [list(map(float, row)) for row in model.params],
-        "coefficients": [float(v) for v in model.coefficients],
-    }
+FILE_KINDS = {
+    "teacher": FileKind(
+        TeacherFunction, "teacher.json", ("d",), {"atoms": 2},
+        pack=lambda f: {"atoms": np.column_stack([f.coefficients, f.directions]).tolist()},
+        unpack=lambda v: TeacherFunction(
+            coefficients=v["atoms"][:, 0], directions=v["atoms"][:, 1:], d=v["d"]),
+    ),
+    "dataset": FileKind(
+        Dataset, "dataset.json", ("d", "n", "seed"), {"X": 2, "y": 1},
+        pack=lambda ds: {"X": ds.X.tolist(), "y": ds.y.tolist()},
+        unpack=lambda v: Dataset(X=v["X"], y=v["y"], seed=v["seed"]),
+    ),
+    "two-layer": FileKind(
+        TwoLayerNet, "model_two_layer.json", ("d", "m"), {"neurons": 2},
+        pack=lambda net: {"neurons": np.column_stack([net.a, net.B, net.c]).tolist()},
+        unpack=lambda v: TwoLayerNet(
+            a=v["neurons"][:, 0], B=v["neurons"][:, 1:-1], c=v["neurons"][:, -1]),
+    ),
+    "resnet": FileKind(
+        ResNet, "model_resnet.json", ("d", "L", "D", "m"),
+        {"layers": {"U": 2, "W": 2}, "alpha": 1, "V": 2},
+        pack=_pack_resnet, unpack=_unpack_resnet, optional=("V",),
+    ),
+    "rf": FileKind(
+        RandomFeatureModel, "model_rf.json", ("d", "m"),
+        {"params": 2, "coefficients": 1, "family": str, "gamma": 0},
+        pack=lambda model: {"family": model.family.tag, "gamma": model.family.gamma, "params":
+                            model.params.tolist(), "coefficients": model.coefficients.tolist()},
+        unpack=lambda v: RandomFeatureModel(
+            family=FeatureFamily(tag=v["family"], gamma=float(v.get("gamma", 1.0))),
+            params=v["params"], coefficients=v["coefficients"]),
+        optional=("gamma",),
+    ),
+}
 
 
-def rf_model_from_dict(obj: dict) -> RandomFeatureModel:
-    family = FeatureFamily(tag=obj["family"], gamma=float(obj.get("gamma", 1.0)))
-    return RandomFeatureModel(
-        family=family,
-        params=np.asarray(obj["params"], dtype=float),
-        coefficients=np.asarray(obj["coefficients"], dtype=float),
-    )
+def kind_of(obj) -> str:
+    """The FILE_KINDS name of a teacher, dataset or model object."""
+    for name, kind in FILE_KINDS.items():
+        if isinstance(obj, kind.cls):
+            return name
+    raise TypeError(f"no file kind holds a {type(obj).__name__}")
+
+
+def to_dict(obj) -> dict:
+    """The JSON object of a teacher, dataset or model: its header counts and packed keys."""
+    kind = FILE_KINDS[kind_of(obj)]
+    return {**{key: getattr(obj, key) for key in kind.header}, **kind.pack(obj)}
+
+
+def _checked(obj: dict, where: str, key: str, spec):
+    """obj[key] checked against spec (int, str, a rank or a list's specs) and converted."""
+    if key not in obj:
+        raise ValueError(f"{where}: missing key {key!r}")
+    value, where = obj[key], f"{where}: {key}"
+    if spec is int or spec is str:
+        if type(value) is not spec:
+            raise ValueError(f"{where} must be {'an integer' if spec is int else 'a string'}, "
+                             f"got {type(value).__name__}")
+        return value
+    if isinstance(spec, dict):
+        if not (isinstance(value, list) and value and all(isinstance(v, dict) for v in value)):
+            raise ValueError(f"{where} must be a nonempty list of objects with keys {list(spec)}")
+        return [{k: _checked(item, f"{where}[{i}]", k, s) for k, s in spec.items()}
+                for i, item in enumerate(value)]
+    try:
+        array = np.asarray(value)
+    except ValueError:  # ragged nesting
+        array = None
+    if (array is None or array.dtype.kind not in "iuf" or array.ndim != spec
+            or not array.size or not np.all(np.isfinite(array))):
+        raise ValueError(f"{where} must be a nonempty rank-{spec} array of finite numbers")
+    return np.asarray(array, dtype=float)
+
+
+def from_dict(obj, *kinds):
+    """Check a loaded file and build its object; ``kinds``, if given, are the kinds accepted.
+
+    Every check, down to each header count against the built object, raises
+    ValueError naming the kind."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a model or data file must be a JSON object, got {type(obj).__name__}")
+    name = next((name for name, kind in FILE_KINDS.items() if next(iter(kind.keys)) in obj), None)
+    if name is None:
+        raise ValueError(f"unrecognized model file with keys {sorted(obj)}")
+    if kinds and name not in kinds:
+        raise ValueError(f"expected a {' or '.join(kinds)} file, got a {name} file")
+    kind, where = FILE_KINDS[name], f"{name} file"
+    values = {key: _checked(obj, where, key, int) for key in kind.header}
+    values.update((key, _checked(obj, where, key, spec)) for key, spec in kind.keys.items()
+                  if key in obj or key not in kind.optional)
+    try:
+        loaded = kind.unpack(values)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+    for key in kind.header:
+        if getattr(loaded, key) != values[key]:
+            raise ValueError(f"{where}: header {key}={values[key]} does not match "
+                             f"the loaded {key}={getattr(loaded, key)}")
+    return loaded
 
 
 def load_json(path: str | Path) -> dict:
     return json.loads(Path(path).read_text())
 
 
-def detect_model_kind(obj: dict) -> str:
-    """Classify a loaded JSON object by its schema keys."""
-    if "atoms" in obj:
-        return "teacher"
-    if "neurons" in obj:
-        return "two-layer"
-    if "layers" in obj:
-        return "resnet"
-    if "params" in obj and "coefficients" in obj:
-        return "rf"
-    if "X" in obj and "y" in obj:
-        return "dataset"
-    raise ValueError(f"unrecognized model file with keys {sorted(obj)}")
+def read_file(path: str | Path, *kinds):
+    """The checked object of a teacher, dataset or model file; see from_dict."""
+    return from_dict(load_json(path), *kinds)
+
+
+def write_file(directory: str | Path, obj) -> Path:
+    """Write obj to its kind's file in directory and return the path."""
+    path = Path(directory) / FILE_KINDS[kind_of(obj)].filename
+    write_json_report(path, to_dict(obj))
+    return path
 
 
 def format_cell(value) -> str:

@@ -39,7 +39,7 @@ from minterp.experiments import (
     result_basename,
     study_rule,
 )
-from minterp.serialize import dataset_from_dict, load_json
+from minterp.serialize import load_json, read_file
 
 from _oracles import bootstrap_slope_ci_loop
 from _workloads import load_workloads
@@ -672,7 +672,7 @@ class TestFitModel:
         assert main(["fit", "rf", str(tmp_path / "dataset.json"), *out]) == 0
         capsys.readouterr()
         config = ExperimentConfig.from_dict(load_json(tmp_path / "config.json"))
-        data = dataset_from_dict(load_json(tmp_path / "dataset.json"))
+        data = read_file(tmp_path / "dataset.json", "dataset")
         fit = fit_model(config, data, None, config.m2, derive_seed(config.seed, 2), 0)
         saved = load_json(tmp_path / "model_rf.json")
         assert saved["coefficients"] == [float(v) for v in fit.model.coefficients]
@@ -880,6 +880,15 @@ class TestCli:
         assert main(["gen-data", str(tmp_path / "teacher.json"), *out]) == 0
         assert main(["norms", str(tmp_path / "dataset.json"), *out]) == 2
         assert "expects a model file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["gen-teacher"], ["gen-data", "teacher.json"],
+                                         ["fit", "rf", "dataset.json"], ["norms", "model_rf.json"]])
+    @pytest.mark.parametrize("flag", ["--threads", "--trials"])
+    def test_file_commands_take_no_study_flags(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, flag, "2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -77,6 +77,9 @@ class TestEvalAndNorm:
         with pytest.raises(ValueError):
             ResNet(V=np.ones((2, 4)), U=np.ones((1, 2, 3)), W=np.ones((1, 3, 2)),
                    alpha=np.ones(2))  # D=2 < d+1=4
+        with pytest.raises(ValueError, match="D >= d\\+1 >= 2"):
+            ResNet(V=np.ones((3, 1)), U=np.ones((1, 3, 2)), W=np.ones((1, 2, 3)),
+                   alpha=np.ones(3))  # d=0: no inputs
 
     @pytest.mark.parametrize("U_shape, W_shape", [
         ((3, 4, 2), (2, 2, 4)),  # W stacks fewer layers than U

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from minterp import (
-    ContractViolationError,
     Dataset,
     TeacherFunction,
     barron_norm_upper,
@@ -159,6 +158,7 @@ class TestTeacher:
 
     @settings(max_examples=50, deadline=None)
     @given(d=st.integers(1, 8), n_atoms=st.integers(1, 64), seed=st.integers(0, 2**63))
+    @example(d=1, n_atoms=1, seed=8)  # this direction's |b| + c rounds to 1 + 2.2e-16
     def test_drawn_teacher_labels_need_no_rescaling(self, d, n_atoms, seed):
         # coefficients in [-1, 1] keep the norm bound, and so every label, below 1
         f = make_teacher(d, n_atoms, seed)
@@ -190,12 +190,17 @@ class TestDataset:
             directions=np.array([[1.0, 0.0]]),
             d=1,
         )
-        with pytest.raises(ContractViolationError) as err:
+        with pytest.raises(ValueError, match=r"\|y\| <= 1, label \d+ is"):
             sample_dataset(f, 200, seed=0)
-        assert err.value.index >= 0
+        with pytest.raises(ValueError, match=r"label 1 is 1\.5"):
+            Dataset(X=np.zeros((1, 3)), y=np.array([0.5, 1.5, -2.0]), seed=0)
+        with pytest.raises(ValueError, match=r"label 0 is nan"):
+            Dataset(X=np.zeros((1, 2)), y=np.array([np.nan, 0.0]), seed=0)
 
     def test_dataset_invariants(self):
         with pytest.raises(ValueError):
             Dataset(X=np.array([[2.0]]), y=np.array([0.0]), seed=0)
         with pytest.raises(ValueError):
             Dataset(X=np.array([[0.5]]), y=np.array([1.5]), seed=0)
+        with pytest.raises(ValueError, match="inputs"):  # NaN is not in the box
+            Dataset(X=np.array([[np.nan]]), y=np.array([0.0]), seed=0)
