@@ -29,11 +29,12 @@ data = sample_dataset(teacher, n, seed=1)
 lam = reference_lambda_min(data.X, quadrature_rule(d, 1_000_000, derive_seed(2, 0)))
 fit = interpolate_two_layer(data, teacher, m1=512, m2=16384, seed=2, lambda_target=lam)
 
-print(f"teacher part: m1 = {fit.m1} neurons, residual part: m2 = {fit.m2}")
-print(f"eigen floor: target {fit.lambda_target:.3e}, "
-      f"achieved {fit.lambda_emp:.3e} in {fit.resamples_used} draw(s)")
-print(f"teacher approximation risk on the sample: {fit.approx_risk:.3e}")
-print(f"residual norm handed to part two: {fit.residual_norm:.3e}")
+part1, part2 = fit.teacher, fit.residual
+print(f"teacher part: m1 = {part1.net.m} neurons, residual part: m2 = {part2.net.m}")
+print(f"eigen floor: target {part2.lambda_target:.3e}, "
+      f"achieved {part2.lambda_emp:.3e} in {part2.resamples_used} draw(s)")
+print(f"teacher approximation risk on the sample: {part1.empirical_risk:.3e}")
+print(f"residual norm handed to part two: {part2.residual_norm:.3e}")
 
 print(f"\npath norm of the interpolant  {fit.path_norm:.4f}")
 print(f"teacher norm upper bound      {fit.teacher_norm_upper:.4f}")

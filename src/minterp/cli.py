@@ -80,23 +80,23 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-# Per family: the report keys with the attribute of the family's fit each one reads.
+# Per family: the report keys with the attribute path into the family's fit each one reads.
 _FIT_OUTPUTS = {
     "rf": {
         "m": "model.m", "coeff_norm": "coeff_norm", "norm_radius": "norm_radius",
         "interp_error": "interp_error",
     },
     "two-layer": {
-        "m1": "m1", "m2": "m2", "path_norm": "path_norm",
+        "m1": "teacher.net.m", "m2": "residual.net.m", "path_norm": "path_norm",
         "teacher_norm_upper": "teacher_norm_upper", "norm_ratio": "norm_ratio",
-        "interp_error": "interp_error", "lambda_target": "lambda_target",
-        "lambda_emp": "lambda_emp", "resamples_used": "resamples_used",
+        "interp_error": "interp_error", "lambda_target": "residual.lambda_target",
+        "lambda_emp": "residual.lambda_emp", "resamples_used": "residual.resamples_used",
     },
     "resnet": {
         "L": "net.L", "D": "net.D", "m": "net.m", "weighted_path_norm": "weighted_norm",
         "surrogate_norm": "surrogate_norm", "embedded_norm": "embedded_norm",
-        "interp_error": "interp_error", "lambda_target": "lambda_target",
-        "lambda_emp": "lambda_emp", "resamples_used": "resamples_used",
+        "interp_error": "interp_error", "lambda_target": "residual.lambda_target",
+        "lambda_emp": "residual.lambda_emp", "resamples_used": "residual.resamples_used",
         "certificate": "certificate",
     },
 }
@@ -105,11 +105,11 @@ _FIT_OUTPUTS = {
 def _cmd_fit(args) -> int:
     config = _load_config(args)
     data = read_file(args.data, "dataset")
-    teacher = None
-    if args.model != "rf":
-        if args.teacher is None:
-            raise ValueError(f"fit {args.model} needs a teacher file")
-        teacher = read_file(args.teacher, "teacher")
+    if args.model == "rf" and args.teacher is not None:
+        raise ValueError("fit rf takes no teacher file")
+    if args.model != "rf" and args.teacher is None:
+        raise ValueError(f"fit {args.model} needs a teacher file")
+    teacher = None if args.teacher is None else read_file(args.teacher, "teacher")
     # The fitted family comes from the command line, and a fit runs no study, so the
     # file's study rules do not apply to it; the echo keeps the file's config.  The
     # quadrature rule is drawn at the dataset's d, which the file's d_grid need not name.

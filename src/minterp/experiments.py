@@ -158,7 +158,7 @@ class ExperimentConfig:
     m_per_n: int = 64
     n_test: int = 8192
     m_cap: int = 131072
-    L_cap: int = 256
+    L_cap: int = 32768
     rad_draws: int = 32
 
     def __post_init__(self):
@@ -486,9 +486,9 @@ def _verify_two_layer_composite(config: ExperimentConfig, threads: int, rule: Qu
                                     derive_seed(config.seed, 3 * t + 2),
                                     reference_lambda_min(data.X, rule))
         return dict(
-            lambda_ref=fit.lambda_target,
-            lambda_emp=fit.lambda_emp,
-            resamples_used=fit.resamples_used,
+            lambda_ref=fit.residual.lambda_target,
+            lambda_emp=fit.residual.lambda_emp,
+            resamples_used=fit.residual.resamples_used,
             path_norm=fit.path_norm,
             teacher_norm=fit.teacher_norm_upper,
             interp_error=fit.interp_error,
@@ -574,7 +574,8 @@ def _verify_embedding(config: ExperimentConfig, threads: int, rule: None):
 class ModelFit:
     """One family's interpolant and everything the studies and `minterp fit` read.
 
-    fit is the family's own report and model the fitted model or net;
+    fit is the family's own report, whose fitted holds the training
+    predictions, and model the fitted model or net;
     m_or_L is the effective width; resnet's is m1 + m2, the two parts'
     depths, while the fitted net is max(m1, m2) deep (resnet_add).
     rad_bounds(seed) returns the audit's (rad_lower, rad_upper), so only a
@@ -584,10 +585,8 @@ class ModelFit:
     fit: object
     model: object
     predict: Callable
-    train_preds: np.ndarray
     norm_radius: float
     m_or_L: int
-    lambda_ref: float
     threshold_met: bool
     rad_bounds: Callable
 
@@ -598,8 +597,8 @@ def _fit_rf(config, data, teacher, width, fit_seed, approx_seed, rule) -> ModelF
     lam_ref = smallest_singular_value(gram) ** 2 / width
     threshold = concentration_width(data.n, config.delta, lam_ref, _WIDTH_FACTOR)
     return ModelFit(
-        fit=fit, model=fit.model, predict=fit.model.predict, train_preds=fit.fitted,
-        norm_radius=radius, m_or_L=width, lambda_ref=lam_ref, threshold_met=width >= threshold,
+        fit=fit, model=fit.model, predict=fit.model.predict, norm_radius=radius, m_or_L=width,
+        threshold_met=width >= threshold,
         rad_bounds=lambda seed: (
             rad_rf_ball(gram, radius, n_draws=config.rad_draws, seed=seed).mean,
             rf_ball_upper(radius, data.n),
@@ -616,10 +615,9 @@ def _fit_two_layer(config, data, teacher, width, fit_seed, approx_seed, rule) ->
         ball = rad_path_ball(data.X, fit.path_norm, n_draws=config.rad_draws, seed=seed)
         return ball.estimate.mean, ball.upper
 
-    threshold = concentration_width(data.n, config.delta, fit.lambda_target)
+    threshold = concentration_width(data.n, config.delta, fit.residual.lambda_target)
     return ModelFit(
-        fit=fit, model=fit.net, predict=predict, train_preds=fit.fitted,
-        norm_radius=fit.path_norm, m_or_L=width, lambda_ref=fit.lambda_target,
+        fit=fit, model=fit.net, predict=predict, norm_radius=fit.path_norm, m_or_L=width,
         threshold_met=width >= threshold, rad_bounds=rad_bounds,
     )
 
@@ -631,11 +629,10 @@ def _fit_resnet(config, data, teacher, width, fit_seed, approx_seed, rule) -> Mo
     m2 = min(width, config.L_cap - teacher_net.L)
     fit = interpolate_resnet(data, teacher_net, m2, fit_seed, reference_lambda_min(data.X, rule))
     predict = partial(resnet_eval_batch, fit.net)
-    threshold = concentration_width(data.n, config.delta, fit.lambda_target)
+    threshold = concentration_width(data.n, config.delta, fit.residual.lambda_target)
     return ModelFit(
-        fit=fit, model=fit.net, predict=predict, train_preds=fit.fitted,
-        norm_radius=fit.weighted_norm, m_or_L=teacher_net.L + m2, lambda_ref=fit.lambda_target,
-        threshold_met=m2 >= width and m2 >= threshold,
+        fit=fit, model=fit.net, predict=predict, norm_radius=fit.weighted_norm,
+        m_or_L=teacher_net.L + m2, threshold_met=m2 >= width and m2 >= threshold,
         rad_bounds=lambda seed: (0.0, rad_weighted_path_upper(fit.weighted_norm, data.d, data.n)),
     )
 
@@ -740,7 +737,7 @@ def _scale_engine(config: ExperimentConfig, threads: int, audit: bool,
             derive_seed(config.seed, _FIT_BASE + j),
             derive_seed(config.seed, _TEACHER_BASE + j), rule,
         )
-        emp_risk = 0.5 * float(np.mean((fit.train_preds - data.y) ** 2))
+        emp_risk = 0.5 * float(np.mean((fit.fit.fitted - data.y) ** 2))
         test = population_risk(
             fit.predict, teacher, N_test=config.n_test,
             seed=derive_seed(config.seed, _TEST_BASE + j),

@@ -309,25 +309,6 @@ def kernel_empirical(Phi) -> np.ndarray:
     return (K + K.T) / 2.0
 
 
-def min_l2_interpolant(Phi, y: np.ndarray, fitted: bool = False):
-    """Coefficients a of minimum Euclidean norm with (1/m) Phi a = y.
-
-    Closed form m Phi^T (Phi Phi^T)^-1 y, computed by min_norm_solve at
-    its cutoff DEFAULT_RCOND * max(n, m); Phi is a matrix, its source or
-    its GramFactor.  With fitted=True returns (a, (1/m) Phi a), the fitted
-    values summed in the solve's pass over Phi.
-    """
-    gram = GramFactor.of(Phi)
-    y = np.asarray(y, dtype=float)
-    n, m = gram.shape
-    if m < n:
-        raise UnderParametrizedError(m, n)
-    if not fitted:
-        return min_norm_solve(gram, m * y)
-    a, image = min_norm_solve(gram, m * y, image=True)
-    return a, image / m
-
-
 def ridgeless_coefficients(K: np.ndarray, y: np.ndarray) -> tuple:
     """(beta, lambda_min(K)) with beta = K^-1 y the kernel ridgeless interpolant.
 
@@ -420,12 +401,18 @@ def fit_random_features(
     m: int,
     seed: int,
 ) -> RandomFeatureFit:
-    """Sample m features, solve the minimum-norm interpolation, report the fit."""
+    """Sample m features and solve for the least-norm a with (1/m) Phi a = y.
+
+    a = m Phi^T (Phi Phi^T)^-1 y comes from min_norm_solve, which sums Phi a in the same pass.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     W = family.sample_params(X.shape[0], m, seed)
     gram = GramFactor(family.feature_source(W, X))
-    a, fitted = min_l2_interpolant(gram, y, fitted=True)
+    if m < gram.shape[0]:
+        raise UnderParametrizedError(m, gram.shape[0])
+    a, image = min_norm_solve(gram, m * y, image=True)
+    fitted = image / m
     model = RandomFeatureModel(family=family, params=W, coefficients=a)
     return RandomFeatureFit(
         model=model,

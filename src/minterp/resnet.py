@@ -16,7 +16,7 @@ import numpy as np
 from .random_features import _feature_sum
 from .sampling import Dataset
 from .seeding import derive_seed, rng_from
-from .two_layer import TwoLayerNet, fit_residual_net, path_norm
+from .two_layer import ResidualFit, TwoLayerNet, fit_residual_net
 
 # Inputs per block of resnet_eval_batch's layer loop, which holds a (D, block) state.
 _LAYER_LOOP_CHUNK = 1024
@@ -250,21 +250,19 @@ class ResNetFit:
     """interpolate_resnet output: the interpolant and its norm decomposition.
 
     surrogate_norm is the teacher net's weighted path norm; fitted holds
-    the interpolant's values at the training inputs.
+    the interpolant's values at the training inputs; residual is the
+    two-layer fit that was embedded, and certificate = 3 * its certificate
+    bounds the embedded part's norm.
     """
 
     net: ResNet
     weighted_norm: float
     surrogate_norm: float
     embedded_norm: float
-    residual_path_norm: float
-    residual_norm: float
     interp_error: float
     fitted: np.ndarray
-    lambda_target: float
-    lambda_emp: float
-    resamples_used: int
     certificate: float
+    residual: ResidualFit
 
 
 def interpolate_resnet(
@@ -301,12 +299,8 @@ def interpolate_resnet(
         weighted_norm=weighted_path_norm(net),
         surrogate_norm=weighted_path_norm(teacher_net),
         embedded_norm=weighted_path_norm(embedded),
-        residual_path_norm=path_norm(fit2.net),
-        residual_norm=fit2.residual_norm,
         interp_error=float(np.abs(fitted - y).max()),
         fitted=fitted,
-        lambda_target=float(lambda_target),
-        lambda_emp=fit2.lambda_emp,
-        resamples_used=fit2.resamples_used,
         certificate=3.0 * fit2.certificate,
+        residual=fit2,
     )

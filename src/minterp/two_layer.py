@@ -225,9 +225,11 @@ def approximate_teacher(f: TeacherFunction, m1: int, X: np.ndarray, seed: int) -
 
 @dataclass(frozen=True, eq=False)
 class CompositeFit:
-    """interpolate_two_layer output: the interpolant plus the norm audit.
+    """interpolate_two_layer output: the interpolant, its norm audit and its two parts.
 
-    fitted holds the interpolant's values at the training inputs.
+    fitted holds the interpolant's values at the training inputs; teacher
+    and residual are the two fits it sums, which carry their own numbers
+    (widths, approximation risk, eigenvalue floor, resamples).
     """
 
     net: TwoLayerNet
@@ -236,13 +238,8 @@ class CompositeFit:
     norm_ratio: float
     interp_error: float
     fitted: np.ndarray
-    lambda_target: float
-    lambda_emp: float
-    resamples_used: int
-    approx_risk: float
-    residual_norm: float
-    m1: int
-    m2: int
+    teacher: TeacherFit
+    residual: ResidualFit
 
 
 def interpolate_two_layer(
@@ -277,11 +274,6 @@ def interpolate_two_layer(
         norm_ratio=total / teacher_upper if teacher_upper > 0 else math.inf,
         interp_error=float(np.abs(fitted - y).max()),
         fitted=fitted,
-        lambda_target=float(lambda_target),
-        lambda_emp=fit2.lambda_emp,
-        resamples_used=fit2.resamples_used,
-        approx_risk=fit1.empirical_risk,
-        residual_norm=fit2.residual_norm,
-        m1=m1,
-        m2=m2,
+        teacher=fit1,
+        residual=fit2,
     )

@@ -232,7 +232,8 @@ class TestExperimentConfig:
             with pytest.raises(ValueError, match="L_cap > m1"):
                 ExperimentConfig(kind=kind, model="resnet", m1=m1, L_cap=L_cap)
         ExperimentConfig(kind=kind, model="resnet", m1=256, L_cap=257, n_grid=(1,), L_grid=(1,))
-        ExperimentConfig(kind=kind, model="two-layer", m1=512, L_cap=256)
+        # two-layer reads no L_cap, so an m1 at or past its default is no conflict
+        ExperimentConfig(kind=kind, model="two-layer", m1=32768)
 
     @pytest.mark.parametrize("kind", ["scale-study", "bound-audit"])
     @pytest.mark.parametrize(
@@ -641,9 +642,9 @@ class TestFitModel:
             # m_or_L counts the layers of both parts, m1 + m2; resnet_add stacks
             # them side by side, so the fitted net is max(m1, m2) deep
             assert (fit.model.L, fit.model.D, fit.model.m) == (max(16, 256), 2 * (2 + 2), 2)
-        assert_allclose(fit.train_preds, data.y, atol=1e-8)
-        assert_allclose(fit.predict(data.X), fit.train_preds, atol=1e-12)
-        assert fit.norm_radius > 0 and fit.lambda_ref > 0
+        assert_allclose(fit.fit.fitted, data.y, atol=1e-8)
+        assert_allclose(fit.predict(data.X), fit.fit.fitted, atol=1e-12)
+        assert fit.norm_radius > 0
         assert isinstance(fit.threshold_met, bool)
         lower, upper = fit.rad_bounds(5)
         assert 0.0 <= lower <= upper * (1 + 1e-9)
@@ -818,6 +819,21 @@ class TestCli:
         rc = main(["fit", "two-layer", str(tmp_path / "dataset.json"), *out])
         assert rc == 2
         assert "needs a teacher" in capsys.readouterr().err
+
+    def test_fit_resnet_at_the_default_m1_and_L_cap(self, tmp_path, capsys):
+        # L_cap's default leaves room for the default m1 = 512 teacher layers
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"d_grid": [2], "n_grid": [8], "n_atoms": 8, "m2": 256,
+                                   "quadrature": 20_000}))
+        out = ["--config", str(cfg), "--out", str(tmp_path)]
+        assert main(["gen-teacher", *out]) == 0
+        assert main(["gen-data", str(tmp_path / "teacher.json"), *out]) == 0
+        rc = main(["fit", "resnet", str(tmp_path / "dataset.json"),
+                   str(tmp_path / "teacher.json"), *out])
+        assert rc == 0, capsys.readouterr().err
+        report = json.loads((tmp_path / "fit_report.json").read_text())["report"]
+        assert report["L"] == max(ExperimentConfig().m1, 256)
+        assert report["interp_error"] <= 1e-8
 
     def test_fit_reads_a_study_config_for_any_family(self, workdir, capsys):
         # family is an rf key; the fitted family comes from the command line

@@ -17,7 +17,6 @@ from minterp import (
     fit_residual_net,
     kernel_empirical,
     make_teacher,
-    min_l2_interpolant,
     min_norm_solve,
     sample_dataset,
     smallest_eigenvalue,
@@ -156,7 +155,7 @@ class TestMinNormSolve:
         X = np.random.default_rng(62).uniform(-1, 1, (d, n))
         y = np.random.default_rng(63).uniform(-1, 1, n)
         Phi = family.features(family.sample_params(d, m, 64), X)
-        a = min_l2_interpolant(Phi, y)
+        a = min_norm_solve(Phi, m * y)
         ref, *_ = np.linalg.lstsq(Phi / m, y, rcond=None)
         assert_allclose(a, ref, rtol=1e-8, atol=1e-10 * np.abs(ref).max())
         quad = y @ np.linalg.solve(Phi @ Phi.T / m, y)
@@ -368,7 +367,7 @@ class TestOneFactorizationPerFit:
         calls = _count_factorizations(monkeypatch)
         fit = fit_model(cfg, data, teacher, 256, fit_seed=3, approx_seed=4)
         fit.rad_bounds(5)
-        assert fit.lambda_ref > 0
+        assert not fit.threshold_met  # lambda_ref = sigma_min^2 / m sets the width threshold
         assert calls == {"gram": 1, "eigh": 1, "eigvalsh": 0, "svd": 0}
 
     def test_residual_fit_runs_one_eigh_and_the_kernel_eigvalsh(self, monkeypatch):

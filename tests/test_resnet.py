@@ -321,14 +321,15 @@ class TestInterpolateResnet:
         teacher_net = random_resnet(2, L=4, D=4, m=3, scale=0.3, seed=19)
         lam = reference_lambda_min(data.X, quadrature_rule(2, 50_000, derive_seed(20, 0)))
         fit = interpolate_resnet(data, teacher_net, m2=512, seed=20, lambda_target=lam)
-        assert fit.lambda_target == lam
+        assert fit.residual.lambda_target == lam
         assert fit.interp_error <= 1e-8
         assert fit.surrogate_norm == weighted_path_norm(teacher_net)
         assert fit.weighted_norm == pytest.approx(
             fit.surrogate_norm + fit.embedded_norm, rel=1e-12
         )
-        assert fit.embedded_norm == pytest.approx(3.0 * fit.residual_path_norm, rel=1e-12)
+        assert fit.embedded_norm == pytest.approx(3.0 * fit.residual.path_norm, rel=1e-12)
         assert fit.embedded_norm <= fit.certificate + 1e-12
-        assert fit.lambda_emp >= fit.lambda_target / 2
+        assert fit.certificate == 3.0 * fit.residual.certificate
+        assert fit.residual.lambda_emp >= fit.residual.lambda_target / 2
         assert_allclose(resnet_eval_batch(fit.net, data.X), data.y, atol=1e-8)
         assert np.array_equal(fit.fitted, resnet_eval_batch(fit.net, data.X))

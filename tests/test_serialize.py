@@ -301,9 +301,10 @@ def cli_files(tmp_path_factory):
     out = ["--config", str(cfg), "--out", str(work)]
     assert main(["gen-teacher", *out]) == 0
     assert main(["gen-data", str(work / "teacher.json"), *out]) == 0
-    for model in ("rf", "two-layer", "resnet"):
-        data = [str(work / "dataset.json"), str(work / "teacher.json")]
-        assert main(["fit", model, *data, *out]) == 0
+    data, teacher = str(work / "dataset.json"), str(work / "teacher.json")
+    assert main(["fit", "rf", data, *out]) == 0
+    for model in ("two-layer", "resnet"):
+        assert main(["fit", model, data, teacher, *out]) == 0
     return {kind: work / spec.filename for kind, spec in FILE_KINDS.items()}
 
 
@@ -384,6 +385,7 @@ class TestMutatedFiles:
         (("gen-data", "@dataset"), "expected a teacher file, got a dataset file"),
         (("gen-data", "@rf"), "expected a teacher file, got a rf file"),
         (("norms", "@dataset"), "norms expects a model file, got a dataset file"),
+        (("fit", "rf", "@dataset", "@teacher"), "fit rf takes no teacher file"),
     ])
     def test_wrong_kind(self, capsys, cli_files, tmp_path, command, message):
         assert _fails_cleanly(capsys, cli_files, tmp_path, command) == f"error: {message}\n"

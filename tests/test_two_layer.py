@@ -221,9 +221,12 @@ class TestInterpolateTwoLayer:
         data = sample_dataset(f, 10, seed=36)
         lam = reference_lambda_min(data.X, quadrature_rule(2, 50_000, derive_seed(37, 0)))
         fit = interpolate_two_layer(data, f, m1=32, m2=1024, seed=37, lambda_target=lam)
-        assert fit.lambda_target == lam
+        assert fit.residual.lambda_target == lam
         assert fit.interp_error <= 1e-8
-        assert fit.net.m == 32 + 1024
+        assert (fit.net.m, fit.teacher.net.m, fit.residual.net.m) == (32 + 1024, 32, 1024)
+        assert fit.path_norm == pytest.approx(
+            fit.teacher.path_norm + fit.residual.path_norm, rel=1e-12
+        )
         assert fit.norm_ratio == pytest.approx(fit.path_norm / fit.teacher_norm_upper)
-        assert fit.lambda_emp >= fit.lambda_target / 2
+        assert fit.residual.lambda_emp >= fit.residual.lambda_target / 2
         assert_allclose(two_layer_eval_batch(fit.net, data.X), data.y, atol=1e-8)
