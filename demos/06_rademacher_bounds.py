@@ -36,13 +36,12 @@ print(f"\npath-norm ball, radius {C}:")
 print(f"  lower estimate {res.estimate.mean:.4f} +- {res.estimate.std_error:.4f}")
 print(f"  closed-form upper {res.upper:.4f}  (2C sqrt(2 ln(2d) / n))")
 
-# bound pieces: predictor range Q, loss Lipschitz-type constant, tail term
-Q = C + 1.0
-C_loss = (C + 1.0) ** 2 / 2.0
+# the bound for the squared loss on the radius-C ball: loss Lipschitz constant
+# C + 1 times the Rademacher upper value, plus the tail term
 emp = 0.01
-bound = generalization_bound(emp, Q, C_loss, res.upper, delta=0.1, n=n)
+bound = generalization_bound(emp, C, res.upper, delta=0.1, n=n)
 print(f"\ndeviation bound at empirical risk {emp}:")
-print(f"  {emp} + 2*{Q:.1f}*{res.upper:.4f} + tail = {bound:.4f}")
+print(f"  {emp} + 2*{C + 1.0:.1f}*{res.upper:.4f} + tail = {bound:.4f}")
 for big_n in (64, 256, 1024, 4096):
     up_n = 2 * C * np.sqrt(2 * np.log(2 * d) / big_n)
-    print(f"  n={big_n:>5}: bound {generalization_bound(emp, Q, C_loss, up_n, 0.1, big_n):.4f}")
+    print(f"  n={big_n:>5}: bound {generalization_bound(emp, C, up_n, 0.1, big_n):.4f}")

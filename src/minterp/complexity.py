@@ -219,21 +219,20 @@ def rad_weighted_path_upper(C: float, d: int, n: int) -> float:
     return 3.0 * C * math.sqrt(2.0 * math.log(2.0 * d) / n)
 
 
-def generalization_bound(
-    emp_risk: float, Q: float, C_loss: float, rad: float, delta: float, n: int
-) -> float:
-    """emp_risk + 2 Q rad + 4 C_loss sqrt(2 ln(2/delta) / n).
+def generalization_bound(emp_risk: float, C: float, rad: float, delta: float, n: int) -> float:
+    """emp_risk + 2 Q rad + 4 C_loss sqrt(2 ln(2/delta) / n) for the squared loss.
 
-    Q is the Lipschitz constant of the loss on the hypothesis ball and
-    C_loss its sup bound; for the squared loss on a ball of norm radius C
-    these are Q = C + 1 and C_loss = (C + 1)^2 / 2.
+    On a hypothesis ball of norm radius C the loss has Lipschitz constant
+    Q = C + 1 and sup bound C_loss = (C + 1)^2 / 2.
     """
-    if min(emp_risk, Q, C_loss, rad) < 0:
-        raise ValueError("emp_risk, Q, C_loss, rad must be nonnegative")
+    if min(emp_risk, C, rad) < 0:
+        raise ValueError("emp_risk, C, rad must be nonnegative")
     if not 0 < delta < 2:
         raise ValueError(f"delta must lie in (0, 2) for ln(2/delta) >= 0, got {delta}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    Q = C + 1.0
+    C_loss = Q ** 2 / 2.0
     return emp_risk + 2.0 * Q * rad + 4.0 * C_loss * math.sqrt(2.0 * math.log(2.0 / delta) / n)
 
 

@@ -199,6 +199,8 @@ class ExperimentConfig:
         for key in _COUNT_KEYS:
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.quadrature % 2:
+            raise ValueError(f"quadrature must be even (antithetic pairs), got {self.quadrature}")
         FeatureFamily(tag=self.family, gamma=self.gamma)  # an unknown tag, a gamma not in (0, inf)
         if self.lemma is not None and self.lemma not in VERIFY_SELECTORS:
             raise ValueError(f"unknown lemma selector {self.lemma!r}; expected one of "
@@ -235,7 +237,9 @@ class ExperimentConfig:
             under = [(n, L) for n, L in zip(self.n_grid, self.L_grid)
                      if min(L, self.L_cap - self.m1) < n]
             if under:
-                raise ValueError(f"under-parametrized grid points (n, depth): {under}")
+                raise ValueError(f"under-parametrized grid points (n, depth): {under}; a "
+                                 f"resnet study needs one L_grid depth L per n with "
+                                 f"min(L, L_cap - m1) >= n")
 
     def _study(self) -> tuple:
         """(kind, lemma or model): this config's STUDY_KEYS entry, if it names a study."""
@@ -751,8 +755,7 @@ def _scale_engine(config: ExperimentConfig, threads: int, audit: bool,
         )
         if audit:
             lower, upper = fit.rad_bounds(derive_seed(config.seed, _RAD_BASE + j))
-            Q = fit.norm_radius + 1.0
-            bound = generalization_bound(emp_risk, Q, Q ** 2 / 2.0, upper, config.delta, n)
+            bound = generalization_bound(emp_risk, fit.norm_radius, upper, config.delta, n)
             row.update(
                 rad_lower=lower,
                 rad_upper=upper,

@@ -88,18 +88,13 @@ class ColumnBlocks:
             yield slice(start, stop), self._columns(start, stop)
 
 
-def _blockwise(source: ColumnBlocks, x: np.ndarray, v, image: bool) -> tuple:
-    """(x, A x or None) from one pass over A's blocks.
-
-    With v, x_b = A_b^T v is written into x block by block; with image,
-    A x is summed in the same pass.
-    """
-    Ax = np.zeros(source.shape[0]) if image else None
+def _blockwise(source: ColumnBlocks, x: np.ndarray, v) -> tuple:
+    """(x, A x) from one pass over A's blocks; with v, x_b = A_b^T v is written into x first."""
+    Ax = np.zeros(source.shape[0])
     for cols, block in source:
         if v is not None:
             np.matmul(block.T, v, out=x[cols])
-        if image:
-            Ax += block @ x[cols]
+        Ax += block @ x[cols]
         del block  # so the source builds the next block with this one freed
     return x, Ax
 
@@ -137,20 +132,18 @@ class GramFactor:
 
     @cached_property
     def _spectrum(self) -> tuple:
-        # (route, singular values of A ascending, (b, image) -> (x, A x or None)); the
-        # solve closes over the source, not self, so no cycle keeps a dropped factor alive
+        # (route, singular values of A ascending, b -> (x, A x)); the solve closes
+        # over the source, not self, so no cycle keeps a dropped factor alive
         source, (lam, V) = self.source, np.linalg.eigh(self.G)
         if _well_conditioned(lam):
-            def solve(b, image):
-                v = V @ ((V.T @ b) / lam)
-                return _blockwise(source, np.empty(source.shape[1]), v, image)
+            def solve(b):
+                return _blockwise(source, np.empty(source.shape[1]), V @ ((V.T @ b) / lam))
 
             return "gram", np.sqrt(lam), solve
         U, s, Vt = np.linalg.svd(np.hstack([block for _, block in source]), full_matrices=False)
 
-        def solve(b, image):
-            x = Vt.T @ ((U.T @ b) / s)
-            return _blockwise(source, x, None, True) if image else (x, None)
+        def solve(b):
+            return _blockwise(source, Vt.T @ ((U.T @ b) / s), None)
 
         return "svd", s[::-1], solve
 
@@ -163,18 +156,18 @@ class GramFactor:
         return float(self._spectrum[1][0])
 
 
-def min_norm_solve(A, b: np.ndarray, image: bool = False):
-    """Minimum Euclidean norm solution of the underdetermined system A x = b.
+def min_norm_solve(A, b: np.ndarray) -> tuple:
+    """(x, A x) for the minimum Euclidean norm solution x of the underdetermined A x = b.
 
     A is a matrix (n, p) with n <= p, a ColumnBlocks source of one, or its
     GramFactor.  The solution is A^T (A A^T)^-1 b, computed from the
     factor's eigenpairs of G or, past the GRAM_RCOND limit, from the economy
     SVD of A; both cost O(n^2 p), so widths p in the hundreds of thousands
-    stay tractable.  With image, returns (x, A x), A x summed in the pass
-    over A's blocks that writes x, so fitted values take no pass of their
-    own.  Raises SingularSystemError when the smallest singular value of A
-    falls at or below DEFAULT_RCOND * max(n, p) times the largest, since
-    the pseudoinverse solution then stops being a reliable interpolant.
+    stay tractable.  A x is summed in the pass over A's blocks that writes
+    x, so fitted values take no pass of their own.  Raises
+    SingularSystemError when the smallest singular value of A falls at or
+    below DEFAULT_RCOND * max(n, p) times the largest, since the
+    pseudoinverse solution then stops being a reliable interpolant.
     """
     factor = GramFactor.of(A)
     b = np.asarray(b, dtype=float)
@@ -187,8 +180,7 @@ def min_norm_solve(A, b: np.ndarray, image: bool = False):
         raise SingularSystemError("empty system has no singular values", smallest=0.0, cutoff=0.0)
     _, s, solve = factor._spectrum
     _check_cutoff(s[0], s[-1], DEFAULT_RCOND * max(n, p))
-    x, Ax = solve(b, image)
-    return (x, Ax) if image else x
+    return solve(b)
 
 
 def _check_symmetric(K: np.ndarray) -> np.ndarray:

@@ -201,16 +201,17 @@ class ConcentrationCheck:
 class QuadratureRule:
     """The ReLU reference kernel's Q quadrature points in R^(d+1).
 
-    pairs holds the Q // 2 draws w that enter with their antithetic
-    partners -w, odd the last draw of an odd Q (else None), and
-    M = sum w w^T over pairs, summed one seed block at a time.  The arrays
-    are read-only, since every fit of a study shares them.
+    pairs holds the Q / 2 draws w that enter with their antithetic
+    partners -w, and M = sum w w^T over them, summed one seed block at a
+    time.  The arrays are read-only, since every fit of a study shares them.
     """
 
-    Q: int
     pairs: np.ndarray
-    odd: np.ndarray | None
     M: np.ndarray
+
+    @property
+    def Q(self) -> int:
+        return 2 * len(self.pairs)
 
     @property
     def d(self) -> int:
@@ -218,33 +219,28 @@ class QuadratureRule:
 
 
 def quadrature_rule(d: int, Q: int, seed: int) -> QuadratureRule:
-    """The rule of Q points: ceil(Q / 2) draws of the l1-sphere law in R^(d+1).
+    """The rule of an even Q >= 2 points: Q / 2 draws of the l1-sphere law in R^(d+1).
 
     The draws come in _QUADRATURE_CHUNK blocks, block b from
     derive_seed(seed, b * chunk), each drawn in place into one
-    (draws, d+1) array, so a draw holds no second copy of its block.
+    (Q / 2, d+1) array, so a draw holds no second copy of its block.
     Every call draws afresh: a study draws its rule once and passes it
     to each kernel_exact call.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if Q < 1:
-        raise ValueError(f"Q must be >= 1, got {Q}")
-    pairs = Q // 2
-    draws = pairs + Q % 2
+    if Q < 2 or Q % 2:
+        raise ValueError(f"Q must be an even count of antithetic points >= 2, got {Q}")
+    draws = Q // 2
     W = np.empty((draws, d + 1))
     M = np.zeros((d + 1, d + 1))
-    done = 0
-    while done < draws:
-        c = min(_QUADRATURE_CHUNK, draws - done)
-        _l1_sphere_rows(rng_from(derive_seed(seed, done)), c, d + 1, out=W[done : done + c])
-        paired = W[done : min(done + c, pairs)]
-        M += paired.T @ paired
-        done += c
+    for done in range(0, draws, _QUADRATURE_CHUNK):
+        block = W[done : done + _QUADRATURE_CHUNK]
+        _l1_sphere_rows(rng_from(derive_seed(seed, done)), len(block), d + 1, out=block)
+        M += block.T @ block
     W.setflags(write=False)
     M.setflags(write=False)
-    odd = W[pairs] if draws > pairs else None  # the last draw of an odd Q has no partner
-    return QuadratureRule(Q=Q, pairs=W[:pairs], odd=odd, M=M)
+    return QuadratureRule(pairs=W, M=M)
 
 
 def kernel_exact(
@@ -255,12 +251,12 @@ def kernel_exact(
     Cosine features: the closed form (1/2) exp(-gamma^2 ||x_i - x_j||^2 / 2)
     (Rahimi & Recht 2007), summed one coordinate at a time; rule does not
     enter.  ReLU features: the plain average of phi phi^T over the Q points
-    of rule, a quadrature_rule of X's dimension d: each paired draw w is
-    used with its antithetic partner -w (the law is symmetric), the odd
-    draw alone.  A pair with t = w . (x, 1) contributes
+    of rule, a quadrature_rule of X's dimension d: each draw w is used
+    with its antithetic partner -w (the law is symmetric).  A pair with
+    t = w . (x, 1) contributes
     relu(t) relu(t') + relu(-t) relu(-t') = (t t' + |t| |t'|) / 2, so
     K = ((X; 1)^T M (X; 1) + sum |F|^T |F|) / (2 Q) with M = sum w w^T
-    over the paired draws.  Each _QUADRATURE_SUB_BLOCK-row block
+    over the draws.  Each _QUADRATURE_SUB_BLOCK-row block
     F = W_blk @ (X; 1) is written into one reused buffer, made absolute in
     place and accumulated as F^T F; nothing is allocated per block.
     """
@@ -286,9 +282,6 @@ def kernel_exact(
         np.matmul(rule.pairs[start : start + _QUADRATURE_SUB_BLOCK], Xt, out=F)
         np.abs(F, out=F)
         K += np.matmul(F.T, F, out=gram)
-    if rule.odd is not None:
-        f = np.maximum(rule.odd @ Xt, 0.0)
-        K += np.outer(f, 2.0 * f, out=gram)
     K += np.matmul(Xt.T, rule.M @ Xt, out=gram)
     K /= 2.0 * rule.Q
     np.add(K, K.T, out=gram)  # (K + K^T) / 2 with no third (n, n) array
@@ -411,7 +404,7 @@ def fit_random_features(
     gram = GramFactor(family.feature_source(W, X))
     if m < gram.shape[0]:
         raise UnderParametrizedError(m, gram.shape[0])
-    a, image = min_norm_solve(gram, m * y, image=True)
+    a, image = min_norm_solve(gram, m * y)
     fitted = image / m
     model = RandomFeatureModel(family=family, params=W, coefficients=a)
     return RandomFeatureFit(

@@ -26,20 +26,17 @@ _HIGH_WORD = 1 if sys.byteorder == "little" else 0
 
 @dataclass(frozen=True, eq=False)
 class TeacherFunction:
-    """Finite-atom target: coefficients (K,) and unit-l1 directions (K, d+1)."""
+    """Finite-atom target: coefficients (K,) and unit-l1 directions (K, d+1), d >= 1."""
 
     coefficients: np.ndarray
     directions: np.ndarray
-    d: int
 
     def __post_init__(self):
         a = np.asarray(self.coefficients, dtype=float)
         w = np.asarray(self.directions, dtype=float)
-        if a.ndim != 1 or w.ndim != 2 or w.shape != (a.shape[0], self.d + 1):
-            raise ValueError(
-                f"expected coefficients (K,) and directions (K, {self.d + 1}), "
-                f"got {a.shape} and {w.shape}"
-            )
+        if a.ndim != 1 or w.ndim != 2 or w.shape[0] != a.shape[0] or w.shape[1] < 2:
+            raise ValueError(f"expected coefficients (K,) and directions (K, d+1) with "
+                             f"d+1 >= 2, got {a.shape} and {w.shape}")
         norms = np.abs(w).sum(axis=1)
         if not np.all(np.abs(norms - 1.0) <= _L1_TOL):
             worst = int(np.argmax(np.abs(norms - 1.0)))
@@ -48,6 +45,10 @@ class TeacherFunction:
             )
         object.__setattr__(self, "coefficients", a)
         object.__setattr__(self, "directions", w)
+
+    @property
+    def d(self) -> int:
+        return self.directions.shape[1] - 1
 
     @property
     def n_atoms(self) -> int:
@@ -147,7 +148,7 @@ def make_teacher(d: int, n_atoms: int, seed: int) -> TeacherFunction:
     directions = sample_l1_sphere(d, n_atoms, derive_seed(seed, 0))
     rng = rng_from(derive_seed(seed, 1))
     coefficients = rng.uniform(-1.0, 1.0, size=n_atoms)
-    return TeacherFunction(coefficients=coefficients, directions=directions, d=d)
+    return TeacherFunction(coefficients=coefficients, directions=directions)
 
 
 def barron_norm_upper(f: TeacherFunction) -> float:

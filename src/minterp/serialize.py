@@ -55,8 +55,7 @@ FILE_KINDS = {
     "teacher": FileKind(
         TeacherFunction, "teacher.json", ("d",), {"atoms": 2},
         pack=lambda f: {"atoms": np.column_stack([f.coefficients, f.directions]).tolist()},
-        unpack=lambda v: TeacherFunction(
-            coefficients=v["atoms"][:, 0], directions=v["atoms"][:, 1:], d=v["d"]),
+        unpack=lambda v: TeacherFunction(v["atoms"][:, 0], v["atoms"][:, 1:]),
     ),
     "dataset": FileKind(
         Dataset, "dataset.json", ("d", "n", "seed"), {"X": 2, "y": 1},

@@ -134,8 +134,9 @@ def fit_residual_net(
     lambda_emp reads its G, and the accepted draw's solve and sigma_min
     share its eigh.  The outer solve is argmin ||a|| subject to (1/sqrt(m)) Psi a = r,
     and the stored network carries coefficients sqrt(m) * a_hat so that the
-    standard (1/m) evaluation reproduces r.  The sqrt(m) scaling is what
-    makes the chain path_norm <= (1/m) sum |sqrt(m) a_hat_j| <= ||a_hat|| valid.
+    standard (1/m) evaluation reproduces r as Psi a_hat / sqrt(m), the solve's
+    image, which interp_error reads.  The sqrt(m) scaling is what makes the
+    chain path_norm <= (1/m) sum |sqrt(m) a_hat_j| <= ||a_hat|| valid.
     """
     X = np.asarray(X, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -164,12 +165,11 @@ def fit_residual_net(
         raise ConcentrationFailureError(lambda_target, best_lam, _MAX_RESAMPLES, m, n)
 
     sqm = math.sqrt(m)
-    a_hat = min_norm_solve(gram, sqm * r)
+    a_hat, image = min_norm_solve(gram, sqm * r)
     net = TwoLayerNet(a=sqm * a_hat, B=W[:, :-1], c=W[:, -1])
 
     sigma_scaled = smallest_singular_value(gram) / sqm
     r_norm = float(np.linalg.norm(r))
-    fitted = two_layer_eval_batch(net, X)
     return ResidualFit(
         net=net,
         lambda_target=float(lambda_target),
@@ -179,7 +179,7 @@ def fit_residual_net(
         sigma_min_scaled=float(sigma_scaled),
         certificate=r_norm / sigma_scaled if sigma_scaled > 0 else math.inf,
         path_norm=path_norm(net),
-        interp_error=float(np.abs(fitted - r).max()),
+        interp_error=float(np.abs(image / sqm - r).max()),
         residual_norm=r_norm,
     )
 

@@ -232,26 +232,21 @@ def kernel_exact_plain(family, X: np.ndarray, quadrature_size: int, seed: int) -
 def kernel_exact_blocks(family, X: np.ndarray, quadrature_size: int, seed: int) -> np.ndarray:
     """kernel_exact's quadrature written out: the plain average over its point set.
 
-    ReLU: the points are the ceil(quadrature_size / 2) draws w_q of
-    kernel_exact's seed blocks together with -w_q, except that the last
-    draw of an odd quadrature_size comes alone; each block's (n, c) feature
-    arrays at w and at -w are accumulated as F F^T.  Cosine: kernel_exact_plain.
+    ReLU: the points are the quadrature_size / 2 draws w_q of kernel_exact's
+    seed blocks together with -w_q; each block's (n, c) feature arrays at w
+    and at -w are accumulated as F F^T.  Cosine: kernel_exact_plain.
     """
     if family.tag != RELU_L1SPHERE:
         return kernel_exact_plain(family, X, quadrature_size, seed)
     d, n = X.shape
-    pairs = quadrature_size // 2
-    draws = pairs + quadrature_size % 2
+    draws = quadrature_size // 2
     K = np.zeros((n, n))
-    done = 0
-    while done < draws:
-        c = min(_QUADRATURE_CHUNK, draws - done)
-        W = family.sample_params(d, c, derive_seed(seed, done))
-        for points in (W, -W[: pairs - done]):
+    for done in range(0, draws, _QUADRATURE_CHUNK):
+        W = family.sample_params(d, min(_QUADRATURE_CHUNK, draws - done), derive_seed(seed, done))
+        for points in (W, -W):
             F = family.features(points, X)
             K += F @ F.T
             del F  # one block's feature array at a time
-        done += c
     K /= quadrature_size
     return (K + K.T) / 2.0
 

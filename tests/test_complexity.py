@@ -201,23 +201,31 @@ class TestRadPathBall:
 
 class TestGeneralizationBound:
     def test_hand_example(self):
-        # delta = 2/e^2 makes ln(2/delta) = 2
-        got = generalization_bound(
-            emp_risk=0.1, Q=2.0, C_loss=2.0, rad=0.05, delta=2 / math.e**2, n=32
-        )
+        # delta = 2/e^2 makes ln(2/delta) = 2; C = 1 gives Q = 2 and C_loss = Q^2 / 2 = 2
+        got = generalization_bound(emp_risk=0.1, C=1.0, rad=0.05, delta=2 / math.e**2, n=32)
         want = 0.1 + 2 * 2.0 * 0.05 + 4 * 2.0 * math.sqrt(4 / 32)
         assert got == pytest.approx(want)
 
+    def test_loss_constants_follow_the_radius(self):
+        # Lipschitz constant Q = C + 1 and sup bound C_loss = Q^2 / 2 of the squared loss
+        C, rad, delta, n = 0.75, 0.03, 0.1, 50
+        Q = C + 1.0
+        tail = math.sqrt(2.0 * math.log(2.0 / delta) / n)
+        want = 0.2 + 2.0 * Q * rad + 4.0 * (Q ** 2 / 2.0) * tail
+        assert generalization_bound(0.2, C, rad, delta, n) == want
+
     def test_tail_term_halves_when_n_quadruples(self):
-        lo = generalization_bound(0.0, 0.0, 1.0, 0.0, 0.1, 100)
-        hi = generalization_bound(0.0, 0.0, 1.0, 0.0, 0.1, 400)
+        lo = generalization_bound(0.0, 0.0, 0.0, 0.1, 100)
+        hi = generalization_bound(0.0, 0.0, 0.0, 0.1, 400)
         assert lo == pytest.approx(2 * hi)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            generalization_bound(0.1, 1.0, 1.0, -0.2, 0.1, 10)
+            generalization_bound(0.1, 1.0, -0.2, 0.1, 10)
         with pytest.raises(ValueError):
-            generalization_bound(0.1, 1.0, 1.0, 0.2, 2.5, 10)
+            generalization_bound(0.1, -1.0, 0.2, 0.1, 10)
+        with pytest.raises(ValueError):
+            generalization_bound(0.1, 1.0, 0.2, 2.5, 10)
 
 
 class TestPopulationRisk:

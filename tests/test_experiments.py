@@ -226,6 +226,25 @@ class TestExperimentConfig:
         unread = sorted(f.name for f in fields(ExperimentConfig) if f.name not in read)
         assert unread == []
 
+    @pytest.mark.parametrize("config", [
+        dict(), dict(lemma="krr-bound"), dict(kind="bound-audit", model="two-layer"),
+    ])
+    def test_odd_quadrature_rejected(self, config):
+        # a ReLU quadrature rule holds whole antithetic pairs
+        for Q in (1, 20_001, np.int64(1001)):
+            with pytest.raises(ValueError, match="quadrature must be even"):
+                ExperimentConfig(**config, quadrature=Q)
+        ExperimentConfig(**config, quadrature=2)
+
+    def test_default_resnet_study_says_what_to_set(self):
+        # L_grid defaults to (8,), resnet-add's largest depth, below the default n = 32
+        for kind in ("scale-study", "bound-audit"):
+            with pytest.raises(ValueError) as err:
+                ExperimentConfig(kind=kind, model="resnet")
+            assert "under-parametrized grid points (n, depth): [(32, 8)]" in str(err.value)
+            assert "one L_grid depth L per n with min(L, L_cap - m1) >= n" in str(err.value)
+            ExperimentConfig(kind=kind, model="resnet", L_grid=(32,))
+
     @pytest.mark.parametrize("kind", ["scale-study", "bound-audit"])
     def test_infeasible_resnet_widths_rejected(self, kind):
         for m1, L_cap in ((512, 256), (256, 256)):

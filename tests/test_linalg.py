@@ -46,13 +46,13 @@ class TestMinNormSolve:
         rng = np.random.default_rng(0)
         A = rng.standard_normal((6, 6)) + 3 * np.eye(6)
         b = rng.standard_normal(6)
-        assert_allclose(min_norm_solve(A, b), np.linalg.solve(A, b), rtol=1e-10)
+        assert_allclose(min_norm_solve(A, b)[0], np.linalg.solve(A, b), rtol=1e-10)
 
     def test_underdetermined_matches_lstsq(self):
         rng = np.random.default_rng(1)
         A = rng.standard_normal((5, 40))
         b = rng.standard_normal(5)
-        x = min_norm_solve(A, b)
+        x, _ = min_norm_solve(A, b)
         ref, *_ = np.linalg.lstsq(A, b, rcond=None)
         assert_allclose(x, ref, rtol=1e-9, atol=1e-12)
 
@@ -60,13 +60,15 @@ class TestMinNormSolve:
         rng = np.random.default_rng(2)
         A = rng.standard_normal((4, 30))
         b = rng.standard_normal(4)
-        assert_allclose(A @ min_norm_solve(A, b), b, rtol=1e-10)
+        x, Ax = min_norm_solve(A, b)
+        assert_allclose(A @ x, b, rtol=1e-10)
+        assert_allclose(Ax, A @ x, rtol=1e-12)
 
     def test_solution_in_row_space(self):
         # the minimum-norm solution has no null-space component
         rng = np.random.default_rng(3)
         A = rng.standard_normal((3, 12))
-        x = min_norm_solve(A, rng.standard_normal(3))
+        x, _ = min_norm_solve(A, rng.standard_normal(3))
         _, _, Vt = np.linalg.svd(A)
         null_basis = Vt[3:]
         assert np.abs(null_basis @ x).max() < 1e-12
@@ -75,7 +77,7 @@ class TestMinNormSolve:
         rng = np.random.default_rng(4)
         A = rng.standard_normal((3, 12))
         b = rng.standard_normal(3)
-        x = min_norm_solve(A, b)
+        x, _ = min_norm_solve(A, b)
         _, _, Vt = np.linalg.svd(A)
         perturbed = x + 0.1 * Vt[5]
         assert_allclose(A @ perturbed, b, rtol=1e-10)
@@ -104,18 +106,20 @@ class TestMinNormSolve:
         b = np.random.default_rng(99).standard_normal(n)
         s = np.linalg.svd(A, compute_uv=False)
         tol = 10 * np.finfo(float).eps * (s[0] / s[-1]) ** 2
-        x = min_norm_solve(A, b)
+        x, Ax = min_norm_solve(A, b)
         ref, *_ = np.linalg.lstsq(A, b, rcond=None)
         assert np.linalg.norm(x - ref) <= tol * np.linalg.norm(ref)
         assert np.abs(A @ x - b).max() <= tol * np.abs(b).max()
+        assert np.abs(Ax - b).max() <= tol * np.abs(b).max()
 
     def test_ill_conditioned_gram_falls_back_to_svd(self):
         # only the SVD keeps the solution accurate here
         A, b = _ill_conditioned()
-        x = min_norm_solve(A, b)
+        x, Ax = min_norm_solve(A, b)
         ref, *_ = np.linalg.lstsq(A, b, rcond=None)
         assert_allclose(x, ref, rtol=1e-8, atol=1e-8 * np.abs(ref).max())
         assert_allclose(A @ x, b, atol=1e-8)
+        assert_allclose(Ax, b, atol=1e-8)
         assert smallest_singular_value(A) == pytest.approx(1e-7, rel=1e-6)
 
     def test_rcond_enforced_on_gram_route(self):
@@ -155,7 +159,7 @@ class TestMinNormSolve:
         X = np.random.default_rng(62).uniform(-1, 1, (d, n))
         y = np.random.default_rng(63).uniform(-1, 1, n)
         Phi = family.features(family.sample_params(d, m, 64), X)
-        a = min_norm_solve(Phi, m * y)
+        a, _ = min_norm_solve(Phi, m * y)
         ref, *_ = np.linalg.lstsq(Phi / m, y, rcond=None)
         assert_allclose(a, ref, rtol=1e-8, atol=1e-10 * np.abs(ref).max())
         quad = y @ np.linalg.solve(Phi @ Phi.T / m, y)
@@ -191,7 +195,8 @@ class TestGramFactor:
     ])
     def test_solve_from_factor_is_bit_identical(self, make):
         A, b = make()
-        assert min_norm_solve(GramFactor(A), b).tobytes() == min_norm_solve(A, b).tobytes()
+        got, want = min_norm_solve(GramFactor(A), b), min_norm_solve(A, b)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
     def test_kernel_from_factor_is_bit_identical(self):
         # features come out Fortran-ordered; the factor keeps that layout for its product
@@ -262,8 +267,8 @@ class TestBlockSource:
         assert blocks.route == whole.route == "gram"
         assert_allclose(blocks.G, whole.G, rtol=1e-12)
         assert blocks.sigma_min == pytest.approx(whole.sigma_min, rel=1e-12)
-        x, Ax = min_norm_solve(blocks, b, image=True)
-        assert_allclose(x, min_norm_solve(whole, b), rtol=1e-12, atol=1e-12 * np.abs(x).max())
+        x, Ax = min_norm_solve(blocks, b)
+        assert_allclose(x, min_norm_solve(whole, b)[0], rtol=1e-12, atol=1e-12 * np.abs(x).max())
         assert_allclose(Ax, A @ x, rtol=1e-12)
         assert_allclose(Ax, b, rtol=1e-9)
 
@@ -271,7 +276,9 @@ class TestBlockSource:
         A, b = _ill_conditioned()
         factor = GramFactor(_split(A, 40))
         assert factor.route == "svd"
-        assert min_norm_solve(factor, b).tobytes() == min_norm_solve(A, b).tobytes()
+        (x, Ax), (want, _) = min_norm_solve(factor, b), min_norm_solve(A, b)
+        assert x.tobytes() == want.tobytes()  # A x sums the blocks in another order
+        assert_allclose(Ax, b, atol=1e-8)
         assert factor.sigma_min == GramFactor(A).sigma_min
 
     def test_relu_fit_recomputes_blocks_per_pass(self, monkeypatch):

@@ -115,22 +115,29 @@ class TestTeacher:
             TeacherFunction(
                 coefficients=np.array([1.0]),
                 directions=np.array([[0.7, 0.7]]),
-                d=1,
             )
+
+    def test_dimension_is_read_from_the_directions(self):
+        f = TeacherFunction(coefficients=np.ones(2), directions=np.array([[0.5, 0.5], [0.0, -1.0]]))
+        assert f.d == 1
+        # a direction (b, c) needs at least one input coordinate b
+        for directions in (np.array([[1.0], [-1.0]]), np.ones((2, 0)), np.ones(2)):
+            with pytest.raises(ValueError, match=r"d\+1 >= 2"):
+                TeacherFunction(coefficients=np.ones(2), directions=directions)
+        with pytest.raises(ValueError, match="expected coefficients"):
+            TeacherFunction(coefficients=np.ones(3), directions=np.array([[0.5, 0.5]]))
 
     def test_eval_matches_hand_formula(self):
         # single atom a * relu(b x + c)
         f = TeacherFunction(
             coefficients=np.array([2.0]),
             directions=np.array([[0.5, -0.5]]),
-            d=1,
         )
         assert teacher_eval(f, np.array([0.6])) == pytest.approx(0.0)  # 0.3 - 0.5 < 0
         assert teacher_eval(f, np.array([-0.6])) == pytest.approx(0.0)
         f2 = TeacherFunction(
             coefficients=np.array([2.0]),
             directions=np.array([[0.5, 0.5]]),
-            d=1,
         )
         assert teacher_eval(f2, np.array([0.6])) == pytest.approx(2.0 * 0.8)
 
@@ -145,7 +152,6 @@ class TestTeacher:
         f = TeacherFunction(
             coefficients=np.array([3.0, -1.0]),
             directions=np.array([[0.5, 0.5], [1.0, 0.0]]),
-            d=1,
         )
         assert barron_norm_upper(f) == pytest.approx(2.0)  # mean(|3|, |-1|)
         # sup relu(b x + c) over |x| <= 1 equals relu(|b| + c)
@@ -188,7 +194,6 @@ class TestDataset:
         f = TeacherFunction(
             coefficients=np.array([3.0]),
             directions=np.array([[1.0, 0.0]]),
-            d=1,
         )
         with pytest.raises(ValueError, match=r"\|y\| <= 1, label \d+ is"):
             sample_dataset(f, 200, seed=0)

@@ -401,6 +401,16 @@ class TestMutatedFiles:
         with pytest.raises(ValueError, match="resnet file: .*D >= d\\+1 >= 2"):
             from_dict(obj, "resnet")
 
+    def test_teacher_without_inputs_rejected(self, capsys, cli_files, tmp_path):
+        # atoms (a, c) with no input coordinate: gen-data would label inputs of
+        # shape (0, n) and write "X": [], a dataset that its own reader rejects
+        obj = {"d": 0, "atoms": [[0.5, 1.0], [-0.25, -1.0]]}
+        with pytest.raises(ValueError, match="teacher file: .*d\\+1 >= 2"):
+            from_dict(obj, "teacher")
+        for command in (("gen-data", "@teacher"), ("norms", "@teacher")):
+            err = _fails_cleanly(capsys, cli_files, tmp_path, command, "teacher", obj)
+            assert err.startswith("error: teacher file: expected coefficients")
+
 
 def test_readme_file_table_matches_file_kinds():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

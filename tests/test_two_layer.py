@@ -23,6 +23,7 @@ from minterp import (
     teacher_eval_batch,
     two_layer_eval_batch,
 )
+from minterp import two_layer
 
 from _oracles import approximate_teacher_draws, two_layer_eval
 
@@ -132,6 +133,17 @@ class TestFitResidualNet:
     def test_network_evaluates_residual(self):
         fit = fit_residual_net(self.X, self.r, m=512, lambda_target=1e-5, seed=15)
         assert_allclose(two_layer_eval_batch(fit.net, self.X), self.r, atol=1e-9)
+
+    def test_interp_error_comes_from_the_solve_not_an_evaluation(self, monkeypatch):
+        # the solve's image Psi a_hat / sqrt(m) is the net's values at X, so the
+        # fit evaluates no net; both measures of the gap agree to rounding
+        calls = []
+        monkeypatch.setattr(two_layer, "two_layer_eval_batch",
+                            lambda *args: calls.append(args) or two_layer_eval_batch(*args))
+        fit = fit_residual_net(self.X, self.r, m=512, lambda_target=1e-5, seed=15)
+        assert calls == []
+        evaluated = float(np.abs(two_layer_eval_batch(fit.net, self.X) - self.r).max())
+        assert fit.interp_error == pytest.approx(evaluated, abs=1e-13)
 
     def test_easy_target_needs_one_draw(self):
         fit = fit_residual_net(self.X, self.r, m=2048, lambda_target=1e-8, seed=16)
