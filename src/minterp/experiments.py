@@ -301,10 +301,19 @@ def _family(config: ExperimentConfig) -> FeatureFamily:
 
 
 def _run_trials(worker, count: int, threads: int) -> list:
+    """[worker(i) for i in range(count)], run on `threads` pool threads.
+
+    The pool takes indices alternately from the two ends (last, first,
+    second to last, ...).  Rows go small n first, so a large trial, long
+    in BLAS calls that release the GIL, runs beside a small one that holds
+    it between short numpy calls, not two small trials contending for it.
+    """
     if threads <= 1:
         return [worker(i) for i in range(count)]
+    ends = [i for pair in zip(reversed(range(count)), range(count)) for i in pair][:count]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(count)))
+        futures = {i: pool.submit(worker, i) for i in ends}
+        return [futures[i].result() for i in range(count)]
 
 
 def _run_rows(heads: list, body, threads: int) -> list:
@@ -465,7 +474,9 @@ def _verify_fit_rand_label(config: ExperimentConfig, threads: int, rule: Quadrat
         r /= np.linalg.norm(r)
         lam_ref = reference_lambda_min(X, rule)
         fit = fit_residual_net(X, r, config.m2, lam_ref, seed=derive_seed(config.seed, 5 * t + 3))
-        norm_bound = math.sqrt(2.0 / (lam_ref / 2.0)) * fit.residual_norm
+        # ResidualFit's certificate: lambda_emp >= lam_ref / 2 gives
+        # path_norm <= ||a_hat|| <= sqrt(2 / lam_ref) ||r||
+        norm_bound = math.sqrt(2.0 / lam_ref) * fit.residual_norm
         return dict(
             lambda_ref=lam_ref,
             lambda_emp=fit.lambda_emp,
@@ -701,6 +712,44 @@ def _fit_slope(ns, medians) -> float:
     return float(coeffs[0])
 
 
+# np.median and np.percentile import numpy.ma on first use (14-18 ms and
+# 1.8 MB, paid inside every study's wall time); these two sort instead and
+# keep numpy's bits for values without -0.0, which numpy may order either
+# side of +0.0.  Test risks are at least +0.0.
+
+
+def _median(values) -> np.ndarray:
+    """np.median(values, axis=-1), bit for bit.
+
+    An odd count takes the middle value itself, where (v + v) / 2 would
+    overflow past half the largest float; NaN sorts last and makes the
+    median NaN, as in np.median.
+    """
+    s = np.sort(values, axis=-1)
+    h = s.shape[-1]
+    middle = s[..., h // 2] if h % 2 else (s[..., h // 2 - 1] + s[..., h // 2]) / 2
+    return np.where(np.isnan(s[..., -1]), s[..., -1], middle)
+
+
+def _percentile(values, q: float) -> float:
+    """np.percentile(values, q) of 1-D values for 0 < q < 100, bit for bit.
+
+    numpy's default linear method: the point (h - 1) q / 100 along the
+    sorted values, interpolated from the nearer neighbour as numpy's _lerp
+    does.  A single value takes weight 1, as numpy's rule for the top index
+    gives it.
+    """
+    s = np.sort(values)
+    if np.isnan(s[-1]):
+        return float(s[-1])
+    v = (len(s) - 1) * (q / 100)
+    lo = math.floor(v)
+    hi = min(lo + 1, len(s) - 1)
+    g = v - lo if hi > lo else 1.0
+    diff = s[hi] - s[lo]
+    return float(s[hi] - diff * (1 - g) if g >= 0.5 else s[lo] + diff * g)
+
+
 def _bootstrap_slope_ci(risks_per_n: list, ns: list, seed: int, n_boot: int = 200):
     # One integers() call with a per-entry bound draws the stream that one
     # resample per grid point per replicate would: each bound is that grid
@@ -710,7 +759,7 @@ def _bootstrap_slope_ci(risks_per_n: list, ns: list, seed: int, n_boot: int = 20
     idx = rng_from(seed).integers(0, high).reshape(n_boot, -1)
     ends = np.cumsum(counts)
     medians = np.column_stack([
-        np.median(np.asarray(risks)[idx[:, end - len(risks) : end]], axis=1)
+        _median(np.asarray(risks)[idx[:, end - len(risks) : end]])
         for risks, end in zip(risks_per_n, ends)
     ])
     medians = medians[(medians > 0).all(axis=1)]
@@ -718,7 +767,7 @@ def _bootstrap_slope_ci(risks_per_n: list, ns: list, seed: int, n_boot: int = 20
         return None
     # One fit per replicate: a 2-D polyfit rounds differently from 8 grid points on.
     slopes = [_fit_slope(ns, row) for row in medians]
-    return (float(np.percentile(slopes, 2.5)), float(np.percentile(slopes, 97.5)))
+    return (_percentile(slopes, 2.5), _percentile(slopes, 97.5))
 
 
 def _scale_engine(config: ExperimentConfig, threads: int, audit: bool,
@@ -778,9 +827,9 @@ def _scale_engine(config: ExperimentConfig, threads: int, audit: bool,
             continue
         arr = np.asarray(risks)
         per_n[str(n)] = {
-            "median": float(np.median(arr)),
-            "q25": float(np.percentile(arr, 25)),
-            "q75": float(np.percentile(arr, 75)),
+            "median": float(_median(arr)),
+            "q25": _percentile(arr, 25),
+            "q75": _percentile(arr, 75),
             "trials": len(risks),
         }
         ns_ok.append(n)

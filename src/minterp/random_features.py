@@ -39,7 +39,9 @@ _QUADRATURE_CHUNK = 65536
 # (1024, n) float64 buffer is 1 MB and stays in a 2 MB L2.
 _QUADRATURE_SUB_BLOCK = 1024
 # Rows and columns of each tile _feature_sum multiplies out: one (256, 256)
-# float64 pre-activation tile is 512 KB and stays in L2.
+# float64 pre-activation tile is 512 KB and stays in L2.  Two row tiles go
+# through each numpy call, so a call holds about 1 MB of work between its
+# release and retake of the GIL, enough for two trial threads to overlap.
 _FEATURE_TILE = 256
 
 
@@ -152,32 +154,47 @@ def _feature_sum(a: np.ndarray, W: np.ndarray, X: np.ndarray, relu: bool = True)
     W is the augmented (m, d+1) weight matrix; phi is relu, or cos when
     relu is False.  X is walked in _FEATURE_TILE-column tiles with a row of
     ones appended, so the bias sits inside the product, and each tile is
-    multiplied by _FEATURE_TILE-row weight tiles: the working set is one
-    (_FEATURE_TILE, _FEATURE_TILE) pre-activation array, whatever m and n.
-    The input tile, the pre-activation tile and the tile's weighted sum are
-    contiguous views of three buffers allocated once per call.  relu sums
-    through relu(t) = (t + |t|) / 2: the tiles sum a_j |t_j|, and the
-    linear half is one (d+1)-vector product, (a^T W) . (x, 1), per call.
+    multiplied by _FEATURE_TILE-row weight tiles, two at a time in stacked
+    products: the working set is one (2, _FEATURE_TILE, _FEATURE_TILE)
+    pre-activation array, whatever m and n.  The stacked products multiply
+    each tile as a product of its own would, and the two tile sums join
+    the accumulator in row order, so the pairing leaves every bit as it
+    was with one tile per call.  The rows past the last full pair go one
+    tile at a time.  The input tile, the pre-activation tiles and the
+    tiles' weighted sums are contiguous views of three buffers allocated
+    once per call.  relu sums through relu(t) = (t + |t|) / 2: the tiles
+    sum a_j |t_j|, and the linear half is one (d+1)-vector product,
+    (a^T W) . (x, 1), per call.
     """
     d, n = X.shape
     m = W.shape[0]
+    paired = m - m % (2 * _FEATURE_TILE)
+    W_pairs = W[:paired].reshape(-1, 2, _FEATURE_TILE, d + 1)
+    a_pairs = a[:paired].reshape(-1, 2, 1, _FEATURE_TILE)
+    phi = np.abs if relu else np.cos
     out = np.zeros(n)
     xt_buf = np.empty((d + 1) * min(_FEATURE_TILE, n))
-    pre_buf = np.empty(min(_FEATURE_TILE, m) * min(_FEATURE_TILE, n))
-    sum_buf = np.empty(min(_FEATURE_TILE, n))
+    pre_buf = np.empty(min(2 * _FEATURE_TILE, m) * min(_FEATURE_TILE, n))
+    sum_buf = np.empty(2 * min(_FEATURE_TILE, n))
     for start in range(0, n, _FEATURE_TILE):
         cols = min(_FEATURE_TILE, n - start)
         Xt = xt_buf[: (d + 1) * cols].reshape(d + 1, cols)
         Xt[:d] = X[:, start : start + cols]
         Xt[d] = 1.0
-        acc, tile_sum = out[start : start + cols], sum_buf[:cols]
-        for row in range(0, m, _FEATURE_TILE):
+        acc = out[start : start + cols]
+        if paired:
+            pre = pre_buf[: 2 * _FEATURE_TILE * cols].reshape(2, _FEATURE_TILE, cols)
+            sums = sum_buf[: 2 * cols].reshape(2, 1, cols)
+            for Wp, ap in zip(W_pairs, a_pairs):
+                phi(np.matmul(Wp, Xt, out=pre), out=pre)
+                np.matmul(ap, pre, out=sums)
+                acc += sums[0, 0]
+                acc += sums[1, 0]
+        tile_sum = sum_buf[:cols]
+        for row in range(paired, m, _FEATURE_TILE):
             Wt = W[row : row + _FEATURE_TILE]
             pre = np.matmul(Wt, Xt, out=pre_buf[: len(Wt) * cols].reshape(len(Wt), cols))
-            if relu:
-                np.abs(pre, out=pre)
-            else:
-                np.cos(pre, out=pre)
+            phi(pre, out=pre)
             acc += np.matmul(a[row : row + _FEATURE_TILE], pre, out=tile_sum)
     if relu:
         u = a @ W

@@ -139,10 +139,11 @@ def feature_sum_gap_bound(a: np.ndarray, W: np.ndarray, X: np.ndarray,
 
 
 def feature_sum_tiles(a: np.ndarray, W: np.ndarray, X: np.ndarray, relu: bool = True) -> np.ndarray:
-    """random_features._feature_sum with fresh arrays for every tile.
+    """random_features._feature_sum with fresh arrays and one product for every tile.
 
     The same (_FEATURE_TILE, _FEATURE_TILE) tiling and the same products in
-    the same order, so the sums round identically; relu sums through
+    the same order, one weight tile per numpy call where _feature_sum
+    stacks two, so the sums round identically; relu sums through
     relu(t) = (t + |t|) / 2, the tiles taking |t| and one product with
     a^T W the linear half.
     """

@@ -133,7 +133,7 @@ def test_criterion_04_residual_certificate(capsys):
     rows = [r for r in result.rows if not r["error"]]
     worst_interp = max(r["interp_error"] for r in rows)
     worst_ratio = max(
-        r["path_norm"] / (math.sqrt(2.0 / (r["lambda_ref"] / 2.0)) * r["teacher_norm"])
+        r["path_norm"] / (math.sqrt(2.0 / r["lambda_ref"]) * r["teacher_norm"])
         for r in rows
     )
     ok = result.failures == 0 and result.pass_fraction == 1.0

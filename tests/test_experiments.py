@@ -1,10 +1,15 @@
 import json
 import re
+import sys
+import threading
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import minterp
@@ -35,6 +40,9 @@ from minterp.experiments import (
     STUDY_KEYS,
     VERIFY_SELECTORS,
     _bootstrap_slope_ci,
+    _median,
+    _percentile,
+    _run_trials,
     fit_model,
     result_basename,
     study_rule,
@@ -624,6 +632,75 @@ class TestQuadratureRule:
         bases = (_TEACHER_BASE, _DATA_BASE, _FIT_BASE, _TEST_BASE, _RAD_BASE, _BOOT_BASE,
                  _QUADRATURE_BASE)
         assert sorted(bases) == [k * _SEED_STRIDE for k in range(1, len(bases) + 1)]
+
+
+class TestRunTrials:
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 8])
+    def test_each_index_runs_once_and_results_keep_index_order(self, threads, count):
+        calls = []
+        lock = threading.Lock()
+
+        def worker(i):
+            with lock:
+                calls.append(i)
+            time.sleep(1e-4 * (i % 3))
+            return {"index": i}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = _run_trials(worker, count, threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [{"index": i} for i in range(count)]
+        assert sorted(calls) == list(range(count))
+        if threads == 1:
+            assert calls == list(range(count))
+
+
+# Values without -0.0: numpy's partition and a sort may order -0.0 and +0.0
+# either way, and the risks these summarize are at least +0.0.
+_values = st.lists(st.floats(width=64), min_size=1, max_size=41).map(
+    lambda v: np.asarray(v) + 0.0)
+
+
+def _same_bits(got, want) -> bool:
+    """Equal bytes, where a NaN matches any NaN: NaN payloads are not compared."""
+    got, want = np.atleast_1d(np.float64(got)), np.atleast_1d(np.float64(want))
+    nan = np.isnan(want)
+    return (np.array_equal(np.isnan(got), nan)
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+class TestOrderStatistics:
+    @settings(max_examples=200, deadline=None)
+    @given(values=_values)
+    @example(values=np.array([0.5]))
+    @example(values=np.array([0.25, 0.5]))
+    @example(values=np.array([3.0, 1.0, 2.0]))
+    @example(values=np.array([4.0, 1.0, 3.0, 2.0]))
+    @example(values=np.array([1.0, np.nan, 2.0]))
+    def test_median_matches_numpy_bytes(self, values):
+        assert _same_bits(_median(values), np.median(values))
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=_values, rows=st.integers(1, 5))
+    @example(values=np.arange(15.0), rows=5)
+    @example(values=np.arange(16.0), rows=4)
+    def test_median_along_axis_1_matches_numpy_bytes(self, values, rows):
+        block = np.resize(values[::-1], (rows, len(values))) * np.arange(1, rows + 1)[:, None]
+        assert _same_bits(_median(block), np.median(block, axis=1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=_values, q=st.floats(1e-3, 100 - 1e-3))
+    @example(values=np.array([0.5]), q=25.0)
+    @example(values=np.array([0.25, 0.5]), q=75.0)
+    @example(values=np.array([3.0, 1.0, 2.0]), q=2.5)
+    @example(values=np.array([4.0, 1.0, 3.0, 2.0]), q=97.5)
+    @example(values=np.array([1.0, np.nan, 2.0]), q=25.0)
+    def test_percentile_matches_numpy_bytes(self, values, q):
+        assert _same_bits(_percentile(values, q), np.percentile(values, q))
 
 
 class TestBootstrapSlopeCi:

@@ -421,12 +421,18 @@ class TestTiledFeatureSum:
             assert got.shape == (n,)
             assert np.all(np.abs(got - want) <= bound)
 
+    # Two weight tiles go through each stacked product; m = 1000 leaves one
+    # full and one partial tile past the last pair, m = 1280 one full tile.
     @settings(max_examples=20, deadline=None)
-    @given(d=st.integers(1, 4), m=st.integers(1, 600), n=st.integers(1, 600),
+    @given(d=st.integers(1, 4), m=st.integers(1, 1300), n=st.integers(1, 600),
            relu=st.booleans(), seed=st.integers(0, 2**32 - 2))
     @example(d=1, m=1, n=1, relu=True, seed=0)
     @example(d=4, m=257, n=513, relu=False, seed=1)
     @example(d=2, m=512, n=256, relu=True, seed=2)
+    @example(d=3, m=1000, n=300, relu=True, seed=3)
+    @example(d=3, m=1000, n=300, relu=False, seed=4)
+    @example(d=2, m=1280, n=257, relu=True, seed=5)
+    @example(d=2, m=1280, n=257, relu=False, seed=6)
     def test_reused_buffers_match_per_tile_arrays_bitwise(self, d, m, n, relu, seed):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal(m)
@@ -453,7 +459,7 @@ class TestTiledFeatureSum:
 
     def test_memory_does_not_scale_with_width_times_inputs(self):
         # one (m, 1024) activation block at m = 8192 was 64 MB; the tiles
-        # need one 512 KB pre-activation array plus the output
+        # need one 1 MB array of two pre-activation tiles plus the output
         m = n = 8192
         W = RELU.sample_params(4, m, seed=41)
         a = np.random.default_rng(42).standard_normal(m)
