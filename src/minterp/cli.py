@@ -24,6 +24,7 @@ from .experiments import (
     VERIFY_SELECTORS,
     ExperimentConfig,
     fit_model,
+    one_blas_thread,
     run_study,
     study_rule,
     write_study,
@@ -113,11 +114,12 @@ def _cmd_fit(args) -> int:
     # The fitted family comes from the command line, and a fit runs no study, so the
     # file's study rules do not apply to it; the echo keeps the file's config.  The
     # quadrature rule is drawn at the dataset's d, which the file's d_grid need not name.
-    fit = fit_model(
-        replace(config, kind="verify-lemma", lemma=None, model=args.model),
-        data, teacher, config.m2, derive_seed(config.seed, 2), derive_seed(config.seed, 3),
-        None if args.model == "rf" else study_rule(config, data.d),
-    )
+    with one_blas_thread:
+        fit = fit_model(
+            replace(config, kind="verify-lemma", lemma=None, model=args.model),
+            data, teacher, config.m2, derive_seed(config.seed, 2), derive_seed(config.seed, 3),
+            None if args.model == "rf" else study_rule(config, data.d),
+        )
     out = _out_dir(config)
     model_path = write_file(out, fit.model)
     report = {"kind": args.model}

@@ -1,9 +1,11 @@
 """Experiment harness: lemma verification suites, scale studies, bound audits.
 
 Every run is a pure function of (config, master seed).  Each trial draws
-its randomness from a seed derived from its index, trials execute in a
-thread pool, and rows are merged in trial order, so output bytes are
-identical across runs and across thread counts.  A failed trial records
+its randomness from a seed derived from its index, trials run on the
+calling thread plus helper threads, and rows are merged in trial order,
+so output bytes are identical across runs and across thread counts.
+OpenBLAS is held at one thread while a study runs, so they do not depend
+on the caller's BLAS thread count either.  A failed trial records
 its error in the row instead of aborting the run; summaries use only the
 successful rows and report the failure count.  A study that reads
 `quadrature` draws one ReLU quadrature rule, from a seed of its own, and
@@ -15,11 +17,12 @@ study, the bound audit and `minterp fit`.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable
 
@@ -301,19 +304,87 @@ def _family(config: ExperimentConfig) -> FeatureFamily:
 
 
 def _run_trials(worker, count: int, threads: int) -> list:
-    """[worker(i) for i in range(count)], run on `threads` pool threads.
+    """[worker(i) for i in range(count)], run on the calling thread plus threads - 1 helpers.
 
-    The pool takes indices alternately from the two ends (last, first,
+    Workers take indices alternately from the two ends (last, first,
     second to last, ...).  Rows go small n first, so a large trial, long
     in BLAS calls that release the GIL, runs beside a small one that holds
     it between short numpy calls, not two small trials contending for it.
+    After the first exception no worker takes a new index; every helper is
+    joined and that exception is raised.
     """
-    if threads <= 1:
+    workers = min(threads, count)
+    if workers <= 1:
         return [worker(i) for i in range(count)]
-    ends = [i for pair in zip(reversed(range(count)), range(count)) for i in pair][:count]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {i: pool.submit(worker, i) for i in ends}
-        return [futures[i].result() for i in range(count)]
+    ends = iter([i for pair in zip(reversed(range(count)), range(count)) for i in pair][:count])
+    rows, raised, lock = [None] * count, [], threading.Lock()
+
+    def run():
+        while True:
+            with lock:
+                i = None if raised else next(ends, None)
+            if i is None:
+                return
+            try:
+                rows[i] = worker(i)
+            except BaseException as exc:
+                raised.append(exc)
+
+    helpers = [threading.Thread(target=run) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    run()
+    for helper in helpers:
+        helper.join()
+    if raised:
+        raise raised[0]
+    return rows
+
+
+@cache
+def _openblas_threads():
+    """The (get, set) thread-count calls of numpy's bundled OpenBLAS, or None for another BLAS."""
+    for lib in Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*"):
+        try:
+            blas = ctypes.CDLL(str(lib))
+            return blas.scipy_openblas_get_num_threads64_, blas.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
+class _OneBlasThread:
+    """Holds OpenBLAS at one thread while any holder is inside; the last one out restores it.
+
+    Trial threads supply the parallelism: BLAS threads on top of them
+    oversubscribe the cores, and rf rows round differently under another
+    BLAS thread count.  Holders are counted under a lock, so of two studies
+    running at once the first to finish leaves the count at one.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._restore = None  # (set, the caller's count) while held
+
+    def __enter__(self):
+        with self._lock:
+            if self._holders == 0 and (blas := _openblas_threads()) is not None:
+                get, set_threads = blas
+                self._restore = (set_threads, get())
+                set_threads(1)
+            self._holders += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._holders -= 1
+            if self._holders == 0 and self._restore is not None:
+                set_threads, count = self._restore
+                set_threads(count)
+                self._restore = None
+
+
+one_blas_thread = _OneBlasThread()
 
 
 def _run_rows(heads: list, body, threads: int) -> list:
@@ -863,14 +934,18 @@ def run_study(config: ExperimentConfig, threads: int = 1) -> StudyResult:
     An audit adds complexity estimates and the deviation bound to the scale
     study's rows; trial seeds match, so the shared columns agree row for row.
     A study that reads quadrature draws its one rule here, and every trial
-    sums it.
+    sums it.  Trials run on `threads` threads with OpenBLAS held at one.
     """
+    if not _is_int(threads) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     if config.kind == "verify-lemma" and config.lemma is None:
         raise ValueError(f"a verify-lemma config needs a lemma, one of {VERIFY_SELECTORS}")
-    rule = study_rule(config, config.d_grid[0]) if "quadrature" in config.keys_read() else None
-    if config.kind != "verify-lemma":
-        return _scale_engine(config, threads, config.kind == "bound-audit", rule)
-    columns, rows, summary = _STUDIES[config.lemma][0](config, threads, rule)
+    with one_blas_thread:
+        rule = (study_rule(config, config.d_grid[0])
+                if "quadrature" in config.keys_read() else None)
+        if config.kind != "verify-lemma":
+            return _scale_engine(config, threads, config.kind == "bound-audit", rule)
+        columns, rows, summary = _STUDIES[config.lemma][0](config, threads, rule)
     summary["lemma"] = config.lemma
     return StudyResult(columns=tuple(columns), rows=tuple(rows), summary=summary, config=config)
 

@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import subprocess
 import sys
 import threading
 import time
@@ -658,6 +660,190 @@ class TestRunTrials:
         if threads == 1:
             assert calls == list(range(count))
 
+    @pytest.mark.parametrize("threads", [2, 3, 5])
+    @pytest.mark.parametrize("count", [2, 3, 9])
+    def test_caller_runs_trials_beside_at_most_threads_minus_one_helpers(self, threads, count):
+        ran_on, caller, caller_ran = {}, threading.get_ident(), threading.Event()
+
+        def worker(i):
+            # helpers hold their first index until the caller has run one; the caller
+            # finds one left, since helpers number fewer than the indices
+            ran_on[i] = threading.get_ident()
+            if ran_on[i] == caller:
+                caller_ran.set()
+            assert caller_ran.wait(timeout=30)
+            return i
+
+        before = threading.active_count()
+        assert _run_trials(worker, count, threads) == list(range(count))
+        assert caller in ran_on.values()
+        assert len(set(ran_on.values())) <= min(threads, count)
+        assert threading.active_count() == before
+
+    def test_helper_base_exception_propagates_as_the_same_object(self):
+        class Stop(BaseException):
+            pass
+
+        stop, caller = Stop("helper stopped"), threading.get_ident()
+        helper_ran = threading.Event()
+        taken = []
+
+        def worker(i):
+            taken.append(i)
+            if threading.get_ident() == caller:
+                assert helper_ran.wait(timeout=30)
+                return i
+            helper_ran.set()
+            raise stop
+
+        before = threading.active_count()
+        with pytest.raises(Stop) as raised:
+            _run_trials(worker, 50, 2)
+        assert raised.value is stop
+        assert len(taken) < 50  # no worker took a new index after the raise
+        assert threading.active_count() == before
+
+    def test_row_exception_becomes_an_error_cell(self):
+        def body(i):
+            if i == 1:
+                raise ValueError("bad, row\none")
+            return {"value": i}
+
+        rows = experiments._run_rows([{"trial": t} for t in range(4)], body, 2)
+        assert [row["trial"] for row in rows] == [0, 1, 2, 3]
+        assert rows[1] == {"trial": 1, "error": "ValueError: bad; row one"}
+        assert rows[2] == {"trial": 2, "error": "", "value": 2}
+
+    def test_study_started_off_the_main_thread_completes(self):
+        config = smoke_config(("bound-audit", "rf"))
+        results = []
+        starter = threading.Thread(target=lambda: results.append(run_study(config, threads=2)))
+        starter.start()
+        starter.join(timeout=120)
+        assert not starter.is_alive()
+        (result,) = results
+        assert result.rows == run_study(config, threads=1).rows
+
+    @pytest.mark.parametrize("threads", [0, -1, 2.0, True])
+    def test_run_study_rejects_thread_counts_below_one(self, monkeypatch, threads):
+        calls = []
+        monkeypatch.setattr(experiments, "study_rule", lambda *a: calls.append(a))
+        monkeypatch.setattr(experiments, "_run_rows", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match=f"threads must be an integer >= 1, got {threads!r}"):
+            run_study(smoke_config(("bound-audit", "two-layer")), threads=threads)
+        assert calls == []
+
+
+class TestOneBlasThread:
+    @staticmethod
+    def counts_seen_by_trials(monkeypatch, get, fail=False):
+        """Patch the trial runner to record get() inside each trial, and to raise if fail."""
+        seen, run_trials = [], experiments._run_trials
+
+        def recording(worker, count, threads):
+            def traced(i):
+                seen.append(get())
+                if fail:
+                    raise KeyboardInterrupt
+                return worker(i)
+            return run_trials(traced, count, threads)
+
+        monkeypatch.setattr(experiments, "_run_trials", recording)
+        return seen
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_callers_count_is_restored(self, monkeypatch, fail):
+        blas = experiments._openblas_threads()
+        if blas is None:
+            pytest.skip("numpy does not bundle scipy-openblas here")
+        get, set_threads = blas
+        before = get()
+        set_threads(2)
+        try:
+            seen = self.counts_seen_by_trials(monkeypatch, get, fail)
+            if fail:
+                with pytest.raises(KeyboardInterrupt):
+                    run_study(smoke_config(("bound-audit", "rf")), threads=2)
+            else:
+                run_study(smoke_config(("bound-audit", "rf")), threads=2)
+            assert seen and set(seen) == {1}
+            assert get() == 2
+        finally:
+            set_threads(before)
+
+    def test_two_studies_hold_one_thread_until_the_last_ends(self, monkeypatch):
+        state, sets = [4], []
+
+        def set_threads(n):
+            sets.append(n)
+            state[0] = n
+
+        monkeypatch.setattr(experiments, "_openblas_threads",
+                            lambda: (lambda: state[0], set_threads))
+        both_inside, first_done = threading.Barrier(2), threading.Event()
+        run_trials, seen = experiments._run_trials, {}
+
+        def gated(worker, count, threads):
+            both_inside.wait(timeout=30)
+            if threading.current_thread().name == "second":
+                assert first_done.wait(timeout=60)
+                seen["second after first"] = state[0]
+            return run_trials(worker, count, threads)
+
+        monkeypatch.setattr(experiments, "_run_trials", gated)
+
+        def study(name):
+            run_study(make_config(), threads=2)
+            if name == "first":
+                first_done.set()
+
+        starters = [threading.Thread(target=study, args=(name,), name=name)
+                    for name in ("first", "second")]
+        for starter in starters:
+            starter.start()
+        for starter in starters:
+            starter.join(timeout=120)
+        assert seen == {"second after first": 1}
+        assert sets == [1, 4] and state == [4]
+
+    def test_without_openblas_the_runner_changes_nothing(self, monkeypatch):
+        config = make_config()
+        want = run_study(config, threads=2)
+        real = experiments._openblas_threads()
+        get = real[0] if real else lambda: None
+        monkeypatch.setattr(experiments, "_openblas_threads", lambda: None)
+        seen = self.counts_seen_by_trials(monkeypatch, get)
+        before = get()
+        got = run_study(config, threads=2)
+        assert got.rows == want.rows and got.summary == want.summary
+        assert set(seen) == {before} and get() == before
+
+    def test_rf_bytes_do_not_depend_on_the_blas_env(self, tmp_path):
+        # The smallest rf audit found whose bytes the BLAS count moves: left at the
+        # environment's count, OpenBLAS splits its n = 256, m = 4096 calls across threads
+        # and norm_radius differs in the 12th digit between =1 and =2.  Audits with
+        # n <= 192 wrote the same bytes under both, so they cannot show the difference.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "kind": "bound-audit", "model": "rf", "d_grid": [4], "n_atoms": 64,
+            "n_grid": [256], "m_per_n": 16, "trials": 1, "n_test": 64, "rad_draws": 2,
+        }))
+        src = str(Path(experiments.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for blas_threads in ("1", "2"):
+            out = tmp_path / f"blas{blas_threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, PYTHONPATH=path)
+            proc = subprocess.run(
+                [sys.executable, "-m", "minterp.cli", "bound-audit", "--config", str(cfg),
+                 "--out", str(out), "--threads", "2"],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            outputs.append([(out / name).read_bytes()
+                            for name in ("bound_audit.csv", "bound_audit_summary.json")])
+        assert outputs[0] == outputs[1]
+
 
 # Values without -0.0: numpy's partition and a sort may order -0.0 and +0.0
 # either way, and the risks these summarize are at least +0.0.
@@ -869,6 +1055,14 @@ class TestCli:
         for name in ("scale_study.csv", "scale_study_summary.json"):
             assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_thread_count_below_one_exits_2(self, tmp_path, capsys, threads):
+        out = tmp_path / "out"
+        assert main(["bound-audit", "--threads", threads, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: threads must be an integer >= 1, got {threads}"]
+        assert not out.exists()
 
     def test_bad_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
