@@ -47,7 +47,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _add_study(parser: argparse.ArgumentParser) -> None:
     _add_common(parser)
     parser.add_argument("--trials", type=int, default=None, help="trial count override")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads")
+    parser.add_argument("--threads", type=int, default=1, help="trial workers: the caller plus helpers")
 
 
 def _load_config(args, **forced) -> ExperimentConfig:

@@ -2,8 +2,8 @@
 
 Every run is a pure function of (config, master seed).  Each trial draws
 its randomness from a seed derived from its index, trials run on the
-calling thread plus helper threads, and rows are merged in trial order,
-so output bytes are identical across runs and across thread counts.
+caller plus helper processes or threads, and rows are merged in trial
+order, so output bytes are identical across runs and across worker counts.
 OpenBLAS is held at one thread while a study runs, so they do not depend
 on the caller's BLAS thread count either.  A failed trial records
 its error in the row instead of aborting the run; summaries use only the
@@ -18,8 +18,11 @@ study, the bound audit and `minterp fit`.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 import numbers
+import os
+import pickle
 import threading
 from dataclasses import dataclass, fields
 from functools import cache, partial
@@ -304,41 +307,168 @@ def _family(config: ExperimentConfig) -> FeatureFamily:
 
 
 def _run_trials(worker, count: int, threads: int) -> list:
-    """[worker(i) for i in range(count)], run on the calling thread plus threads - 1 helpers.
+    """[worker(i) for i in range(count)], run by the caller plus threads - 1 helpers.
 
+    Helpers are forked processes when the caller is its process's only
+    Python thread, and threads otherwise: a fork beside a live thread can
+    copy a lock that thread holds into the child, held for good.  run_study
+    calls this inside one_blas_thread, so no BLAS thread is live either.
     Workers take indices alternately from the two ends (last, first,
-    second to last, ...).  Rows go small n first, so a large trial, long
-    in BLAS calls that release the GIL, runs beside a small one that holds
-    it between short numpy calls, not two small trials contending for it.
-    After the first exception no worker takes a new index; every helper is
-    joined and that exception is raised.
+    second to last, ...), the caller the first of them.  Rows go small n
+    first, so a large trial runs beside a small one.  After the first
+    exception no worker takes a new index; every helper is joined or
+    reaped and that exception is raised: the caller's own, else a
+    helper's.
     """
     workers = min(threads, count)
     if workers <= 1:
         return [worker(i) for i in range(count)]
-    ends = iter([i for pair in zip(reversed(range(count)), range(count)) for i in pair][:count])
-    rows, raised, lock = [None] * count, [], threading.Lock()
+    order = [i for pair in zip(reversed(range(count)), range(count)) for i in pair][:count]
+    forked = hasattr(os, "fork") and threading.active_count() == 1
+    rows, errors = (_run_forked if forked else _run_threaded)(worker, order, workers)
+    for error in errors:
+        if error is not None:
+            raise error
+    return [rows[i] for i in range(count)]
 
-    def run():
+
+def _work(worker, indices, rows: dict):
+    """rows[i] = worker(i) for each index taken; returns the first exception, or None.
+
+    After an exception the rest of the indices are taken and dropped, so
+    that no other worker takes one either.
+    """
+    for i in indices:
+        try:
+            rows[i] = worker(i)
+        except BaseException as exc:
+            for _ in indices:
+                pass
+            return exc
+    return None
+
+
+def _run_threaded(worker, order: list, workers: int):
+    """(rows, errors) of order's indices run on the caller plus workers - 1 helper threads.
+
+    The caller runs order[0] and the threads share the rest under a lock;
+    errors holds the caller's exception first.
+    """
+    rest, lock, rows, errors = iter(order[1:]), threading.Lock(), {}, []
+
+    def taken():
         while True:
             with lock:
-                i = None if raised else next(ends, None)
+                i = next(rest, None)
             if i is None:
                 return
-            try:
-                rows[i] = worker(i)
-            except BaseException as exc:
-                raised.append(exc)
+            yield i
+
+    def run():
+        errors.append(_work(worker, taken(), rows))
 
     helpers = [threading.Thread(target=run) for _ in range(workers - 1)]
     for helper in helpers:
         helper.start()
-    run()
+    errors.insert(0, _work(worker, itertools.chain(order[:1], taken()), rows))
     for helper in helpers:
         helper.join()
-    if raised:
-        raise raised[0]
-    return rows
+    return rows, errors
+
+
+# Indices travel as 4-byte records in writes of at most 512 bytes, which
+# POSIX makes atomic on a pipe, so every read of 4 bytes takes one whole
+# record.  An empty pipe holds 4 KB without blocking the writer.
+_RECORD, _ATOMIC_WRITE, _PIPE_HOLDS = 4, 512, 4096
+
+
+def _run_forked(worker, order: list, workers: int):
+    """(rows, errors) of order's indices run on the caller plus workers - 1 forked helpers.
+
+    The caller runs order[0] and hands out the rest through a pipe;
+    each helper sends its rows and its exception back pickled over a pipe
+    of its own and leaves through os._exit.  errors holds the caller's
+    exception first, then each helper's in start order.
+    """
+    records = b"".join(i.to_bytes(_RECORD, "little") for i in order[1:])
+    take, feed = os.pipe()
+    helpers, rows, errors, fed = [], {}, [], False
+    try:
+        for _ in range(workers - 1):
+            back, send = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _helper(worker, take, send, [feed, back, *(fd for _, fd in helpers)])
+            os.close(send)
+            helpers.append((pid, back))
+        fed = True
+        if len(records) <= _PIPE_HOLDS:
+            _feed(feed, records)
+        else:
+            threading.Thread(target=_feed, args=(feed, records), daemon=True).start()
+        errors.append(_work(worker, itertools.chain(order[:1], _taken(take)), rows))
+    finally:
+        if not fed:
+            os.close(feed)
+        try:
+            for pid, back in helpers:
+                helper_rows, error = _reap(pid, back)
+                rows.update(helper_rows)
+                errors.append(error)
+        finally:
+            os.close(take)
+    return rows, errors
+
+
+def _feed(fd: int, records: bytes) -> None:
+    """Write records to the pipe fd in atomic pieces, then close it."""
+    try:
+        for start in range(0, len(records), _ATOMIC_WRITE):
+            os.write(fd, records[start:start + _ATOMIC_WRITE])
+    except OSError:
+        pass  # every reader has gone: the study was interrupted
+    finally:
+        os.close(fd)
+
+
+def _taken(fd: int):
+    """The indices read from the pipe fd until it is closed and empty."""
+    while record := os.read(fd, _RECORD):
+        yield int.from_bytes(record, "little")
+
+
+def _helper(worker, take: int, send: int, inherited: list) -> None:
+    """A forked helper's whole life: run the indices it takes, send (rows, error), exit."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        rows = {}
+        error = _work(worker, _taken(take), rows)
+        try:
+            if error is not None:
+                pickle.loads(pickle.dumps(error))
+            payload = pickle.dumps((rows, error))
+        except Exception as exc:
+            bad = exc if error is None else error
+            payload = pickle.dumps(({}, RuntimeError(f"{type(bad).__name__}: {bad}")))
+        with open(send, "wb") as out:
+            out.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int, back: int):
+    """The (rows, error) a forked helper sent over the pipe back, once it has exited."""
+    try:
+        with open(back, "rb") as inp:
+            payload = inp.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status != 0:  # a helper exits 0 only once its whole payload is sent
+        return {}, RuntimeError(f"trial helper {pid} ended without its rows (wait status {status})")
+    return pickle.loads(payload)
 
 
 @cache
@@ -356,7 +486,7 @@ def _openblas_threads():
 class _OneBlasThread:
     """Holds OpenBLAS at one thread while any holder is inside; the last one out restores it.
 
-    Trial threads supply the parallelism: BLAS threads on top of them
+    Trial workers supply the parallelism: BLAS threads on top of them
     oversubscribe the cores, and rf rows round differently under another
     BLAS thread count.  Holders are counted under a lock, so of two studies
     running at once the first to finish leaves the count at one.
@@ -934,7 +1064,7 @@ def run_study(config: ExperimentConfig, threads: int = 1) -> StudyResult:
     An audit adds complexity estimates and the deviation bound to the scale
     study's rows; trial seeds match, so the shared columns agree row for row.
     A study that reads quadrature draws its one rule here, and every trial
-    sums it.  Trials run on `threads` threads with OpenBLAS held at one.
+    sums it.  Trials run on `threads` workers with OpenBLAS held at one.
     """
     if not _is_int(threads) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import select
 import subprocess
 import sys
 import threading
@@ -636,72 +637,243 @@ class TestQuadratureRule:
         assert sorted(bases) == [k * _SEED_STRIDE for k in range(1, len(bases) + 1)]
 
 
+class Stop(BaseException):
+    """Module level, so a forked helper can send it back whole."""
+
+
+class Unloadable(BaseException):
+    """Pickles, but unpickling calls it with its one arg and fails."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}, {why}")
+
+
+def _on_second_thread(call):
+    """call() run on a second thread, where the runner's helpers are threads; its value.
+
+    A 1 us switch interval makes the threads hand the GIL over often, and
+    every helper thread must have been joined when call returns.
+    """
+    out = {}
+
+    def target():
+        before = threading.active_count()
+        try:
+            out["value"] = call()
+        except BaseException as exc:
+            out["error"] = exc
+        out["threads left"] = threading.active_count() - before
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        starter = threading.Thread(target=target)
+        starter.start()
+        starter.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not starter.is_alive()
+    assert out["threads left"] == 0
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+# The caller's thread decides the helpers: on the only thread they are forked
+# processes, beside another thread they are threads.
+RUNNERS = {"processes": lambda call: call(), "threads": _on_second_thread}
+
+
+def _who() -> tuple:
+    return os.getpid(), threading.get_ident()
+
+
+class _Signal:
+    """A pipe a helper writes to and the caller waits on; forked helpers share it too."""
+
+    def __init__(self):
+        self.read_fd, self.write_fd = os.pipe()
+
+    def set(self):
+        os.write(self.write_fd, b"x")
+
+    def wait(self):
+        assert select.select([self.read_fd], [], [], 30)[0], "no helper ran a trial"
+
+    def close(self):
+        os.close(self.read_fd)
+        os.close(self.write_fd)
+
+
+@pytest.fixture
+def signal():
+    pipe = _Signal()
+    yield pipe
+    pipe.close()
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestRunTrials:
+    # Workers report through their return values and an O_APPEND log file, which
+    # forked helpers reach as well as threads do; a list they filled would stay
+    # in the helper process.
+    @staticmethod
+    def taken(log) -> list:
+        """(index, pid) of each trial a worker logged, in the order they started."""
+        lines = log.read_text().splitlines() if log.exists() else []
+        return [tuple(map(int, line.split())) for line in lines]
+
+    @staticmethod
+    def logging(log, body):
+        def worker(i):
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, f"{i} {os.getpid()}\n".encode())
+            finally:
+                os.close(fd)
+            return body(i)
+        return worker
+
+    @pytest.mark.parametrize("runner", RUNNERS)
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("count", [0, 1, 2, 7, 8])
-    def test_each_index_runs_once_and_results_keep_index_order(self, threads, count):
-        calls = []
-        lock = threading.Lock()
+    def test_each_index_runs_once_and_results_keep_index_order(self, tmp_path, runner, threads,
+                                                               count):
+        log = tmp_path / "taken.log"
 
-        def worker(i):
-            with lock:
-                calls.append(i)
+        def body(i):
             time.sleep(1e-4 * (i % 3))
-            return {"index": i}
+            return i, _who()
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            results = _run_trials(worker, count, threads)
-        finally:
-            sys.setswitchinterval(interval)
-        assert results == [{"index": i} for i in range(count)]
-        assert sorted(calls) == list(range(count))
+        results = RUNNERS[runner](lambda: _run_trials(self.logging(log, body), count, threads))
+        assert [i for i, _ in results] == list(range(count))
+        taken = [i for i, _ in self.taken(log)]
+        assert sorted(taken) == list(range(count))
         if threads == 1:
-            assert calls == list(range(count))
+            assert taken == list(range(count))
+        _no_child_left()
 
+    @pytest.mark.parametrize("runner", RUNNERS)
     @pytest.mark.parametrize("threads", [2, 3, 5])
     @pytest.mark.parametrize("count", [2, 3, 9])
-    def test_caller_runs_trials_beside_at_most_threads_minus_one_helpers(self, threads, count):
-        ran_on, caller, caller_ran = {}, threading.get_ident(), threading.Event()
+    def test_caller_runs_trials_beside_at_most_threads_minus_one_helpers(
+            self, signal, runner, threads, count):
+        caller = []
 
         def worker(i):
-            # helpers hold their first index until the caller has run one; the caller
-            # finds one left, since helpers number fewer than the indices
-            ran_on[i] = threading.get_ident()
-            if ran_on[i] == caller:
-                caller_ran.set()
-            assert caller_ran.wait(timeout=30)
+            # the caller's first trial waits until a helper has run one
+            if _who() == caller[0]:
+                signal.wait()
+            else:
+                signal.set()
+            return _who()
+
+        def run():
+            caller.append(_who())
+            return _run_trials(worker, count, threads)
+
+        ran_by = set(RUNNERS[runner](run))
+        assert caller[0] in ran_by and len(ran_by) >= 2
+        assert len(ran_by) <= min(threads, count)
+        pids = {pid for pid, _ in ran_by}
+        assert len(pids) == (len(ran_by) if runner == "processes" else 1)
+        _no_child_left()
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_helper_base_exception_comes_back_with_its_type_and_args(
+            self, tmp_path, signal, runner):
+        log, caller = tmp_path / "taken.log", []
+
+        def body(i):
+            if _who() == caller[0]:
+                signal.wait()
+                time.sleep(0.01)  # the raising helper takes the rest meanwhile
+                return i
+            signal.set()
+            raise Stop("helper stopped", 7)
+
+        def run():
+            caller.append(_who())
+            return _run_trials(self.logging(log, body), 50, 2)
+
+        with pytest.raises(Stop) as raised:
+            RUNNERS[runner](run)
+        assert raised.value.args == ("helper stopped", 7)
+        taken = self.taken(log)
+        assert len(taken) < 50  # no worker took a new index after the raise
+        if runner == "processes":
+            assert [pid for _, pid in taken].count(os.getpid()) == len(taken) - 1
+        _no_child_left()
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    @pytest.mark.parametrize("exc_type", [Stop, KeyboardInterrupt])
+    def test_callers_own_exception_propagates_as_the_same_object(self, runner, exc_type):
+        stop, caller = exc_type("caller stopped"), []
+
+        def worker(i):
+            if _who() == caller[0]:
+                raise stop
             return i
 
-        before = threading.active_count()
-        assert _run_trials(worker, count, threads) == list(range(count))
-        assert caller in ran_on.values()
-        assert len(set(ran_on.values())) <= min(threads, count)
-        assert threading.active_count() == before
+        def run():
+            caller.append(_who())
+            return _run_trials(worker, 9, 3)
 
-    def test_helper_base_exception_propagates_as_the_same_object(self):
-        class Stop(BaseException):
+        with pytest.raises(exc_type) as raised:
+            RUNNERS[runner](run)
+        assert raised.value is stop
+        _no_child_left()
+
+    @pytest.mark.parametrize("sends", ["local exception", "unloadable exception", "row"])
+    def test_what_a_helper_cannot_pickle_comes_back_as_a_runtime_error(self, signal, sends):
+        class Local(BaseException):
             pass
 
-        stop, caller = Stop("helper stopped"), threading.get_ident()
-        helper_ran = threading.Event()
-        taken = []
+        caller = os.getpid()
 
         def worker(i):
-            taken.append(i)
-            if threading.get_ident() == caller:
-                assert helper_ran.wait(timeout=30)
+            if os.getpid() == caller:
+                signal.wait()
                 return i
-            helper_ran.set()
-            raise stop
+            signal.set()
+            if sends == "local exception":
+                raise Local("no pickle")
+            if sends == "unloadable exception":
+                raise Unloadable("no", "load")
+            return lambda: i
 
-        before = threading.active_count()
-        with pytest.raises(Stop) as raised:
-            _run_trials(worker, 50, 2)
-        assert raised.value is stop
-        assert len(taken) < 50  # no worker took a new index after the raise
-        assert threading.active_count() == before
+        match = {"local exception": "^Local: no pickle$",
+                 "unloadable exception": "^Unloadable: no, load$", "row": "pickle"}[sends]
+        with pytest.raises(RuntimeError, match=match):
+            _run_trials(worker, 9, 2)
+        _no_child_left()
+
+    def test_a_long_order_reaches_the_helpers(self):
+        # more indices than an empty pipe holds at once, so a thread feeds the rest
+        results = _run_trials(lambda i: (i, os.getpid()), 5000, 2)
+        assert [i for i, _ in results] == list(range(5000))
+        _no_child_left()
+
+    def test_a_study_run_while_a_module_imports_completes(self, tmp_path):
+        # forked helpers inherit the import lock the importing caller holds
+        (tmp_path / "audit_on_import.py").write_text(
+            "from minterp import ExperimentConfig, run_study\n"
+            "config = ExperimentConfig(kind='bound-audit', model='two-layer', d_grid=(2,),\n"
+            "                          n_grid=(8, 16), trials=2, n_atoms=8, quadrature=20_000,\n"
+            "                          m1=16, m_per_n=16, n_test=100, rad_draws=4)\n"
+            "SAME = run_study(config, threads=2).rows == run_study(config, threads=1).rows\n"
+        )
+        src = str(Path(experiments.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [str(tmp_path), src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import audit_on_import; assert audit_on_import.SAME"],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_row_exception_becomes_an_error_cell(self):
         def body(i):
