@@ -2,8 +2,9 @@
 
 Every run is a pure function of (config, master seed).  Each trial draws
 its randomness from a seed derived from its index, trials run on the
-caller plus helper processes or threads, and rows are merged in trial
-order, so output bytes are identical across runs and across worker counts.
+caller plus helpers, forked processes or threads that share one protocol,
+and rows are merged in trial order, so output bytes are identical across
+runs, across worker counts and across helper kinds.
 OpenBLAS is held at one thread while a study runs, so they do not depend
 on the caller's BLAS thread count either.  A failed trial records
 its error in the row instead of aborting the run; summaries use only the
@@ -313,19 +314,52 @@ def _run_trials(worker, count: int, threads: int) -> list:
     Python thread, and threads otherwise: a fork beside a live thread can
     copy a lock that thread holds into the child, held for good.  run_study
     calls this inside one_blas_thread, so no BLAS thread is live either.
-    Workers take indices alternately from the two ends (last, first,
-    second to last, ...), the caller the first of them.  Rows go small n
-    first, so a large trial runs beside a small one.  After the first
-    exception no worker takes a new index; every helper is joined or
-    reaped and that exception is raised: the caller's own, else a
-    helper's.
+    Only the start and the wait differ between the kinds.  Once every
+    helper has started, the caller fills one pipe with the indices taken
+    alternately from the two ends (last, first, second to last, ...), runs
+    the first itself, and every worker takes the rest from the pipe; rows
+    go small n first, so a large trial runs beside a small one.  Helpers
+    send their rows and exception back pickled.  After the first exception
+    no worker takes a new index; every helper is waited for and that
+    exception is raised: the caller's own, else the first helper's in start
+    order.  A failed start feeds no index and is raised once the helpers
+    already started have ended.
     """
     workers = min(threads, count)
     if workers <= 1:
         return [worker(i) for i in range(count)]
     order = [i for pair in zip(reversed(range(count)), range(count)) for i in pair][:count]
-    forked = hasattr(os, "fork") and threading.active_count() == 1
-    rows, errors = (_run_forked if forked else _run_threaded)(worker, order, workers)
+    start = _fork if hasattr(os, "fork") and threading.active_count() == 1 else _thread
+    records = b"".join(i.to_bytes(_RECORD, "little") for i in order[1:])
+    take, feed = os.pipe()
+    helpers, rows, errors, fed = [], {}, [], False
+    try:
+        for _ in range(workers - 1):
+            back, send = os.pipe()
+            try:
+                wait = start(worker, take, send, [feed, back, *(fd for fd, _ in helpers)])
+            except BaseException:
+                os.close(back)
+                os.close(send)
+                raise
+            helpers.append((back, wait))
+        if len(records) <= _PIPE_HOLDS:
+            fed = True
+            _feed(feed, records)
+        else:
+            threading.Thread(target=_feed, args=(feed, records), daemon=True).start()
+            fed = True
+        errors.append(_work(worker, itertools.chain(order[:1], _taken(take)), rows))
+    finally:
+        if not fed:
+            os.close(feed)
+        try:
+            for back, wait in helpers:
+                helper_rows, error = _reap(back, wait)
+                rows.update(helper_rows)
+                errors.append(error)
+        finally:
+            os.close(take)
     for error in errors:
         if error is not None:
             raise error
@@ -348,76 +382,10 @@ def _work(worker, indices, rows: dict):
     return None
 
 
-def _run_threaded(worker, order: list, workers: int):
-    """(rows, errors) of order's indices run on the caller plus workers - 1 helper threads.
-
-    The caller runs order[0] and the threads share the rest under a lock;
-    errors holds the caller's exception first.
-    """
-    rest, lock, rows, errors = iter(order[1:]), threading.Lock(), {}, []
-
-    def taken():
-        while True:
-            with lock:
-                i = next(rest, None)
-            if i is None:
-                return
-            yield i
-
-    def run():
-        errors.append(_work(worker, taken(), rows))
-
-    helpers = [threading.Thread(target=run) for _ in range(workers - 1)]
-    for helper in helpers:
-        helper.start()
-    errors.insert(0, _work(worker, itertools.chain(order[:1], taken()), rows))
-    for helper in helpers:
-        helper.join()
-    return rows, errors
-
-
 # Indices travel as 4-byte records in writes of at most 512 bytes, which
 # POSIX makes atomic on a pipe, so every read of 4 bytes takes one whole
 # record.  An empty pipe holds 4 KB without blocking the writer.
 _RECORD, _ATOMIC_WRITE, _PIPE_HOLDS = 4, 512, 4096
-
-
-def _run_forked(worker, order: list, workers: int):
-    """(rows, errors) of order's indices run on the caller plus workers - 1 forked helpers.
-
-    The caller runs order[0] and hands out the rest through a pipe;
-    each helper sends its rows and its exception back pickled over a pipe
-    of its own and leaves through os._exit.  errors holds the caller's
-    exception first, then each helper's in start order.
-    """
-    records = b"".join(i.to_bytes(_RECORD, "little") for i in order[1:])
-    take, feed = os.pipe()
-    helpers, rows, errors, fed = [], {}, [], False
-    try:
-        for _ in range(workers - 1):
-            back, send = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _helper(worker, take, send, [feed, back, *(fd for _, fd in helpers)])
-            os.close(send)
-            helpers.append((pid, back))
-        fed = True
-        if len(records) <= _PIPE_HOLDS:
-            _feed(feed, records)
-        else:
-            threading.Thread(target=_feed, args=(feed, records), daemon=True).start()
-        errors.append(_work(worker, itertools.chain(order[:1], _taken(take)), rows))
-    finally:
-        if not fed:
-            os.close(feed)
-        try:
-            for pid, back in helpers:
-                helper_rows, error = _reap(pid, back)
-                rows.update(helper_rows)
-                errors.append(error)
-        finally:
-            os.close(take)
-    return rows, errors
 
 
 def _feed(fd: int, records: bytes) -> None:
@@ -437,12 +405,36 @@ def _taken(fd: int):
         yield int.from_bytes(record, "little")
 
 
-def _helper(worker, take: int, send: int, inherited: list) -> None:
-    """A forked helper's whole life: run the indices it takes, send (rows, error), exit."""
-    code = 1
-    try:
-        for fd in inherited:
-            os.close(fd)
+def _thread(worker, take: int, send: int, inherited: list):
+    """Start a helper thread running _serve; returns its join.  It keeps the shared inherited."""
+    helper = threading.Thread(target=_serve, args=(worker, take, send))
+    helper.start()
+    return helper.join
+
+
+def _fork(worker, take: int, send: int, inherited: list):
+    """Fork a helper that runs _serve and exits 1 if it raised; returns the wait for its status."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            for fd in inherited:
+                os.close(fd)
+            _serve(worker, take, send)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(send)
+    return lambda: os.waitpid(pid, 0)[1]
+
+
+def _serve(worker, take: int, send: int) -> None:
+    """A helper's work: run the indices it takes, send (rows, error) pickled, close send.
+
+    An error that does not survive a pickle round trip, or rows that do
+    not pickle, go back as a RuntimeError naming the type and message.
+    """
+    with open(send, "wb") as out:
         rows = {}
         error = _work(worker, _taken(take), rows)
         try:
@@ -452,22 +444,18 @@ def _helper(worker, take: int, send: int, inherited: list) -> None:
         except Exception as exc:
             bad = exc if error is None else error
             payload = pickle.dumps(({}, RuntimeError(f"{type(bad).__name__}: {bad}")))
-        with open(send, "wb") as out:
-            out.write(payload)
-        code = 0
-    finally:
-        os._exit(code)
+        out.write(payload)
 
 
-def _reap(pid: int, back: int):
-    """The (rows, error) a forked helper sent over the pipe back, once it has exited."""
+def _reap(back: int, wait):
+    """The (rows, error) a helper sent over the pipe back, once wait() has seen it end."""
     try:
         with open(back, "rb") as inp:
             payload = inp.read()
     finally:
-        status = os.waitpid(pid, 0)[1]
-    if status != 0:  # a helper exits 0 only once its whole payload is sent
-        return {}, RuntimeError(f"trial helper {pid} ended without its rows (wait status {status})")
+        status = wait()
+    if status or not payload:  # a fork that did not finish _serve, or a thread whose _serve raised
+        return {}, RuntimeError(f"a trial helper ended without its rows (wait status {status})")
     return pickle.loads(payload)
 
 

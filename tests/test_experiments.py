@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -638,7 +639,7 @@ class TestQuadratureRule:
 
 
 class Stop(BaseException):
-    """Module level, so a forked helper can send it back whole."""
+    """Module level, so that it pickles and a helper can send it back whole."""
 
 
 class Unloadable(BaseException):
@@ -715,6 +716,24 @@ def signal():
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _fail_second_start(monkeypatch, runner) -> BaseException:
+    """Make the runner's second helper start raise, as a full process or thread table would."""
+    if runner == "processes":
+        owner, name, fault = os, "fork", BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+    else:
+        owner, name, fault = threading.Thread, "start", RuntimeError("can't start new thread")
+    real, starts = getattr(owner, name), []
+
+    def failing(*args):
+        starts.append(args)
+        if len(starts) > 1:
+            raise fault
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, failing)
+    return fault
 
 
 class TestRunTrials:
@@ -828,15 +847,17 @@ class TestRunTrials:
         assert raised.value is stop
         _no_child_left()
 
+    @pytest.mark.parametrize("runner", RUNNERS)
     @pytest.mark.parametrize("sends", ["local exception", "unloadable exception", "row"])
-    def test_what_a_helper_cannot_pickle_comes_back_as_a_runtime_error(self, signal, sends):
+    def test_what_a_helper_cannot_pickle_comes_back_as_a_runtime_error(self, signal, runner,
+                                                                        sends):
         class Local(BaseException):
             pass
 
-        caller = os.getpid()
+        caller = []
 
         def worker(i):
-            if os.getpid() == caller:
+            if _who() == caller[0]:
                 signal.wait()
                 return i
             signal.set()
@@ -846,16 +867,129 @@ class TestRunTrials:
                 raise Unloadable("no", "load")
             return lambda: i
 
+        def run():
+            caller.append(_who())
+            return _run_trials(worker, 9, 2)
+
         match = {"local exception": "^Local: no pickle$",
                  "unloadable exception": "^Unloadable: no, load$", "row": "pickle"}[sends]
         with pytest.raises(RuntimeError, match=match):
+            RUNNERS[runner](run)
+        _no_child_left()
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_a_long_order_reaches_the_helpers(self, runner):
+        # more indices than an empty pipe holds at once, so a thread feeds the rest
+        results = RUNNERS[runner](lambda: _run_trials(lambda i: (i, _who()), 5000, 2))
+        assert [i for i, _ in results] == list(range(5000))
+        _no_child_left()
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_a_helper_that_fails_to_start_is_raised_once_the_started_ones_end(
+            self, tmp_path, monkeypatch, runner):
+        log = tmp_path / "taken.log"
+
+        def run():
+            threads = threading.active_count()
+            fault = _fail_second_start(monkeypatch, runner)
+            with pytest.raises(type(fault)) as raised:
+                _run_trials(self.logging(log, lambda i: time.sleep(1e-3)), 40, 3)
+            assert raised.value is fault
+            time.sleep(0.05)  # a helper left running would log trials meanwhile
+            return threading.active_count() - threads
+
+        assert RUNNERS[runner](run) == 0
+        assert self.taken(log) == []  # a failed start feeds no index, not even the caller's
+        _no_child_left()
+
+    def test_a_feeder_that_fails_to_start_is_raised_once_the_helpers_end(self, monkeypatch):
+        # past what an empty pipe holds a thread feeds the order; its failed start must
+        # still close the pipe, or the forked helper waits on it for good
+        fault = RuntimeError("can't start new thread")
+
+        def failing(thread):
+            raise fault
+
+        monkeypatch.setattr(threading.Thread, "start", failing)
+        with pytest.raises(RuntimeError) as raised:
+            _run_trials(lambda i: i, 5000, 2)
+        assert raised.value is fault
+        _no_child_left()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+    @pytest.mark.parametrize("runner", RUNNERS)
+    @pytest.mark.parametrize("case", ["returns", "helper raises", "caller raises", "start fails"])
+    def test_a_run_leaves_no_fd_open(self, monkeypatch, signal, runner, case):
+        caller = []
+
+        def worker(i):
+            if _who() == caller[0]:
+                signal.wait()
+                if case == "caller raises":
+                    raise Stop("caller stopped")
+            else:
+                signal.set()
+                if case == "helper raises":
+                    raise Stop("helper stopped")
+            return i
+
+        def run():
+            caller.append(_who())
+            if case == "start fails":
+                _fail_second_start(monkeypatch, runner)
+            fds, raised = len(os.listdir("/proc/self/fd")), None
+            try:
+                _run_trials(worker, 9, 3)
+            except BaseException as exc:
+                raised = exc
+            return fds, len(os.listdir("/proc/self/fd")), raised
+
+        before, after, raised = RUNNERS[runner](run)
+        assert after == before
+        assert (raised is None) == (case == "returns")
+        _no_child_left()
+
+    def test_a_forked_helper_that_exits_without_its_rows_names_its_status(self, signal):
+        caller = os.getpid()
+
+        def worker(i):
+            if os.getpid() != caller:
+                signal.set()
+                os._exit(3)
+            signal.wait()
+            return i
+
+        with pytest.raises(RuntimeError, match=r"ended without its rows \(wait status 768\)$"):
             _run_trials(worker, 9, 2)
         _no_child_left()
 
-    def test_a_long_order_reaches_the_helpers(self):
-        # more indices than an empty pipe holds at once, so a thread feeds the rest
-        results = _run_trials(lambda i: (i, os.getpid()), 5000, 2)
-        assert [i for i, _ in results] == list(range(5000))
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_a_helper_that_raises_before_it_sends_frees_the_caller(self, signal, runner):
+        # an error that pickles to nothing and prints nothing makes _serve raise itself
+        class Unsendable(BaseException):
+            def __reduce__(self):
+                raise TypeError("no pickle")
+
+            def __str__(self):
+                raise TypeError("no message")
+
+        caller = []
+
+        def worker(i):
+            if _who() == caller[0]:
+                signal.wait()
+                return i
+            signal.set()
+            raise Unsendable
+
+        def run():
+            caller.append(_who())
+            return _run_trials(worker, 9, 2)
+
+        status = 256 if runner == "processes" else None  # a forked helper exits 1
+        with pytest.raises(RuntimeError, match=rf"without its rows \(wait status {status}\)$"):
+            RUNNERS[runner](run)
         _no_child_left()
 
     def test_a_study_run_while_a_module_imports_completes(self, tmp_path):
