@@ -27,8 +27,7 @@ d = 3
 
 # 1. embedding
 theta = TwoLayerNet(a=rng.standard_normal(8),
-                    B=rng.standard_normal((8, d)),
-                    c=rng.standard_normal(8))
+                    W=np.column_stack([rng.standard_normal((8, d)), rng.standard_normal(8)]))
 deep = embed_two_layer(theta)
 X = rng.uniform(-1, 1, (d, 2000))
 dev = np.abs(two_layer_eval_batch(theta, X) - resnet_eval_batch(deep, X)).max()

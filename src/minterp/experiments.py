@@ -746,8 +746,7 @@ def _verify_embedding(config: ExperimentConfig, threads: int, rule: None):
         m = int(rng.integers(1, 17))
         theta = TwoLayerNet(
             a=rng.standard_normal(m),
-            B=rng.standard_normal((m, d)),
-            c=rng.standard_normal(m),
+            W=np.column_stack([rng.standard_normal((m, d)), rng.standard_normal(m)]),
         )
         embedded = embed_two_layer(theta)
         X = rng_from(derive_seed(config.seed, 2 * t + 1)).uniform(

@@ -223,8 +223,7 @@ def embed_two_layer(theta: TwoLayerNet) -> ResNet:
     U = np.zeros((m, D, 1))
     U[:, D - 1, 0] = theta.a
     W = np.zeros((m, 1, D))
-    W[:, 0, :d] = theta.B
-    W[:, 0, d] = theta.c
+    W[:, 0, : d + 1] = theta.W
     alpha = np.zeros(D)
     alpha[D - 1] = 1.0
     return ResNet(V=canonical_injection(d, D), U=U, W=W, alpha=alpha)

@@ -64,9 +64,8 @@ FILE_KINDS = {
     ),
     "two-layer": FileKind(
         TwoLayerNet, "model_two_layer.json", ("d", "m"), {"neurons": 2},
-        pack=lambda net: {"neurons": np.column_stack([net.a, net.B, net.c]).tolist()},
-        unpack=lambda v: TwoLayerNet(
-            a=v["neurons"][:, 0], B=v["neurons"][:, 1:-1], c=v["neurons"][:, -1]),
+        pack=lambda net: {"neurons": np.column_stack([net.a, net.W]).tolist()},
+        unpack=lambda v: TwoLayerNet(a=v["neurons"][:, 0], W=v["neurons"][:, 1:]),
     ),
     "resnet": FileKind(
         ResNet, "model_resnet.json", ("d", "L", "D", "m"),

@@ -36,23 +36,18 @@ _RETRY_DRAWS = 32
 
 @dataclass(frozen=True, eq=False)
 class TwoLayerNet:
-    """Width-m ReLU network f(x) = (1/m) sum_j a_j relu(b_j . x + c_j)."""
+    """Width-m ReLU network f(x) = (1/m) sum_j a_j relu(b_j . x + c_j); W's rows are (b_j, c_j)."""
 
     a: np.ndarray
-    B: np.ndarray
-    c: np.ndarray
+    W: np.ndarray
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
-        B = np.asarray(self.B, dtype=float)
-        c = np.asarray(self.c, dtype=float)
-        if a.ndim != 1 or c.shape != a.shape or B.ndim != 2 or B.shape[0] != a.shape[0]:
-            raise ValueError(
-                f"expected a (m,), B (m, d), c (m,), got {a.shape}, {B.shape}, {c.shape}"
-            )
+        W = np.asarray(self.W, dtype=float)
+        if a.ndim != 1 or W.ndim != 2 or W.shape[0] != a.shape[0] or W.shape[1] < 1:
+            raise ValueError(f"expected a (m,) and W (m, d+1), got {a.shape}, {W.shape}")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "W", W)
 
     @property
     def m(self) -> int:
@@ -60,7 +55,7 @@ class TwoLayerNet:
 
     @property
     def d(self) -> int:
-        return self.B.shape[1]
+        return self.W.shape[1] - 1
 
 
 def two_layer_eval_batch(theta: TwoLayerNet, X: np.ndarray) -> np.ndarray:
@@ -68,14 +63,14 @@ def two_layer_eval_batch(theta: TwoLayerNet, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != theta.d:
         raise ValueError(f"expected X of shape ({theta.d}, n), got {X.shape}")
-    return _feature_sum(theta.a, np.column_stack([theta.B, theta.c]), X) / theta.m
+    return _feature_sum(theta.a, theta.W, X) / theta.m
 
 
 def path_norm(theta: TwoLayerNet) -> float:
     """(1/m) sum_j |a_j| (||b_j||_1 + |c_j|)."""
-    return float(
-        np.mean(np.abs(theta.a) * (np.abs(theta.B).sum(axis=1) + np.abs(theta.c)))
-    )
+    # |c_j| joins after the sum over b_j: a sum over the row rounds otherwise once d + 1 >= 8
+    W = np.abs(theta.W)
+    return float(np.mean(np.abs(theta.a) * (W[:, :-1].sum(axis=1) + W[:, -1])))
 
 
 def sum_networks(theta1: TwoLayerNet, theta2: TwoLayerNet) -> TwoLayerNet:
@@ -90,8 +85,7 @@ def sum_networks(theta1: TwoLayerNet, theta2: TwoLayerNet) -> TwoLayerNet:
     total = theta1.m + theta2.m
     return TwoLayerNet(
         a=np.concatenate([theta1.a * (total / theta1.m), theta2.a * (total / theta2.m)]),
-        B=np.concatenate([theta1.B, theta2.B], axis=0),
-        c=np.concatenate([theta1.c, theta2.c]),
+        W=np.concatenate([theta1.W, theta2.W]),
     )
 
 
@@ -166,7 +160,7 @@ def fit_residual_net(
 
     sqm = math.sqrt(m)
     a_hat, image = min_norm_solve(gram, sqm * r)
-    net = TwoLayerNet(a=sqm * a_hat, B=W[:, :-1], c=W[:, -1])
+    net = TwoLayerNet(a=sqm * a_hat, W=W)
 
     sigma_scaled = smallest_singular_value(gram) / sqm
     r_norm = float(np.linalg.norm(r))
@@ -186,12 +180,13 @@ def fit_residual_net(
 
 @dataclass(frozen=True, eq=False)
 class TeacherFit:
-    """approximate_teacher output: the subsampled network and its fit report."""
+    """approximate_teacher output: the subsampled network, its fit report and its values on X."""
 
     net: TwoLayerNet
     empirical_risk: float
     path_norm: float
     draw_index: int
+    fitted: np.ndarray
 
 
 def approximate_teacher(f: TeacherFunction, m1: int, X: np.ndarray, seed: int) -> TeacherFit:
@@ -202,7 +197,7 @@ def approximate_teacher(f: TeacherFunction, m1: int, X: np.ndarray, seed: int) -
     empirical risk on X; the risk decays like 1/m1.  Every draw is a
     multiset of the same atoms, so each is scored from its atom counts
     against the atoms' values a_k relu(w_k . (x, 1)), computed once; only
-    the chosen net is built, and its risk is evaluated from the net.
+    the chosen net is built, and its values on X give its risk.
     """
     X = np.asarray(X, dtype=float)
     if m1 < 1:
@@ -218,9 +213,11 @@ def approximate_teacher(f: TeacherFunction, m1: int, X: np.ndarray, seed: int) -
     scores = np.mean((counts @ atoms / m1 - targets) ** 2, axis=1)
     t = int(np.argmin(scores))
     idx = draws[t]
-    net = TwoLayerNet(a=f.coefficients[idx], B=f.directions[idx, :-1], c=f.directions[idx, -1])
-    risk = 0.5 * float(np.mean((two_layer_eval_batch(net, X) - targets) ** 2))
-    return TeacherFit(net=net, empirical_risk=risk, path_norm=path_norm(net), draw_index=t)
+    net = TwoLayerNet(a=f.coefficients[idx], W=f.directions[idx])
+    fitted = two_layer_eval_batch(net, X)
+    risk = 0.5 * float(np.mean((fitted - targets) ** 2))
+    return TeacherFit(net=net, empirical_risk=risk, path_norm=path_norm(net), draw_index=t,
+                      fitted=fitted)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,7 +258,7 @@ def interpolate_two_layer(
     """
     X, y = data.X, data.y
     fit1 = approximate_teacher(f, m1, X, derive_seed(seed, 1))
-    r = y - two_layer_eval_batch(fit1.net, X)
+    r = y - fit1.fitted
     fit2 = fit_residual_net(X, r, m2, lambda_target, seed=derive_seed(seed, 2))
     net = sum_networks(fit1.net, fit2.net)
     teacher_upper = barron_norm_upper(f)

@@ -66,7 +66,7 @@ def approximate_teacher_draws(f, m1: int, X: np.ndarray, seed: int, n_retry_draw
     draws = []
     for t in range(n_retry_draws):
         idx = rng_from(derive_seed(seed, t)).integers(0, f.n_atoms, size=m1)
-        net = TwoLayerNet(a=f.coefficients[idx], B=f.directions[idx, :-1], c=f.directions[idx, -1])
+        net = TwoLayerNet(a=f.coefficients[idx], W=f.directions[idx])
         risk = 0.5 * float(np.mean((two_layer_eval_batch(net, X) - targets) ** 2))
         live_counts = tuple(np.bincount(idx, minlength=f.n_atoms)[live])
         draws.append((t, net, risk, live_counts))
@@ -80,7 +80,7 @@ def two_layer_eval(theta, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (theta.d,):
         raise ValueError(f"expected x of shape ({theta.d},), got {x.shape}")
-    pre = theta.B @ x + theta.c
+    pre = theta.W[:, :-1] @ x + theta.W[:, -1]
     return float(theta.a @ np.maximum(pre, 0.0) / theta.m)
 
 
@@ -173,8 +173,7 @@ def embed_two_layer_stacks(theta) -> tuple[np.ndarray, np.ndarray]:
         U = np.zeros((D, 1))
         U[D - 1, 0] = theta.a[j]
         W = np.zeros((1, D))
-        W[0, :d] = theta.B[j]
-        W[0, d] = theta.c[j]
+        W[0, : d + 1] = theta.W[j]
         Us.append(U)
         Ws.append(W)
     return np.stack(Us), np.stack(Ws)

@@ -54,7 +54,7 @@ from minterp.experiments import (
 from minterp.serialize import load_json, read_file
 
 from _oracles import bootstrap_slope_ci_loop
-from _workloads import load_workloads
+from _workloads import load_workloads, smoke_config
 
 
 _SMALL = dict(d_grid=(2,), n_grid=(8,), trials=3, seed=11, quadrature=20_000, n_atoms=8)
@@ -67,31 +67,9 @@ def make_config(lemma="resnet-add", **kwargs):
     return ExperimentConfig(kind="verify-lemma", lemma=lemma, **{**small, **kwargs})
 
 
-# Smoke sizes per lemma or model; each sets only keys its studies read.
-_SMOKE_SIZES = {
-    "kernel-approx": dict(n_grid=(6,), quadrature=2000),
-    "krr-bound": dict(n_grid=(6,), quadrature=2000, n_atoms=8),
-    "min-norm-rf": dict(n_grid=(6,), quadrature=2000, n_atoms=8, m_cap=256),
-    "fit-rand-label": dict(n_grid=(6,), quadrature=20_000, m2=512),
-    "two-layer-composite": dict(n_grid=(6,), quadrature=20_000, n_atoms=8, m1=16, m2=256),
-    "resnet-add": dict(L_grid=(4,)),
-    "embedding": dict(),
-    "rf": dict(n_grid=(8, 16), n_atoms=8, m_per_n=4, n_test=100),
-    "two-layer": dict(n_grid=(8, 16), n_atoms=8, quadrature=20_000, m1=16, m_per_n=16, n_test=100),
-    "resnet": dict(n_grid=(8, 16), L_grid=(64, 128), n_atoms=8, quadrature=20_000, m1=8,
-                   n_test=100),
-}
 STUDIES = list(STUDY_KEYS)
 STUDY_IDS = [f"{kind}:{name}" for kind, name in STUDIES]
 FAMILY_STUDIES = [study for study in STUDIES if "family" in STUDY_KEYS[study]]
-
-
-def smoke_config(study):
-    kind, name = study
-    own = {"lemma" if kind == "verify-lemma" else "model": name}
-    audit = {"rad_draws": 4} if kind == "bound-audit" and name in ("rf", "two-layer") else {}
-    return ExperimentConfig(kind=kind, d_grid=(2,), seed=5, trials=1, **own,
-                            **_SMOKE_SIZES[name], **audit)
 
 
 # A value other than the default for every key a study may leave unread.

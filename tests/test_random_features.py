@@ -412,7 +412,7 @@ class TestTiledFeatureSum:
         assert np.all(np.abs(got - want) <= feature_sum_gap_bound(a, Wf, X, relu=False) / m)
 
         W = RELU.sample_params(d, m, seed)
-        net = TwoLayerNet(a=a, B=W[:, :-1], c=W[:, -1])
+        net = TwoLayerNet(a=a, W=W)
         want = RELU.features(W, X) @ a / m
         bound = feature_sum_gap_bound(a, W, X) / m
         for got in (RandomFeatureModel(family=RELU, params=W, coefficients=a).predict(X),
@@ -465,7 +465,7 @@ class TestTiledFeatureSum:
         a = np.random.default_rng(42).standard_normal(m)
         X = np.random.default_rng(43).uniform(-1, 1, (4, n))
         model = RandomFeatureModel(family=RELU, params=W, coefficients=a)
-        net = TwoLayerNet(a=a, B=W[:, :-1], c=W[:, -1])
+        net = TwoLayerNet(a=a, W=W)
         for evaluate in (model.predict, partial(two_layer_eval_batch, net)):
             tracemalloc.start()
             try:

@@ -149,8 +149,7 @@ class TestEmbedTwoLayer:
         rng = np.random.default_rng(10)
         theta = TwoLayerNet(
             a=rng.standard_normal(9),
-            B=rng.standard_normal((9, 3)),
-            c=rng.standard_normal(9),
+            W=np.column_stack([rng.standard_normal((9, 3)), rng.standard_normal(9)]),
         )
         embedded = embed_two_layer(theta)
         assert embedded.L == 9
@@ -166,8 +165,7 @@ class TestEmbedTwoLayer:
     def test_stacks_match_per_layer_construction(self):
         theta = TwoLayerNet(
             a=np.array([2.0, -1.5, 0.0]),
-            B=np.array([[0.5, -0.5], [1.0, 2.0], [-3.0, 0.25]]),
-            c=np.array([0.25, -1.0, 4.0]),
+            W=np.array([[0.5, -0.5, 0.25], [1.0, 2.0, -1.0], [-3.0, 0.25, 4.0]]),
         )
         embedded = embed_two_layer(theta)
         U, W = embed_two_layer_stacks(theta)
@@ -177,9 +175,7 @@ class TestEmbedTwoLayer:
         assert_array_equal(embedded.W[1, 0], [1.0, 2.0, -1.0, 0.0])
 
     def test_single_neuron(self):
-        theta = TwoLayerNet(
-            a=np.array([2.0]), B=np.array([[0.5, -0.5]]), c=np.array([0.25])
-        )
+        theta = TwoLayerNet(a=np.array([2.0]), W=np.array([[0.5, -0.5, 0.25]]))
         embedded = embed_two_layer(theta)
         x = np.array([0.4, -0.8])
         assert resnet_eval(embedded, x) == pytest.approx(
@@ -190,7 +186,8 @@ class TestEmbedTwoLayer:
 def random_two_layer(m, d, seed):
     rng = rng_from(seed)
     return TwoLayerNet(
-        a=rng.standard_normal(m), B=rng.uniform(-1, 1, (m, d)), c=rng.uniform(-1, 1, m)
+        a=rng.standard_normal(m),
+        W=np.column_stack([rng.uniform(-1, 1, (m, d)), rng.uniform(-1, 1, m)]),
     )
 
 

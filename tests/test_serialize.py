@@ -63,13 +63,11 @@ class TestRoundTrips:
         rng = np.random.default_rng(23)
         theta = TwoLayerNet(
             a=rng.standard_normal(4),
-            B=rng.standard_normal((4, 3)),
-            c=rng.standard_normal(4),
+            W=np.column_stack([rng.standard_normal((4, 3)), rng.standard_normal(4)]),
         )
         back = from_dict(to_dict(theta))
         assert_array_equal(back.a, theta.a)
-        assert_array_equal(back.B, theta.B)
-        assert_array_equal(back.c, theta.c)
+        assert_array_equal(back.W, theta.W)
 
     def test_resnet_canonical_injection_omitted(self):
         net = random_resnet(d=2, L=3, D=4, m=2, scale=0.4, seed=24)
@@ -153,8 +151,7 @@ def resnets(draw):
 @st.composite
 def two_layer_nets(draw):
     d, m = draw(st.integers(1, 3)), draw(st.integers(1, 5))
-    return TwoLayerNet(a=draw(float_arrays((m,))), B=draw(float_arrays((m, d))),
-                       c=draw(float_arrays((m,))))
+    return TwoLayerNet(a=draw(float_arrays((m,))), W=draw(float_arrays((m, d + 1))))
 
 
 @st.composite
@@ -182,10 +179,11 @@ class TestJsonRoundTripsAreExact:
 
     @settings(max_examples=40, deadline=None)
     @given(net=two_layer_nets())
-    @example(net=TwoLayerNet(a=EDGE, B=np.outer(EDGE, [1.0, 0.5]), c=EDGE[::-1]))
+    @example(net=TwoLayerNet(
+        a=EDGE, W=np.column_stack([np.outer(EDGE, [1.0, 0.5]), EDGE[::-1]])))
     def test_two_layer(self, net):
         back = through_json(net)
-        for name in ("a", "B", "c"):
+        for name in ("a", "W"):
             assert_array_equal(getattr(back, name), getattr(net, name))
 
     @settings(max_examples=40, deadline=None)
@@ -207,7 +205,7 @@ class TestDetectModelKind:
             params=fam.sample_params(3, 4, seed=27),
             coefficients=np.zeros(4),
         )
-        net2 = TwoLayerNet(a=np.ones(2), B=np.zeros((2, 3)), c=np.zeros(2))
+        net2 = TwoLayerNet(a=np.ones(2), W=np.zeros((2, 4)))
         resnet = random_resnet(d=2, L=2, D=3, m=1, scale=0.3, seed=28)
         cases = {
             "teacher": to_dict(teacher),
@@ -410,6 +408,17 @@ class TestMutatedFiles:
         for command in (("gen-data", "@teacher"), ("norms", "@teacher")):
             err = _fails_cleanly(capsys, cli_files, tmp_path, command, "teacher", obj)
             assert err.startswith("error: teacher file: expected coefficients")
+
+    def test_two_layer_one_column_rejected(self, capsys, cli_files, tmp_path):
+        # each row is (a_j, b_j, c_j): a lone column is not both a and c, but d = 0 still loads
+        obj = {"d": 0, "m": 2, "neurons": [[0.5], [0.25]]}
+        with pytest.raises(ValueError, match="two-layer file: "):
+            from_dict(obj, "two-layer")
+        err = _fails_cleanly(capsys, cli_files, tmp_path, ("norms", "@two-layer"), "two-layer",
+                             obj)
+        assert err.startswith("error: two-layer file: expected a (m,) and W (m, d+1)")
+        net = from_dict({"d": 0, "m": 2, "neurons": [[0.5, 1.0], [0.25, -1.0]]}, "two-layer")
+        assert (net.d, net.m) == (0, 2)
 
 
 def test_readme_file_table_matches_file_kinds():

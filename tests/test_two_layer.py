@@ -32,8 +32,7 @@ def random_net(m, d, seed):
     rng = np.random.default_rng(seed)
     return TwoLayerNet(
         a=rng.standard_normal(m),
-        B=rng.standard_normal((m, d)),
-        c=rng.standard_normal(m),
+        W=np.column_stack([rng.standard_normal((m, d)), rng.standard_normal(m)]),
     )
 
 
@@ -42,7 +41,7 @@ class TestEvalAndNorm:
         net = random_net(6, 3, seed=0)
         x = np.array([0.2, -0.5, 0.7])
         want = sum(
-            net.a[j] * max(net.B[j] @ x + net.c[j], 0.0) for j in range(6)
+            net.a[j] * max(net.W[j, :-1] @ x + net.W[j, -1], 0.0) for j in range(6)
         ) / 6
         assert two_layer_eval(net, x) == pytest.approx(want, rel=1e-12)
 
@@ -64,15 +63,14 @@ class TestEvalAndNorm:
     def test_path_norm_hand_example(self):
         net = TwoLayerNet(
             a=np.array([2.0, -3.0]),
-            B=np.array([[0.5, -0.5], [1.0, 0.0]]),
-            c=np.array([0.25, -1.0]),
+            W=np.array([[0.5, -0.5, 0.25], [1.0, 0.0, -1.0]]),
         )
         want = (2.0 * (1.0 + 0.25) + 3.0 * (1.0 + 1.0)) / 2
         assert path_norm(net) == pytest.approx(want)
 
     def test_outer_scaling_homogeneity(self):
         net = random_net(4, 2, seed=3)
-        scaled = TwoLayerNet(a=-2.5 * net.a, B=net.B, c=net.c)
+        scaled = TwoLayerNet(a=-2.5 * net.a, W=net.W)
         x = np.array([0.3, 0.4])
         assert two_layer_eval(scaled, x) == pytest.approx(-2.5 * two_layer_eval(net, x))
         assert path_norm(scaled) == pytest.approx(2.5 * path_norm(net))
@@ -216,9 +214,10 @@ class TestApproximateTeacher:
         fit = approximate_teacher(f, m1, X, seed=seed + 1)
         t, net, risk = approximate_teacher_draws(f, m1, X, seed + 1)
         assert fit.draw_index == t
-        for got, want in ((fit.net.a, net.a), (fit.net.B, net.B), (fit.net.c, net.c)):
+        for got, want in ((fit.net.a, net.a), (fit.net.W, net.W)):
             np.testing.assert_array_equal(got, want)
         assert fit.empirical_risk == risk
+        np.testing.assert_array_equal(fit.fitted, two_layer_eval_batch(net, X))
 
     def test_path_norm_bounded_by_max_coeff(self):
         f = make_teacher(2, 6, seed=32)
