@@ -1,7 +1,8 @@
 """Command-line harness for dataset generation, fitting, and experiment suites.
 
-Config files are JSON objects whose keys are ExperimentConfig fields; the
---seed / --out flags, and the study commands' --trials, override the file.
+Config files are JSON objects whose keys are ExperimentConfig fields; --seed,
+and the study commands' --trials, override the file.  --out (the output
+directory) and --threads are run settings outside the config.
 Every output embeds the resolved config and the package version, and identical
 (config, seed) pairs produce byte-identical files regardless of --threads.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -53,13 +53,13 @@ def _add_study(parser: argparse.ArgumentParser) -> None:
 def _load_config(args, **forced) -> ExperimentConfig:
     obj = load_json(args.config) if args.config else {}
     if isinstance(obj, dict):  # from_dict rejects anything else
-        flags = {"seed": args.seed, "trials": args.trials, "out": args.out}
+        flags = {"seed": args.seed, "trials": args.trials}
         obj = {**obj, **{k: v for k, v in flags.items() if v is not None}, **forced}
     return ExperimentConfig.from_dict(obj)
 
 
-def _out_dir(config: ExperimentConfig) -> Path:
-    out = Path(config.out or ".")
+def _out_dir(args) -> Path:
+    out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -67,7 +67,7 @@ def _out_dir(config: ExperimentConfig) -> Path:
 def _cmd_gen_teacher(args) -> int:
     config = _load_config(args)
     teacher = make_teacher(config.d_grid[0], config.n_atoms, derive_seed(config.seed, 0))
-    print(f"wrote {write_file(_out_dir(config), teacher)}")
+    print(f"wrote {write_file(_out_dir(args), teacher)}")
     return 0
 
 
@@ -77,7 +77,7 @@ def _cmd_gen_data(args) -> int:
         raise ValueError(f"gen-data draws one sample size, got n_grid {config.n_grid}")
     teacher = read_file(args.teacher, "teacher")
     data = sample_dataset(teacher, config.n_grid[0], derive_seed(config.seed, 1))
-    print(f"wrote {write_file(_out_dir(config), data)}")
+    print(f"wrote {write_file(_out_dir(args), data)}")
     return 0
 
 
@@ -111,16 +111,13 @@ def _cmd_fit(args) -> int:
     if args.model != "rf" and args.teacher is None:
         raise ValueError(f"fit {args.model} needs a teacher file")
     teacher = None if args.teacher is None else read_file(args.teacher, "teacher")
-    # The fitted family comes from the command line, and a fit runs no study, so the
-    # file's study rules do not apply to it; the echo keeps the file's config.  The
-    # quadrature rule is drawn at the dataset's d, which the file's d_grid need not name.
+    # The quadrature rule is drawn at the dataset's d, which the file's d_grid need not name.
     with one_blas_thread:
         fit = fit_model(
-            replace(config, kind="verify-lemma", lemma=None, model=args.model),
-            data, teacher, config.m2, derive_seed(config.seed, 2), derive_seed(config.seed, 3),
-            None if args.model == "rf" else study_rule(config, data.d),
+            config, args.model, data, teacher, config.m2, derive_seed(config.seed, 2),
+            derive_seed(config.seed, 3), None if args.model == "rf" else study_rule(config, data.d),
         )
-    out = _out_dir(config)
+    out = _out_dir(args)
     model_path = write_file(out, fit.model)
     report = {"kind": args.model}
     report.update((key, attrgetter(attr)(fit.fit))
@@ -152,7 +149,7 @@ def _cmd_study(args) -> int:
         forced["lemma"] = args.lemma
     config = _load_config(args, **forced)
     result = run_study(config, threads=args.threads)
-    for path in write_study(result, _out_dir(config)):
+    for path in write_study(result, _out_dir(args)):
         print(f"wrote {path}")
     print(f"{_STUDY_NOTES[args.kind](result)} over {len(result.rows)} rows "
           f"({result.failures} failures)")
@@ -182,7 +179,7 @@ def _cmd_norms(args) -> int:
     row = {"net_id": net_id, **{key: getattr(net, key) for key in shape},
            norm_name: norm(net), "eval_checksum": float(np.sum(evaluate(net, X)))}
 
-    path = _out_dir(config) / "norms.csv"
+    path = _out_dir(args) / "norms.csv"
     write_csv(path, ["net_id", *shape, norm_name, "eval_checksum"], [row], config.echo(), VERSION)
     print(f"wrote {path}")
     print(f"norms {net_id}: {norm_name}={row[norm_name]!r} eval_checksum={row['eval_checksum']!r}")

@@ -142,8 +142,7 @@ class ExperimentConfig:
     two-layer, one L_grid depth per n for resnet, DEFAULT_M_GRID for
     kernel-approx.  A lemma suite reads one n (resnet-add one depth), and a
     resnet study whose residual depth min(L, L_cap - m1) is below some n is
-    rejected, since every such row would fail.  `out` is a destination,
-    never echoed.
+    rejected, since every such row would fail.
     """
 
     kind: str = "verify-lemma"
@@ -155,7 +154,6 @@ class ExperimentConfig:
     trials: int = 20
     delta: float = 0.1
     seed: int = 0
-    out: str | None = None
     family: str = RELU_L1SPHERE
     gamma: float = 1.0
     n_atoms: int = 64
@@ -199,8 +197,6 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be a real number, got {value!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.out is not None and not isinstance(self.out, str):
-            raise ValueError(f"out must be a directory path, got {self.out!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         for key in _COUNT_KEYS:
@@ -216,7 +212,7 @@ class ExperimentConfig:
         if keys is None:
             return
         for f in fields(self):
-            if f.name not in keys and f.name != "out" and getattr(self, f.name) != f.default:
+            if f.name not in keys and getattr(self, f.name) != f.default:
                 inert = f.name in STUDY_KEYS[self._study()]
                 under = f" under family {self.family}" if inert else ""
                 raise ValueError(
@@ -274,8 +270,8 @@ class ExperimentConfig:
         return cls(**obj)
 
     def echo(self) -> dict:
-        """The keys the study reads (all but `out` without a study), JSON-ready."""
-        names = self.keys_read() or [f.name for f in fields(self) if f.name != "out"]
+        """The keys the study reads (every key without a study), JSON-ready."""
+        names = self.keys_read() or [f.name for f in fields(self)]
         echoed = {}
         for name in names:
             value = getattr(self, name)
@@ -877,17 +873,19 @@ STUDY_KEYS = {
 
 
 def fit_model(
-    config: ExperimentConfig, data: Dataset, teacher: TeacherFunction | None,
+    config: ExperimentConfig, model: str, data: Dataset, teacher: TeacherFunction | None,
     width: int, fit_seed: int, approx_seed: int, rule: QuadratureRule | None = None,
 ) -> ModelFit:
-    """Minimum-norm interpolant of config.model on data; rf needs no teacher.
+    """Minimum-norm interpolant of the family `model` on data; rf needs no teacher.
 
     width is m for rf, the residual width m2 for two-layer and the added
     depth for resnet (capped at L_cap - m1); approx_seed draws the resnet's
     teacher discretization.  rule is the ReLU quadrature rule (study_rule)
     that two-layer and resnet sum for lambda_ref; rf reads none.
     """
-    return _STUDIES[config.model][0](config, data, teacher, width, fit_seed, approx_seed, rule)
+    if model not in MODELS:
+        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
+    return _STUDIES[model][0](config, data, teacher, width, fit_seed, approx_seed, rule)
 
 
 def study_rule(config: ExperimentConfig, d: int) -> QuadratureRule:
@@ -974,7 +972,7 @@ def _scale_engine(config: ExperimentConfig, threads: int, audit: bool,
         n, t = heads[j]["n"], heads[j]["trial"]
         teacher, data = _teacher_data(config, n, _TEACHER_BASE + t, _DATA_BASE + j)
         fit = fit_model(
-            config, data, teacher, heads[j]["m_or_L"],
+            config, config.model, data, teacher, heads[j]["m_or_L"],
             derive_seed(config.seed, _FIT_BASE + j),
             derive_seed(config.seed, _TEACHER_BASE + j), rule,
         )

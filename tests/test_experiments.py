@@ -107,10 +107,8 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="unknown config keys: m_grid$"):
             ExperimentConfig.from_dict({"kind": "scale-study", "m_grid": [64]})
 
-    def test_echo_excludes_out_and_listifies_grids(self):
-        cfg = ExperimentConfig(n_grid=(8, 16), out="/tmp/somewhere")
-        echo = cfg.echo()
-        assert "out" not in echo
+    def test_echo_listifies_grids(self):
+        echo = ExperimentConfig(n_grid=(8, 16)).echo()
         assert echo["n_grid"] == [8, 16]
         assert echo["seed"] == 0
 
@@ -338,7 +336,7 @@ class TestStudyTable:
     def test_unread_key_off_its_default_rejected(self, study):
         config = smoke_config(study)
         unread = [f for f in fields(ExperimentConfig)
-                  if f.name not in STUDY_KEYS[study] and f.name != "out"]
+                  if f.name not in STUDY_KEYS[study]]
         assert unread
         for f in unread:
             with pytest.raises(ValueError, match=f"does not read {f.name};"):
@@ -1195,13 +1193,11 @@ class TestBootstrapSlopeCi:
 class TestFitModel:
     @pytest.mark.parametrize("model", MODELS)
     def test_each_family_interpolates_and_brackets_rad(self, model):
-        cfg = ExperimentConfig(
-            model=model, d_grid=(2,), n_grid=(8,), n_atoms=8, m1=16, L_cap=272,
-            quadrature=20_000, rad_draws=4,
-        )
+        cfg = ExperimentConfig(d_grid=(2,), n_grid=(8,), n_atoms=8, m1=16, L_cap=272,
+                               quadrature=20_000, rad_draws=4)
         teacher = make_teacher(2, 8, seed=1)
         data = sample_dataset(teacher, 8, seed=2)
-        fit = fit_model(cfg, data, teacher, 256, fit_seed=3, approx_seed=4,
+        fit = fit_model(cfg, model, data, teacher, 256, fit_seed=3, approx_seed=4,
                         rule=study_rule(cfg, 2))
         assert fit.m_or_L == (16 + 256 if model == "resnet" else 256)
         if model == "resnet":
@@ -1218,13 +1214,11 @@ class TestFitModel:
     @pytest.mark.parametrize("model", MODELS)
     def test_array_records_compare_by_identity(self, model):
         # a field-wise == would compare arrays and raise; hash would hash them
-        cfg = ExperimentConfig(
-            model=model, d_grid=(2,), n_grid=(8,), n_atoms=8, m1=16, L_cap=272,
-            quadrature=20_000, rad_draws=4,
-        )
+        cfg = ExperimentConfig(d_grid=(2,), n_grid=(8,), n_atoms=8, m1=16, L_cap=272,
+                               quadrature=20_000, rad_draws=4)
         teacher = make_teacher(2, 8, seed=1)
         data = sample_dataset(teacher, 8, seed=2)
-        fit = fit_model(cfg, data, teacher, 256, fit_seed=3, approx_seed=4,
+        fit = fit_model(cfg, model, data, teacher, 256, fit_seed=3, approx_seed=4,
                         rule=study_rule(cfg, 2))
         for record in (fit, fit.fit, fit.model, data, teacher):
             twin = replace(record)
@@ -1240,7 +1234,7 @@ class TestFitModel:
         capsys.readouterr()
         config = ExperimentConfig.from_dict(load_json(tmp_path / "config.json"))
         data = read_file(tmp_path / "dataset.json", "dataset")
-        fit = fit_model(config, data, None, config.m2, derive_seed(config.seed, 2), 0)
+        fit = fit_model(config, "rf", data, None, config.m2, derive_seed(config.seed, 2), 0)
         saved = load_json(tmp_path / "model_rf.json")
         assert saved["coefficients"] == [float(v) for v in fit.model.coefficients]
 
@@ -1256,7 +1250,6 @@ class TestWriteStudy:
         assert [p.name for p in paths] == ["verify_resnet_add.csv", "verify_resnet_add_summary.json"]
         report = json.loads(paths[1].read_text())
         assert set(report) == {"version", "config", "summary"}
-        assert "out" not in report["config"]
         header = paths[0].read_text().splitlines()[0]
         assert header.startswith("# config=") and "version=" in header
 
@@ -1369,7 +1362,7 @@ class TestCli:
         ({"n_grid": 8.0}, "n_grid must be an integer or a list of integers, got 8.0"),
         ({"n_grid": None}, "n_grid must be an integer or a list of integers, got None"),
         ([1, 2], "a config must be a JSON object, got list"),
-        ({"out": 5}, "out must be a directory path, got 5"),
+        ({"out": "work"}, "unknown config keys: out"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, bad, message):
         cfg = tmp_path / "bad.json"

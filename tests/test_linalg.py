@@ -368,11 +368,11 @@ def _count_factorizations(monkeypatch) -> dict:
 
 class TestOneFactorizationPerFit:
     def test_rf_fit_lambda_ref_and_rad_share_one_eigh(self, monkeypatch):
-        cfg = ExperimentConfig(model="rf", d_grid=(2,), n_grid=(8,), n_atoms=8, rad_draws=4)
+        cfg = ExperimentConfig(d_grid=(2,), n_grid=(8,), n_atoms=8, rad_draws=4)
         teacher = make_teacher(2, 8, seed=1)
         data = sample_dataset(teacher, 8, seed=2)
         calls = _count_factorizations(monkeypatch)
-        fit = fit_model(cfg, data, teacher, 256, fit_seed=3, approx_seed=4)
+        fit = fit_model(cfg, "rf", data, teacher, 256, fit_seed=3, approx_seed=4)
         fit.rad_bounds(5)
         assert not fit.threshold_met  # lambda_ref = sigma_min^2 / m sets the width threshold
         assert calls == {"gram": 1, "eigh": 1, "eigvalsh": 0, "svd": 0}
