@@ -122,7 +122,7 @@ def _cmd_fit(args) -> int:
     report = {"kind": args.model}
     report.update((key, attrgetter(attr)(fit.fit))
                   for key, attr in _FIT_OUTPUTS[args.model].items())
-    report_path = out / "fit_report.json"
+    report_path = out / f"fit_report_{args.model.replace('-', '_')}.json"
     write_json_report(
         report_path, {"version": VERSION, "config": config.echo(), "report": report}
     )
@@ -179,7 +179,7 @@ def _cmd_norms(args) -> int:
     row = {"net_id": net_id, **{key: getattr(net, key) for key in shape},
            norm_name: norm(net), "eval_checksum": float(np.sum(evaluate(net, X)))}
 
-    path = _out_dir(args) / "norms.csv"
+    path = _out_dir(args) / f"norms_{net_id}.csv"
     write_csv(path, ["net_id", *shape, norm_name, "eval_checksum"], [row], config.echo(), VERSION)
     print(f"wrote {path}")
     print(f"norms {net_id}: {norm_name}={row[norm_name]!r} eval_checksum={row['eval_checksum']!r}")

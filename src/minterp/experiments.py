@@ -883,8 +883,6 @@ def fit_model(
     teacher discretization.  rule is the ReLU quadrature rule (study_rule)
     that two-layer and resnet sum for lambda_ref; rf reads none.
     """
-    if model not in MODELS:
-        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
     return _STUDIES[model][0](config, data, teacher, width, fit_seed, approx_seed, rule)
 
 

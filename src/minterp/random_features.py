@@ -311,12 +311,14 @@ def reference_lambda_min(X: np.ndarray, rule: QuadratureRule) -> float:
 
 
 def kernel_empirical(Phi) -> np.ndarray:
-    """K^m = Phi Phi^T / m, symmetrized, from the G of Phi (n, m), its source or its GramFactor."""
+    """K^m = Phi Phi^T / m from the G of Phi (n, m), its source or its GramFactor.
+
+    Exactly symmetric: numpy computes each block's B @ B^T as one triangle and mirrors it.
+    """
     gram = GramFactor.of(Phi)
     if 0 in gram.shape:
         raise ValueError(f"expected a nonempty (n, m) matrix, got shape {gram.shape}")
-    K = gram.G / gram.shape[1]
-    return (K + K.T) / 2.0
+    return gram.G / gram.shape[1]
 
 
 def ridgeless_coefficients(K: np.ndarray, y: np.ndarray) -> tuple:

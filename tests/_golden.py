@@ -2,8 +2,8 @@
 
 ``generate(out)`` writes every output of the corpus into ``out``: the smoke bound audits of
 the benchmark's three workloads at seed 0, the seven lemma suites at their smoke sizes, the
-CLI quickstart chain (``gen-teacher``, ``gen-data``, ``fit`` for each model, ``norms`` on the
-teacher and on each model file) and ``environment.json``, which names the numpy and BLAS
+CLI quickstart chain into one directory (``gen-teacher``, ``gen-data``, ``fit`` for each model,
+``norms`` on the teacher and on each model file) and ``environment.json``, which names the numpy and BLAS
 builds.  ``tests/test_golden.py`` generates into a temporary directory and compares.  A change
 that means to move outputs regenerates the corpus and names the drift of each file:
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from minterp import ExperimentConfig, run_study, write_study
 from minterp.cli import main
-from minterp.experiments import VERIFY_SELECTORS
+from minterp.experiments import MODELS, VERIFY_SELECTORS
 
 from _workloads import load_workloads, smoke_config
 
@@ -73,11 +73,10 @@ def generate(out: Path) -> None:
     _cli("gen-teacher", "--config", cfg, "--out", cli)
     _cli("gen-data", cli / "teacher.json", "--config", cfg, "--out", cli)
     _cli("norms", cli / "teacher.json", "--out", cli)
-    for model, filename in (("rf", "model_rf.json"), ("two-layer", "model_two_layer.json"),
-                            ("resnet", "model_resnet.json")):
+    for model in MODELS:
         teacher = [] if model == "rf" else [cli / "teacher.json"]
-        _cli("fit", model, cli / "dataset.json", *teacher, "--config", cfg, "--out", cli / model)
-        _cli("norms", cli / model / filename, "--out", cli / model)
+        _cli("fit", model, cli / "dataset.json", *teacher, "--config", cfg, "--out", cli)
+        _cli("norms", cli / f"model_{model.replace('-', '_')}.json", "--out", cli)
     (out / ENVIRONMENT).write_text(json.dumps(environment(), indent=1, sort_keys=True) + "\n")
 
 

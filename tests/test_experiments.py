@@ -985,6 +985,27 @@ class TestRunTrials:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_a_fresh_audit_imports_no_pool_modules_and_leaves_nothing_running(self):
+        # numpy.ma costs 14-18 ms on first use; the runner forks its helpers or starts
+        # threads, so neither concurrent.futures nor multiprocessing is needed
+        script = (
+            "import os, sys, threading, minterp\n"
+            "minterp.run_study(minterp.ExperimentConfig(kind='bound-audit', model='rf',\n"
+            "    d_grid=(2,), n_grid=(8, 16, 32, 64), trials=2, m_per_n=8, n_test=100), threads=2)\n"
+            "try:\n"
+            "    child = os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    child = None\n"
+            "print(sorted(m for m in ('numpy.ma', 'concurrent.futures', 'multiprocessing')\n"
+            "             if m in sys.modules), threading.active_count(), child)\n"
+        )
+        src = str(Path(experiments.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[] 1 None\n"
+
     def test_row_exception_becomes_an_error_cell(self):
         def body(i):
             if i == 1:
@@ -1289,23 +1310,41 @@ class TestCli:
         assert main(["fit", "rf", data, *out]) == 0
         assert main(["fit", "two-layer", data, teacher, *out]) == 0
         assert main(["fit", "resnet", data, teacher, *out]) == 0
-        for name in ("model_rf.json", "model_two_layer.json", "model_resnet.json",
-                     "fit_report.json"):
-            assert (tmp_path / name).exists()
+        for kind in ("rf", "two_layer", "resnet"):
+            assert (tmp_path / f"model_{kind}.json").exists()
+            report = json.loads((tmp_path / f"fit_report_{kind}.json").read_text())
+            assert report["report"]["kind"] == kind.replace("_", "-")
+            assert report["report"]["interp_error"] <= 1e-8
 
         assert main(["norms", str(tmp_path / "model_resnet.json"), *out]) == 0
-        lines = (tmp_path / "norms.csv").read_text().splitlines()
+        lines = (tmp_path / "norms_model_resnet.csv").read_text().splitlines()
         assert lines[1] == "net_id,L,D,m,weighted_path_norm,eval_checksum"
         assert lines[2].startswith("model_resnet,")
 
         assert main(["norms", str(tmp_path / "model_two_layer.json"), *out]) == 0
-        lines = (tmp_path / "norms.csv").read_text().splitlines()
+        lines = (tmp_path / "norms_model_two_layer.csv").read_text().splitlines()
         assert lines[1] == "net_id,m,d,path_norm,eval_checksum"
-
-        report = json.loads((tmp_path / "fit_report.json").read_text())
-        assert report["report"]["kind"] == "resnet"
-        assert report["report"]["interp_error"] <= 1e-8
+        assert lines[2].startswith("model_two_layer,")
+        assert (tmp_path / "norms_model_resnet.csv").exists()
         capsys.readouterr()
+
+    def test_fits_and_norms_in_one_directory_keep_every_output(self, workdir, capsys):
+        # each fit report and norms file is named after its model, as the model files are
+        tmp_path, cfg = workdir
+        out = ["--config", cfg, "--out", str(tmp_path)]
+        assert main(["gen-teacher", *out]) == 0
+        teacher = str(tmp_path / "teacher.json")
+        assert main(["gen-data", teacher, *out]) == 0
+        assert main(["fit", "rf", str(tmp_path / "dataset.json"), *out]) == 0
+        assert main(["fit", "two-layer", str(tmp_path / "dataset.json"), teacher, *out]) == 0
+        for model in ("model_rf.json", "model_two_layer.json"):
+            assert main(["norms", str(tmp_path / model), *out]) == 0
+        capsys.readouterr()
+        reports = sorted(tmp_path.glob("fit_report*.json"))
+        assert [json.loads(p.read_text())["report"]["kind"] for p in reports] == ["rf", "two-layer"]
+        tables = sorted(tmp_path.glob("norms*.csv"))
+        assert [p.read_text().splitlines()[2].split(",")[0] for p in tables] == [
+            "model_rf", "model_two_layer"]
 
     def test_verify_subcommand(self, tmp_path, capsys):
         out = str(tmp_path)
@@ -1398,7 +1437,7 @@ class TestCli:
         rc = main(["fit", "resnet", str(tmp_path / "dataset.json"),
                    str(tmp_path / "teacher.json"), *out])
         assert rc == 0, capsys.readouterr().err
-        report = json.loads((tmp_path / "fit_report.json").read_text())["report"]
+        report = json.loads((tmp_path / "fit_report_resnet.json").read_text())["report"]
         assert report["L"] == max(ExperimentConfig().m1, 256)
         assert report["interp_error"] <= 1e-8
 
@@ -1414,7 +1453,7 @@ class TestCli:
         rc = main(["fit", "two-layer", str(tmp_path / "dataset.json"),
                    str(tmp_path / "teacher.json"), "--config", str(study), "--out", str(tmp_path)])
         assert rc == 0, capsys.readouterr().err
-        report = json.loads((tmp_path / "fit_report.json").read_text())
+        report = json.loads((tmp_path / "fit_report_two_layer.json").read_text())
         assert report["report"]["kind"] == "two-layer"
         assert report["config"]["family"] == "random_fourier"
 
@@ -1429,7 +1468,7 @@ class TestCli:
         rc = main(["fit", "two-layer", str(tmp_path / "dataset.json"),
                    str(tmp_path / "teacher.json"), "--config", str(fit_cfg), "--out", str(tmp_path)])
         assert rc == 0, capsys.readouterr().err
-        report = json.loads((tmp_path / "fit_report.json").read_text())
+        report = json.loads((tmp_path / "fit_report_two_layer.json").read_text())
         assert report["config"]["d_grid"] == [4]
         assert report["report"]["interp_error"] <= 1e-8 and report["report"]["lambda_target"] > 0
 

@@ -269,6 +269,16 @@ class TestKernels:
         Km = kernel_empirical(Phi)
         assert_allclose(Km, Phi @ Phi.T / 64, rtol=1e-12)
         assert smallest_eigenvalue(Km) >= -1e-12
+        # G is a sum of B @ B.T products, each one triangle mirrored, so no pass symmetrizes it;
+        # the ReLU source spans several column blocks at n = 129
+        X = np.random.default_rng(16).uniform(-1, 1, (3, 129))
+        cosine = FeatureFamily(tag=RANDOM_FOURIER, gamma=1.5)
+        sources = [np.random.default_rng(14).standard_normal((129, 3000)),
+                   RELU.feature_source(RELU.sample_params(3, 5000, seed=17), X),
+                   cosine.feature_source(cosine.sample_params(3, 3000, seed=18), X)]
+        for source in sources:
+            Km = kernel_empirical(source)
+            assert np.array_equal(Km, Km.T)
 
     def test_empirical_converges_to_exact(self):
         X = np.random.default_rng(15).uniform(-1, 1, (3, 8))
