@@ -2,10 +2,11 @@
 
 ``generate(out)`` writes every output of the corpus into ``out``: the smoke bound audits of
 the benchmark's three workloads at seed 0, the seven lemma suites at their smoke sizes, the
-CLI quickstart chain into one directory (``gen-teacher``, ``gen-data``, ``fit`` for each model,
-``norms`` on the teacher and on each model file) and ``environment.json``, which names the numpy and BLAS
-builds.  ``tests/test_golden.py`` generates into a temporary directory and compares.  A change
-that means to move outputs regenerates the corpus and names the drift of each file:
+CLI quickstart chain into one directory (``gen-teacher``, ``gen-data``, ``fit`` for each
+model, ``norms`` on the teacher and on each model file) and ``environment.json``, which names
+the numpy and BLAS builds.  ``tests/test_golden.py`` generates into a temporary directory
+and compares.  A change that means to move outputs regenerates the corpus and names the
+drift of each file:
 
     PYTHONPATH=src python tests/_golden.py
 """

