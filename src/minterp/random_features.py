@@ -23,6 +23,7 @@ from .linalg import (
     ColumnBlocks,
     GramFactor,
     _check_symmetric,
+    _feature_sum,
     min_norm_solve,
     smallest_eigenvalue,
 )
@@ -38,11 +39,6 @@ _QUADRATURE_CHUNK = 65536
 # Rows of the feature buffer kernel_exact fills per product; at n = 128 the
 # (1024, n) float64 buffer is 1 MB and stays in a 2 MB L2.
 _QUADRATURE_SUB_BLOCK = 1024
-# Rows and columns of each tile _feature_sum multiplies out: one (256, 256)
-# float64 pre-activation tile is 512 KB and stays in L2.  Two row tiles go
-# through each numpy call, so a call holds about 1 MB of work between its
-# release and retake of the GIL, enough for two trial threads to overlap.
-_FEATURE_TILE = 256
 
 
 @dataclass(frozen=True)
@@ -123,6 +119,8 @@ class RandomFeatureModel:
             raise ValueError(
                 f"expected params (m, d+1) and coefficients (m,), got {W.shape} and {a.shape}"
             )
+        if not len(a):
+            raise ValueError("a random-feature model needs at least one feature, got 0")
         object.__setattr__(self, "params", W)
         object.__setattr__(self, "coefficients", a)
 
@@ -146,61 +144,6 @@ class RandomFeatureModel:
             raise ValueError(f"expected inputs of shape ({self.d}, n), got {X.shape}")
         relu = self.family.tag == RELU_L1SPHERE
         return _feature_sum(self.coefficients, self.params, X, relu=relu) / self.m
-
-
-def _feature_sum(a: np.ndarray, W: np.ndarray, X: np.ndarray, relu: bool = True) -> np.ndarray:
-    """sum_j a_j phi(W_j . (x, 1)) at every column x of X, without any 1/m prefactor.
-
-    W is the augmented (m, d+1) weight matrix; phi is relu, or cos when
-    relu is False.  X is walked in _FEATURE_TILE-column tiles with a row of
-    ones appended, so the bias sits inside the product, and each tile is
-    multiplied by _FEATURE_TILE-row weight tiles, two at a time in stacked
-    products: the working set is one (2, _FEATURE_TILE, _FEATURE_TILE)
-    pre-activation array, whatever m and n.  The stacked products multiply
-    each tile as a product of its own would, and the two tile sums join
-    the accumulator in row order, so the pairing leaves every bit as it
-    was with one tile per call.  The rows past the last full pair go one
-    tile at a time.  The input tile, the pre-activation tiles and the
-    tiles' weighted sums are contiguous views of three buffers allocated
-    once per call.  relu sums through relu(t) = (t + |t|) / 2: the tiles
-    sum a_j |t_j|, and the linear half is one (d+1)-vector product,
-    (a^T W) . (x, 1), per call.
-    """
-    d, n = X.shape
-    m = W.shape[0]
-    paired = m - m % (2 * _FEATURE_TILE)
-    W_pairs = W[:paired].reshape(-1, 2, _FEATURE_TILE, d + 1)
-    a_pairs = a[:paired].reshape(-1, 2, 1, _FEATURE_TILE)
-    phi = np.abs if relu else np.cos
-    out = np.zeros(n)
-    xt_buf = np.empty((d + 1) * min(_FEATURE_TILE, n))
-    pre_buf = np.empty(min(2 * _FEATURE_TILE, m) * min(_FEATURE_TILE, n))
-    sum_buf = np.empty(2 * min(_FEATURE_TILE, n))
-    for start in range(0, n, _FEATURE_TILE):
-        cols = min(_FEATURE_TILE, n - start)
-        Xt = xt_buf[: (d + 1) * cols].reshape(d + 1, cols)
-        Xt[:d] = X[:, start : start + cols]
-        Xt[d] = 1.0
-        acc = out[start : start + cols]
-        if paired:
-            pre = pre_buf[: 2 * _FEATURE_TILE * cols].reshape(2, _FEATURE_TILE, cols)
-            sums = sum_buf[: 2 * cols].reshape(2, 1, cols)
-            for Wp, ap in zip(W_pairs, a_pairs):
-                phi(np.matmul(Wp, Xt, out=pre), out=pre)
-                np.matmul(ap, pre, out=sums)
-                acc += sums[0, 0]
-                acc += sums[1, 0]
-        tile_sum = sum_buf[:cols]
-        for row in range(paired, m, _FEATURE_TILE):
-            Wt = W[row : row + _FEATURE_TILE]
-            pre = np.matmul(Wt, Xt, out=pre_buf[: len(Wt) * cols].reshape(len(Wt), cols))
-            phi(pre, out=pre)
-            acc += np.matmul(a[row : row + _FEATURE_TILE], pre, out=tile_sum)
-    if relu:
-        u = a @ W
-        out += u[:d] @ X + u[d]
-        out *= 0.5
-    return out
 
 
 @dataclass(frozen=True)
@@ -273,9 +216,10 @@ def kernel_exact(
     t = w . (x, 1) contributes
     relu(t) relu(t') + relu(-t) relu(-t') = (t t' + |t| |t'|) / 2, so
     K = ((X; 1)^T M (X; 1) + sum |F|^T |F|) / (2 Q) with M = sum w w^T
-    over the draws.  Each _QUADRATURE_SUB_BLOCK-row block
-    F = W_blk @ (X; 1) is written into one reused buffer, made absolute in
-    place and accumulated as F^T F; nothing is allocated per block.
+    over the draws.  The sum over |F| is GramFactor's block Gram sum:
+    each _QUADRATURE_SUB_BLOCK-row block F = W_blk @ (X; 1) is written into
+    one reused buffer, made absolute in place and handed over as the column
+    block |F|^T, so no block allocates a feature array of its own.
     """
     X = np.asarray(X, dtype=float)
     d, n = X.shape
@@ -291,14 +235,14 @@ def kernel_exact(
         raise ValueError(f"quadrature rule of d={rule.d} for inputs of d={d}")
     Xt = np.vstack([X, np.ones((1, n))])
     pairs = len(rule.pairs)
-    K = np.zeros((n, n))
-    gram = np.empty((n, n))
     buf = np.empty((min(_QUADRATURE_SUB_BLOCK, pairs), n))
-    for start in range(0, pairs, _QUADRATURE_SUB_BLOCK):
-        F = buf[: min(_QUADRATURE_SUB_BLOCK, pairs - start)]
-        np.matmul(rule.pairs[start : start + _QUADRATURE_SUB_BLOCK], Xt, out=F)
-        np.abs(F, out=F)
-        K += np.matmul(F.T, F, out=gram)
+
+    def abs_features(start, stop):
+        F = np.matmul(rule.pairs[start:stop], Xt, out=buf[: stop - start])
+        return np.abs(F, out=F).T
+
+    K = GramFactor(ColumnBlocks((n, pairs), abs_features, _QUADRATURE_SUB_BLOCK)).G
+    gram = np.empty((n, n))
     K += np.matmul(Xt.T, rule.M @ Xt, out=gram)
     K /= 2.0 * rule.Q
     np.add(K, K.T, out=gram)  # (K + K^T) / 2 with no third (n, n) array

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .random_features import _feature_sum
+from .linalg import _feature_sum
 from .sampling import Dataset
 from .seeding import derive_seed, rng_from
 from .two_layer import ResidualFit, TwoLayerNet, fit_residual_net

@@ -14,19 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _feature_sum
 from .seeding import derive_seed, rng_from
 
 _L1_TOL = 1e-12
-# Columns per tile of teacher_eval_batch: at 64 atoms one (64, 512) atom
-# tile is 256 KB, so a 4096-point test risk holds no (64, 4096) arrays.
-_TEACHER_TILE = 512
 # Index of the uint32 holding a float64's sign bit in a uint32 view.
 _HIGH_WORD = 1 if sys.byteorder == "little" else 0
 
 
 @dataclass(frozen=True, eq=False)
 class TeacherFunction:
-    """Finite-atom target: coefficients (K,) and unit-l1 directions (K, d+1), d >= 1."""
+    """Finite-atom target: coefficients (K,) and unit-l1 directions (K, d+1), K >= 1, d >= 1."""
 
     coefficients: np.ndarray
     directions: np.ndarray
@@ -37,6 +35,8 @@ class TeacherFunction:
         if a.ndim != 1 or w.ndim != 2 or w.shape[0] != a.shape[0] or w.shape[1] < 2:
             raise ValueError(f"expected coefficients (K,) and directions (K, d+1) with "
                              f"d+1 >= 2, got {a.shape} and {w.shape}")
+        if not len(a):
+            raise ValueError("a teacher needs at least one atom, got 0")
         norms = np.abs(w).sum(axis=1)
         if not np.all(np.abs(norms - 1.0) <= _L1_TOL):
             worst = int(np.argmax(np.abs(norms - 1.0)))
@@ -169,24 +169,11 @@ def sup_norm_upper(f: TeacherFunction) -> float:
 
 
 def teacher_eval_batch(f: TeacherFunction, X: np.ndarray) -> np.ndarray:
-    """Evaluate the teacher at every column of X (shape (d, n)), _TEACHER_TILE columns at a time.
-
-    An input of at most one tile takes one product, the whole-array one.
-    """
+    """Evaluate the teacher at every column of X (shape (d, n)) with the tiled kernel _feature_sum."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != f.d:
         raise ValueError(f"expected X of shape ({f.d}, n), got {X.shape}")
-    out = np.empty(X.shape[1])
-    for start in range(0, X.shape[1], _TEACHER_TILE):
-        tile = slice(start, start + _TEACHER_TILE)
-        np.matmul(f.coefficients, _atom_relu(f, X[:, tile]), out=out[tile])
-    out /= f.n_atoms
-    return out
-
-
-def _atom_relu(f: TeacherFunction, X: np.ndarray) -> np.ndarray:
-    """relu(w_k . (x, 1)) for every atom k and column x of X, shape (K, n)."""
-    return np.maximum(f.directions[:, :-1] @ X + f.directions[:, -1][:, None], 0.0)
+    return _feature_sum(f.coefficients, f.directions, X) / f.n_atoms
 
 
 def sample_dataset(f: TeacherFunction, n: int, seed: int) -> Dataset:

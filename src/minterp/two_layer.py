@@ -15,12 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConcentrationFailureError, UnderParametrizedError
-from .linalg import GramFactor, min_norm_solve, smallest_eigenvalue, smallest_singular_value
-from .random_features import FeatureFamily, RELU_L1SPHERE, _feature_sum, kernel_empirical
+from .linalg import (
+    GramFactor,
+    _feature_sum,
+    min_norm_solve,
+    smallest_eigenvalue,
+    smallest_singular_value,
+)
+from .random_features import FeatureFamily, RELU_L1SPHERE, kernel_empirical
 from .sampling import (
     Dataset,
     TeacherFunction,
-    _atom_relu,
     barron_norm_upper,
     sample_l1_sphere,
     teacher_eval_batch,
@@ -46,6 +51,8 @@ class TwoLayerNet:
         W = np.asarray(self.W, dtype=float)
         if a.ndim != 1 or W.ndim != 2 or W.shape[0] != a.shape[0] or W.shape[1] < 1:
             raise ValueError(f"expected a (m,) and W (m, d+1), got {a.shape}, {W.shape}")
+        if not len(a):
+            raise ValueError("a network needs at least one neuron, got 0")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "W", W)
 
@@ -205,7 +212,7 @@ def approximate_teacher(f: TeacherFunction, m1: int, X: np.ndarray, seed: int) -
     if X.ndim != 2 or X.shape[0] != f.d:
         raise ValueError(f"expected X of shape ({f.d}, n), got {X.shape}")
     targets = teacher_eval_batch(f, X)
-    atoms = f.coefficients[:, None] * _atom_relu(f, X)
+    atoms = f.coefficients[:, None] * FeatureFamily(tag=RELU_L1SPHERE).features(f.directions, X).T
 
     draws = [rng_from(derive_seed(seed, t)).integers(0, f.n_atoms, size=m1)
              for t in range(_RETRY_DRAWS)]

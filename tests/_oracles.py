@@ -10,7 +10,8 @@ import numpy as np
 
 from minterp.complexity import _is_tie, _mean_se
 from minterp.experiments import _fit_slope
-from minterp.random_features import _FEATURE_TILE, _QUADRATURE_CHUNK, RELU_L1SPHERE
+from minterp.linalg import _FEATURE_TILE
+from minterp.random_features import _QUADRATURE_CHUNK, RELU_L1SPHERE
 from minterp.sampling import teacher_eval_batch
 from minterp.seeding import derive_seed, rng_from
 from minterp.two_layer import TwoLayerNet, two_layer_eval_batch
@@ -139,11 +140,11 @@ def feature_sum_gap_bound(a: np.ndarray, W: np.ndarray, X: np.ndarray,
 
 
 def feature_sum_tiles(a: np.ndarray, W: np.ndarray, X: np.ndarray, relu: bool = True) -> np.ndarray:
-    """random_features._feature_sum with fresh arrays and one product for every tile.
+    """linalg._feature_sum with a fresh array for every tile.
 
     The same (_FEATURE_TILE, _FEATURE_TILE) tiling and the same products in
-    the same order, one weight tile per numpy call where _feature_sum
-    stacks two, so the sums round identically; relu sums through
+    the same order, where _feature_sum writes each tile into buffers it
+    reuses, so the sums round identically; relu sums through
     relu(t) = (t + |t|) / 2, the tiles taking |t| and one product with
     a^T W the linear half.
     """

@@ -14,6 +14,7 @@ from minterp import (
     FeatureFamily,
     RandomFeatureModel,
     SingularSystemError,
+    TeacherFunction,
     TwoLayerNet,
     UnderParametrizedError,
     concentration_check,
@@ -28,14 +29,11 @@ from minterp import (
     resnet_eval_batch,
     ridgeless_coefficients,
     smallest_eigenvalue,
+    teacher_eval_batch,
     two_layer_eval_batch,
 )
-from minterp.random_features import (
-    _FEATURE_TILE,
-    _QUADRATURE_CHUNK,
-    _QUADRATURE_SUB_BLOCK,
-    _feature_sum,
-)
+from minterp.linalg import _FEATURE_TILE, _feature_sum
+from minterp.random_features import _QUADRATURE_CHUNK, _QUADRATURE_SUB_BLOCK
 
 from _oracles import (
     feature_sum_gap_bound,
@@ -371,16 +369,28 @@ class TestMinNormInterpolant:
         assert fit.norm_radius == pytest.approx(fit.coeff_norm / math.sqrt(200))
         assert_allclose(fit.model.predict(X), y, atol=1e-10)
 
-    def test_predict_chunking_consistent(self):
+    @pytest.mark.parametrize("caller", ["predict", "two_layer", "teacher"])
+    def test_predict_chunking_consistent(self, caller):
         # each column's value depends only on its own tile of _FEATURE_TILE
-        # columns, so slices cut at tile boundaries reproduce it bit for bit
+        # columns, so slices cut at tile boundaries reproduce it bit for bit,
+        # through each caller of the tiled kernel
         X = np.random.default_rng(30).uniform(-1, 1, (2, 6))
         y = np.random.default_rng(31).uniform(-1, 1, 6)
-        fit = fit_random_features(X, y, RELU, 600, seed=32)
+        model = fit_random_features(X, y, RELU, 600, seed=32).model
+        evaluate = {
+            "predict": model.predict,
+            "two_layer": partial(two_layer_eval_batch, TwoLayerNet(model.coefficients, model.params)),
+            "teacher": partial(teacher_eval_batch, TeacherFunction(model.coefficients, model.params)),
+        }[caller]
         Xt = np.random.default_rng(33).uniform(-1, 1, (2, 700))
         cuts = [0, _FEATURE_TILE, 2 * _FEATURE_TILE, 700]
-        pieces = [fit.model.predict(Xt[:, lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
-        np.testing.assert_array_equal(fit.model.predict(Xt), np.concatenate(pieces))
+        pieces = [evaluate(Xt[:, lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+        np.testing.assert_array_equal(evaluate(Xt), np.concatenate(pieces))
+
+    def test_model_without_features_rejected(self):
+        # a zero-feature model would predict 0 / 0
+        with pytest.raises(ValueError, match="at least one feature"):
+            RandomFeatureModel(family=RELU, params=np.empty((0, 4)), coefficients=np.empty(0))
 
     @pytest.mark.parametrize("tag", [RELU_L1SPHERE, RANDOM_FOURIER])
     def test_predict_equals_feature_matrix_route(self, tag):
@@ -403,7 +413,7 @@ class TestMinNormInterpolant:
 
 
 class TestTiledFeatureSum:
-    """The one tiled kernel behind predict, two_layer_eval_batch and the one-pass resnet."""
+    """The one tiled kernel behind predict, two_layer_eval_batch, the one-pass resnet and the teacher."""
 
     @settings(max_examples=30, deadline=None)
     @given(d=st.integers(1, 4), m=st.integers(1, 600), n=st.integers(1, 600),
@@ -431,8 +441,8 @@ class TestTiledFeatureSum:
             assert got.shape == (n,)
             assert np.all(np.abs(got - want) <= bound)
 
-    # Two weight tiles go through each stacked product; m = 1000 leaves one
-    # full and one partial tile past the last pair, m = 1280 one full tile.
+    # m = 1000 ends on a partial weight tile, m = 1280 on a full one, and
+    # n = 257 and 513 leave a one-column input tile.
     @settings(max_examples=20, deadline=None)
     @given(d=st.integers(1, 4), m=st.integers(1, 1300), n=st.integers(1, 600),
            relu=st.booleans(), seed=st.integers(0, 2**32 - 2))
@@ -469,7 +479,7 @@ class TestTiledFeatureSum:
 
     def test_memory_does_not_scale_with_width_times_inputs(self):
         # one (m, 1024) activation block at m = 8192 was 64 MB; the tiles
-        # need one 1 MB array of two pre-activation tiles plus the output
+        # need one 512 KB pre-activation tile plus the output
         m = n = 8192
         W = RELU.sample_params(4, m, seed=41)
         a = np.random.default_rng(42).standard_normal(m)

@@ -127,6 +127,11 @@ class TestTeacher:
         with pytest.raises(ValueError, match="expected coefficients"):
             TeacherFunction(coefficients=np.ones(3), directions=np.array([[0.5, 0.5]]))
 
+    def test_teacher_without_atoms_rejected(self):
+        # a zero-atom teacher would evaluate to 0 / 0
+        with pytest.raises(ValueError, match="at least one atom"):
+            TeacherFunction(np.empty(0), np.empty((0, 4)))
+
     def test_eval_matches_hand_formula(self):
         # single atom a * relu(b x + c)
         f = TeacherFunction(

@@ -60,6 +60,11 @@ class TestEvalAndNorm:
         point = np.array([two_layer_eval(net, X[:, i]) for i in range(X.shape[1])])
         assert_allclose(batch, point, rtol=1e-12, atol=1e-14)
 
+    def test_network_without_neurons_rejected(self):
+        # a zero-neuron network would evaluate to 0 / 0
+        with pytest.raises(ValueError, match="at least one neuron"):
+            TwoLayerNet(a=np.empty(0), W=np.empty((0, 4)))
+
     def test_path_norm_hand_example(self):
         net = TwoLayerNet(
             a=np.array([2.0, -3.0]),
