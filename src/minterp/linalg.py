@@ -58,11 +58,11 @@ def _well_conditioned(lam: np.ndarray) -> bool:
     return lam[0] > GRAM_RCOND * lam[-1]
 
 
-def _check_cutoff(s_min: float, s_max: float, rcond: float) -> None:
+def _check_cutoff(s_min: float, s_max: float, rcond: float, quantity: str = "singular value") -> None:
     cutoff = rcond * s_max
     if s_min <= cutoff:
         raise SingularSystemError(
-            f"smallest singular value {s_min:.3e} is at or below cutoff {cutoff:.3e}",
+            f"smallest {quantity} {s_min:.3e} is at or below cutoff {cutoff:.3e}",
             smallest=float(s_min),
             cutoff=float(cutoff),
         )

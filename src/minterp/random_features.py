@@ -17,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularSystemError, UnderParametrizedError
+from .errors import UnderParametrizedError
 from .linalg import (
     DEFAULT_RCOND,
     ColumnBlocks,
     GramFactor,
+    _check_cutoff,
     _check_symmetric,
     _feature_sum,
     min_norm_solve,
@@ -162,12 +163,15 @@ class QuadratureRule:
     """The ReLU reference kernel's Q quadrature points in R^(d+1).
 
     pairs holds the Q / 2 draws w that enter with their antithetic
-    partners -w, and M = sum w w^T over them, summed one seed block at a
-    time.  The arrays are read-only, since every fit of a study shares them.
+    partners -w, and R^T R = M = sum w w^T over them: up to d + 1 draws,
+    where M can be rank-deficient, R is pairs itself, and past that it is
+    diag(sqrt(max(lambda, 0))) V^T from the eigh of M, summed one seed
+    block at a time.  The arrays are read-only, since every fit of a
+    study shares them.
     """
 
     pairs: np.ndarray
-    M: np.ndarray
+    R: np.ndarray
 
     @property
     def Q(self) -> int:
@@ -199,8 +203,12 @@ def quadrature_rule(d: int, Q: int, seed: int) -> QuadratureRule:
         _l1_sphere_rows(rng_from(derive_seed(seed, done)), len(block), d + 1, out=block)
         M += block.T @ block
     W.setflags(write=False)
-    M.setflags(write=False)
-    return QuadratureRule(pairs=W, M=M)
+    if draws <= d + 1:
+        return QuadratureRule(pairs=W, R=W)
+    lam, V = np.linalg.eigh(M)
+    R = np.sqrt(np.maximum(lam, 0.0))[:, None] * V.T
+    R.setflags(write=False)
+    return QuadratureRule(pairs=W, R=R)
 
 
 def kernel_exact(
@@ -215,11 +223,12 @@ def kernel_exact(
     with its antithetic partner -w (the law is symmetric).  A pair with
     t = w . (x, 1) contributes
     relu(t) relu(t') + relu(-t) relu(-t') = (t t' + |t| |t'|) / 2, so
-    K = ((X; 1)^T M (X; 1) + sum |F|^T |F|) / (2 Q) with M = sum w w^T
-    over the draws.  The sum over |F| is GramFactor's block Gram sum:
-    each _QUADRATURE_SUB_BLOCK-row block F = W_blk @ (X; 1) is written into
-    one reused buffer, made absolute in place and handed over as the column
-    block |F|^T, so no block allocates a feature array of its own.
+    K = ((R (X; 1))^T (R (X; 1)) + sum |F|^T |F|) / (2 Q) with R^T R = M
+    = sum w w^T over the draws.  The sum over |F| is GramFactor's block
+    Gram sum: each _QUADRATURE_SUB_BLOCK-row block F = W_blk @ (X; 1) is
+    written into one reused buffer, made absolute in place and handed over
+    as the column block |F|^T, so no block allocates a feature array of
+    its own.  numpy computes each B^T B term as one triangle and mirrors it.
     """
     X = np.asarray(X, dtype=float)
     d, n = X.shape
@@ -242,11 +251,10 @@ def kernel_exact(
         return np.abs(F, out=F).T
 
     K = GramFactor(ColumnBlocks((n, pairs), abs_features, _QUADRATURE_SUB_BLOCK)).G
-    gram = np.empty((n, n))
-    K += np.matmul(Xt.T, rule.M @ Xt, out=gram)
+    linear = rule.R @ Xt
+    K += linear.T @ linear
     K /= 2.0 * rule.Q
-    np.add(K, K.T, out=gram)  # (K + K^T) / 2 with no third (n, n) array
-    return np.divide(gram, 2.0, out=gram)
+    return K
 
 
 def reference_lambda_min(X: np.ndarray, rule: QuadratureRule) -> float:
@@ -279,13 +287,7 @@ def ridgeless_coefficients(K: np.ndarray, y: np.ndarray) -> tuple:
     if y.shape != (K.shape[0],):
         raise ValueError(f"expected y of shape ({K.shape[0]},), got {y.shape}")
     lam, V = np.linalg.eigh(K)
-    cutoff = DEFAULT_RCOND * lam[-1]
-    if lam[0] <= cutoff:
-        raise SingularSystemError(
-            f"smallest eigenvalue {lam[0]:.3e} is at or below cutoff {cutoff:.3e}",
-            smallest=float(lam[0]),
-            cutoff=float(cutoff),
-        )
+    _check_cutoff(lam[0], lam[-1], DEFAULT_RCOND, "eigenvalue")
     return V @ ((V.T @ y) / lam), float(lam[0])
 
 
@@ -363,6 +365,9 @@ def fit_random_features(
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
+    for name, values in (("inputs X", X), ("labels y", y)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} contain non-finite entries")
     W = family.sample_params(X.shape[0], m, seed)
     gram = GramFactor(family.feature_source(W, X))
     if m < gram.shape[0]:

@@ -146,6 +146,8 @@ def fit_residual_net(
     d, n = X.shape
     if r.shape != (n,):
         raise ValueError(f"expected r of shape ({n},), got {r.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("inputs X contain non-finite entries")
     if not np.all(np.isfinite(r)):
         raise ValueError("residual vector contains non-finite entries")
     if m < n:

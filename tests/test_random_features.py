@@ -163,18 +163,28 @@ class TestKernels:
         # and gamma_k = k u / (1 - k u), each t rounds by gamma_D a; over a
         # pair the products then move by (2 gamma_D + 2 gamma_D^2) a a'.
         # kernel_exact sums N pair terms (t t' + |t| |t'|) / 2 (gamma_N) and
-        # forms (X; 1)^T M (X; 1) from M summed over N draws and two
-        # D-term products (gamma_(N + 2D)); the oracle sums Q point terms
-        # (gamma_Q).  Every bound is relative to sum a a' over the draws,
-        # Q K_abs with K_abs = (|W| |(X; 1)|)^T (|W| |(X; 1)|) / Q, not to
-        # K, which cancellation in t can make far smaller.  Adding the
-        # divisions and the symmetrizations, the gap is at most
-        # (3N + 4D + 5) u K_abs to first order; (3N + 4D + 8) eps K_abs
-        # covers the higher-order terms twice over.  The pinned draw's gap
-        # is 0.11 eps K_abs: 3.1e-18 against a bound of 1e-14 max |K| = 7.5e-19.
+        # the oracle Q point terms (gamma_Q).  Every bound is relative to
+        # sum a a' over the draws, Q K_abs with K_abs = (|W| |(X; 1)|)^T
+        # (|W| |(X; 1)|) / Q, not to K, which cancellation in t can make far
+        # smaller.  kernel_exact's linear part sum t t' is (R (X; 1))^T
+        # (R (X; 1)) with R^T R = M = sum w w^T.  Up to D draws R is the
+        # draws, which round like the t above.  Past D, R is the eigh root
+        # of M, summed over N draws (gamma_N), with a backward error of
+        # order D u ||M||, and R (X; 1) rounds by gamma_D |R| |(x, 1)|.  These
+        # are normwise: for the l1-sphere law M is near 2N / (D (D + 1)) I
+        # and sum a a' at least near N ||(x, 1)||_1 ||(x', 1)||_1 / (D (D + 1)),
+        # so they stay within a few D u K_abs.  Adding the divisions and the
+        # oracle's symmetrization, the gap is at most (3N + 4D + 5) u K_abs
+        # to first order; (3N + 4D + 8) eps K_abs covers the higher-order
+        # terms twice over.  The pinned one-draw rule's gap is 0, and over
+        # 24,000 rules of D + 1 to 3D draws at n = 300 the largest was 0.26
+        # of the bound.  Every term of K is a product of a matrix with its
+        # own transpose, which numpy computes as one triangle and mirrors,
+        # so K is symmetric bit for bit.
         X = np.random.default_rng(seed).uniform(-1, 1, (d, n))
         rule = quadrature_rule(d, quadrature, seed)
         K = kernel_exact(RELU, X, rule)
+        assert np.array_equal(K, K.T)
         want = kernel_exact_blocks(RELU, X, quadrature, seed)
         T = np.abs(rule.pairs) @ np.vstack([np.abs(X), np.ones((1, n))])
         K_abs = T.T @ T / quadrature
@@ -250,12 +260,25 @@ class TestKernels:
         a, b = quadrature_rule(2, 5000, 7), quadrature_rule(2, 5000, 7)
         assert a is not b and a.pairs.tobytes() == b.pairs.tobytes()
         assert (a.Q, a.d, len(a.pairs)) == (5000, 2, 2500)
-        assert not a.pairs.flags.writeable and not a.M.flags.writeable
+        assert not a.pairs.flags.writeable and not a.R.flags.writeable
         with pytest.raises(ValueError, match="d must be >= 1"):
             quadrature_rule(0, 10, 0)
         for Q in (0, 1, 5001):
             with pytest.raises(ValueError, match="Q must be an even count"):
                 quadrature_rule(2, Q, 0)
+
+    @pytest.mark.parametrize("d, Q", [(3, 140_000), (2, 10), (4, 2), (4, 8)])
+    def test_rule_root_reproduces_the_second_moment(self, d, Q):
+        # R^T R = sum w w^T over the pairs to rounding: the blocked sum of M
+        # against the one-shot product (gamma_N), plus eigh's backward error.
+        # Up to d + 1 draws, where M is rank-deficient, R is the draws
+        rule = quadrature_rule(d, Q, 7)
+        M = rule.pairs.T @ rule.pairs
+        gap = np.abs(rule.R.T @ rule.R - M).max()
+        assert gap <= (len(rule.pairs) + 8 * (d + 1)) * np.finfo(float).eps * np.linalg.norm(M, 2)
+        assert rule.R.shape == (min(len(rule.pairs), d + 1), d + 1)
+        if len(rule.pairs) <= d + 1:
+            assert rule.R is rule.pairs
 
     def test_reference_lambda_min_is_relu_quadrature_eigenvalue(self):
         X = np.random.default_rng(18).uniform(-1, 1, (2, 6))
@@ -360,6 +383,23 @@ class TestMinNormInterpolant:
         X = np.random.default_rng(30).uniform(-1, 1, (3, 10))
         with pytest.raises(UnderParametrizedError):
             fit_random_features(X, np.ones(10), RELU, 5, seed=31)
+
+    def test_nonfinite_label_rejected(self):
+        # refused before any feature is drawn, not carried into an all-NaN fit
+        X = np.random.default_rng(27).uniform(-1, 1, (3, 9))
+        y = np.random.default_rng(28).uniform(-1, 1, 9)
+        y[4] = np.nan
+        with pytest.raises(ValueError, match="labels y contain non-finite entries"):
+            fit_random_features(X, y, RELU, 64, seed=29)
+
+    @pytest.mark.parametrize("tag", [RELU_L1SPHERE, RANDOM_FOURIER])
+    def test_nonfinite_input_rejected(self, tag):
+        # the factor's eigh raises LinAlgError, itself a ValueError, on such
+        # an input, so the message is matched
+        X = np.random.default_rng(27).uniform(-1, 1, (3, 9))
+        X[1, 4] = np.inf if tag == RELU_L1SPHERE else np.nan
+        with pytest.raises(ValueError, match="inputs X contain non-finite entries"):
+            fit_random_features(X, np.zeros(9), FeatureFamily(tag=tag), 64, seed=29)
 
     def test_fit_random_features(self):
         X = np.random.default_rng(27).uniform(-1, 1, (3, 9))
@@ -518,6 +558,14 @@ class TestRidgeless:
         K = _relu_kernel(X, 100_000, 38)
         _, lam = ridgeless_coefficients(K, np.ones(10))
         assert lam == pytest.approx(smallest_eigenvalue(K), rel=1e-10)
+
+    def test_singular_kernel_refused_at_the_cutoff(self):
+        v = np.array([1.0, 2.0, -1.0, 0.5])
+        with pytest.raises(SingularSystemError,
+                           match=r"smallest eigenvalue \S+ is at or below cutoff \S+ \(smallest=") as err:
+            ridgeless_coefficients(np.outer(v, v), np.ones(4))
+        assert err.value.cutoff == pytest.approx(1e-10 * (v @ v), rel=1e-12)
+        assert err.value.smallest <= err.value.cutoff
 
     def test_asymmetric_kernel_rejected(self):
         K = np.array([[1.0, 0.5], [0.2, 1.0]])

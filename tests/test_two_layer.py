@@ -170,6 +170,14 @@ class TestFitResidualNet:
         with pytest.raises(ValueError):
             fit_residual_net(self.X, bad, m=64, lambda_target=1e-6, seed=19)
 
+    def test_nonfinite_input_rejected(self):
+        # the factor's eigh raises LinAlgError, itself a ValueError, on such
+        # an input, so the message is matched
+        bad = self.X.copy()
+        bad[1, 3] = np.nan
+        with pytest.raises(ValueError, match="inputs X contain non-finite entries"):
+            fit_residual_net(bad, self.r, m=64, lambda_target=1e-6, seed=19)
+
 
 class TestApproximateTeacher:
     def test_one_atom_teacher_reproduced_exactly(self):
