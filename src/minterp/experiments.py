@@ -47,6 +47,7 @@ from .random_features import (
     RELU_L1SPHERE,
     FeatureFamily,
     QuadratureRule,
+    ReferenceLambda,
     concentration_check,
     concentration_width,
     fit_random_features,
@@ -807,17 +808,17 @@ def _fit_rf(config, data, teacher, width, fit_seed, approx_seed, rule) -> ModelF
 
 def _fit_two_layer(config, data, teacher, width, fit_seed, approx_seed, rule) -> ModelFit:
     fit = interpolate_two_layer(data, teacher, config.m1, width, fit_seed,
-                                reference_lambda_min(data.X, rule))
+                                ReferenceLambda(data.X, rule))
     predict = partial(two_layer_eval_batch, fit.net)
 
     def rad_bounds(seed):
         ball = rad_path_ball(data.X, fit.path_norm, n_draws=config.rad_draws, seed=seed)
         return ball.estimate.mean, ball.upper
 
-    threshold = concentration_width(data.n, config.delta, fit.residual.lambda_target)
     return ModelFit(
         fit=fit, model=fit.net, predict=predict, norm_radius=fit.path_norm, m_or_L=width,
-        threshold_met=width >= threshold, rad_bounds=rad_bounds,
+        threshold_met=fit.residual.reference.width_met(width, data.n, config.delta),
+        rad_bounds=rad_bounds,
     )
 
 
@@ -826,12 +827,12 @@ def _fit_resnet(config, data, teacher, width, fit_seed, approx_seed, rule) -> Mo
     part1 = approximate_teacher(teacher, config.m1, data.X, approx_seed)
     teacher_net = embed_two_layer(part1.net)
     m2 = min(width, config.L_cap - teacher_net.L)
-    fit = interpolate_resnet(data, teacher_net, m2, fit_seed, reference_lambda_min(data.X, rule))
+    fit = interpolate_resnet(data, teacher_net, m2, fit_seed, ReferenceLambda(data.X, rule))
     predict = partial(resnet_eval_batch, fit.net)
-    threshold = concentration_width(data.n, config.delta, fit.residual.lambda_target)
     return ModelFit(
         fit=fit, model=fit.net, predict=predict, norm_radius=fit.weighted_norm,
-        m_or_L=teacher_net.L + m2, threshold_met=m2 >= width and m2 >= threshold,
+        m_or_L=teacher_net.L + m2,
+        threshold_met=m2 >= width and fit.residual.reference.width_met(m2, data.n, config.delta),
         rad_bounds=lambda seed: (0.0, rad_weighted_path_upper(fit.weighted_norm, data.d, data.n)),
     )
 

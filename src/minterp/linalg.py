@@ -154,10 +154,10 @@ class GramFactor:
     blocks once, when the factor is built; the factor keeps G and the
     source, never A, so a recomputed source costs O(n^2 + n * block) memory
     instead of O(n p).  A solve is one more pass over the blocks.  eigh(G)
-    runs when sigma_min, route or a solve is first asked for, so a factor
-    used only for G runs none; route is "svd" when the economy SVD of A,
-    the one place A is built whole, replaced it past the GRAM_RCOND limit,
-    else "gram".
+    runs when sigma_min, bottom_vector, route or a solve is first asked for,
+    so a factor used only for G runs none; route is "svd" when the economy
+    SVD of A, the one place A is built whole, replaced it past the
+    GRAM_RCOND limit, else "gram".
     """
 
     def __init__(self, A):
@@ -180,20 +180,21 @@ class GramFactor:
 
     @cached_property
     def _spectrum(self) -> tuple:
-        # (route, singular values of A ascending, b -> (x, A x)); the solve closes
-        # over the source, not self, so no cycle keeps a dropped factor alive
+        # (route, singular values of A ascending, b -> (x, A x), the unit left
+        # singular vector of the smallest); the solve closes over the source,
+        # not self, so no cycle keeps a dropped factor alive
         source, (lam, V) = self.source, np.linalg.eigh(self.G)
         if _well_conditioned(lam):
             def solve(b):
                 return _blockwise(source, np.empty(source.shape[1]), V @ ((V.T @ b) / lam))
 
-            return "gram", np.sqrt(lam), solve
+            return "gram", np.sqrt(lam), solve, V[:, 0]
         U, s, Vt = np.linalg.svd(np.hstack([block for _, block in source]), full_matrices=False)
 
         def solve(b):
             return _blockwise(source, Vt.T @ ((U.T @ b) / s), None)
 
-        return "svd", s[::-1], solve
+        return "svd", s[::-1], solve, U[:, -1]
 
     @property
     def route(self) -> str:
@@ -202,6 +203,11 @@ class GramFactor:
     @property
     def sigma_min(self) -> float:
         return float(self._spectrum[1][0])
+
+    @property
+    def bottom_vector(self) -> np.ndarray:
+        """Unit eigenvector of G's smallest eigenvalue: the row combination A is closest to losing."""
+        return self._spectrum[3]
 
 
 def min_norm_solve(A, b: np.ndarray) -> tuple:
@@ -226,7 +232,7 @@ def min_norm_solve(A, b: np.ndarray) -> tuple:
         raise ValueError(f"system must be underdetermined or square, got shape {factor.shape}")
     if n == 0:
         raise SingularSystemError("empty system has no singular values", smallest=0.0, cutoff=0.0)
-    _, s, solve = factor._spectrum
+    _, s, solve, _ = factor._spectrum
     _check_cutoff(s[0], s[-1], DEFAULT_RCOND * max(n, p))
     return solve(b)
 

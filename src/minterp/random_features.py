@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,22 @@ _QUADRATURE_CHUNK = 65536
 # Rows of the feature buffer kernel_exact fills per product; at n = 128 the
 # (1024, n) float64 buffer is 1 MB and stays in a 2 MB L2.
 _QUADRATURE_SUB_BLOCK = 1024
+# Points of ReferenceLambda's witness subset.  On the n = 64 and 128 fits of
+# the two-layer and resnet audits at seeds 0-9 (2 cores, one BLAS thread), 32
+# points gave 1.01-1.45 lambda_ref in 7-13 ms, against 16-73 ms for the
+# whole kernel.
+WITNESS_SIZE = 32
+_UNIT_ROUNDOFF = 2.0 ** -53
+# ReferenceLambda.allowance, in units of u tr(K) over all the points and of
+# u tr(K_S) over the witness subset S.  It covers two rounding effects, each
+# measured on reference kernels of 4 to 400 points in d = 1 to 4, duplicated
+# and near-duplicated points among them, and each given 6 against its worst:
+# eigvalsh erred by at most 1.6 u tr(K) (against extended-precision Rayleigh
+# quotients), once on K and once on K_S; and summing every sub-block's terms
+# in reverse order, as a BLAS may for another number of columns, moved
+# lambda_min by at most 1.7 u tr(K_S).
+_EIGH_ROUNDING = 6.0
+_SUBSET_ROUNDING = 2.0 * _EIGH_ROUNDING
 
 
 @dataclass(frozen=True)
@@ -260,6 +277,113 @@ def kernel_exact(
 def reference_lambda_min(X: np.ndarray, rule: QuadratureRule) -> float:
     """lambda_min of the ReLU reference kernel on X, summed over rule."""
     return smallest_eigenvalue(kernel_exact(FeatureFamily(tag=RELU_L1SPHERE), X, rule))
+
+
+class ReferenceLambda:
+    """lambda_ref = reference_lambda_min(X, rule), summed over the whole rule only when needed.
+
+    Its readers compare lambda_ref with numbers (the residual floor
+    lambda_emp >= lambda_ref / 2, concentration_width's width and
+    lambda_ref > 0), so each asks a cheap question first and reads value,
+    the exact float, only when that one cannot settle the comparison; every
+    decision is the one value gives.  The cheap questions:
+
+    - upper >= value.  It is lambda_min of the reference kernel on the
+      WITNESS_SIZE points where a witness vector is largest in absolute
+      value, plus a rounding allowance: by Cauchy interlacing a principal
+      submatrix's lambda_min is at least the whole matrix's, and the
+      allowance covers the rounding of the two computed eigenvalues, a
+      measured model (see _EIGH_ROUNDING).  The witness is the bottom
+      eigenvector of a residual draw's Gram matrix, the points whose
+      features are closest to dependent.
+    - positive: value > 0 when the rule's first 4 n draws alone sum to a
+      kernel (a minorant, since every draw adds a PSD term) whose Cholesky
+      factor exists after a shift that exceeds every rounding error.
+
+    of(lam) makes the exact reference of a number: value is lam, and upper is value.
+    """
+
+    def __init__(self, X: np.ndarray, rule: QuadratureRule):
+        self.X, self.rule, self._upper = X, rule, None
+
+    @classmethod
+    def of(cls, lam) -> ReferenceLambda:
+        """lam itself when it is a ReferenceLambda, else the exact reference of the number lam."""
+        if isinstance(lam, cls):
+            return lam
+        ref = cls(None, None)
+        ref.value = ref._upper = lam
+        return ref
+
+    @cached_property
+    def value(self) -> float:
+        return reference_lambda_min(self.X, self.rule)
+
+    @cached_property
+    def positive(self) -> bool:
+        """value > 0."""
+        return self._minorant_positive() or self.value > 0
+
+    def floor_met(self, lam_emp: float, draw: GramFactor) -> bool:
+        """lam_emp >= value / 2; draw is the residual draw's factor, whose bottom_vector is the witness."""
+        return lam_emp >= self._bound(draw) / 2.0 or lam_emp >= self.value / 2.0
+
+    def width_met(self, width: int, n: int, delta: float) -> bool:
+        """width >= concentration_width(n, delta, value); the width falls as lambda grows."""
+        return (width >= concentration_width(n, delta, self._bound(None))
+                and width >= concentration_width(n, delta, self.value))
+
+    def allowance(self, S: np.ndarray) -> float:
+        """subset_bound(S)'s rounding allowance (see _EIGH_ROUNDING)."""
+        diag = self._diagonal
+        return _UNIT_ROUNDOFF * (_EIGH_ROUNDING * float(diag.sum())
+                                 + _SUBSET_ROUNDING * float(diag[S].sum()))
+
+    def subset_bound(self, S: np.ndarray) -> float:
+        """reference_lambda_min on the points S plus allowance(S): at least value, by interlacing."""
+        return reference_lambda_min(self.X[:, S], self.rule) + self.allowance(S)
+
+    @cached_property
+    def _diagonal(self) -> np.ndarray:
+        # K_ii = (sum (w . x~_i)^2 + ||R x~_i||^2) / 2Q = ||R x~_i||^2 / Q, since R^T R = sum w w^T
+        linear = self.rule.R @ np.vstack([self.X, np.ones((1, self.X.shape[1]))])
+        return np.einsum("ij,ij->j", linear, linear) / self.rule.Q
+
+    def _bound(self, draw: GramFactor | None) -> float:
+        # upper, from the first draw's witness and kept for every later draw;
+        # value itself at WITNESS_SIZE points or fewer, or with no draw
+        if self._upper is None:
+            if draw is None or self.X.shape[1] <= WITNESS_SIZE:
+                self._upper = self.value
+            else:
+                witness = np.abs(draw.bottom_vector)
+                self._upper = self.subset_bound(
+                    np.sort(np.argsort(-witness, kind="stable")[:WITNESS_SIZE]))
+        return self._upper
+
+    def _minorant_positive(self) -> bool:
+        # At WITNESS_SIZE points or fewer the floor reads value anyway.  The
+        # minorant's 4 n draws are at most half the rule's, so the rest keep
+        # R^T R above their own sum by far more than R's rounding.
+        if self.X is None or not WITNESS_SIZE < self.X.shape[1] <= len(self.rule.pairs) // 8:
+            return False
+        n = self.X.shape[1]
+        F = self.rule.pairs[: 4 * n] @ np.vstack([self.X, np.ones((1, n))])
+        minorant = F.T @ F
+        minorant += np.abs(F, out=F).T @ F
+        minorant /= 2.0 * self.rule.Q
+        # tau = u tr(K) (2 (n + 1)^2 + Q / 2) exceeds the worst-case rounding
+        # of value's and the minorant's sums (at most Q / 2 terms an entry, and
+        # |K_ij| <= sqrt(K_ii K_jj)), of the Cholesky factorization ((n + 1)^2
+        # u tr(K): Higham, Accuracy and Stability of Numerical Algorithms,
+        # Thm 10.5) and of value's eigvalsh (measured 1.6 u tr(K)) together
+        tau = _UNIT_ROUNDOFF * self._diagonal.sum() * (2 * (n + 1) ** 2 + len(self.rule.pairs))
+        minorant[np.diag_indices(n)] -= tau
+        try:
+            np.linalg.cholesky(minorant)
+        except np.linalg.LinAlgError:
+            return False
+        return True
 
 
 def kernel_empirical(Phi) -> np.ndarray:

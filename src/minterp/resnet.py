@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _feature_sum
+from .random_features import ReferenceLambda
 from .sampling import Dataset
 from .seeding import derive_seed, rng_from
 from .two_layer import ResidualFit, TwoLayerNet, fit_residual_net
@@ -269,7 +270,7 @@ def interpolate_resnet(
     teacher_net: ResNet,
     m2: int,
     seed: int,
-    lambda_target: float,
+    lambda_target: float | ReferenceLambda,
 ) -> ResNetFit:
     """Interpolate the dataset by a teacher network plus an embedded residual fit.
 
@@ -280,8 +281,8 @@ def interpolate_resnet(
     weighted_norm = surrogate_norm + embedded_norm and the certificate
     3 * ||r|| / sigma_min for the embedded part.  lambda_target is the
     residual fit's eigenvalue target: the smallest eigenvalue of the
-    reference kernel on the data, which the caller estimates once
-    (reference_lambda_min).
+    reference kernel on the data, as reference_lambda_min's number or as
+    the ReferenceLambda of data.X (see interpolate_two_layer).
     """
     X, y = data.X, data.y
     if teacher_net.d != data.d:

@@ -22,7 +22,7 @@ from .linalg import (
     smallest_eigenvalue,
     smallest_singular_value,
 )
-from .random_features import FeatureFamily, RELU_L1SPHERE, kernel_empirical
+from .random_features import FeatureFamily, RELU_L1SPHERE, ReferenceLambda, kernel_empirical
 from .sampling import (
     Dataset,
     TeacherFunction,
@@ -104,10 +104,11 @@ class ResidualFit:
     bound on the outer coefficient norm ||a_hat||; the path norm is in
     turn at most ||a_hat||, giving path_norm <= sqrt(2 / lambda_target) ||r||
     whenever the eigenvalue floor lambda_emp >= lambda_target / 2 holds.
+    lambda_target reads the reference's value, summing its rule on first read.
     """
 
     net: TwoLayerNet
-    lambda_target: float
+    reference: ReferenceLambda
     lambda_emp: float
     resamples_used: int
     coeff_norm: float
@@ -117,12 +118,16 @@ class ResidualFit:
     interp_error: float
     residual_norm: float
 
+    @property
+    def lambda_target(self) -> float:
+        return float(self.reference.value)
+
 
 def fit_residual_net(
     X: np.ndarray,
     r: np.ndarray,
     m: int,
-    lambda_target: float,
+    lambda_target: float | ReferenceLambda,
     seed: int = 0,
 ) -> ResidualFit:
     """Fit r at the columns of X with random inner weights and min-norm outer weights.
@@ -130,10 +135,13 @@ def fit_residual_net(
     Inner weights (b_j, c_j) are drawn uniformly from the l1 sphere and
     re-drawn until the empirical kernel keeps half the target eigenvalue;
     after _MAX_RESAMPLES = 16 draws ConcentrationFailureError reports the
-    best eigenvalue seen.  Each draw's Psi is factored once, from column
-    blocks recomputed from the weights, so Psi never exists whole:
-    lambda_emp reads its G, and the accepted draw's solve and sigma_min
-    share its eigh.  The outer solve is argmin ||a|| subject to (1/sqrt(m)) Psi a = r,
+    best eigenvalue seen.  lambda_target is a positive number or the
+    ReferenceLambda of X, whose floor test reads the first draw's bottom
+    eigenvector and sums the whole rule only when its bound cannot settle
+    the test.  Each draw's Psi is factored once, from column blocks
+    recomputed from the weights, so Psi never exists whole: lambda_emp
+    reads its G, and the accepted draw's solve, sigma_min and bottom
+    eigenvector share its eigh.  The outer solve is argmin ||a|| subject to (1/sqrt(m)) Psi a = r,
     and the stored network carries coefficients sqrt(m) * a_hat so that the
     standard (1/m) evaluation reproduces r as Psi a_hat / sqrt(m), the solve's
     image, which interp_error reads.  The sqrt(m) scaling is what makes the
@@ -152,8 +160,9 @@ def fit_residual_net(
         raise ValueError("residual vector contains non-finite entries")
     if m < n:
         raise UnderParametrizedError(m, n)
-    if not lambda_target > 0:
-        raise ValueError(f"lambda_target must be positive, got {lambda_target}")
+    reference = ReferenceLambda.of(lambda_target)
+    if not reference.positive:
+        raise ValueError(f"lambda_target must be positive, got {reference.value}")
 
     family = FeatureFamily(tag=RELU_L1SPHERE)
     best_lam = -math.inf
@@ -162,10 +171,10 @@ def fit_residual_net(
         gram = GramFactor(family.feature_source(W, X))
         lam_emp = smallest_eigenvalue(kernel_empirical(gram))
         best_lam = max(best_lam, lam_emp)
-        if lam_emp >= lambda_target / 2.0:
+        if reference.floor_met(lam_emp, gram):
             break
     else:
-        raise ConcentrationFailureError(lambda_target, best_lam, _MAX_RESAMPLES, m, n)
+        raise ConcentrationFailureError(reference.value, best_lam, _MAX_RESAMPLES, m, n)
 
     sqm = math.sqrt(m)
     a_hat, image = min_norm_solve(gram, sqm * r)
@@ -175,7 +184,7 @@ def fit_residual_net(
     r_norm = float(np.linalg.norm(r))
     return ResidualFit(
         net=net,
-        lambda_target=float(lambda_target),
+        reference=reference,
         lambda_emp=float(lam_emp),
         resamples_used=attempt + 1,
         coeff_norm=float(np.linalg.norm(a_hat)),
@@ -254,7 +263,7 @@ def interpolate_two_layer(
     m1: int,
     m2: int,
     seed: int,
-    lambda_target: float,
+    lambda_target: float | ReferenceLambda,
 ) -> CompositeFit:
     """Interpolate the dataset with a width-(m1+m2) two-layer network.
 
@@ -263,7 +272,8 @@ def interpolate_two_layer(
     summed exactly via width-ratio rescaling, so the composite's path norm
     is the sum of the parts'.  lambda_target is the residual fit's
     eigenvalue target: the smallest eigenvalue of the reference kernel on
-    the data, which the caller estimates once (reference_lambda_min).
+    the data, as reference_lambda_min's number or as the ReferenceLambda
+    of data.X, which sums the whole rule only if a comparison needs it.
     """
     X, y = data.X, data.y
     fit1 = approximate_teacher(f, m1, X, derive_seed(seed, 1))

@@ -218,6 +218,20 @@ class TestGramFactor:
         assert factor.route == route
         assert smallest_singular_value(A.T) == smallest_singular_value(factor)
 
+    @pytest.mark.parametrize("make, route", [
+        (lambda: _relu_features(), "gram"),
+        (lambda: _ill_conditioned()[0], "svd"),
+    ])
+    def test_bottom_vector_is_the_smallest_singular_direction(self, make, route, monkeypatch):
+        A = make()
+        factor = GramFactor(A)
+        v = factor.bottom_vector
+        calls = _count_factorizations(monkeypatch)
+        min_norm_solve(factor, np.ones(A.shape[0]))  # the solve reuses the same factorization
+        assert factor.route == route and sum(calls.values()) == 0
+        assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
+        assert np.linalg.norm(v @ A) == pytest.approx(factor.sigma_min, rel=1e-6, abs=1e-12)
+
     def test_kernel_only_factor_runs_no_eigensolve(self, monkeypatch):
         calls = _count_factorizations(monkeypatch)
         kernel_empirical(GramFactor(_relu_features()))
