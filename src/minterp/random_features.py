@@ -41,22 +41,18 @@ _QUADRATURE_CHUNK = 65536
 # Rows of the feature buffer kernel_exact fills per product; at n = 128 the
 # (1024, n) float64 buffer is 1 MB and stays in a 2 MB L2.
 _QUADRATURE_SUB_BLOCK = 1024
-# Points of ReferenceLambda's witness subset.  On the n = 64 and 128 fits of
-# the two-layer and resnet audits at seeds 0-9 (2 cores, one BLAS thread), 32
-# points gave 1.01-1.45 lambda_ref in 7-13 ms, against 16-73 ms for the
-# whole kernel.
+# Points of ReferenceLambda's witness subset.  On the two-layer and resnet
+# audits at seeds 0-5 (144 fits; 2 cores, one BLAS thread) the quotient on
+# 32 points came to at most 0.875 of 2 lambda_emp at the first floor test,
+# where 16 points reached 0.979; at Q = 200,000 a 32-point pass took 2.1 ms
+# and a 16-point one 1.4 ms.
 WITNESS_SIZE = 32
 _UNIT_ROUNDOFF = 2.0 ** -53
-# ReferenceLambda.allowance, in units of u tr(K) over all the points and of
-# u tr(K_S) over the witness subset S.  It covers two rounding effects, each
-# measured on reference kernels of 4 to 400 points in d = 1 to 4, duplicated
-# and near-duplicated points among them, and each given 6 against its worst:
-# eigvalsh erred by at most 1.6 u tr(K) (against extended-precision Rayleigh
-# quotients), once on K and once on K_S; and summing every sub-block's terms
-# in reverse order, as a BLAS may for another number of columns, moved
-# lambda_min by at most 1.7 u tr(K_S).
+# ReferenceLambda.allowance's eigvalsh term, in units of u tr(K): measured on
+# reference kernels of 4 to 400 points in d = 1 to 4, duplicated and
+# near-duplicated points among them, eigvalsh erred by at most 1.6 u tr(K)
+# (against extended-precision Rayleigh quotients); 6 is given against it.
 _EIGH_ROUNDING = 6.0
-_SUBSET_ROUNDING = 2.0 * _EIGH_ROUNDING
 
 
 @dataclass(frozen=True)
@@ -229,9 +225,13 @@ def quadrature_rule(d: int, Q: int, seed: int) -> QuadratureRule:
 
 
 def kernel_exact(
-    family: FeatureFamily, X: np.ndarray, rule: QuadratureRule | None = None
+    family: FeatureFamily, X: np.ndarray, rule: QuadratureRule | None = None,
+    basis: np.ndarray | None = None,
 ) -> np.ndarray:
     """The reference kernel K[i, j] = E_w[phi(x_i;w) phi(x_j;w)], symmetric exactly.
+
+    With an (n, k) basis B it returns B^T K B instead; the ReLU sum then
+    never forms K.
 
     Cosine features: the closed form (1/2) exp(-gamma^2 ||x_i - x_j||^2 / 2)
     (Rahimi & Recht 2007), summed one coordinate at a time; rule does not
@@ -244,17 +244,24 @@ def kernel_exact(
     = sum w w^T over the draws.  The sum over |F| is GramFactor's block
     Gram sum: each _QUADRATURE_SUB_BLOCK-row block F = W_blk @ (X; 1) is
     written into one reused buffer, made absolute in place and handed over
-    as the column block |F|^T, so no block allocates a feature array of
-    its own.  numpy computes each B^T B term as one triangle and mirrors it.
+    as the column block |F|^T, or (|F| B)^T with a basis, so no block
+    allocates a feature array of its own and a basis pass costs O(Q n k)
+    with no n x n sum.  numpy computes each block's Gram term as one
+    triangle and mirrors it.
     """
     X = np.asarray(X, dtype=float)
     d, n = X.shape
+    if basis is not None:
+        basis = np.asarray(basis, dtype=float)
+        if basis.ndim != 2 or basis.shape[0] != n:
+            raise ValueError(f"expected a basis of shape ({n}, k), got {basis.shape}")
     if family.tag == RANDOM_FOURIER:
         K, diff = np.zeros((n, n)), np.empty((n, n))
         for row in X:
             K += np.square(np.subtract.outer(row, row, out=diff), out=diff)
         K *= -0.5 * family.gamma ** 2
-        return 0.5 * np.exp(K, out=K)
+        K = 0.5 * np.exp(K, out=K)
+        return K if basis is None else basis.T @ K @ basis
     if rule is None:
         raise ValueError("the ReLU reference kernel needs a quadrature rule")
     if rule.d != d:
@@ -265,10 +272,12 @@ def kernel_exact(
 
     def abs_features(start, stop):
         F = np.matmul(rule.pairs[start:stop], Xt, out=buf[: stop - start])
-        return np.abs(F, out=F).T
+        F = np.abs(F, out=F)
+        return (F if basis is None else F @ basis).T
 
-    K = GramFactor(ColumnBlocks((n, pairs), abs_features, _QUADRATURE_SUB_BLOCK)).G
-    linear = rule.R @ Xt
+    k = n if basis is None else basis.shape[1]
+    K = GramFactor(ColumnBlocks((k, pairs), abs_features, _QUADRATURE_SUB_BLOCK)).G
+    linear = rule.R @ (Xt if basis is None else Xt @ basis)
     K += linear.T @ linear
     K /= 2.0 * rule.Q
     return K
@@ -288,14 +297,17 @@ class ReferenceLambda:
     the exact float, only when that one cannot settle the comparison; every
     decision is the one value gives.  The cheap questions:
 
-    - upper >= value.  It is lambda_min of the reference kernel on the
-      WITNESS_SIZE points where a witness vector is largest in absolute
-      value, plus a rounding allowance: by Cauchy interlacing a principal
-      submatrix's lambda_min is at least the whole matrix's, and the
-      allowance covers the rounding of the two computed eigenvalues, a
-      measured model (see _EIGH_ROUNDING).  The witness is the bottom
-      eigenvector of a residual draw's Gram matrix, the points whose
-      features are closest to dependent.
+    - upper >= value.  It is the Rayleigh quotient v^T K v / v^T v of the
+      reference kernel at a vector v held on at most WITNESS_SIZE points,
+      plus a rounding allowance: by the Rayleigh quotient theorem (Horn & Johnson,
+      Matrix Analysis, Thm 4.2.2) every quotient of K is at least
+      lambda_min(K), and the allowance covers the rounding of the pass and
+      of value (see allowance).  The points S are where the bottom
+      eigenvector of a residual draw's Gram matrix G is largest in absolute
+      value, the points whose features are closest to dependent, or every
+      point when there are at most WITNESS_SIZE; v is the bottom
+      eigenvector of G[S, S].  The quotient is one kernel_exact pass over
+      the rule with basis v, O(Q |S|) with no |S| x |S| sum.
     - positive: value > 0 when the rule's first 4 n draws alone sum to a
       kernel (a minorant, since every draw adds a PSD term) whose Cholesky
       factor exists after a shift that exceeds every rounding error.
@@ -325,7 +337,7 @@ class ReferenceLambda:
         return self._minorant_positive() or self.value > 0
 
     def floor_met(self, lam_emp: float, draw: GramFactor) -> bool:
-        """lam_emp >= value / 2; draw is the residual draw's factor, whose bottom_vector is the witness."""
+        """lam_emp >= value / 2; draw is the residual draw's factor, whose G gives v."""
         return lam_emp >= self._bound(draw) / 2.0 or lam_emp >= self.value / 2.0
 
     def width_met(self, width: int, n: int, delta: float) -> bool:
@@ -333,15 +345,38 @@ class ReferenceLambda:
         return (width >= concentration_width(n, delta, self._bound(None))
                 and width >= concentration_width(n, delta, self.value))
 
-    def allowance(self, S: np.ndarray) -> float:
-        """subset_bound(S)'s rounding allowance (see _EIGH_ROUNDING)."""
-        diag = self._diagonal
-        return _UNIT_ROUNDOFF * (_EIGH_ROUNDING * float(diag.sum())
-                                 + _SUBSET_ROUNDING * float(diag[S].sum()))
+    def allowance(self, S: np.ndarray, v: np.ndarray) -> float:
+        """quotient_bound(S, v)'s rounding allowance, u (_EIGH_ROUNDING tr K + N spread).
 
-    def subset_bound(self, S: np.ndarray) -> float:
-        """reference_lambda_min on the points S plus allowance(S): at least value, by interlacing."""
-        return reference_lambda_min(self.X[:, S], self.rule) + self.allowance(S)
+        value's eigvalsh is at most lambda_min(fl(K)) + _EIGH_ROUNDING u
+        tr K, and lambda_min(fl(K)) at most v^T fl(K) v / v^T v.  That form
+        and the pass each differ from the exact v^T K v by the rounding of
+        their sums.  Entry (i, j) sums two kinds of terms over the rule,
+        |t_i| |t_j| with t = w . x~ and (R x~_i)_k (R x~_j)_k; since
+        sum t_i^2 = ||R x~_i||^2 = Q K_ii, Cauchy-Schwarz caps each kind's
+        absolute sum at sqrt(K_ii K_jj) / 2 once divided by 2 Q, so weighted
+        by |v_i| |v_j| at spread / 2, spread = (sum_S |v_i| sqrt(K_ii))^2 /
+        v^T v.  To first order a |F| term rounds at most
+        _QUADRATURE_SUB_BLOCK + blocks + 2 (d + 1) + 1 times in value's sum
+        (the block sums, and t_i, t_j and their product) and 2 |S| more in
+        the pass's (the basis product, squared); a linear term 3 (d + 1) + 2
+        times in value's and 2 |S| more in the pass's; and the quotient's
+        v^T v and division add |S| + 1 roundings of a quotient below spread.
+        So N = _QUADRATURE_SUB_BLOCK + blocks + 3 |S| + 5 (d + 1) + 4.  The
+        count takes the products inside w . x~, R x~ and (X; 1) v as
+        roundings of their results; where they cancel, the property test,
+        duplicated points among its inputs, holds the bound against value.
+        """
+        blocks = -(-len(self.rule.pairs) // _QUADRATURE_SUB_BLOCK)
+        rounds = _QUADRATURE_SUB_BLOCK + blocks + 3 * len(S) + 5 * (self.rule.d + 1) + 4
+        spread = float(np.abs(v) @ np.sqrt(self._diagonal[S])) ** 2 / float(v @ v)
+        return _UNIT_ROUNDOFF * (_EIGH_ROUNDING * float(self._diagonal.sum()) + rounds * spread)
+
+    def quotient_bound(self, S: np.ndarray, v: np.ndarray) -> float:
+        """v^T K v / v^T v for v held on the points S, plus allowance(S, v): at least value."""
+        relu = FeatureFamily(tag=RELU_L1SPHERE)
+        form = kernel_exact(relu, self.X[:, S], self.rule, v[:, None])[0, 0]
+        return float(form) / float(v @ v) + self.allowance(S, v)
 
     @cached_property
     def _diagonal(self) -> np.ndarray:
@@ -350,22 +385,22 @@ class ReferenceLambda:
         return np.einsum("ij,ij->j", linear, linear) / self.rule.Q
 
     def _bound(self, draw: GramFactor | None) -> float:
-        # upper, from the first draw's witness and kept for every later draw;
-        # value itself at WITNESS_SIZE points or fewer, or with no draw
+        # upper, from the first draw's G and kept for every later draw; value itself with no draw
         if self._upper is None:
-            if draw is None or self.X.shape[1] <= WITNESS_SIZE:
+            if draw is None:
                 self._upper = self.value
             else:
-                witness = np.abs(draw.bottom_vector)
-                self._upper = self.subset_bound(
-                    np.sort(np.argsort(-witness, kind="stable")[:WITNESS_SIZE]))
+                n = self.X.shape[1]
+                S = (np.arange(n) if n <= WITNESS_SIZE else np.sort(
+                    np.argsort(-np.abs(draw.bottom_vector), kind="stable")[:WITNESS_SIZE]))
+                v = np.linalg.eigh(draw.G[np.ix_(S, S)])[1][:, 0]
+                self._upper = self.quotient_bound(S, v)
         return self._upper
 
     def _minorant_positive(self) -> bool:
-        # At WITNESS_SIZE points or fewer the floor reads value anyway.  The
-        # minorant's 4 n draws are at most half the rule's, so the rest keep
-        # R^T R above their own sum by far more than R's rounding.
-        if self.X is None or not WITNESS_SIZE < self.X.shape[1] <= len(self.rule.pairs) // 8:
+        # The minorant's 4 n draws are at most half the rule's, so the rest
+        # keep R^T R above their own sum by far more than R's rounding.
+        if self.X is None or not self.X.shape[1] <= len(self.rule.pairs) // 8:
             return False
         n = self.X.shape[1]
         F = self.rule.pairs[: 4 * n] @ np.vstack([self.X, np.ones((1, n))])

@@ -1198,9 +1198,10 @@ class TestOrderStatistics:
 
 
 class TestBootstrapSlopeCi:
-    # unequal trial counts stand for failed rows; 8 or more grid points are where
-    # a single 2-D polyfit over all replicates would round differently
-    @pytest.mark.parametrize("counts", [(3, 3, 3, 3), (5, 1, 4, 2, 6), (4, 3, 4, 4, 2, 4, 3, 4, 4)])
+    # unequal trial counts stand for failed rows; the stacked slope must keep each
+    # row's bits at every grid size, past numpy's 8-wide unrolled sums too
+    @pytest.mark.parametrize("counts", [(3, 3, 3, 3), (5, 1, 4, 2, 6), (4, 3, 4, 4, 2, 4, 3, 4, 4),
+                                        (3, 2) * 10])
     @pytest.mark.parametrize("shift", [0.0, 0.02, 0.06])
     @pytest.mark.parametrize("seed", [1, 3])
     def test_matches_loop_bytes(self, counts, shift, seed):

@@ -191,6 +191,50 @@ class TestKernels:
         multiple = 3 * len(rule.pairs) + 4 * (d + 1) + 8
         assert np.all(np.abs(K - want) <= multiple * np.finfo(float).eps * K_abs)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        relu=st.booleans(),
+        n=st.integers(1, 40),
+        d=st.integers(1, 4),
+        k=st.integers(1, 3),
+        # up to five sub-blocks, the last one short
+        draws=st.integers(1, 5 * _QUADRATURE_SUB_BLOCK + 7),
+        seed=st.integers(0, 2**32),
+    )
+    def test_kernel_exact_basis_is_the_projected_kernel(self, relu, n, d, k, draws, seed):
+        # The pass sums (|F| B)^T (|F| B) block by block and B^T K B sums K's
+        # blocks, then two n-term products.  Each term of an entry rounds in
+        # a sub-block, across the blocks, in the basis products and in
+        # t = w . (x, 1) at most _QUADRATURE_SUB_BLOCK + blocks + 3 n + 2 (d + 1)
+        # times over both sides, relative to the absolute terms |B|^T K_abs
+        # |B| (see the per-block oracle test for K_abs and the linear part);
+        # the bound takes each count three times for the higher-order terms.
+        # The cosine pass is B^T K B of the closed form itself.
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1, 1, (d, n))
+        B = rng.standard_normal((n, k))
+        rule = quadrature_rule(d, 2 * draws, seed)
+        family = RELU if relu else FeatureFamily(tag=RANDOM_FOURIER, gamma=1.5)
+        K = kernel_exact(family, X, rule)
+        got = kernel_exact(family, X, rule, B)
+        assert got.shape == (k, k)
+        want = B.T @ K @ B
+        if relu:
+            T = np.abs(rule.pairs) @ np.vstack([np.abs(X), np.ones((1, n))])
+            K_abs = T.T @ T / rule.Q
+        else:
+            K_abs = np.abs(K)
+        blocks = -(-draws // _QUADRATURE_SUB_BLOCK)
+        multiple = 3 * (_QUADRATURE_SUB_BLOCK + blocks + 3 * n + 2 * (d + 1))
+        scale = np.abs(B).T @ K_abs @ np.abs(B)
+        assert np.all(np.abs(got - want) <= multiple * np.finfo(float).eps * scale)
+
+    def test_kernel_exact_rejects_a_basis_of_other_points(self):
+        X = np.random.default_rng(0).uniform(-1, 1, (2, 5))
+        for basis in (np.ones((4, 1)), np.ones(5)):
+            with pytest.raises(ValueError, match="basis of shape"):
+                kernel_exact(RELU, X, quadrature_rule(2, 100, 0), basis)
+
     @pytest.mark.parametrize("n, blocks", [(512, 1), (256, 2), (64, 4)])
     def test_kernel_exact_memory_is_one_buffer_per_block(self, n, blocks):
         # a ReLU call holds K, the F^T F product and one (1024, n) |feature|

@@ -32,6 +32,7 @@ from minterp import (
 from minterp import experiments, random_features
 from minterp.cli import main
 from minterp.experiments import study_rule
+from minterp.linalg import GramFactor
 from minterp.random_features import WITNESS_SIZE, ReferenceLambda
 from minterp.serialize import read_file
 
@@ -101,7 +102,7 @@ class TestEquivalence:
     @given(
         entry=st.sampled_from(["fit_residual_net", "interpolate_two_layer", "interpolate_resnet"]),
         d=st.integers(1, 3),
-        n=st.integers(WITNESS_SIZE - 2, WITNESS_SIZE + 12),
+        n=st.integers(2, WITNESS_SIZE + 12),
         # rules of 2 points, of fewer draws than points (a singular K), at the
         # minorant's 8 n draws and well past it; plain inputs and wide rules
         # twice, since they are the ones whose floor the bound settles
@@ -127,7 +128,8 @@ class TestEquivalence:
 
     def test_a_draw_below_the_floor_reads_the_exact_value(self, monkeypatch):
         # the first draw fails lambda_emp >= lambda_ref / 2, so the bound
-        # cannot settle it and the whole rule is summed once
+        # cannot settle it and the whole rule is summed once, after one
+        # witness pass
         rng = np.random.default_rng(9)
         X = rng.uniform(-1.0, 1.0, size=(2, 40))
         r = rng.standard_normal(40)
@@ -136,8 +138,8 @@ class TestEquivalence:
         exact = fit_residual_net(X, r, 320, reference_lambda_min(X, rule), seed=9)
         sizes = []
         real = random_features.kernel_exact
-        monkeypatch.setattr(random_features, "kernel_exact",
-                            lambda family, X, rule=None: sizes.append(X.shape[1]) or real(family, X, rule))
+        monkeypatch.setattr(random_features, "kernel_exact", lambda family, X, rule=None, basis=None:
+                            sizes.append(X.shape[1]) or real(family, X, rule, basis))
         lazy = fit_residual_net(X, r, 320, ReferenceLambda(X, rule), seed=9)
         assert exact.resamples_used >= 2
         assert sizes.count(40) == 1 and sizes.count(WITNESS_SIZE) == 1
@@ -151,45 +153,58 @@ class TestEquivalence:
         assert not ReferenceLambda.of(0.0).positive and not ReferenceLambda.of(math.nan).positive
 
 
-class TestInterlacing:
+class TestQuotientBound:
     @settings(max_examples=150, deadline=None)
     @given(
         d=st.integers(1, 4),
         n=st.integers(2, 60),
         pairs=st.integers(1, 400),
         mode=st.sampled_from(MODES),
-        tight=st.booleans(),
-        size=st.integers(1, 60),
+        vector=st.sampled_from(["draw", "unit", "tight"]),
         seed=st.integers(0, 2**20),
     )
-    def test_subset_bound_is_at_least_the_reference_eigenvalue(self, d, n, pairs, mode, tight,
-                                                               size, seed):
+    def test_quotient_bound_is_at_least_the_reference_eigenvalue(self, d, n, pairs, mode,
+                                                                 vector, seed):
         X = _inputs(d, n, mode, seed)
         rule = quadrature_rule(d, 2 * pairs, seed)
-        size = min(size, n)
-        if tight:
-            # the points where K's own bottom eigenvector is largest: the
-            # subset whose lambda_min lies closest to lambda_ref
-            K = random_features.kernel_exact(random_features.FeatureFamily("relu_l1sphere"), X, rule)
-            bottom = np.abs(np.linalg.eigh(K)[1][:, 0])
-            S = np.sort(np.argsort(-bottom, kind="stable")[:size])
+        reference = ReferenceLambda(X, rule)
+        rng = np.random.default_rng(seed)
+        if vector == "draw":
+            # the floor's own witness: S and v from a residual draw's G
+            W = rng.uniform(-1.0, 1.0, size=(4 * n, d + 1))
+            W /= np.abs(W).sum(axis=1, keepdims=True)
+            upper = reference._bound(GramFactor(random_features.FeatureFamily("relu_l1sphere")
+                                                .features(W, X)))
         else:
-            S = np.sort(np.random.default_rng(seed).choice(n, size=size, replace=False))
-        assert ReferenceLambda(X, rule).subset_bound(S) >= reference_lambda_min(X, rule)
+            S = np.sort(rng.choice(n, size=min(n, WITNESS_SIZE), replace=False))
+            if vector == "unit":
+                v = rng.standard_normal(len(S))
+                v /= np.linalg.norm(v)
+            else:
+                # K's own bottom eigenvector on its largest entries: the
+                # quotient closest to lambda_ref, where only the allowance
+                # keeps the bound above it
+                K = random_features.kernel_exact(random_features.FeatureFamily("relu_l1sphere"),
+                                                 X, rule)
+                bottom = np.linalg.eigh(K)[1][:, 0]
+                S = np.sort(np.argsort(-np.abs(bottom), kind="stable")[:WITNESS_SIZE])
+                v = bottom[S]
+            upper = reference.quotient_bound(S, v)
+        assert upper >= reference_lambda_min(X, rule)
 
     @pytest.mark.parametrize("workload", ["two-layer-audit", "resnet-audit"])
     def test_allowance_is_far_below_the_audits_eigenvalues(self, workload, monkeypatch):
         seen = []
-        bound = ReferenceLambda.subset_bound
+        bound = ReferenceLambda.quotient_bound
 
-        def spy(reference, S):
-            seen.append((reference.allowance(S), reference.X, reference.rule))
-            return bound(reference, S)
+        def spy(reference, S, v):
+            seen.append((reference.allowance(S, v), reference.X, reference.rule))
+            return bound(reference, S, v)
 
-        monkeypatch.setattr(ReferenceLambda, "subset_bound", spy)
+        monkeypatch.setattr(ReferenceLambda, "quotient_bound", spy)
         config = ExperimentConfig.from_dict(load_workloads().workload_config(workload, 0))
         run_study(config, threads=1)
-        assert len(seen) == config.trials * sum(n > WITNESS_SIZE for n in config.n_grid)
+        assert len(seen) == config.trials * len(config.n_grid)
         for allowance, X, rule in seen:
             assert 0 < allowance <= 1e-8 * reference_lambda_min(X, rule)
 
@@ -201,20 +216,22 @@ class TestCounting:
         "resnet": dict(L_grid=(640,), L_cap=1024, n_atoms=8, quadrature=20_000, m1=8, n_test=100),
     }
 
+    @pytest.mark.parametrize("n", [WITNESS_SIZE - 8, WITNESS_SIZE + 8])
     @pytest.mark.parametrize("model", sorted(CONFIGS))
-    def test_bound_audit_sums_no_full_size_reference_kernel(self, model, monkeypatch):
-        n = WITNESS_SIZE + 8
+    def test_bound_audit_sums_no_reference_kernel(self, model, n, monkeypatch):
         config = ExperimentConfig(kind="bound-audit", model=model, d_grid=(2,), n_grid=(n,),
                                   trials=2, seed=3, **self.CONFIGS[model])
-        sizes = []
+        calls = []
         real = random_features.kernel_exact
-        monkeypatch.setattr(random_features, "kernel_exact",
-                            lambda family, X, rule=None: sizes.append(X.shape[1]) or real(family, X, rule))
+        monkeypatch.setattr(random_features, "kernel_exact", lambda family, X, rule=None, basis=None:
+                            calls.append((X.shape[1], basis is None)) or real(family, X, rule, basis))
         lazy = run_study(config, threads=1)
-        assert sizes == [WITNESS_SIZE] * config.trials
+        # one witness pass per fit, on at most WITNESS_SIZE points, and no kernel
+        assert calls == [(min(n, WITNESS_SIZE), False)] * config.trials
+        calls.clear()
         monkeypatch.setattr(experiments, "ReferenceLambda", reference_lambda_min)
         eager = run_study(config, threads=1)
-        assert sizes.count(n) == config.trials
+        assert calls == [(n, True)] * config.trials
         assert not any(row["error"] for row in eager.rows)
         assert lazy.rows == eager.rows and lazy.summary == eager.summary
 
