@@ -390,9 +390,7 @@ class ReferenceLambda:
             if draw is None:
                 self._upper = self.value
             else:
-                n = self.X.shape[1]
-                S = (np.arange(n) if n <= WITNESS_SIZE else np.sort(
-                    np.argsort(-np.abs(draw.bottom_vector), kind="stable")[:WITNESS_SIZE]))
+                S = np.sort(np.argsort(-np.abs(draw.bottom_vector), kind="stable")[:WITNESS_SIZE])
                 v = np.linalg.eigh(draw.G[np.ix_(S, S)])[1][:, 0]
                 self._upper = self.quotient_bound(S, v)
         return self._upper
