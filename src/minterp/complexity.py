@@ -238,11 +238,16 @@ def generalization_bound(emp_risk: float, C: float, rad: float, delta: float, n:
 
 @dataclass(frozen=True)
 class RiskEstimate:
-    """Monte Carlo population risk under the squared loss."""
+    """Monte Carlo population risk under the squared loss.
+
+    rounding_bound is the certified bound on how far float32 tile sums
+    moved risk from the float64 route's, or None when float64 summed it.
+    """
 
     risk: float
     std_error: float
     n_test: int
+    rounding_bound: float | None = None
 
 
 def population_risk(
@@ -250,17 +255,32 @@ def population_risk(
     f: TeacherFunction,
     N_test: int = 10_000,
     seed: int = 0,
+    single_eval=None,
 ) -> RiskEstimate:
     """Monte Carlo average of (1/2)(model(x) - f*(x))^2 over fresh uniform inputs.
 
     model_eval must map a (d, N) matrix of inputs to a length-N vector of
     predictions (vectorized evaluation; every model class here provides
-    one).
+    one).  single_eval, when given, maps the same inputs to (predictions,
+    B) with B a certified per-point bound on their distance from
+    model_eval's, as RandomFeatureModel.predict(X, single=True) does.  Its
+    residuals r then move each loss by at most |r| B + B^2 / 2, so the
+    risk by at most mean(|r| B) + mean(B^2) / 2; the estimate is kept when
+    that is at most half its standard error, and otherwise model_eval
+    evaluates the same inputs again and its estimate is returned.
     """
     if N_test < 1:
         raise ValueError(f"N_test must be >= 1, got {N_test}")
     rng = rng_from(seed)
     X = rng.uniform(-1.0, 1.0, size=(f.d, N_test))
-    losses = 0.5 * (np.asarray(model_eval(X), dtype=float) - teacher_eval_batch(f, X)) ** 2
+    target = teacher_eval_batch(f, X)
+    if single_eval is not None:
+        predictions, bound = single_eval(X)
+        residuals = predictions - target
+        mean, se = _mean_se(0.5 * residuals ** 2)
+        rounding = float(np.mean(np.abs(residuals) * bound) + np.mean(bound * bound) / 2)
+        if rounding <= se / 2:
+            return RiskEstimate(risk=mean, std_error=se, n_test=N_test, rounding_bound=rounding)
+    losses = 0.5 * (np.asarray(model_eval(X), dtype=float) - target) ** 2
     mean, se = _mean_se(losses)
     return RiskEstimate(risk=mean, std_error=se, n_test=N_test)

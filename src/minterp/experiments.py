@@ -779,7 +779,9 @@ class ModelFit:
     m_or_L is the effective width; resnet's is m1 + m2, the two parts'
     depths, while the fitted net is max(m1, m2) deep (resnet_add).
     rad_bounds(seed) returns the audit's (rad_lower, rad_upper), so only a
-    bound audit pays for the Rademacher estimate.
+    bound audit pays for the Rademacher estimate.  single_predict is the
+    float32 route with its certified error bound that population_risk
+    tries first; only a ReLU random-feature fit has one.
     """
 
     fit: object
@@ -789,6 +791,7 @@ class ModelFit:
     m_or_L: int
     threshold_met: bool
     rad_bounds: Callable
+    single_predict: Callable | None = None
 
 
 def _fit_rf(config, data, teacher, width, fit_seed, approx_seed, rule) -> ModelFit:
@@ -803,6 +806,8 @@ def _fit_rf(config, data, teacher, width, fit_seed, approx_seed, rule) -> ModelF
             rad_rf_ball(gram, radius, n_draws=config.rad_draws, seed=seed).mean,
             rf_ball_upper(radius, data.n),
         ),
+        single_predict=(partial(fit.model.predict, single=True)
+                        if fit.model.family.tag == RELU_L1SPHERE else None),
     )
 
 
@@ -985,14 +990,17 @@ def _scale_engine(config: ExperimentConfig, threads: int, audit: bool,
         emp_risk = 0.5 * float(np.mean((fit.fit.fitted - data.y) ** 2))
         test = population_risk(
             fit.predict, teacher, N_test=config.n_test,
-            seed=derive_seed(config.seed, _TEST_BASE + j),
+            seed=derive_seed(config.seed, _TEST_BASE + j), single_eval=fit.single_predict,
         )
         row = dict(
             m_or_L=fit.m_or_L,
             norm_radius=fit.norm_radius,
             empirical_risk=emp_risk,
             test_risk=test.risk,
+            test_risk_se=test.std_error,
             threshold_met=fit.threshold_met,
+            # the float32 route's certificate failed and float64 summed again
+            test_risk_float64=fit.single_predict is not None and test.rounding_bound is None,
         )
         if audit:
             lower, upper = fit.rad_bounds(derive_seed(config.seed, _RAD_BASE + j))
@@ -1007,10 +1015,11 @@ def _scale_engine(config: ExperimentConfig, threads: int, audit: bool,
 
     rows = _run_rows(heads, body, threads)
     columns = ("trial", "model_kind", "n", "m_or_L", "norm_radius", "rad_lower",
-               "rad_upper", "empirical_risk", "bound", "test_risk", "bound_holds",
-               "threshold_met", "error")
+               "rad_upper", "empirical_risk", "bound", "test_risk", "test_risk_se",
+               "bound_holds", "threshold_met", "error")
     summary = _base_summary(rows, with_pass=False)
     summary["sub_threshold_rows"] = sum(1 for r in rows if r.get("threshold_met") is False)
+    summary["test_risk_float64_rows"] = sum(1 for r in rows if r.get("test_risk_float64"))
 
     per_n, risks_per_n, ns_ok = {}, [], []
     for n in config.n_grid:

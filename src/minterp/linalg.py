@@ -44,7 +44,10 @@ MIN_BLOCK_COLUMNS = 512
 MAX_BLOCK_COLUMNS = 2048
 # Rows and columns of each tile _feature_sum multiplies out: one (256, 256)
 # float64 pre-activation tile is 512 KB and stays in L2.  On 2 cores, 128-,
-# 512- and 1024-column tiles were all slower.
+# 512- and 1024-column tiles were all slower.  Its float32 tiles are
+# (256, 512), also 512 KB; at m = 16,384 and 4,096 points they took 26 ms
+# against 30 ms for (256, 256), one BLAS thread (float64: 45 ms).  Their
+# rounding bound grows with the rows, so those stay 256.
 _FEATURE_TILE = 256
 
 
@@ -97,7 +100,13 @@ class ColumnBlocks:
             yield slice(start, stop), self._columns(start, stop)
 
 
-def _feature_sum(a: np.ndarray, W: np.ndarray, X: np.ndarray, relu: bool = True) -> np.ndarray:
+def _gamma(k: int, u: float) -> float:
+    """Higham's gamma_k = k u / (1 - k u), the error factor of k roundings of unit roundoff u."""
+    return k * u / (1.0 - k * u)
+
+
+def _feature_sum(a: np.ndarray, W: np.ndarray, X: np.ndarray, relu: bool = True,
+                 single: bool = False):
     """sum_j a_j phi(W_j . (x, 1)) at every column x of X, without any 1/m prefactor.
 
     W is the augmented (m, d+1) weight matrix; phi is relu, or cos when
@@ -110,30 +119,78 @@ def _feature_sum(a: np.ndarray, W: np.ndarray, X: np.ndarray, relu: bool = True)
     once per call.  relu sums through relu(t) = (t + |t|) / 2: the tiles
     sum a_j |t_j|, and the linear half is one (d+1)-vector product,
     (a^T W) . (x, 1), per call.
+
+    single (relu only) multiplies the tiles out in float32 and returns
+    (sums, B): B(x) bounds the distance of sums(x) from the exact sum and
+    from the float64 sums.  Each weight tile is cast into a reused float32
+    buffer, and its coefficients into one over their absolute values, so
+    one product gives the tile's sum and its share of C = sum_j |a_j| |t_j|
+    as rounded; the tile sums, C and the linear half are float64.  By the
+    dot-product analysis of Higham (Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sec. 3.1), with u = 2^-24 and T = _FEATURE_TILE,
+    a tile's T-term float32 sum and the cast of a err by at most
+    gamma_(T+1) / (1 - gamma_T) C, and the casts of W and x~ and the
+    (d+1)-term pre-activation by at most gamma_(d+3) P, P = |a|^T |W| |x~|;
+    relu's (t + |t|) / 2 halves both.  2 gamma_N P, N = 2 m + T + 2 d + 8
+    float64 roundings, covers the float64 steps of both routes (and
+    predict's division by m), and 2^-126 an operation covers float32
+    underflow, flushed to zero or not.  An overflow makes B inf or NaN.
     """
     d, n = X.shape
     m = W.shape[0]
     phi = np.abs if relu else np.cos
-    out = np.zeros(n)
-    xt_buf = np.empty((d + 1) * min(_FEATURE_TILE, n))
-    pre_buf = np.empty(min(_FEATURE_TILE, m) * min(_FEATURE_TILE, n))
-    sum_buf = np.empty(min(_FEATURE_TILE, n))
-    for start in range(0, n, _FEATURE_TILE):
-        cols = min(_FEATURE_TILE, n - start)
+    if single and not relu:
+        raise ValueError("float32 tile sums are for relu features only")
+    # a float32 tile takes twice the columns in the same 512 KB, and two sum rows
+    dtype, rows, width = (np.float32, 2, 2 * _FEATURE_TILE) if single else (float, 1, _FEATURE_TILE)
+    out = np.zeros((rows, n) if single else n)
+    xt_buf = np.empty((d + 1) * min(width, n), dtype)
+    pre_buf = np.empty(min(_FEATURE_TILE, m) * min(width, n), dtype)
+    sum_buf = np.empty(rows * min(width, n), dtype)
+    if single:
+        w_buf = np.empty((min(_FEATURE_TILE, m), d + 1), dtype)
+        a_buf = np.empty((rows, min(_FEATURE_TILE, m)), dtype)
+    for start in range(0, n, width):
+        cols = min(width, n - start)
         Xt = xt_buf[: (d + 1) * cols].reshape(d + 1, cols)
         Xt[:d] = X[:, start : start + cols]
         Xt[d] = 1.0
-        acc = out[start : start + cols]
+        acc = out[..., start : start + cols]
         for row in range(0, m, _FEATURE_TILE):
             Wt = W[row : row + _FEATURE_TILE]
+            at = a[row : row + _FEATURE_TILE]
+            if single:
+                w_buf[: len(Wt)] = Wt
+                a_buf[0, : len(at)] = at
+                Wt, at = w_buf[: len(Wt)], a_buf[:, : len(at)]
+                np.abs(at[0], out=at[1])
             pre = np.matmul(Wt, Xt, out=pre_buf[: len(Wt) * cols].reshape(len(Wt), cols))
             phi(pre, out=pre)
-            acc += np.matmul(a[row : row + _FEATURE_TILE], pre, out=sum_buf[:cols])
+            acc += np.matmul(at, pre, out=sum_buf[: rows * cols].reshape(acc.shape))
+    sums = out[0] if single else out
     if relu:
         u = a @ W
-        out += u[:d] @ X + u[d]
-        out *= 0.5
-    return out
+        sums += u[:d] @ X + u[d]
+        sums *= 0.5
+    if not single:
+        return sums
+    # |a|^T |W| and ||a||_1 a weight tile at a time, so nothing of length m is allocated
+    abs_aw, a_l1 = np.zeros(d + 1), 0.0
+    for row in range(0, m, _FEATURE_TILE):
+        abs_a = np.abs(a[row : row + _FEATURE_TILE])
+        abs_aw += abs_a @ np.abs(W[row : row + _FEATURE_TILE])
+        a_l1 += float(abs_a.sum())
+    P = abs_aw[:d] @ np.abs(X) + abs_aw[d]
+    x_max = max(1.0, float(X.max(initial=0.0)), -float(X.min(initial=0.0)))
+    w_max = max(float(W.max(initial=0.0)), -float(W.min(initial=0.0)))
+    single_u, double_u, tiny = 2.0 ** -24, 2.0 ** -53, 2.0 ** -126
+    bound = _gamma(_FEATURE_TILE + 1, single_u) / (1 - _gamma(_FEATURE_TILE, single_u)) * out[1]
+    bound += _gamma(d + 3, single_u) * P
+    bound *= 0.5
+    bound += 2 * _gamma(2 * m + _FEATURE_TILE + 2 * d + 8, double_u) * P
+    bound += 4 * tiny * ((d + 1) * (x_max + w_max + 2) * a_l1 + 2 * m * ((d + 1) * w_max * x_max + 1))
+    bound *= 1.0 + 2.0 ** -20  # the float64 rounding of C, P and B themselves
+    return sums, bound
 
 
 def _blockwise(source: ColumnBlocks, x: np.ndarray, v) -> tuple:

@@ -151,12 +151,20 @@ class RandomFeatureModel:
         """||a|| / sqrt(m), the radius of the coefficient ball containing the model."""
         return float(np.linalg.norm(self.coefficients) / math.sqrt(self.m))
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Evaluate at every column of X in cache-sized tiles; no (m, n) array is formed."""
+    def predict(self, X: np.ndarray, single: bool = False):
+        """Evaluate at every column of X in cache-sized tiles; no (m, n) array is formed.
+
+        single (ReLU features only) sums the tiles in float32 and returns
+        (predictions, B), B a certified per-point bound on their distance
+        from the exact and from the float64 predictions (linalg._feature_sum).
+        """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[0] != self.d:
             raise ValueError(f"expected inputs of shape ({self.d}, n), got {X.shape}")
         relu = self.family.tag == RELU_L1SPHERE
+        if single:
+            sums, bound = _feature_sum(self.coefficients, self.params, X, relu=relu, single=True)
+            return sums / self.m, bound / self.m
         return _feature_sum(self.coefficients, self.params, X, relu=relu) / self.m
 
 

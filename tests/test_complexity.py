@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,7 +8,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from minterp import (
+    RELU_L1SPHERE,
+    FeatureFamily,
     GramFactor,
+    RandomFeatureModel,
+    fit_random_features,
     generalization_bound,
     population_risk,
     rad_path_ball,
@@ -241,3 +246,35 @@ class TestPopulationRisk:
         f = make_teacher(2, 4, seed=17)
         est = population_risk(lambda X: teacher_eval_batch(f, X), f, N_test=100, seed=18)
         assert est.risk == 0.0
+
+    def test_single_route_kept_within_its_certificate(self):
+        # a ReLU rf fit's float32 risk is kept, and its certificate bounds
+        # the distance to the float64 route's risk
+        f = make_teacher(3, 16, seed=19)
+        X = rng_from(20).uniform(-1.0, 1.0, size=(3, 24))
+        model = fit_random_features(X, teacher_eval_batch(f, X), FeatureFamily(RELU_L1SPHERE),
+                                    24 * 32, seed=21).model
+        est = population_risk(model.predict, f, N_test=2000, seed=22,
+                              single_eval=partial(model.predict, single=True))
+        want = population_risk(model.predict, f, N_test=2000, seed=22)
+        assert want.rounding_bound is None
+        assert est.rounding_bound is not None and est.rounding_bound <= est.std_error / 2
+        assert abs(est.risk - want.risk) <= est.rounding_bound
+        assert est.risk != want.risk  # the float32 route did sum it
+
+    def test_failed_certificate_returns_the_float64_estimate(self):
+        # the model's features and coefficients are the teacher's atoms, so
+        # its float64 risk is 0 and no rounding certificate can stay within
+        # half of the float32 route's standard error
+        f = make_teacher(2, 64, seed=23)
+        model = RandomFeatureModel(FeatureFamily(RELU_L1SPHERE), f.directions, f.coefficients)
+        tried = []
+
+        def single(X):
+            tried.append(X.shape)
+            return model.predict(X, single=True)
+
+        est = population_risk(model.predict, f, N_test=1000, seed=24, single_eval=single)
+        assert tried == [(2, 1000)]
+        assert est == population_risk(model.predict, f, N_test=1000, seed=24)
+        assert est == complexity.RiskEstimate(risk=0.0, std_error=0.0, n_test=1000)

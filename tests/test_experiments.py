@@ -493,8 +493,12 @@ class TestScaleEngine:
         for row in scale.rows:
             assert row["error"] == ""
             assert row["test_risk"] >= 0.0
+            assert 0.0 < row["test_risk_se"] < row["test_risk"]
             assert isinstance(row["threshold_met"], bool)
             assert "bound" not in row
+        # every ReLU rf test risk kept its float32 tile sums
+        assert "test_risk_se" in scale.columns
+        assert scale.summary["test_risk_float64_rows"] == 0
 
     def test_summary_has_slope_and_quartiles(self, scale_pair):
         scale, _ = scale_pair
@@ -514,10 +518,28 @@ class TestScaleEngine:
     def test_audit_rows_match_scale_rows_on_shared_columns(self, scale_pair):
         scale, audit = scale_pair
         shared = ("trial", "model_kind", "n", "m_or_L", "norm_radius",
-                  "empirical_risk", "test_risk", "threshold_met", "error")
+                  "empirical_risk", "test_risk", "test_risk_se", "threshold_met", "error")
         for a, b in zip(scale.rows, audit.rows):
             for key in shared:
                 assert a[key] == b[key]
+
+    def test_failed_certificates_are_counted_and_summed_in_float64(self, scale_pair, monkeypatch):
+        # a float32 route whose bound is infinite fails every certificate, so
+        # every row is summed again in float64 and counted
+        population_risk = experiments.population_risk
+
+        def unbounded(model_eval, f, N_test, seed, single_eval=None):
+            def loose(X):
+                return single_eval(X)[0], np.full(X.shape[1], np.inf)
+            return population_risk(model_eval, f, N_test, seed, single_eval and loose)
+
+        monkeypatch.setattr(experiments, "population_risk", unbounded)
+        scale, _ = scale_pair
+        result = run_study(scale.config, threads=1)
+        assert result.summary["test_risk_float64_rows"] == len(result.rows) == 8
+        for row, kept in zip(result.rows, scale.rows):
+            assert row["test_risk"] != kept["test_risk"]
+            assert abs(row["test_risk"] - kept["test_risk"]) <= 1e-6 * kept["test_risk"]
 
     def test_short_grid_flags_missing_slope(self):
         cfg = ExperimentConfig(

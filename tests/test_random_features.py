@@ -580,6 +580,64 @@ class TestTiledFeatureSum:
             assert peak < 4 * 2**20 + 8 * n
 
 
+class TestSinglePrecisionSum:
+    """_feature_sum's float32 tiles and their certified per-point bound B."""
+
+    # m = 257 and 1000 end on a partial weight tile, 513 on a one-row one;
+    # n = 1 is one column, and dup repeats the first rows of W further down.
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 4), m=st.integers(1, 1300), n=st.integers(1, 600),
+           dup=st.booleans(), corners=st.booleans(), seed=st.integers(0, 2**32 - 2))
+    @example(d=1, m=1, n=1, dup=False, corners=True, seed=0)
+    @example(d=4, m=257, n=1, dup=True, corners=False, seed=1)
+    @example(d=2, m=513, n=600, dup=True, corners=True, seed=2)
+    @example(d=3, m=1000, n=513, dup=False, corners=False, seed=3)
+    def test_within_its_bound_of_the_float64_and_extended_sums(self, d, m, n, dup, corners, seed):
+        rng = np.random.default_rng(seed)
+        W = rng.standard_normal((m, d + 1))
+        if dup:
+            W[m // 2 : m // 2 + m // 4] = W[: m // 4]
+        # |a_j| log-uniform on [1e-3, 1e3], random signs
+        a = 10.0 ** rng.uniform(-3, 3, m) * rng.choice([-1.0, 1.0], m)
+        X = rng.choice([-1.0, 1.0], (d, n)) if corners else rng.uniform(-1, 1, (d, n))
+        got, bound = _feature_sum(a, W, X, single=True)
+        Xt = np.vstack([X, np.ones((1, n))])
+        exact = a.astype(np.longdouble) @ np.maximum(W.astype(np.longdouble) @ Xt, 0)
+        assert np.all(np.abs(got - _feature_sum(a, W, X)) <= bound)
+        assert np.all(np.abs(got - exact) <= bound)
+        # and B stays a usable bound, under 1e-5 of P = |a|^T |W| |x~|
+        assert np.all(bound <= 1e-5 * (np.abs(a) @ np.abs(W) @ np.abs(Xt)))
+
+    @pytest.mark.parametrize("tag", [RELU_L1SPHERE, RANDOM_FOURIER])
+    def test_predict_default_keeps_the_float64_bytes(self, tag):
+        # the keyword's default is the float64 oracle: the bytes of the
+        # fresh-array tile loop, at ragged shapes
+        family = FeatureFamily(tag=tag, gamma=1.5)
+        W = family.sample_params(3, 700, seed=44)
+        a = np.random.default_rng(45).standard_normal(700)
+        X = np.random.default_rng(46).uniform(-1, 1, (3, 517))
+        model = RandomFeatureModel(family=family, params=W, coefficients=a)
+        want = feature_sum_tiles(a, W, X, relu=tag == RELU_L1SPHERE) / 700
+        assert model.predict(X).tobytes() == want.tobytes()
+        assert model.predict(X, single=False).tobytes() == want.tobytes()
+
+    def test_predict_single_scales_sums_and_bound_by_m(self):
+        W = RELU.sample_params(2, 300, seed=47)
+        a = np.random.default_rng(48).standard_normal(300)
+        X = np.random.default_rng(49).uniform(-1, 1, (2, 40))
+        got, bound = RandomFeatureModel(family=RELU, params=W, coefficients=a).predict(X, single=True)
+        sums, sum_bound = _feature_sum(a, W, X, single=True)
+        assert got.tobytes() == (sums / 300).tobytes()
+        assert bound.tobytes() == (sum_bound / 300).tobytes()
+
+    def test_cosine_features_have_no_single_mode(self):
+        family = FeatureFamily(tag=RANDOM_FOURIER)
+        model = RandomFeatureModel(family=family, params=family.sample_params(2, 8, 50),
+                                   coefficients=np.ones(8))
+        with pytest.raises(ValueError, match="relu features only"):
+            model.predict(np.zeros((2, 3)), single=True)
+
+
 class TestRidgeless:
     def test_reproduces_labels(self):
         X = np.random.default_rng(34).uniform(-1, 1, (4, 16))
