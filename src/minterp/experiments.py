@@ -74,6 +74,7 @@ from .two_layer import (
     fit_residual_net,
     interpolate_two_layer,
     path_norm,
+    split_eval_batch,
     two_layer_eval_batch,
 )
 
@@ -629,7 +630,8 @@ def _verify_min_norm_rf(config: ExperimentConfig, threads: int, rule: Quadrature
         return dict(
             m=m,
             lambda_min_K=lam,
-            threshold_m=threshold,
+            # a float cell: past 2^53 the integer's last digits are lambda_min_K's rounding
+            threshold_m=float(threshold),
             threshold_met=threshold <= config.m_cap,
             norm_radius=radius,
             surrogate_norm=surrogate,
@@ -781,7 +783,9 @@ class ModelFit:
     rad_bounds(seed) returns the audit's (rad_lower, rad_upper), so only a
     bound audit pays for the Rademacher estimate.  single_predict is the
     float32 route with its certified error bound that population_risk
-    tries first; only a ReLU random-feature fit has one.
+    tries first: RandomFeatureModel.predict(X, single=True) for ReLU
+    random features, and split_eval_batch, the teacher part in float64 and
+    the residual in float32, for two-layer and resnet; cosine fits have none.
     """
 
     fit: object
@@ -824,6 +828,7 @@ def _fit_two_layer(config, data, teacher, width, fit_seed, approx_seed, rule) ->
         fit=fit, model=fit.net, predict=predict, norm_radius=fit.path_norm, m_or_L=width,
         threshold_met=fit.residual.reference.width_met(width, data.n, config.delta),
         rad_bounds=rad_bounds,
+        single_predict=partial(split_eval_batch, teacher, fit.teacher, fit.residual.net),
     )
 
 
@@ -839,6 +844,7 @@ def _fit_resnet(config, data, teacher, width, fit_seed, approx_seed, rule) -> Mo
         m_or_L=teacher_net.L + m2,
         threshold_met=m2 >= width and fit.residual.reference.width_met(m2, data.n, config.delta),
         rad_bounds=lambda seed: (0.0, rad_weighted_path_upper(fit.weighted_norm, data.d, data.n)),
+        single_predict=partial(split_eval_batch, teacher, part1, fit.residual.net),
     )
 
 

@@ -100,9 +100,27 @@ class ColumnBlocks:
             yield slice(start, stop), self._columns(start, stop)
 
 
+# Unit roundoffs of float32 and float64, and float32's smallest normal, the
+# most an underflowing float32 operation moves its result, flushed to zero or not.
+_U32, _U64, _TINY32 = 2.0 ** -24, 2.0 ** -53, 2.0 ** -126
+
+
 def _gamma(k: int, u: float) -> float:
     """Higham's gamma_k = k u / (1 - k u), the error factor of k roundings of unit roundoff u."""
     return k * u / (1.0 - k * u)
+
+
+def _abs_sum(a: np.ndarray, W: np.ndarray, X: np.ndarray) -> tuple:
+    """(P, ||a||_1): P(x) = |a|^T |W| |x~| at every column x of X, the scale of every rounding bound.
+
+    |a|^T |W| and ||a||_1 are summed a weight tile at a time, so nothing of length m is allocated.
+    """
+    abs_aw, a_l1 = np.zeros(W.shape[1]), 0.0
+    for row in range(0, len(W), _FEATURE_TILE):
+        abs_a = np.abs(a[row : row + _FEATURE_TILE])
+        abs_aw += abs_a @ np.abs(W[row : row + _FEATURE_TILE])
+        a_l1 += float(abs_a.sum())
+    return abs_aw[:-1] @ np.abs(X) + abs_aw[-1], a_l1
 
 
 def _feature_sum(a: np.ndarray, W: np.ndarray, X: np.ndarray, relu: bool = True,
@@ -174,21 +192,14 @@ def _feature_sum(a: np.ndarray, W: np.ndarray, X: np.ndarray, relu: bool = True,
         sums *= 0.5
     if not single:
         return sums
-    # |a|^T |W| and ||a||_1 a weight tile at a time, so nothing of length m is allocated
-    abs_aw, a_l1 = np.zeros(d + 1), 0.0
-    for row in range(0, m, _FEATURE_TILE):
-        abs_a = np.abs(a[row : row + _FEATURE_TILE])
-        abs_aw += abs_a @ np.abs(W[row : row + _FEATURE_TILE])
-        a_l1 += float(abs_a.sum())
-    P = abs_aw[:d] @ np.abs(X) + abs_aw[d]
+    P, a_l1 = _abs_sum(a, W, X)
     x_max = max(1.0, float(X.max(initial=0.0)), -float(X.min(initial=0.0)))
     w_max = max(float(W.max(initial=0.0)), -float(W.min(initial=0.0)))
-    single_u, double_u, tiny = 2.0 ** -24, 2.0 ** -53, 2.0 ** -126
-    bound = _gamma(_FEATURE_TILE + 1, single_u) / (1 - _gamma(_FEATURE_TILE, single_u)) * out[1]
-    bound += _gamma(d + 3, single_u) * P
+    bound = _gamma(_FEATURE_TILE + 1, _U32) / (1 - _gamma(_FEATURE_TILE, _U32)) * out[1]
+    bound += _gamma(d + 3, _U32) * P
     bound *= 0.5
-    bound += 2 * _gamma(2 * m + _FEATURE_TILE + 2 * d + 8, double_u) * P
-    bound += 4 * tiny * ((d + 1) * (x_max + w_max + 2) * a_l1 + 2 * m * ((d + 1) * w_max * x_max + 1))
+    bound += 2 * _gamma(2 * m + _FEATURE_TILE + 2 * d + 8, _U64) * P
+    bound += 4 * _TINY32 * ((d + 1) * (x_max + w_max + 2) * a_l1 + 2 * m * ((d + 1) * w_max * x_max + 1))
     bound *= 1.0 + 2.0 ** -20  # the float64 rounding of C, P and B themselves
     return sums, bound
 

@@ -21,11 +21,15 @@ import numpy as np
 from .errors import UnderParametrizedError
 from .linalg import (
     DEFAULT_RCOND,
+    _TINY32,
+    _U32,
+    _U64,
     ColumnBlocks,
     GramFactor,
     _check_cutoff,
     _check_symmetric,
     _feature_sum,
+    _gamma,
     min_norm_solve,
     smallest_eigenvalue,
 )
@@ -41,13 +45,17 @@ _QUADRATURE_CHUNK = 65536
 # Rows of the feature buffer kernel_exact fills per product; at n = 128 the
 # (1024, n) float64 buffer is 1 MB and stays in a 2 MB L2.
 _QUADRATURE_SUB_BLOCK = 1024
+# Rows of kernel_exact's float32 blocks: a (4096, 32) float32 block is 512 KB.
+# At Q = 200,000, d = 4 and 32 points, a bare loop of the pass's steps took
+# 1.9, 1.6, 1.4 and 2.1 ms with 1,024-, 2,048-, 4,096- and 8,192-row blocks
+# (one BLAS thread, 2 cores, minimum of 41 calls).
+_SINGLE_SUB_BLOCK = 4096
 # Points of ReferenceLambda's witness subset.  On the two-layer and resnet
 # audits at seeds 0-5 (144 fits; 2 cores, one BLAS thread) the quotient on
-# 32 points came to at most 0.875 of 2 lambda_emp at the first floor test,
-# where 16 points reached 0.979; at Q = 200,000 a 32-point pass took 2.1 ms
-# and a 16-point one 1.4 ms.
+# 32 points came to at most 0.875 of 2 lambda_emp at the first floor test
+# (0.876 in float32, its rounding added), where 16 points reached 0.979; at
+# Q = 200,000 a 32-point float64 pass took 2.1 ms and a 16-point one 1.4 ms.
 WITNESS_SIZE = 32
-_UNIT_ROUNDOFF = 2.0 ** -53
 # ReferenceLambda.allowance's eigvalsh term, in units of u tr(K): measured on
 # reference kernels of 4 to 400 points in d = 1 to 4, duplicated and
 # near-duplicated points among them, eigvalsh erred by at most 1.6 u tr(K)
@@ -234,8 +242,8 @@ def quadrature_rule(d: int, Q: int, seed: int) -> QuadratureRule:
 
 def kernel_exact(
     family: FeatureFamily, X: np.ndarray, rule: QuadratureRule | None = None,
-    basis: np.ndarray | None = None,
-) -> np.ndarray:
+    basis: np.ndarray | None = None, single: bool = False,
+):
     """The reference kernel K[i, j] = E_w[phi(x_i;w) phi(x_j;w)], symmetric exactly.
 
     With an (n, k) basis B it returns B^T K B instead; the ReLU sum then
@@ -256,6 +264,22 @@ def kernel_exact(
     allocates a feature array of its own and a basis pass costs O(Q n k)
     with no n x n sum.  numpy computes each block's Gram term as one
     triangle and mirrors it.
+
+    single (ReLU with a basis only) forms |F| B in float32, over
+    _SINGLE_SUB_BLOCK-row blocks: (X; 1) and B are cast to float32 once
+    and each block of draws into one reused buffer, so no float32 copy of
+    the rule is kept; the Gram sum over blocks and the linear part stay
+    float64.  It returns (form, bound), bound a (k, k) bound on how far
+    the |F| part of form lies from its exact value; the linear part rounds
+    as in the float64 pass.  By the dot-product analysis of Higham
+    (Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 3.1),
+    with u = 2^-24 and draws on the unit l1 sphere, each column c of |F| B
+    is within E_c = (gamma_(n+1) (1 + gamma_(d+3)) + gamma_(d+3))
+    sum_i |B_ic| ||x~_i||_inf of exact, plus 2^-126 an operation for
+    underflow.  So with r_c the norm of column c as summed and
+    h = sqrt(Q / 2) E, the Q / 2 draws move entry (a, b) of the |F| sum
+    by at most r_a h_b + h_a r_b + h_a h_b, and its float64 block sums
+    by at most gamma_N r_a r_b with u = 2^-53, N = rows + blocks + 1.
     """
     X = np.asarray(X, dtype=float)
     d, n = X.shape
@@ -263,6 +287,8 @@ def kernel_exact(
         basis = np.asarray(basis, dtype=float)
         if basis.ndim != 2 or basis.shape[0] != n:
             raise ValueError(f"expected a basis of shape ({n}, k), got {basis.shape}")
+    if single and (basis is None or family.tag != RELU_L1SPHERE):
+        raise ValueError("float32 quadrature is for ReLU features with a basis only")
     if family.tag == RANDOM_FOURIER:
         K, diff = np.zeros((n, n)), np.empty((n, n))
         for row in X:
@@ -276,19 +302,38 @@ def kernel_exact(
         raise ValueError(f"quadrature rule of d={rule.d} for inputs of d={d}")
     Xt = np.vstack([X, np.ones((1, n))])
     pairs = len(rule.pairs)
-    buf = np.empty((min(_QUADRATURE_SUB_BLOCK, pairs), n))
+    width, dtype = (_SINGLE_SUB_BLOCK, np.float32) if single else (_QUADRATURE_SUB_BLOCK, float)
+    rows = min(width, pairs)
+    Xs = Xt.astype(dtype, copy=False)
+    Bs = None if basis is None else basis.astype(dtype, copy=False)
+    buf = np.empty((rows, n), dtype)
+    w_buf = np.empty((rows, d + 1), dtype) if single else None
 
     def abs_features(start, stop):
-        F = np.matmul(rule.pairs[start:stop], Xt, out=buf[: stop - start])
+        W = rule.pairs[start:stop]
+        if single:
+            W = w_buf[: stop - start]
+            W[...] = rule.pairs[start:stop]
+        F = np.matmul(W, Xs, out=buf[: stop - start])
         F = np.abs(F, out=F)
-        return (F if basis is None else F @ basis).T
+        return F.T if basis is None else (F @ Bs).T.astype(float, copy=False)
 
     k = n if basis is None else basis.shape[1]
-    K = GramFactor(ColumnBlocks((k, pairs), abs_features, _QUADRATURE_SUB_BLOCK)).G
+    K = GramFactor(ColumnBlocks((k, pairs), abs_features, width)).G
+    if single:
+        x_inf = np.maximum(1.0, np.abs(X).max(axis=0, initial=0.0))
+        g_n, g_d = _gamma(n + 1, _U32), _gamma(d + 3, _U32)
+        E = (g_n * (1 + g_d) + g_d) * (x_inf @ np.abs(basis))
+        E += 4 * _TINY32 * ((d + 1) * (x_inf.max() + 3) * np.abs(basis).sum(axis=0)
+                            + 2 * n * ((d + 1) * x_inf.max() + 1))
+        h, r = math.sqrt(pairs) * E, np.sqrt(np.diag(K))
+        bound = np.outer(r, h) + np.outer(h, r) + np.outer(h, h)
+        bound += _gamma(rows + -(-pairs // rows) + 1, _U64) * np.outer(r, r)  # the float64 block sums
+        bound *= (1.0 + 2.0 ** -20) / (2.0 * rule.Q)  # and the float64 rounding of r, h and bound
     linear = rule.R @ (Xt if basis is None else Xt @ basis)
     K += linear.T @ linear
     K /= 2.0 * rule.Q
-    return K
+    return (K, bound) if single else K
 
 
 def reference_lambda_min(X: np.ndarray, rule: QuadratureRule) -> float:
@@ -315,7 +360,11 @@ class ReferenceLambda:
       value, the points whose features are closest to dependent, or every
       point when there are at most WITNESS_SIZE; v is the bottom
       eigenvector of G[S, S].  The quotient is one kernel_exact pass over
-      the rule with basis v, O(Q |S|) with no |S| x |S| sum.
+      the rule with basis v, O(Q |S|) with no |S| x |S| sum, summed in
+      float32 with its certified rounding added.  A floor test that
+      bound cannot settle runs the float64 pass once, when the float32
+      rounding could hide a float64 bound that settles it, and reads
+      value after that.
     - positive: value > 0 when the rule's first 4 n draws alone sum to a
       kernel (a minorant, since every draw adds a PSD term) whose Cholesky
       factor exists after a shift that exceeds every rounding error.
@@ -324,7 +373,8 @@ class ReferenceLambda:
     """
 
     def __init__(self, X: np.ndarray, rule: QuadratureRule):
-        self.X, self.rule, self._upper = X, rule, None
+        # _retry is (S, v, least float64 bound) until the float64 pass runs
+        self.X, self.rule, self._upper, self._retry = X, rule, None, None
 
     @classmethod
     def of(cls, lam) -> ReferenceLambda:
@@ -346,7 +396,15 @@ class ReferenceLambda:
 
     def floor_met(self, lam_emp: float, draw: GramFactor) -> bool:
         """lam_emp >= value / 2; draw is the residual draw's factor, whose G gives v."""
-        return lam_emp >= self._bound(draw) / 2.0 or lam_emp >= self.value / 2.0
+        if lam_emp >= self._bound(draw) / 2.0:
+            return True
+        if self._retry is not None and lam_emp >= self._retry[2] / 2.0:
+            S, v, _ = self._retry
+            self._retry = None
+            self._upper = min(self._upper, self.quotient_bound(S, v, single=False))
+            if lam_emp >= self._upper / 2.0:
+                return True
+        return lam_emp >= self.value / 2.0
 
     def width_met(self, width: int, n: int, delta: float) -> bool:
         """width >= concentration_width(n, delta, value); the width falls as lambda grows."""
@@ -378,13 +436,26 @@ class ReferenceLambda:
         blocks = -(-len(self.rule.pairs) // _QUADRATURE_SUB_BLOCK)
         rounds = _QUADRATURE_SUB_BLOCK + blocks + 3 * len(S) + 5 * (self.rule.d + 1) + 4
         spread = float(np.abs(v) @ np.sqrt(self._diagonal[S])) ** 2 / float(v @ v)
-        return _UNIT_ROUNDOFF * (_EIGH_ROUNDING * float(self._diagonal.sum()) + rounds * spread)
+        return _U64 * (_EIGH_ROUNDING * float(self._diagonal.sum()) + rounds * spread)
 
-    def quotient_bound(self, S: np.ndarray, v: np.ndarray) -> float:
-        """v^T K v / v^T v for v held on the points S, plus allowance(S, v): at least value."""
+    def quotient_bound(self, S: np.ndarray, v: np.ndarray, single: bool = True) -> float:
+        """v^T K v / v^T v for v held on the points S, plus allowance(S, v): at least value.
+
+        single sums the pass in float32 and adds kernel_exact's bound on
+        that rounding, and keeps S, v and the least bound the float64 pass
+        could give for floor_met; the float64 steps of either pass are the
+        allowance's.
+        """
         relu = FeatureFamily(tag=RELU_L1SPHERE)
-        form = kernel_exact(relu, self.X[:, S], self.rule, v[:, None])[0, 0]
-        return float(form) / float(v @ v) + self.allowance(S, v)
+        if not single:
+            form = kernel_exact(relu, self.X[:, S], self.rule, v[:, None])[0, 0]
+            return float(form) / float(v @ v) + self.allowance(S, v)
+        form, rounding = kernel_exact(relu, self.X[:, S], self.rule, v[:, None], single=True)
+        vv = float(v @ v)
+        # the float64 pass's bound is at least (form - rounding) / vv, so a floor
+        # below half of that is left to value
+        self._retry = S, v, float(form[0, 0] - rounding[0, 0]) / vv
+        return float(form[0, 0] + rounding[0, 0]) / vv + self.allowance(S, v)
 
     @cached_property
     def _diagonal(self) -> np.ndarray:
@@ -393,14 +464,15 @@ class ReferenceLambda:
         return np.einsum("ij,ij->j", linear, linear) / self.rule.Q
 
     def _bound(self, draw: GramFactor | None) -> float:
-        # upper, from the first draw's G and kept for every later draw; value itself with no draw
+        # upper, from the first draw's G and kept for every later draw; value
+        # itself once it is known, or with neither
+        if "value" in self.__dict__ or (self._upper is None and draw is None):
+            self._retry = None
+            return self.value
         if self._upper is None:
-            if draw is None:
-                self._upper = self.value
-            else:
-                S = np.sort(np.argsort(-np.abs(draw.bottom_vector), kind="stable")[:WITNESS_SIZE])
-                v = np.linalg.eigh(draw.G[np.ix_(S, S)])[1][:, 0]
-                self._upper = self.quotient_bound(S, v)
+            S = np.sort(np.argsort(-np.abs(draw.bottom_vector), kind="stable")[:WITNESS_SIZE])
+            v = np.linalg.eigh(draw.G[np.ix_(S, S)])[1][:, 0]
+            self._upper = self.quotient_bound(S, v)
         return self._upper
 
     def _minorant_positive(self) -> bool:
@@ -418,7 +490,7 @@ class ReferenceLambda:
         # |K_ij| <= sqrt(K_ii K_jj)), of the Cholesky factorization ((n + 1)^2
         # u tr(K): Higham, Accuracy and Stability of Numerical Algorithms,
         # Thm 10.5) and of value's eigvalsh (measured 1.6 u tr(K)) together
-        tau = _UNIT_ROUNDOFF * self._diagonal.sum() * (2 * (n + 1) ** 2 + len(self.rule.pairs))
+        tau = _U64 * self._diagonal.sum() * (2 * (n + 1) ** 2 + len(self.rule.pairs))
         minorant[np.diag_indices(n)] -= tau
         try:
             np.linalg.cholesky(minorant)

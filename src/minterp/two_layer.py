@@ -16,8 +16,12 @@ import numpy as np
 
 from .errors import ConcentrationFailureError, UnderParametrizedError
 from .linalg import (
+    _FEATURE_TILE,
+    _U64,
     GramFactor,
+    _abs_sum,
     _feature_sum,
+    _gamma,
     min_norm_solve,
     smallest_eigenvalue,
     smallest_singular_value,
@@ -198,13 +202,17 @@ def fit_residual_net(
 
 @dataclass(frozen=True, eq=False)
 class TeacherFit:
-    """approximate_teacher output: the subsampled network, its fit report and its values on X."""
+    """approximate_teacher output: the subsampled network, its fit report and its values on X.
+
+    counts[k] is the number of times the chosen draw took atom k of the teacher.
+    """
 
     net: TwoLayerNet
     empirical_risk: float
     path_norm: float
     draw_index: int
     fitted: np.ndarray
+    counts: np.ndarray
 
 
 def approximate_teacher(f: TeacherFunction, m1: int, X: np.ndarray, seed: int) -> TeacherFit:
@@ -235,7 +243,35 @@ def approximate_teacher(f: TeacherFunction, m1: int, X: np.ndarray, seed: int) -
     fitted = two_layer_eval_batch(net, X)
     risk = 0.5 * float(np.mean((fitted - targets) ** 2))
     return TeacherFit(net=net, empirical_risk=risk, path_norm=path_norm(net), draw_index=t,
-                      fitted=fitted)
+                      fitted=fitted, counts=counts[t])
+
+
+def split_eval_batch(f: TeacherFunction, teacher: TeacherFit, residual: TwoLayerNet,
+                     X: np.ndarray) -> tuple:
+    """(predictions, B) of teacher.net + residual, the net interpolate_two_layer and
+    interpolate_resnet build, at every column of X.
+
+    The teacher part, which nearly cancels the target, is summed in float64
+    over f's atoms weighted by the draw's counts, the residual in
+    _feature_sum's float32 tiles.  B(x) bounds the distance from the exact
+    sum and from the composite's float64 evaluation (two_layer_eval_batch
+    or resnet_eval_batch): the residual's own bound, plus 2 gamma_N P with
+    P = P_teacher + P_residual (each part's _abs_sum over its width) and
+    N = 2 (m1 + m2) + _FEATURE_TILE + 2 d + 16 float64 roundings, for the
+    teacher part's and the composite's float64 sums, the composite's
+    rescaled coefficients and the final addition.
+    """
+    X = np.asarray(X, dtype=float)
+    keep = teacher.counts > 0
+    a, W = teacher.counts[keep] * f.coefficients[keep], f.directions[keep]
+    m1, m2, d = teacher.net.m, residual.m, X.shape[0]
+    sums, bound = _feature_sum(residual.a, residual.W, X, single=True)
+    predictions = _feature_sum(a, W, X) / m1 + sums / m2
+    P = _abs_sum(a, W, X)[0] / m1 + _abs_sum(residual.a, residual.W, X)[0] / m2
+    bound /= m2
+    bound += 2 * _gamma(2 * (m1 + m2) + _FEATURE_TILE + 2 * d + 16, _U64) * P
+    bound *= 1.0 + 2.0 ** -20  # the float64 rounding of P and B themselves
+    return predictions, bound
 
 
 @dataclass(frozen=True, eq=False)

@@ -485,6 +485,18 @@ def scale_pair():
     return run_study(cfg, threads=1), run_study(audit_cfg, threads=1)
 
 
+@pytest.fixture(scope="module", params=["rf", "two-layer", "resnet"])
+def model_scale(request, scale_pair):
+    """A scale study of 8 rows for each model; two-layer and resnet take the split route."""
+    if request.param == "rf":
+        return scale_pair[0]
+    sizes = {"two-layer": dict(m1=16, m_per_n=16), "resnet": dict(L_grid=(64, 128), m1=16)}
+    cfg = ExperimentConfig(kind="scale-study", model=request.param, d_grid=(2,), n_grid=(8, 16),
+                           trials=4, n_test=500, n_atoms=8, quadrature=20_000, seed=13,
+                           **sizes[request.param])
+    return run_study(cfg, threads=1)
+
+
 class TestScaleEngine:
     def test_row_count_and_columns(self, scale_pair):
         scale, _ = scale_pair
@@ -523,7 +535,8 @@ class TestScaleEngine:
             for key in shared:
                 assert a[key] == b[key]
 
-    def test_failed_certificates_are_counted_and_summed_in_float64(self, scale_pair, monkeypatch):
+    def test_failed_certificates_are_counted_and_summed_in_float64(self, model_scale,
+                                                                    monkeypatch):
         # a float32 route whose bound is infinite fails every certificate, so
         # every row is summed again in float64 and counted
         population_risk = experiments.population_risk
@@ -534,7 +547,8 @@ class TestScaleEngine:
             return population_risk(model_eval, f, N_test, seed, single_eval and loose)
 
         monkeypatch.setattr(experiments, "population_risk", unbounded)
-        scale, _ = scale_pair
+        scale = model_scale
+        assert scale.summary["test_risk_float64_rows"] == 0
         result = run_study(scale.config, threads=1)
         assert result.summary["test_risk_float64_rows"] == len(result.rows) == 8
         for row, kept in zip(result.rows, scale.rows):

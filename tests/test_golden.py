@@ -2,19 +2,52 @@
 
 The corpus is compared byte for byte in the environment it was recorded in, and otherwise
 with floats at rtol 1e-9 and atol 1e-12; the comparator tests below exercise that path with
-a recorded environment that differs from the running one.
+a recorded environment that differs from the running one, and one test regenerates the
+corpus under another OpenBLAS kernel set.
 """
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import minterp
 from _golden import ENVIRONMENT, GOLDEN, _is_float, compare_corpus, generate
 
 
 def test_outputs_match_the_corpus(tmp_path):
     generate(tmp_path)
+    problems = compare_corpus(GOLDEN, tmp_path)
+    assert not problems, "\n".join(problems)
+
+
+def _cpu_flags() -> set:
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return set()
+    return next((set(line.split(":", 1)[1].split()) for line in lines
+                 if line.startswith("flags")), set())
+
+
+@pytest.mark.skipif(not {"avx2", "fma"} <= _cpu_flags(),
+                    reason="OpenBLAS's Haswell kernels need a CPU with AVX2 and FMA")
+def test_outputs_match_the_corpus_under_the_haswell_kernels(tmp_path):
+    # OpenBLAS picks its kernel set when it loads, so the corpus is regenerated in a child
+    # whose own environment names the set; any cell that depends on the set beyond the
+    # comparator's tolerance fails here, on any CPU that can run those kernels
+    paths = [Path(minterp.__file__).parents[1], Path(__file__).parent]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=os.pathsep.join(map(str, paths + [os.environ.get("PYTHONPATH", "")])))
+    script = "import sys; from _golden import generate; generate(sys.argv[1])"
+    subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+    core = json.loads((tmp_path / ENVIRONMENT).read_text())["blas_core"]
+    assert core in ("Haswell", None), core  # None: a BLAS other than numpy's bundled OpenBLAS
     problems = compare_corpus(GOLDEN, tmp_path)
     assert not problems, "\n".join(problems)
 

@@ -138,8 +138,9 @@ class TestEquivalence:
         exact = fit_residual_net(X, r, 320, reference_lambda_min(X, rule), seed=9)
         sizes = []
         real = random_features.kernel_exact
-        monkeypatch.setattr(random_features, "kernel_exact", lambda family, X, rule=None, basis=None:
-                            sizes.append(X.shape[1]) or real(family, X, rule, basis))
+        monkeypatch.setattr(random_features, "kernel_exact",
+                            lambda family, X, rule=None, basis=None, single=False:
+                            sizes.append(X.shape[1]) or real(family, X, rule, basis, single))
         lazy = fit_residual_net(X, r, 320, ReferenceLambda(X, rule), seed=9)
         assert exact.resamples_used >= 2
         assert sizes.count(40) == 1 and sizes.count(WITNESS_SIZE) == 1
@@ -209,6 +210,124 @@ class TestQuotientBound:
             assert 0 < allowance <= 1e-8 * reference_lambda_min(X, rule)
 
 
+def _witness(gram):
+    """ReferenceLambda._bound's S and v from a draw's factor."""
+    S = np.sort(np.argsort(-np.abs(gram.bottom_vector), kind="stable")[:WITNESS_SIZE])
+    return S, np.linalg.eigh(gram.G[np.ix_(S, S)])[1][:, 0]
+
+
+class TestSinglePass:
+    """The float32 witness pass, its certified rounding and the order of the fallbacks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        n=st.integers(2, 60),
+        pairs=st.integers(1, 400),
+        mode=st.sampled_from(MODES),
+        vector=st.sampled_from(["draw", "unit", "tight"]),
+        seed=st.integers(0, 2**20),
+    )
+    def test_float32_bound_is_at_least_the_reference_eigenvalue(self, d, n, pairs, mode,
+                                                                vector, seed):
+        X = _inputs(d, n, mode, seed)
+        rule = quadrature_rule(d, 2 * pairs, seed)
+        reference = ReferenceLambda(X, rule)
+        rng = np.random.default_rng(seed)
+        relu = random_features.FeatureFamily("relu_l1sphere")
+        if vector == "draw":
+            W = rng.uniform(-1.0, 1.0, size=(4 * n, d + 1))
+            W /= np.abs(W).sum(axis=1, keepdims=True)
+            gram = GramFactor(relu.features(W, X))
+            S, v = _witness(gram)
+            assert reference._bound(gram) == reference.quotient_bound(S, v)
+        elif vector == "unit":
+            S = np.sort(rng.choice(n, size=min(n, WITNESS_SIZE), replace=False))
+            v = rng.standard_normal(len(S))
+            v /= np.linalg.norm(v)
+        else:
+            bottom = np.linalg.eigh(random_features.kernel_exact(relu, X, rule))[1][:, 0]
+            S = np.sort(np.argsort(-np.abs(bottom), kind="stable")[:WITNESS_SIZE])
+            v = bottom[S]
+        lam = reference_lambda_min(X, rule)
+        assert reference.quotient_bound(S, v) >= lam
+        assert reference.quotient_bound(S, v, single=False) >= lam
+        # the certified rounding covers the float32 pass against an extended-precision sum
+        form, rounding = random_features.kernel_exact(relu, X[:, S], rule, v[:, None], single=True)
+        Xt = np.vstack([X[:, S], np.ones((1, len(S)))]).astype(np.longdouble)
+        g = np.abs(rule.pairs.astype(np.longdouble) @ Xt) @ v.astype(np.longdouble)
+        linear = rule.R.astype(np.longdouble) @ (Xt @ v.astype(np.longdouble))
+        exact = (g @ g + linear @ linear) / (2 * rule.Q)
+        assert rounding.shape == (1, 1) and rounding[0, 0] >= 0
+        assert abs(form[0, 0] - exact) <= rounding[0, 0] + 2.0 ** -40 * exact
+
+    def test_float32_pass_needs_relu_and_a_basis(self):
+        X = np.zeros((2, 3))
+        rule = quadrature_rule(2, 20, 0)
+        for family, basis in [(random_features.FeatureFamily("relu_l1sphere"), None),
+                              (random_features.FeatureFamily("random_fourier"), np.ones((3, 1)))]:
+            with pytest.raises(ValueError, match="basis only"):
+                random_features.kernel_exact(family, X, rule, basis, single=True)
+
+    @pytest.mark.parametrize("fallback", ["float64", "value"])
+    def test_unsettled_float32_bound_runs_the_float64_pass_then_value(self, fallback,
+                                                                      monkeypatch):
+        # a float32 rounding inflated past any use cannot settle the floor, so
+        # the float64 pass runs; with the allowance inflated too, neither pass
+        # settles it and value is summed; the fit is the eager reference's
+        rng = np.random.default_rng(12)
+        X = rng.uniform(-1.0, 1.0, size=(2, 40))
+        r = rng.standard_normal(40)
+        r /= np.linalg.norm(r)
+        rule = quadrature_rule(2, 20_000, 5)
+        exact = fit_residual_net(X, r, 320, reference_lambda_min(X, rule), seed=4)
+        calls = []
+        real = random_features.kernel_exact
+
+        def spy(family, X, rule=None, basis=None, single=False):
+            calls.append((X.shape[1], basis is None, single))
+            out = real(family, X, rule, basis, single)
+            return (out[0], out[1] + 1e3) if single else out
+
+        monkeypatch.setattr(random_features, "kernel_exact", spy)
+        if fallback == "value":
+            monkeypatch.setattr(ReferenceLambda, "allowance", lambda self, S, v: 1e3)
+        lazy = fit_residual_net(X, r, 320, ReferenceLambda(X, rule), seed=4)
+        passes = [(WITNESS_SIZE, False, True), (WITNESS_SIZE, False, False)]
+        assert calls == passes + ([(40, True, False)] if fallback == "value" else [])
+        assert exact.resamples_used == 1
+        _assert_same(exact, lazy)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("workload", ["two-layer-audit", "resnet-audit"])
+    def test_float32_rounding_is_far_below_the_audits_eigenvalues(self, workload, seed,
+                                                                  monkeypatch):
+        # every first-draw floor test settles on the float32 bound, whose
+        # rounding term stays under 1e-2 lambda_ref; neither the float64
+        # pass nor value runs
+        passes, references = [], []
+        real, bound = random_features.kernel_exact, ReferenceLambda.quotient_bound
+
+        def spy(family, X, rule=None, basis=None, single=False):
+            out = real(family, X, rule, basis, single)
+            passes.append((single, basis, out))
+            return out
+
+        monkeypatch.setattr(random_features, "kernel_exact", spy)
+        monkeypatch.setattr(ReferenceLambda, "quotient_bound",
+                            lambda reference, S, v: references.append(reference)
+                            or bound(reference, S, v))
+        config = ExperimentConfig.from_dict(load_workloads().workload_config(workload, seed))
+        run_study(config, threads=1)
+        monkeypatch.undo()
+        assert len(passes) == len(references) == config.trials * len(config.n_grid)
+        for (single, basis, (form, rounding)), reference in zip(passes, references):
+            assert single and "value" not in reference.__dict__
+            v = basis[:, 0]
+            lam = reference_lambda_min(reference.X, reference.rule)
+            assert 0 < rounding[0, 0] / float(v @ v) <= 1e-2 * lam
+
+
 class TestCounting:
     CONFIGS = {
         "two-layer": dict(n_atoms=8, quadrature=20_000, m1=16, m_per_n=16, n_test=100,
@@ -223,8 +342,10 @@ class TestCounting:
                                   trials=2, seed=3, **self.CONFIGS[model])
         calls = []
         real = random_features.kernel_exact
-        monkeypatch.setattr(random_features, "kernel_exact", lambda family, X, rule=None, basis=None:
-                            calls.append((X.shape[1], basis is None)) or real(family, X, rule, basis))
+        monkeypatch.setattr(random_features, "kernel_exact",
+                            lambda family, X, rule=None, basis=None, single=False:
+                            calls.append((X.shape[1], basis is None))
+                            or real(family, X, rule, basis, single))
         lazy = run_study(config, threads=1)
         # one witness pass per fit, on at most WITNESS_SIZE points, and no kernel
         assert calls == [(min(n, WITNESS_SIZE), False)] * config.trials

@@ -2,30 +2,36 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from minterp import (
     ConcentrationFailureError,
+    TeacherFunction,
     TwoLayerNet,
     UnderParametrizedError,
     approximate_teacher,
     derive_seed,
+    embed_two_layer,
     fit_residual_net,
     interpolate_two_layer,
     make_teacher,
     path_norm,
     quadrature_rule,
     reference_lambda_min,
+    resnet_add,
+    resnet_eval_batch,
     sample_dataset,
+    sample_l1_sphere,
     sum_networks,
     teacher_eval_batch,
     two_layer_eval_batch,
 )
-from minterp import two_layer
+from minterp import resnet, two_layer
+from minterp.two_layer import split_eval_batch
 
-from _oracles import approximate_teacher_draws, two_layer_eval
+from _oracles import approximate_teacher_draws, feature_sum_tiles, two_layer_eval
 
 
 def random_net(m, d, seed):
@@ -254,3 +260,71 @@ class TestInterpolateTwoLayer:
         assert fit.norm_ratio == pytest.approx(fit.path_norm / fit.teacher_norm_upper)
         assert fit.residual.lambda_emp >= fit.residual.lambda_target / 2
         assert_allclose(two_layer_eval_batch(fit.net, data.X), data.y, atol=1e-8)
+
+
+def _split_parts(d, n_atoms, m1, m2, dup, seed, scale=1.0):
+    """A teacher (its atoms twice over with dup), its width-m1 subsample and a width-m2
+    residual net whose |a_j| are log-uniform on [1e-3, 1e3] times scale."""
+    f = make_teacher(d, n_atoms, seed=seed)
+    if dup:
+        f = TeacherFunction(coefficients=np.tile(f.coefficients, 2),
+                            directions=np.tile(f.directions, (2, 1)))
+    rng = np.random.default_rng(seed)
+    teacher = approximate_teacher(f, m1, rng.uniform(-1, 1, (d, 8)), seed=seed + 1)
+    a = scale * 10.0 ** rng.uniform(-3, 3, m2) * rng.choice([-1.0, 1.0], m2)
+    return f, teacher, TwoLayerNet(a=a, W=sample_l1_sphere(d, m2, seed + 2))
+
+
+class TestSplitEval:
+    """split_eval_batch: the teacher part in float64 over the draw's atom counts, the
+    residual part in float32 tiles, and a bound B against both composite evaluators."""
+
+    # m1 and m2 end on partial 256-row tiles, n = 1 is one test point, corners puts the
+    # inputs at +-1, dup gives the teacher each atom twice under two indices, and a small
+    # or zero residual leaves the teacher part's float64 rounding to B alone
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 4), n_atoms=st.integers(1, 64), m1=st.integers(1, 600),
+           m2=st.integers(1, 1300), n=st.integers(1, 300), dup=st.booleans(),
+           corners=st.booleans(), scale=st.sampled_from([1.0, 1e-12, 0.0]),
+           seed=st.integers(0, 2**31))
+    @example(d=4, n_atoms=64, m1=257, m2=513, n=1, dup=True, corners=True, scale=1.0, seed=0)
+    @example(d=2, n_atoms=3, m1=600, m2=1300, n=300, dup=False, corners=False, scale=1.0,
+             seed=1)
+    @example(d=3, n_atoms=64, m1=512, m2=300, n=200, dup=False, corners=False, scale=0.0,
+             seed=2)
+    def test_within_its_bound_of_the_composite_and_extended_sums(self, d, n_atoms, m1, m2, n,
+                                                                  dup, corners, scale, seed):
+        f, teacher, residual = _split_parts(d, n_atoms, m1, m2, dup, seed, scale)
+        assert teacher.counts.sum() == m1
+        rng = np.random.default_rng(seed + 3)
+        X = rng.choice([-1.0, 1.0], (d, n)) if corners else rng.uniform(-1, 1, (d, n))
+        got, bound = split_eval_batch(f, teacher, residual, X)
+        composite = two_layer_eval_batch(sum_networks(teacher.net, residual), X)
+        added = resnet_eval_batch(resnet_add(embed_two_layer(teacher.net),
+                                             embed_two_layer(residual)), X)
+        Xt = np.vstack([X, np.ones((1, n))]).astype(np.longdouble)
+
+        def exact(net):
+            return net.a.astype(np.longdouble) @ np.maximum(net.W.astype(np.longdouble) @ Xt,
+                                                            0) / net.m
+
+        for want in (composite, added, exact(teacher.net) + exact(residual)):
+            assert np.all(np.abs(got - want) <= bound)
+        # and B stays a usable bound: under 1e-5 of the residual's P = |a|^T |W| |x~| / m,
+        # with only float64 roundings, under 1e-12, of the teacher's
+        P_teacher, P_residual = (np.abs(net.a) @ np.abs(net.W) @ np.abs(Xt) / net.m
+                                 for net in (teacher.net, residual))
+        assert np.all(bound <= 1e-5 * P_residual + 1e-12 * P_teacher)
+
+    def test_default_evaluators_keep_the_float64_bytes(self):
+        # the composite evaluators population_risk falls back to sum as before:
+        # the bytes of the fresh-array tile loop, at ragged widths
+        f, teacher, residual = _split_parts(3, 64, 300, 517, False, 7)
+        X = np.random.default_rng(8).uniform(-1, 1, (3, 517))
+        net = sum_networks(teacher.net, residual)
+        want = feature_sum_tiles(net.a, net.W, X) / net.m
+        assert two_layer_eval_batch(net, X).tobytes() == want.tobytes()
+        added = resnet_add(embed_two_layer(teacher.net), embed_two_layer(residual))
+        lin, a, inner = resnet._two_layer_form(added)
+        want = lin[:-1] @ X + lin[-1] + feature_sum_tiles(a, inner, X)
+        assert resnet_eval_batch(added, X).tobytes() == want.tobytes()
