@@ -361,10 +361,8 @@ class ReferenceLambda:
       point when there are at most WITNESS_SIZE; v is the bottom
       eigenvector of G[S, S].  The quotient is one kernel_exact pass over
       the rule with basis v, O(Q |S|) with no |S| x |S| sum, summed in
-      float32 with its certified rounding added.  A floor test that
-      bound cannot settle runs the float64 pass once, when the float32
-      rounding could hide a float64 bound that settles it, and reads
-      value after that.
+      float32 with its certified rounding added; a floor test that bound
+      cannot settle reads value.
     - positive: value > 0 when the rule's first 4 n draws alone sum to a
       kernel (a minorant, since every draw adds a PSD term) whose Cholesky
       factor exists after a shift that exceeds every rounding error.
@@ -373,8 +371,7 @@ class ReferenceLambda:
     """
 
     def __init__(self, X: np.ndarray, rule: QuadratureRule):
-        # _retry is (S, v, least float64 bound) until the float64 pass runs
-        self.X, self.rule, self._upper, self._retry = X, rule, None, None
+        self.X, self.rule, self._upper = X, rule, None
 
     @classmethod
     def of(cls, lam) -> ReferenceLambda:
@@ -396,15 +393,7 @@ class ReferenceLambda:
 
     def floor_met(self, lam_emp: float, draw: GramFactor) -> bool:
         """lam_emp >= value / 2; draw is the residual draw's factor, whose G gives v."""
-        if lam_emp >= self._bound(draw) / 2.0:
-            return True
-        if self._retry is not None and lam_emp >= self._retry[2] / 2.0:
-            S, v, _ = self._retry
-            self._retry = None
-            self._upper = min(self._upper, self.quotient_bound(S, v, single=False))
-            if lam_emp >= self._upper / 2.0:
-                return True
-        return lam_emp >= self.value / 2.0
+        return lam_emp >= self._bound(draw) / 2.0 or lam_emp >= self.value / 2.0
 
     def width_met(self, width: int, n: int, delta: float) -> bool:
         """width >= concentration_width(n, delta, value); the width falls as lambda grows."""
@@ -438,24 +427,15 @@ class ReferenceLambda:
         spread = float(np.abs(v) @ np.sqrt(self._diagonal[S])) ** 2 / float(v @ v)
         return _U64 * (_EIGH_ROUNDING * float(self._diagonal.sum()) + rounds * spread)
 
-    def quotient_bound(self, S: np.ndarray, v: np.ndarray, single: bool = True) -> float:
+    def quotient_bound(self, S: np.ndarray, v: np.ndarray) -> float:
         """v^T K v / v^T v for v held on the points S, plus allowance(S, v): at least value.
 
-        single sums the pass in float32 and adds kernel_exact's bound on
-        that rounding, and keeps S, v and the least bound the float64 pass
-        could give for floor_met; the float64 steps of either pass are the
-        allowance's.
+        The pass is summed in float32 and kernel_exact's bound on that
+        rounding is added; its float64 steps are the allowance's.
         """
         relu = FeatureFamily(tag=RELU_L1SPHERE)
-        if not single:
-            form = kernel_exact(relu, self.X[:, S], self.rule, v[:, None])[0, 0]
-            return float(form) / float(v @ v) + self.allowance(S, v)
         form, rounding = kernel_exact(relu, self.X[:, S], self.rule, v[:, None], single=True)
-        vv = float(v @ v)
-        # the float64 pass's bound is at least (form - rounding) / vv, so a floor
-        # below half of that is left to value
-        self._retry = S, v, float(form[0, 0] - rounding[0, 0]) / vv
-        return float(form[0, 0] + rounding[0, 0]) / vv + self.allowance(S, v)
+        return float(form[0, 0] + rounding[0, 0]) / float(v @ v) + self.allowance(S, v)
 
     @cached_property
     def _diagonal(self) -> np.ndarray:
@@ -467,7 +447,6 @@ class ReferenceLambda:
         # upper, from the first draw's G and kept for every later draw; value
         # itself once it is known, or with neither
         if "value" in self.__dict__ or (self._upper is None and draw is None):
-            self._retry = None
             return self.value
         if self._upper is None:
             S = np.sort(np.argsort(-np.abs(draw.bottom_vector), kind="stable")[:WITNESS_SIZE])

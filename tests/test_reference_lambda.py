@@ -217,7 +217,7 @@ def _witness(gram):
 
 
 class TestSinglePass:
-    """The float32 witness pass, its certified rounding and the order of the fallbacks."""
+    """The float32 witness pass, its certified rounding and its fallback to value."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -251,7 +251,6 @@ class TestSinglePass:
             v = bottom[S]
         lam = reference_lambda_min(X, rule)
         assert reference.quotient_bound(S, v) >= lam
-        assert reference.quotient_bound(S, v, single=False) >= lam
         # the certified rounding covers the float32 pass against an extended-precision sum
         form, rounding = random_features.kernel_exact(relu, X[:, S], rule, v[:, None], single=True)
         Xt = np.vstack([X[:, S], np.ones((1, len(S)))]).astype(np.longdouble)
@@ -269,12 +268,10 @@ class TestSinglePass:
             with pytest.raises(ValueError, match="basis only"):
                 random_features.kernel_exact(family, X, rule, basis, single=True)
 
-    @pytest.mark.parametrize("fallback", ["float64", "value"])
-    def test_unsettled_float32_bound_runs_the_float64_pass_then_value(self, fallback,
-                                                                      monkeypatch):
+    def test_unsettled_float32_bound_reads_value(self, monkeypatch):
         # a float32 rounding inflated past any use cannot settle the floor, so
-        # the float64 pass runs; with the allowance inflated too, neither pass
-        # settles it and value is summed; the fit is the eager reference's
+        # value is summed after the one witness pass; the fit is the eager
+        # reference's
         rng = np.random.default_rng(12)
         X = rng.uniform(-1.0, 1.0, size=(2, 40))
         r = rng.standard_normal(40)
@@ -290,11 +287,8 @@ class TestSinglePass:
             return (out[0], out[1] + 1e3) if single else out
 
         monkeypatch.setattr(random_features, "kernel_exact", spy)
-        if fallback == "value":
-            monkeypatch.setattr(ReferenceLambda, "allowance", lambda self, S, v: 1e3)
         lazy = fit_residual_net(X, r, 320, ReferenceLambda(X, rule), seed=4)
-        passes = [(WITNESS_SIZE, False, True), (WITNESS_SIZE, False, False)]
-        assert calls == passes + ([(40, True, False)] if fallback == "value" else [])
+        assert calls == [(WITNESS_SIZE, False, True), (40, True, False)]
         assert exact.resamples_used == 1
         _assert_same(exact, lazy)
 
@@ -303,8 +297,7 @@ class TestSinglePass:
     def test_float32_rounding_is_far_below_the_audits_eigenvalues(self, workload, seed,
                                                                   monkeypatch):
         # every first-draw floor test settles on the float32 bound, whose
-        # rounding term stays under 1e-2 lambda_ref; neither the float64
-        # pass nor value runs
+        # rounding term stays under 1e-2 lambda_ref; value is never summed
         passes, references = [], []
         real, bound = random_features.kernel_exact, ReferenceLambda.quotient_bound
 
