@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import GramFactor
+from .linalg import GramFactor, augment
 from .sampling import TeacherFunction, _l1_sphere_rows, _random_signs, teacher_eval_batch
 from .seeding import derive_seed, rng_from
 
@@ -92,10 +92,6 @@ def rf_ball_upper(C: float, n: int) -> float:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return C / math.sqrt(n)
-
-
-def _augment(X: np.ndarray) -> np.ndarray:
-    return np.vstack([X, np.ones((1, X.shape[1]))])
 
 
 def _is_tie(val, scale, n: int):
@@ -186,7 +182,7 @@ def rad_path_ball(
         est = RadEstimate(mean=0.0, std_error=0.0, n_sign_draws=n_draws)
         return PathBallResult(estimate=est, upper=upper)
 
-    A = _augment(X)
+    A = augment(X)
     D = d + 1
     k = 2 * D + n_starts
     rng = rng_from(derive_seed(seed, 0))

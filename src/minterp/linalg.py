@@ -123,27 +123,31 @@ def _abs_sum(a: np.ndarray, W: np.ndarray, X: np.ndarray) -> tuple:
     return abs_aw[:-1] @ np.abs(X) + abs_aw[-1], a_l1
 
 
+def augment(X: np.ndarray, dtype=float) -> np.ndarray:
+    """(X; 1) in dtype, so that every pre-activation is one product W @ (X; 1) with augmented rows."""
+    return np.vstack([X, np.ones((1, X.shape[1]))], dtype=dtype)
+
+
 def _feature_sum(a: np.ndarray, W: np.ndarray, X: np.ndarray, relu: bool = True,
                  single: bool = False):
     """sum_j a_j phi(W_j . (x, 1)) at every column x of X, without any 1/m prefactor.
 
     W is the augmented (m, d+1) weight matrix; phi is relu, or cos when
-    relu is False.  X is walked in _FEATURE_TILE-column tiles with a row of
-    ones appended, so the bias sits inside the product, and each tile is
-    multiplied by _FEATURE_TILE-row weight tiles, one product per tile: the
-    working set is one (_FEATURE_TILE, _FEATURE_TILE) pre-activation tile,
-    whatever m and n.  The input tile, the pre-activation tile and the
-    tile's weighted sum are contiguous views of three buffers allocated
+    relu is False.  The tiles are column slices of one augmented copy
+    (X; 1), and each is multiplied by _FEATURE_TILE-row weight tiles, one
+    product per tile: the working set is one (_FEATURE_TILE, _FEATURE_TILE)
+    pre-activation tile, whatever m and n.  The pre-activation tile and
+    the tile's weighted sum are contiguous views of two buffers allocated
     once per call.  relu sums through relu(t) = (t + |t|) / 2: the tiles
     sum a_j |t_j|, and the linear half is one (d+1)-vector product,
     (a^T W) . (x, 1), per call.
 
     single (relu only) multiplies the tiles out in float32 and returns
     (sums, B): B(x) bounds the distance of sums(x) from the exact sum and
-    from the float64 sums.  Each weight tile is cast into a reused float32
-    buffer, and its coefficients into one over their absolute values, so
-    one product gives the tile's sum and its share of C = sum_j |a_j| |t_j|
-    as rounded; the tile sums, C and the linear half are float64.  By the
+    from the float64 sums.  W, (X; 1) and the coefficients over their
+    absolute values are cast to float32 once per call, so one product
+    gives a tile's sum and its share of C = sum_j |a_j| |t_j| as rounded;
+    the tile sums, C and the linear half are float64.  By the
     dot-product analysis of Higham (Accuracy and Stability of Numerical
     Algorithms, 2nd ed., sec. 3.1), with u = 2^-24 and T = _FEATURE_TILE,
     a tile's T-term float32 sum and the cast of a err by at most
@@ -159,32 +163,23 @@ def _feature_sum(a: np.ndarray, W: np.ndarray, X: np.ndarray, relu: bool = True,
     phi = np.abs if relu else np.cos
     if single and not relu:
         raise ValueError("float32 tile sums are for relu features only")
-    # a float32 tile takes twice the columns in the same 512 KB, and two sum rows
-    dtype, rows, width = (np.float32, 2, 2 * _FEATURE_TILE) if single else (float, 1, _FEATURE_TILE)
-    out = np.zeros((rows, n) if single else n)
-    xt_buf = np.empty((d + 1) * min(width, n), dtype)
-    pre_buf = np.empty(min(_FEATURE_TILE, m) * min(width, n), dtype)
-    sum_buf = np.empty(rows * min(width, n), dtype)
+    # a float32 tile takes twice the columns in the same 512 KB
+    dtype, width = (np.float32, 2 * _FEATURE_TILE) if single else (float, _FEATURE_TILE)
+    Xt, Wc, coef = augment(X, dtype), W, a
     if single:
-        w_buf = np.empty((min(_FEATURE_TILE, m), d + 1), dtype)
-        a_buf = np.empty((rows, min(_FEATURE_TILE, m)), dtype)
+        Wc, coef = W.astype(dtype), np.array([a, np.abs(a)], dtype)
+    out = np.zeros(coef.shape[:-1] + (n,))
+    pre_buf = np.empty(min(_FEATURE_TILE, m) * min(width, n), dtype)
+    sum_buf = np.empty(2 * min(width, n), dtype)  # room for (a; |a|)'s two sum rows
     for start in range(0, n, width):
-        cols = min(width, n - start)
-        Xt = xt_buf[: (d + 1) * cols].reshape(d + 1, cols)
-        Xt[:d] = X[:, start : start + cols]
-        Xt[d] = 1.0
-        acc = out[..., start : start + cols]
+        Xc, acc = Xt[:, start : start + width], out[..., start : start + width]
+        cols = Xc.shape[1]
         for row in range(0, m, _FEATURE_TILE):
-            Wt = W[row : row + _FEATURE_TILE]
-            at = a[row : row + _FEATURE_TILE]
-            if single:
-                w_buf[: len(Wt)] = Wt
-                a_buf[0, : len(at)] = at
-                Wt, at = w_buf[: len(Wt)], a_buf[:, : len(at)]
-                np.abs(at[0], out=at[1])
-            pre = np.matmul(Wt, Xt, out=pre_buf[: len(Wt) * cols].reshape(len(Wt), cols))
+            Wt = Wc[row : row + _FEATURE_TILE]
+            pre = np.matmul(Wt, Xc, out=pre_buf[: len(Wt) * cols].reshape(len(Wt), cols))
             phi(pre, out=pre)
-            acc += np.matmul(at, pre, out=sum_buf[: rows * cols].reshape(acc.shape))
+            acc += np.matmul(coef[..., row : row + _FEATURE_TILE], pre,
+                             out=sum_buf[: acc.size].reshape(acc.shape))
     sums = out[0] if single else out
     if relu:
         u = a @ W
@@ -229,12 +224,13 @@ class GramFactor:
     """
 
     def __init__(self, A):
-        self.source, self.G = ColumnBlocks.of(A), None
+        self.source, self.G, prod = ColumnBlocks.of(A), None, None
         for _, block in self.source:
             if self.G is None:
                 self.G = block @ block.T
-            else:
-                self.G += block @ block.T
+            else:  # every later block's product goes into one reused buffer
+                prod = np.matmul(block, block.T, out=prod)
+                self.G += prod
             del block  # so the source builds the next block with this one freed
 
     @staticmethod

@@ -30,6 +30,7 @@ from .linalg import (
     _check_symmetric,
     _feature_sum,
     _gamma,
+    augment,
     min_norm_solve,
     smallest_eigenvalue,
 )
@@ -101,8 +102,7 @@ class FeatureFamily:
             raise ValueError(
                 f"incompatible shapes: params {W.shape} vs inputs {X.shape}"
             )
-        block = W[:, :-1] @ X
-        block += W[:, -1][:, None]
+        block = W @ augment(X)
         if self.tag == RELU_L1SPHERE:
             return np.maximum(block, 0.0, out=block).T
         return np.cos(block, out=block).T
@@ -242,44 +242,18 @@ def quadrature_rule(d: int, Q: int, seed: int) -> QuadratureRule:
 
 def kernel_exact(
     family: FeatureFamily, X: np.ndarray, rule: QuadratureRule | None = None,
-    basis: np.ndarray | None = None, single: bool = False,
+    basis: np.ndarray | None = None,
 ):
     """The reference kernel K[i, j] = E_w[phi(x_i;w) phi(x_j;w)], symmetric exactly.
-
-    With an (n, k) basis B it returns B^T K B instead; the ReLU sum then
-    never forms K.
 
     Cosine features: the closed form (1/2) exp(-gamma^2 ||x_i - x_j||^2 / 2)
     (Rahimi & Recht 2007), summed one coordinate at a time; rule does not
     enter.  ReLU features: the plain average of phi phi^T over the Q points
-    of rule, a quadrature_rule of X's dimension d: each draw w is used
-    with its antithetic partner -w (the law is symmetric).  A pair with
-    t = w . (x, 1) contributes
-    relu(t) relu(t') + relu(-t) relu(-t') = (t t' + |t| |t'|) / 2, so
-    K = ((R (X; 1))^T (R (X; 1)) + sum |F|^T |F|) / (2 Q) with R^T R = M
-    = sum w w^T over the draws.  The sum over |F| is GramFactor's block
-    Gram sum: each _QUADRATURE_SUB_BLOCK-row block F = W_blk @ (X; 1) is
-    written into one reused buffer, made absolute in place and handed over
-    as the column block |F|^T, or (|F| B)^T with a basis, so no block
-    allocates a feature array of its own and a basis pass costs O(Q n k)
-    with no n x n sum.  numpy computes each block's Gram term as one
-    triangle and mirrors it.
+    of rule, a quadrature_rule of X's dimension d (see _relu_kernel).
 
-    single (ReLU with a basis only) forms |F| B in float32, over
-    _SINGLE_SUB_BLOCK-row blocks: (X; 1) and B are cast to float32 once
-    and each block of draws into one reused buffer, so no float32 copy of
-    the rule is kept; the Gram sum over blocks and the linear part stay
-    float64.  It returns (form, bound), bound a (k, k) bound on how far
-    the |F| part of form lies from its exact value; the linear part rounds
-    as in the float64 pass.  By the dot-product analysis of Higham
-    (Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 3.1),
-    with u = 2^-24 and draws on the unit l1 sphere, each column c of |F| B
-    is within E_c = (gamma_(n+1) (1 + gamma_(d+3)) + gamma_(d+3))
-    sum_i |B_ic| ||x~_i||_inf of exact, plus 2^-126 an operation for
-    underflow.  So with r_c the norm of column c as summed and
-    h = sqrt(Q / 2) E, the Q / 2 draws move entry (a, b) of the |F| sum
-    by at most r_a h_b + h_a r_b + h_a h_b, and its float64 block sums
-    by at most gamma_N r_a r_b with u = 2^-53, N = rows + blocks + 1.
+    An (n, k) basis B (ReLU features only) asks for the witness pass
+    instead: (form, bound), form B^T K B summed in float32 without forming
+    K, and bound a (k, k) certified bound on that rounding.
     """
     X = np.asarray(X, dtype=float)
     d, n = X.shape
@@ -287,40 +261,72 @@ def kernel_exact(
         basis = np.asarray(basis, dtype=float)
         if basis.ndim != 2 or basis.shape[0] != n:
             raise ValueError(f"expected a basis of shape ({n}, k), got {basis.shape}")
-    if single and (basis is None or family.tag != RELU_L1SPHERE):
-        raise ValueError("float32 quadrature is for ReLU features with a basis only")
+        if family.tag != RELU_L1SPHERE:
+            raise ValueError("a basis is for the ReLU witness pass only")
     if family.tag == RANDOM_FOURIER:
         K, diff = np.zeros((n, n)), np.empty((n, n))
         for row in X:
             K += np.square(np.subtract.outer(row, row, out=diff), out=diff)
         K *= -0.5 * family.gamma ** 2
-        K = 0.5 * np.exp(K, out=K)
-        return K if basis is None else basis.T @ K @ basis
+        return 0.5 * np.exp(K, out=K)
     if rule is None:
         raise ValueError("the ReLU reference kernel needs a quadrature rule")
     if rule.d != d:
         raise ValueError(f"quadrature rule of d={rule.d} for inputs of d={d}")
-    Xt = np.vstack([X, np.ones((1, n))])
-    pairs = len(rule.pairs)
-    width, dtype = (_SINGLE_SUB_BLOCK, np.float32) if single else (_QUADRATURE_SUB_BLOCK, float)
+    return _relu_kernel(X, rule, basis)
+
+
+def _relu_kernel(X: np.ndarray, rule: QuadratureRule, basis: np.ndarray | None = None):
+    """kernel_exact's ReLU sum over rule: K, or with a basis B the witness pass's (form, bound).
+
+    Each draw w is used with its antithetic partner -w (the law is
+    symmetric).  A pair with t = w . (x, 1) contributes
+    relu(t) relu(t') + relu(-t) relu(-t') = (t t' + |t| |t'|) / 2, so
+    K = ((R (X; 1))^T (R (X; 1)) + sum |F|^T |F|) / (2 Q) with R^T R = M
+    = sum w w^T over the draws.  The sum over |F| is GramFactor's block
+    Gram sum: each _QUADRATURE_SUB_BLOCK-row block F = W_blk @ (X; 1) is
+    written into one reused buffer, made absolute in place and handed over
+    as the column block |F|^T, so no block allocates a feature array of
+    its own.  numpy computes each block's Gram term as one triangle and
+    mirrors it.
+
+    With a basis the pass forms |F| B in float32 instead, over
+    _SINGLE_SUB_BLOCK-row blocks, so it costs O(Q n k) with no n x n sum:
+    (X; 1) and B are cast to float32 once and each block of draws into
+    one reused buffer, so no float32 copy of the rule is kept; the Gram
+    sum over blocks and the linear part (R (X; 1) B)^T (R (X; 1) B) stay
+    float64.  bound is a (k, k) bound on how far the |F| part of form
+    lies from its exact value; the linear part rounds as in K.  By the
+    dot-product analysis of Higham (Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sec. 3.1), with u = 2^-24 and draws on the unit
+    l1 sphere, each column c of |F| B is within E_c = (gamma_(n+1)
+    (1 + gamma_(d+3)) + gamma_(d+3)) sum_i |B_ic| ||x~_i||_inf of exact,
+    plus 2^-126 an operation for underflow.  So with r_c the norm of
+    column c as summed and h = sqrt(Q / 2) E, the Q / 2 draws move entry
+    (a, b) of the |F| sum by at most r_a h_b + h_a r_b + h_a h_b, and its
+    float64 block sums by at most gamma_N r_a r_b with u = 2^-53,
+    N = rows + blocks + 1.
+    """
+    d, n = X.shape
+    pairs, witness = len(rule.pairs), basis is not None
+    width, dtype = (_SINGLE_SUB_BLOCK, np.float32) if witness else (_QUADRATURE_SUB_BLOCK, float)
     rows = min(width, pairs)
-    Xs = Xt.astype(dtype, copy=False)
-    Bs = None if basis is None else basis.astype(dtype, copy=False)
+    Xs = augment(X, dtype)
     buf = np.empty((rows, n), dtype)
-    w_buf = np.empty((rows, d + 1), dtype) if single else None
+    if witness:
+        Bs, w_buf = basis.astype(dtype), np.empty((rows, d + 1), dtype)
 
     def abs_features(start, stop):
         W = rule.pairs[start:stop]
-        if single:
+        if witness:
             W = w_buf[: stop - start]
             W[...] = rule.pairs[start:stop]
         F = np.matmul(W, Xs, out=buf[: stop - start])
         F = np.abs(F, out=F)
-        return F.T if basis is None else (F @ Bs).T.astype(float, copy=False)
+        return (F @ Bs).T.astype(float) if witness else F.T
 
-    k = n if basis is None else basis.shape[1]
-    K = GramFactor(ColumnBlocks((k, pairs), abs_features, width)).G
-    if single:
+    K = GramFactor(ColumnBlocks((basis.shape[1] if witness else n, pairs), abs_features, width)).G
+    if witness:
         x_inf = np.maximum(1.0, np.abs(X).max(axis=0, initial=0.0))
         g_n, g_d = _gamma(n + 1, _U32), _gamma(d + 3, _U32)
         E = (g_n * (1 + g_d) + g_d) * (x_inf @ np.abs(basis))
@@ -330,10 +336,10 @@ def kernel_exact(
         bound = np.outer(r, h) + np.outer(h, r) + np.outer(h, h)
         bound += _gamma(rows + -(-pairs // rows) + 1, _U64) * np.outer(r, r)  # the float64 block sums
         bound *= (1.0 + 2.0 ** -20) / (2.0 * rule.Q)  # and the float64 rounding of r, h and bound
-    linear = rule.R @ (Xt if basis is None else Xt @ basis)
+    linear = rule.R @ (augment(X) @ basis if witness else Xs)
     K += linear.T @ linear
     K /= 2.0 * rule.Q
-    return (K, bound) if single else K
+    return (K, bound) if witness else K
 
 
 def reference_lambda_min(X: np.ndarray, rule: QuadratureRule) -> float:
@@ -363,9 +369,10 @@ class ReferenceLambda:
       the rule with basis v, O(Q |S|) with no |S| x |S| sum, summed in
       float32 with its certified rounding added; a floor test that bound
       cannot settle reads value.
-    - positive: value > 0 when the rule's first 4 n draws alone sum to a
-      kernel (a minorant, since every draw adds a PSD term) whose Cholesky
-      factor exists after a shift that exceeds every rounding error.
+    - positive: value > 0 when the rule's first 4 n draws alone, summed by
+      _relu_kernel as a rule of their own, give a kernel (a minorant, since
+      every draw adds a PSD term) whose Cholesky factor exists after a shift
+      that exceeds every rounding error.
 
     of(lam) makes the exact reference of a number: value is lam, and upper is value.
     """
@@ -434,13 +441,13 @@ class ReferenceLambda:
         rounding is added; its float64 steps are the allowance's.
         """
         relu = FeatureFamily(tag=RELU_L1SPHERE)
-        form, rounding = kernel_exact(relu, self.X[:, S], self.rule, v[:, None], single=True)
+        form, rounding = kernel_exact(relu, self.X[:, S], self.rule, v[:, None])
         return float(form[0, 0] + rounding[0, 0]) / float(v @ v) + self.allowance(S, v)
 
     @cached_property
     def _diagonal(self) -> np.ndarray:
         # K_ii = (sum (w . x~_i)^2 + ||R x~_i||^2) / 2Q = ||R x~_i||^2 / Q, since R^T R = sum w w^T
-        linear = self.rule.R @ np.vstack([self.X, np.ones((1, self.X.shape[1]))])
+        linear = self.rule.R @ augment(self.X)
         return np.einsum("ij,ij->j", linear, linear) / self.rule.Q
 
     def _bound(self, draw: GramFactor | None) -> float:
@@ -460,17 +467,17 @@ class ReferenceLambda:
         if self.X is None or not self.X.shape[1] <= len(self.rule.pairs) // 8:
             return False
         n = self.X.shape[1]
-        F = self.rule.pairs[: 4 * n] @ np.vstack([self.X, np.ones((1, n))])
-        minorant = F.T @ F
-        minorant += np.abs(F, out=F).T @ F
-        minorant /= 2.0 * self.rule.Q
+        draws = self.rule.pairs[: 4 * n]
+        minorant = _relu_kernel(self.X, QuadratureRule(pairs=draws, R=draws))
         # tau = u tr(K) (2 (n + 1)^2 + Q / 2) exceeds the worst-case rounding
         # of value's and the minorant's sums (at most Q / 2 terms an entry, and
         # |K_ij| <= sqrt(K_ii K_jj)), of the Cholesky factorization ((n + 1)^2
         # u tr(K): Higham, Accuracy and Stability of Numerical Algorithms,
-        # Thm 10.5) and of value's eigvalsh (measured 1.6 u tr(K)) together
+        # Thm 10.5) and of value's eigvalsh (measured 1.6 u tr(K)) together.
+        # The minorant is averaged over its own 8 n points, Q / (8 n) times
+        # its share of K, so the shift is scaled by as much.
         tau = _U64 * self._diagonal.sum() * (2 * (n + 1) ** 2 + len(self.rule.pairs))
-        minorant[np.diag_indices(n)] -= tau
+        minorant[np.diag_indices(n)] -= tau * self.rule.Q / (8 * n)
         try:
             np.linalg.cholesky(minorant)
         except np.linalg.LinAlgError:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _feature_sum
+from .linalg import _feature_sum, augment
 from .random_features import ReferenceLambda
 from .sampling import Dataset
 from .seeding import derive_seed, rng_from
@@ -132,7 +132,7 @@ def resnet_eval_batch(theta: ResNet, X: np.ndarray) -> np.ndarray:
     out = np.empty(n)
     for start in range(0, n, _LAYER_LOOP_CHUNK):
         Xc = X[:, start : start + _LAYER_LOOP_CHUNK]
-        Z = theta.V @ np.vstack([Xc, np.ones((1, Xc.shape[1]))])
+        Z = theta.V @ augment(Xc)
         for U, W in zip(theta.U, theta.W):
             Z = Z + U @ np.maximum(W @ Z, 0.0) / theta.L
         out[start : start + _LAYER_LOOP_CHUNK] = theta.alpha @ Z

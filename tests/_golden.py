@@ -16,6 +16,9 @@ from __future__ import annotations
 import ctypes
 import json
 import math
+import shutil
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -187,9 +190,26 @@ def compare_corpus(want_root: Path, got_root: Path) -> list:
     return problems
 
 
-if __name__ == "__main__":
-    import shutil
+def regenerate() -> None:
+    """Rewrite the corpus: generate into a directory beside it, then swap it in.
 
-    shutil.rmtree(GOLDEN, ignore_errors=True)
-    generate(GOLDEN)
+    A run that fails or is killed partway leaves the committed corpus as it was."""
+    new = Path(tempfile.mkdtemp(prefix=".golden-new-", dir=GOLDEN.parent))
+    old = new.with_name(new.name.replace("-new-", "-old-"))
+    try:
+        generate(new)
+        if GOLDEN.exists():
+            GOLDEN.rename(old)
+        new.rename(GOLDEN)
+    except BaseException:
+        shutil.rmtree(new, ignore_errors=True)
+        raise
+    shutil.rmtree(old, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) > 1:
+        sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]}  (regenerates {GOLDEN}; "
+                 "takes no arguments)")
+    regenerate()
     print(f"wrote {sum(1 for p in GOLDEN.rglob('*') if p.is_file())} files to {GOLDEN}")

@@ -34,20 +34,28 @@ def _cpu_flags() -> set:
                  if line.startswith("flags")), set())
 
 
-@pytest.mark.skipif(not {"avx2", "fma"} <= _cpu_flags(),
-                    reason="OpenBLAS's Haswell kernels need a CPU with AVX2 and FMA")
-def test_outputs_match_the_corpus_under_the_haswell_kernels(tmp_path):
+# OpenBLAS kernel sets, each with the CPU flags it needs (pni is SSE3) and the name the
+# library then reports: x86-64 builds load the Prescott kernels as Katmai.  Each set sums a
+# pre-activation's d + 1 terms in its own order.
+KERNEL_SETS = [("Haswell", {"avx2", "fma"}, "Haswell"), ("Sandybridge", {"avx"}, "Sandybridge"),
+               ("Prescott", {"pni"}, "Katmai")]
+
+
+@pytest.mark.parametrize("kernels, flags, name", KERNEL_SETS, ids=[k[0] for k in KERNEL_SETS])
+def test_outputs_match_the_corpus_under_other_kernel_sets(kernels, flags, name, tmp_path):
     # OpenBLAS picks its kernel set when it loads, so the corpus is regenerated in a child
     # whose own environment names the set; any cell that depends on the set beyond the
     # comparator's tolerance fails here, on any CPU that can run those kernels
+    if not flags <= _cpu_flags():
+        pytest.skip(f"OpenBLAS's {kernels} kernels need a CPU with {sorted(flags)}")
     paths = [Path(minterp.__file__).parents[1], Path(__file__).parent]
-    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernels,
                PYTHONPATH=os.pathsep.join(map(str, paths + [os.environ.get("PYTHONPATH", "")])))
     script = "import sys; from _golden import generate; generate(sys.argv[1])"
     subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, check=True,
                    stdout=subprocess.DEVNULL)
     core = json.loads((tmp_path / ENVIRONMENT).read_text())["blas_core"]
-    assert core in ("Haswell", None), core  # None: a BLAS other than numpy's bundled OpenBLAS
+    assert core in (name, None), core  # None: a BLAS other than numpy's bundled OpenBLAS
     problems = compare_corpus(GOLDEN, tmp_path)
     assert not problems, "\n".join(problems)
 

@@ -193,41 +193,35 @@ class TestKernels:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        relu=st.booleans(),
         n=st.integers(1, 40),
         d=st.integers(1, 4),
         k=st.integers(1, 3),
-        # up to five sub-blocks, the last one short
+        # up to five float64 sub-blocks, the last one short, and up to two float32 blocks
         draws=st.integers(1, 5 * _QUADRATURE_SUB_BLOCK + 7),
         seed=st.integers(0, 2**32),
     )
-    def test_kernel_exact_basis_is_the_projected_kernel(self, relu, n, d, k, draws, seed):
-        # The pass sums (|F| B)^T (|F| B) block by block and B^T K B sums K's
-        # blocks, then two n-term products.  Each term of an entry rounds in
-        # a sub-block, across the blocks, in the basis products and in
-        # t = w . (x, 1) at most _QUADRATURE_SUB_BLOCK + blocks + 3 n + 2 (d + 1)
-        # times over both sides, relative to the absolute terms |B|^T K_abs
-        # |B| (see the per-block oracle test for K_abs and the linear part);
-        # the bound takes each count three times for the higher-order terms.
-        # The cosine pass is B^T K B of the closed form itself.
+    def test_kernel_exact_basis_is_the_projected_kernel(self, n, d, k, draws, seed):
+        # The witness pass sums (|F| B)^T (|F| B) with |F| B in float32, and
+        # its bound covers that rounding.  Beyond it, each term of an entry
+        # rounds in float64 in K's sub-blocks, across the blocks of both
+        # sides, in the basis products and in t = w . (x, 1) at most
+        # _QUADRATURE_SUB_BLOCK + blocks + 3 n + 2 (d + 1) times over both
+        # sides, relative to the absolute terms |B|^T K_abs |B| (see the
+        # per-block oracle test for K_abs and the linear part); the
+        # allowance takes each count three times for the higher-order terms.
         rng = np.random.default_rng(seed)
         X = rng.uniform(-1, 1, (d, n))
         B = rng.standard_normal((n, k))
         rule = quadrature_rule(d, 2 * draws, seed)
-        family = RELU if relu else FeatureFamily(tag=RANDOM_FOURIER, gamma=1.5)
-        K = kernel_exact(family, X, rule)
-        got = kernel_exact(family, X, rule, B)
-        assert got.shape == (k, k)
-        want = B.T @ K @ B
-        if relu:
-            T = np.abs(rule.pairs) @ np.vstack([np.abs(X), np.ones((1, n))])
-            K_abs = T.T @ T / rule.Q
-        else:
-            K_abs = np.abs(K)
+        got, bound = kernel_exact(RELU, X, rule, B)
+        assert got.shape == bound.shape == (k, k) and np.all(bound >= 0)
+        want = B.T @ kernel_exact(RELU, X, rule) @ B
+        T = np.abs(rule.pairs) @ np.vstack([np.abs(X), np.ones((1, n))])
+        K_abs = T.T @ T / rule.Q
         blocks = -(-draws // _QUADRATURE_SUB_BLOCK)
         multiple = 3 * (_QUADRATURE_SUB_BLOCK + blocks + 3 * n + 2 * (d + 1))
         scale = np.abs(B).T @ K_abs @ np.abs(B)
-        assert np.all(np.abs(got - want) <= multiple * np.finfo(float).eps * scale)
+        assert np.all(np.abs(got - want) <= bound + multiple * np.finfo(float).eps * scale)
 
     def test_kernel_exact_rejects_a_basis_of_other_points(self):
         X = np.random.default_rng(0).uniform(-1, 1, (2, 5))

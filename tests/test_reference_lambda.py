@@ -139,8 +139,8 @@ class TestEquivalence:
         sizes = []
         real = random_features.kernel_exact
         monkeypatch.setattr(random_features, "kernel_exact",
-                            lambda family, X, rule=None, basis=None, single=False:
-                            sizes.append(X.shape[1]) or real(family, X, rule, basis, single))
+                            lambda family, X, rule=None, basis=None:
+                            sizes.append(X.shape[1]) or real(family, X, rule, basis))
         lazy = fit_residual_net(X, r, 320, ReferenceLambda(X, rule), seed=9)
         assert exact.resamples_used >= 2
         assert sizes.count(40) == 1 and sizes.count(WITNESS_SIZE) == 1
@@ -252,7 +252,7 @@ class TestSinglePass:
         lam = reference_lambda_min(X, rule)
         assert reference.quotient_bound(S, v) >= lam
         # the certified rounding covers the float32 pass against an extended-precision sum
-        form, rounding = random_features.kernel_exact(relu, X[:, S], rule, v[:, None], single=True)
+        form, rounding = random_features.kernel_exact(relu, X[:, S], rule, v[:, None])
         Xt = np.vstack([X[:, S], np.ones((1, len(S)))]).astype(np.longdouble)
         g = np.abs(rule.pairs.astype(np.longdouble) @ Xt) @ v.astype(np.longdouble)
         linear = rule.R.astype(np.longdouble) @ (Xt @ v.astype(np.longdouble))
@@ -261,12 +261,10 @@ class TestSinglePass:
         assert abs(form[0, 0] - exact) <= rounding[0, 0] + 2.0 ** -40 * exact
 
     def test_float32_pass_needs_relu_and_a_basis(self):
-        X = np.zeros((2, 3))
-        rule = quadrature_rule(2, 20, 0)
-        for family, basis in [(random_features.FeatureFamily("relu_l1sphere"), None),
-                              (random_features.FeatureFamily("random_fourier"), np.ones((3, 1)))]:
-            with pytest.raises(ValueError, match="basis only"):
-                random_features.kernel_exact(family, X, rule, basis, single=True)
+        with pytest.raises(ValueError, match="ReLU witness pass only"):
+            random_features.kernel_exact(random_features.FeatureFamily("random_fourier"),
+                                         np.zeros((2, 3)), quadrature_rule(2, 20, 0),
+                                         np.ones((3, 1)))
 
     def test_unsettled_float32_bound_reads_value(self, monkeypatch):
         # a float32 rounding inflated past any use cannot settle the floor, so
@@ -281,14 +279,14 @@ class TestSinglePass:
         calls = []
         real = random_features.kernel_exact
 
-        def spy(family, X, rule=None, basis=None, single=False):
-            calls.append((X.shape[1], basis is None, single))
-            out = real(family, X, rule, basis, single)
-            return (out[0], out[1] + 1e3) if single else out
+        def spy(family, X, rule=None, basis=None):
+            calls.append((X.shape[1], basis is None))
+            out = real(family, X, rule, basis)
+            return (out[0], out[1] + 1e3) if basis is not None else out
 
         monkeypatch.setattr(random_features, "kernel_exact", spy)
         lazy = fit_residual_net(X, r, 320, ReferenceLambda(X, rule), seed=4)
-        assert calls == [(WITNESS_SIZE, False, True), (40, True, False)]
+        assert calls == [(WITNESS_SIZE, False), (40, True)]
         assert exact.resamples_used == 1
         _assert_same(exact, lazy)
 
@@ -301,9 +299,9 @@ class TestSinglePass:
         passes, references = [], []
         real, bound = random_features.kernel_exact, ReferenceLambda.quotient_bound
 
-        def spy(family, X, rule=None, basis=None, single=False):
-            out = real(family, X, rule, basis, single)
-            passes.append((single, basis, out))
+        def spy(family, X, rule=None, basis=None):
+            out = real(family, X, rule, basis)
+            passes.append((basis, out))
             return out
 
         monkeypatch.setattr(random_features, "kernel_exact", spy)
@@ -314,8 +312,8 @@ class TestSinglePass:
         run_study(config, threads=1)
         monkeypatch.undo()
         assert len(passes) == len(references) == config.trials * len(config.n_grid)
-        for (single, basis, (form, rounding)), reference in zip(passes, references):
-            assert single and "value" not in reference.__dict__
+        for (basis, (form, rounding)), reference in zip(passes, references):
+            assert basis is not None and "value" not in reference.__dict__
             v = basis[:, 0]
             lam = reference_lambda_min(reference.X, reference.rule)
             assert 0 < rounding[0, 0] / float(v @ v) <= 1e-2 * lam
@@ -336,9 +334,9 @@ class TestCounting:
         calls = []
         real = random_features.kernel_exact
         monkeypatch.setattr(random_features, "kernel_exact",
-                            lambda family, X, rule=None, basis=None, single=False:
+                            lambda family, X, rule=None, basis=None:
                             calls.append((X.shape[1], basis is None))
-                            or real(family, X, rule, basis, single))
+                            or real(family, X, rule, basis))
         lazy = run_study(config, threads=1)
         # one witness pass per fit, on at most WITNESS_SIZE points, and no kernel
         assert calls == [(min(n, WITNESS_SIZE), False)] * config.trials
